@@ -20,7 +20,8 @@ ExecutionOutput FromParallel(std::string config,
   return ExecutionOutput{.config = std::move(config),
                          .schema = result.output_schema,
                          .rows = result.rows,
-                         .aggs = result.agg_values};
+                         .aggs = result.agg_values,
+                         .counts = {}};
 }
 
 ExecutionOutput FromFleet(std::string config,
@@ -28,7 +29,8 @@ ExecutionOutput FromFleet(std::string config,
   return ExecutionOutput{.config = std::move(config),
                          .schema = result.output_schema,
                          .rows = result.rows,
-                         .aggs = result.agg_values};
+                         .aggs = result.agg_values,
+                         .counts = {}};
 }
 
 std::string RenderRow(const storage::Schema& schema, const std::byte* row) {

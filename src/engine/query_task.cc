@@ -194,7 +194,6 @@ StepOutcome HostQueryTask::StepPrepareScan() {
   }
   host_params_ = exec::HostCostParams(bound_->outer->layout);
   hash_entries_ = hash_table_.has_value() ? hash_table_->entries() : 0;
-  const storage::TableInfo& outer = *bound_->outer;
 
   // Zone-map pruning: skip pages whose per-page [min, max] cannot
   // satisfy the predicate's column ranges.

@@ -196,19 +196,22 @@ Status HybridJoin::EvictLargestResident() {
 
 Status HybridJoin::AddBuildRow(std::int64_t key,
                                std::span<const std::byte> payload) {
+  // The payload is copied with std::copy, not memcpy: a join without
+  // payload columns passes an empty span whose data() may be null.
   Partition& p = partitions_[PartitionOf(key, 0)];
   ++p.build_rows;
   if (!p.resident) {
     std::vector<std::byte> rec(build_rec_width_);
     Store64(rec.data(), static_cast<std::uint64_t>(key));
-    std::memcpy(rec.data() + 8, payload.data(), payload.size());
+    std::copy(payload.begin(), payload.end(), rec.begin() + 8);
     ++stats_.build_rows_spilled;
     return AppendRecord(&p.build_file, rec);
   }
   const std::size_t off = p.rows.size();
   p.rows.resize(off + build_rec_width_);
   Store64(p.rows.data() + off, static_cast<std::uint64_t>(key));
-  std::memcpy(p.rows.data() + off + 8, payload.data(), payload.size());
+  std::copy(payload.begin(), payload.end(),
+            p.rows.begin() + static_cast<std::ptrdiff_t>(off + 8));
   ++resident_rows_total_;
   // Keep the projected resident hash table inside the budget: evict
   // whole partitions, largest first, until it fits (or nothing is left).

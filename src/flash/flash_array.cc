@@ -195,10 +195,11 @@ Result<SimTime> FlashArray::EraseBlock(int channel, int chip,
                                        std::uint32_t block, SimTime ready) {
   PageAddress addr{channel, chip, block, 0};
   SMARTSSD_RETURN_IF_ERROR(CheckAddress(addr));
-  BlockState& state = blocks_[BlockIndex(geometry_, addr)];
+  const std::uint64_t block_index = BlockIndex(geometry_, addr);
+  BlockState& state = blocks_[block_index];
   sim::RateServer& chip_server = *chips_[ChipIndex(geometry_, addr)];
   const SimTime done = chip_server.Serve(ready, timings_.erase_block);
-  store_.EraseRange(PageIndex(geometry_, addr), geometry_.pages_per_block);
+  store_.EraseBlock(block_index);
   state.write_pointer = 0;
   ++state.erase_count;
   ++erases_;

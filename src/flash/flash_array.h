@@ -24,7 +24,6 @@ namespace smartssd::flash {
 // programmed in order, and a block must be erased before reuse.
 struct BlockState {
   std::uint32_t write_pointer = 0;  // next programmable page in the block
-  std::uint32_t valid_mask_unused = 0;  // validity is the FTL's concern
   std::uint32_t erase_count = 0;
 };
 
@@ -93,7 +92,7 @@ class FlashArray {
                               SimTime ready);
 
   // Erases a whole block; all its pages become readable-as-zero and
-  // programmable again.
+  // programmable again, and the store frees the block's page buffers.
   Result<SimTime> EraseBlock(int channel, int chip, std::uint32_t block,
                              SimTime ready);
 

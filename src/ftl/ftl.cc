@@ -10,6 +10,16 @@ namespace smartssd::ftl {
 namespace {
 constexpr std::uint32_t kNoBlock = ~0U;
 
+std::uint64_t LogicalPageCount(const flash::FlashArray* array,
+                               const FtlConfig& config) {
+  SMARTSSD_CHECK(array != nullptr);
+  SMARTSSD_CHECK(config.over_provisioning >= 0.0 &&
+                 config.over_provisioning < 1.0);
+  return static_cast<std::uint64_t>(
+      static_cast<double>(array->geometry().total_pages()) *
+      (1.0 - config.over_provisioning));
+}
+
 // Clears the in-GC flag on every exit path of MaybeCollect, so a fault
 // surfaced mid-relocation leaves the FTL able to collect again instead
 // of wedged with GC permanently disabled.
@@ -25,16 +35,13 @@ class GcScope {
 }  // namespace
 
 Ftl::Ftl(flash::FlashArray* array, const FtlConfig& config)
-    : array_(array), config_(config), policy_(MakeGcPolicy(config.gc_policy)) {
-  SMARTSSD_CHECK(array != nullptr);
-  SMARTSSD_CHECK(config.over_provisioning >= 0.0 &&
-                 config.over_provisioning < 1.0);
+    : array_(array),
+      config_(config),
+      policy_(MakeGcPolicy(config.gc_policy)),
+      logical_pages_(LogicalPageCount(array, config)),
+      l2p_(logical_pages_, kMapChunkEntries, kUnmapped),
+      p2l_(array->geometry().total_pages(), kMapChunkEntries, kUnmapped) {
   const flash::Geometry& g = array_->geometry();
-  logical_pages_ = static_cast<std::uint64_t>(
-      static_cast<double>(g.total_pages()) *
-      (1.0 - config.over_provisioning));
-  l2p_.assign(logical_pages_, kUnmapped);
-  p2l_.assign(g.total_pages(), kUnmapped);
   valid_.assign(g.total_pages(), false);
   valid_per_block_.assign(g.total_blocks(), 0);
   block_invalidate_stamp_.assign(g.total_blocks(), 0);
@@ -52,18 +59,18 @@ std::uint64_t Ftl::PhysicalPageCount() const {
 }
 
 bool Ftl::IsMapped(std::uint64_t lpn) const {
-  return lpn < logical_pages_ && l2p_[lpn] != kUnmapped;
+  return lpn < logical_pages_ && l2p_.Get(lpn) != kUnmapped;
 }
 
 std::span<const std::byte> Ftl::View(std::uint64_t lpn) const {
   if (!IsMapped(lpn)) return {};
-  return array_->store().View(l2p_[lpn]);
+  return array_->store().View(l2p_.Get(lpn));
 }
 
 Status Ftl::Invalidate(std::uint64_t ppn) {
   if (!valid_[ppn]) return Status::OK();
   valid_[ppn] = false;
-  p2l_[ppn] = kUnmapped;
+  p2l_.Mutable(ppn) = kUnmapped;
   const std::uint64_t block = ppn / array_->geometry().pages_per_block;
   if (valid_per_block_[block] == 0) {
     return CorruptionError(
@@ -157,7 +164,7 @@ Result<SimTime> Ftl::MaybeCollect(int channel, int chip, SimTime ready) {
   for (std::uint32_t p = 0; p < g.pages_per_block; ++p) {
     const std::uint64_t ppn = victim_first_page + p;
     if (!valid_[ppn]) continue;
-    const std::uint64_t lpn = p2l_[ppn];
+    const std::uint64_t lpn = p2l_.Get(ppn);
     if (lpn == kUnmapped) {
       return CorruptionError(
           "ftl: p2l map missing an entry for a valid page");
@@ -172,8 +179,8 @@ Result<SimTime> Ftl::MaybeCollect(int channel, int chip, SimTime ready) {
     SMARTSSD_ASSIGN_OR_RETURN(now,
                               array_->ProgramPage(dst, buffer, gc_delay));
     SMARTSSD_RETURN_IF_ERROR(Invalidate(ppn));
-    l2p_[lpn] = dst_ppn;
-    p2l_[dst_ppn] = lpn;
+    l2p_.Mutable(lpn) = dst_ppn;
+    p2l_.Mutable(dst_ppn) = lpn;
     valid_[dst_ppn] = true;
     ++valid_per_block_[dst_ppn / g.pages_per_block];
     ++stats_.gc_relocations;
@@ -274,11 +281,12 @@ Result<SimTime> Ftl::Write(std::uint64_t lpn,
       flash::AddressFromPageIndex(array_->geometry(), ppn);
   SMARTSSD_ASSIGN_OR_RETURN(const SimTime done,
                             array_->ProgramPage(addr, data, gc_done));
-  if (l2p_[lpn] != kUnmapped) {
-    SMARTSSD_RETURN_IF_ERROR(Invalidate(l2p_[lpn]));
+  const std::uint64_t old_ppn = l2p_.Get(lpn);
+  if (old_ppn != kUnmapped) {
+    SMARTSSD_RETURN_IF_ERROR(Invalidate(old_ppn));
   }
-  l2p_[lpn] = ppn;
-  p2l_[ppn] = lpn;
+  l2p_.Mutable(lpn) = ppn;
+  p2l_.Mutable(ppn) = lpn;
   valid_[ppn] = true;
   ++valid_per_block_[ppn / array_->geometry().pages_per_block];
   ++stats_.host_writes;
@@ -292,13 +300,14 @@ Result<SimTime> Ftl::ReadTiming(std::uint64_t lpn, SimTime ready) {
   }
   ready += config_.command_overhead;
   ++stats_.host_reads;
-  if (l2p_[lpn] == kUnmapped) {
+  const std::uint64_t ppn = l2p_.Get(lpn);
+  if (ppn == kUnmapped) {
     // Served straight from the mapping table; no flash operation.
     ++stats_.unmapped_reads;
     return ready;
   }
   const flash::PageAddress addr =
-      flash::AddressFromPageIndex(array_->geometry(), l2p_[lpn]);
+      flash::AddressFromPageIndex(array_->geometry(), ppn);
   return array_->ReadPageTiming(addr, ready);
 }
 
@@ -306,12 +315,13 @@ Result<SimTime> Ftl::Read(std::uint64_t lpn, std::span<std::byte> out,
                           SimTime ready) {
   SMARTSSD_ASSIGN_OR_RETURN(const SimTime done, ReadTiming(lpn, ready));
   if (!out.empty()) {
-    if (l2p_[lpn] == kUnmapped) {
+    const std::uint64_t ppn = l2p_.Get(lpn);
+    if (ppn == kUnmapped) {
       std::fill(out.begin(),
                 out.begin() + std::min<std::size_t>(out.size(), page_size()),
                 std::byte{0});
     } else {
-      SMARTSSD_RETURN_IF_ERROR(array_->store().Read(l2p_[lpn], out));
+      SMARTSSD_RETURN_IF_ERROR(array_->store().Read(ppn, out));
     }
   }
   return done;
@@ -321,9 +331,10 @@ Status Ftl::Trim(std::uint64_t lpn) {
   if (lpn >= logical_pages_) {
     return OutOfRangeError("ftl trim: lpn beyond logical capacity");
   }
-  if (l2p_[lpn] != kUnmapped) {
-    SMARTSSD_RETURN_IF_ERROR(Invalidate(l2p_[lpn]));
-    l2p_[lpn] = kUnmapped;
+  const std::uint64_t ppn = l2p_.Get(lpn);
+  if (ppn != kUnmapped) {
+    SMARTSSD_RETURN_IF_ERROR(Invalidate(ppn));
+    l2p_.Mutable(lpn) = kUnmapped;
   }
   return Status::OK();
 }

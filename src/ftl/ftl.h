@@ -7,6 +7,7 @@
 #include <span>
 #include <vector>
 
+#include "common/chunked_table.h"
 #include "common/macros.h"
 #include "common/result.h"
 #include "common/status.h"
@@ -55,6 +56,11 @@ struct FtlStats {
 // the real device.
 class Ftl {
  public:
+  // Entries per chunk (4 KiB) of the logical-to-physical and
+  // physical-to-logical maps. A chunk is allocated at its first write,
+  // so host memory follows the pages written, not the drive's capacity.
+  static constexpr std::uint64_t kMapChunkEntries = 512;
+
   Ftl(flash::FlashArray* array, const FtlConfig& config);
   SMARTSSD_DISALLOW_COPY_AND_ASSIGN(Ftl);
 
@@ -140,8 +146,12 @@ class Ftl {
   std::unique_ptr<GcPolicy> policy_;
   std::uint64_t logical_pages_;
 
-  std::vector<std::uint64_t> l2p_;  // lpn -> ppn or kUnmapped
-  std::vector<std::uint64_t> p2l_;  // ppn -> lpn or kUnmapped
+  // Both maps are chunked, and an entry never written reads kUnmapped.
+  // Spill extents take LPNs from the top of the logical range and the
+  // catalog from the bottom, so a dense map grown on demand would still
+  // span the whole range.
+  ChunkedTable<std::uint64_t> l2p_;  // lpn -> ppn or kUnmapped
+  ChunkedTable<std::uint64_t> p2l_;  // ppn -> lpn or kUnmapped
   std::vector<bool> valid_;         // per physical page
   std::vector<std::uint32_t> valid_per_block_;
   // Monotone invalidation clock and, per block, the stamp of its most

@@ -4,10 +4,10 @@
 
 namespace smartssd::ssd {
 
-HddDevice::HddDevice(const HddConfig& config) : config_(config) {
-  head_ = std::make_unique<sim::RateServer>("hdd_head");
-  pages_.resize(static_cast<std::size_t>(config.num_pages));
-}
+HddDevice::HddDevice(const HddConfig& config)
+    : config_(config),
+      head_(std::make_unique<sim::RateServer>("hdd_head")),
+      pages_(config.num_pages, kPagesPerChunk) {}
 
 Status HddDevice::CheckRange(std::uint64_t lpn, std::uint32_t count,
                              std::size_t buffer_size, bool is_read) const {
@@ -41,7 +41,7 @@ Result<SimTime> HddDevice::ReadPages(std::uint64_t lpn, std::uint32_t count,
     for (std::uint32_t i = 0; i < count; ++i) {
       std::byte* dst = out.data() +
                        static_cast<std::size_t>(i) * config_.page_size_bytes;
-      const auto& page = pages_[lpn + i];
+      const auto& page = pages_.Get(lpn + i);
       if (page == nullptr) {
         std::fill_n(dst, config_.page_size_bytes, std::byte{0});
       } else {
@@ -69,7 +69,7 @@ Result<SimTime> HddDevice::WritePages(std::uint64_t lpn,
   const SimTime done = head_->Serve(ready, service);
   next_sequential_lpn_ = lpn + count;
   for (std::uint32_t i = 0; i < count; ++i) {
-    auto& page = pages_[lpn + i];
+    auto& page = pages_.Mutable(lpn + i);
     if (page == nullptr) {
       page = std::make_unique<std::byte[]>(config_.page_size_bytes);
     }

@@ -5,8 +5,8 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <vector>
 
+#include "common/chunked_table.h"
 #include "common/macros.h"
 #include "common/result.h"
 #include "sim/rate_server.h"
@@ -62,10 +62,11 @@ class HddDevice : public BlockDevice {
   HddConfig config_;
   std::string name_ = "hdd";
   std::unique_ptr<sim::RateServer> head_;
-  // Lazily allocated per-page buffers: the address space can be large
-  // while only written pages consume host memory. Unwritten pages read
-  // as zeros.
-  std::vector<std::unique_ptr<std::byte[]>> pages_;
+  // Lazily allocated per-page buffers in chunks of kPagesPerChunk: the
+  // address space can be large while only written pages consume host
+  // memory. Unwritten pages read as zeros.
+  static constexpr std::uint64_t kPagesPerChunk = 512;
+  ChunkedTable<std::unique_ptr<std::byte[]>> pages_;
   std::uint64_t next_sequential_lpn_ = ~0ULL;
   std::uint64_t seeks_ = 0;
 };

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 
+#include "common/chunked_table.h"
 #include "common/random.h"
 #include "common/result.h"
 #include "common/status.h"
@@ -170,6 +172,62 @@ TEST(RandomTest, NextDoubleInUnitInterval) {
     EXPECT_GE(d, 0.0);
     EXPECT_LT(d, 1.0);
   }
+}
+
+TEST(ChunkedTableTest, UnwrittenEntriesReadFillWithoutAllocating) {
+  const ChunkedTable<std::uint64_t> table(1000, 64, ~0ULL);
+  EXPECT_EQ(table.Get(0), ~0ULL);
+  EXPECT_EQ(table.Get(999), ~0ULL);
+  for (std::uint64_t c = 0; c < 16; ++c) EXPECT_TRUE(table.chunk(c).empty());
+}
+
+TEST(ChunkedTableTest, ChunkBoundariesAndPartialLastChunk) {
+  // 1,000 entries in chunks of 64: the 16th chunk holds only 40.
+  ChunkedTable<std::uint64_t> table(1000, 64, ~0ULL);
+  for (const std::uint64_t i : {0, 63, 64, 127, 960, 999}) {
+    table.Mutable(i) = i * 10;
+  }
+  for (std::uint64_t c = 0; c < 16; ++c) {
+    EXPECT_EQ(table.chunk(c).empty(), c != 0 && c != 1 && c != 15) << c;
+  }
+  for (const std::uint64_t i : {0, 63, 64, 127, 960, 999}) {
+    EXPECT_EQ(table.Get(i), i * 10) << i;
+  }
+  for (const std::uint64_t i : {1, 62, 65, 126, 128, 959, 961, 998}) {
+    EXPECT_EQ(table.Get(i), ~0ULL) << i;
+  }
+  ASSERT_EQ(table.chunk(1).size(), 64u);
+  EXPECT_EQ(table.chunk(1).front(), 640u);
+  EXPECT_EQ(table.chunk(1).back(), 1270u);
+}
+
+TEST(ChunkedTableTest, ResetChunkFreesItAndRestoresFill) {
+  ChunkedTable<std::uint64_t> table(256, 64, 7);
+  table.Mutable(70) = 1;
+  table.Mutable(130) = 2;
+  table.ResetChunk(1);
+  table.ResetChunk(3);  // never allocated: a no-op
+  EXPECT_TRUE(table.chunk(1).empty());
+  EXPECT_TRUE(table.chunk(3).empty());
+  EXPECT_EQ(table.Get(70), 7u);
+  EXPECT_EQ(table.Get(130), 2u);
+  table.Mutable(64) = 3;
+  EXPECT_EQ(table.Get(64), 3u);
+  EXPECT_EQ(table.Get(70), 7u);
+}
+
+TEST(ChunkedTableTest, MoveOnlyEntriesStartEmpty) {
+  ChunkedTable<std::unique_ptr<int>> table(10, 4);
+  EXPECT_EQ(table.Get(9), nullptr);
+  table.Mutable(9) = std::make_unique<int>(42);
+  EXPECT_EQ(table.Get(8), nullptr);
+  ASSERT_NE(table.Get(9), nullptr);
+  EXPECT_EQ(*table.Get(9), 42);
+  ChunkedTable<std::unique_ptr<int>> moved = std::move(table);
+  EXPECT_EQ(*moved.Get(9), 42);
+  moved.ResetChunk(2);
+  EXPECT_EQ(moved.Get(9), nullptr);
+  EXPECT_TRUE(moved.chunk(2).empty());
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -132,6 +133,102 @@ TEST_F(FlashArrayTest, ShortProgramZeroPads) {
   for (std::size_t i = 100; i < 512; ++i) {
     EXPECT_EQ(out[i], std::byte{0});
   }
+}
+
+// --- Per-block page tables (the store allocates a block's table at its
+// first program and frees it when the block is erased) ---
+
+TEST_F(FlashArrayTest, FirstAndLastPageOfABlockRoundTrip) {
+  const auto first = Pattern(512, 21);
+  const auto last = Pattern(512, 22);
+  const std::uint32_t last_page = TinyGeometry().pages_per_block - 1;
+  for (std::uint32_t p = 0; p <= last_page; ++p) {
+    const auto& data = p == last_page ? last : first;
+    ASSERT_TRUE(array_.ProgramPage(PageAddress{1, 0, 2, p}, data, 0).ok());
+  }
+  std::vector<std::byte> out(512);
+  ASSERT_TRUE(array_.ReadPage(PageAddress{1, 0, 2, 0}, 0, out).ok());
+  EXPECT_EQ(out, first);
+  ASSERT_TRUE(array_.ReadPage(PageAddress{1, 0, 2, last_page}, 0, out).ok());
+  EXPECT_EQ(out, last);
+  // The neighbouring blocks were never programmed.
+  ASSERT_TRUE(array_.ReadPage(PageAddress{1, 0, 1, last_page}, 0, out).ok());
+  EXPECT_EQ(out, std::vector<std::byte>(512));
+  ASSERT_TRUE(array_.ReadPage(PageAddress{1, 0, 3, 0}, 0, out).ok());
+  EXPECT_EQ(out, std::vector<std::byte>(512));
+}
+
+TEST_F(FlashArrayTest, LastPhysicalPageOfLastBlock) {
+  const Geometry g = TinyGeometry();
+  const PageAddress last_block{g.channels - 1, g.chips_per_channel - 1,
+                               g.blocks_per_chip - 1, 0};
+  const auto data = Pattern(512, 23);
+  for (std::uint32_t p = 0; p < g.pages_per_block; ++p) {
+    PageAddress addr = last_block;
+    addr.page = p;
+    ASSERT_TRUE(array_.ProgramPage(addr, data, 0).ok());
+  }
+  const std::uint64_t last_index = g.total_pages() - 1;
+  EXPECT_EQ(AddressFromPageIndex(g, last_index).page,
+            g.pages_per_block - 1);
+  EXPECT_TRUE(array_.store().IsProgrammed(last_index));
+  const auto view = array_.store().View(last_index);
+  ASSERT_EQ(view.size(), 512u);
+  EXPECT_TRUE(std::equal(view.begin(), view.end(), data.begin()));
+  EXPECT_EQ(array_.store().allocated_bytes(), g.pages_per_block * 512u);
+}
+
+TEST(BackingStoreTest, UnprogrammedPageInAnAllocatedBlockReadsAsZero) {
+  BackingStore store(TinyGeometry());
+  ASSERT_TRUE(store.Program(8, Pattern(512, 5)).ok());  // block 2, page 0
+  // Page 9 shares block 2's table but was never programmed.
+  EXPECT_FALSE(store.IsProgrammed(9));
+  EXPECT_TRUE(store.View(9).empty());
+  std::vector<std::byte> out(512, std::byte{0xFF});
+  ASSERT_TRUE(store.Read(9, out).ok());
+  EXPECT_EQ(out, std::vector<std::byte>(512));
+  EXPECT_EQ(store.allocated_bytes(), 512u);
+}
+
+TEST(BackingStoreTest, ProgramOverProgrammedAndOversizeWritesFail) {
+  BackingStore store(TinyGeometry());
+  ASSERT_TRUE(store.Program(3, Pattern(512, 1)).ok());
+  EXPECT_EQ(store.Program(3, Pattern(512, 2)).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(store.Program(4, Pattern(513, 2)).code(),
+            StatusCode::kInvalidArgument);
+  // Neither failure changed what the store holds.
+  EXPECT_FALSE(store.IsProgrammed(4));
+  EXPECT_EQ(store.allocated_bytes(), 512u);
+  std::vector<std::byte> out(512);
+  ASSERT_TRUE(store.Read(3, out).ok());
+  EXPECT_EQ(out, Pattern(512, 1));
+}
+
+TEST_F(FlashArrayTest, EraseReleasesBlockBytesAndReprogramReadsNewData) {
+  const auto old_data = Pattern(512, 30);
+  const auto new_data = Pattern(512, 31);
+  // Block 0 of chip 0 holds one page that must survive the erase of
+  // block 1 next to it.
+  ASSERT_TRUE(array_.ProgramPage(PageAddress{0, 0, 0, 0}, old_data, 0).ok());
+  const std::uint64_t before = array_.store().allocated_bytes();
+  for (std::uint32_t p = 0; p < 3; ++p) {
+    ASSERT_TRUE(
+        array_.ProgramPage(PageAddress{0, 0, 1, p}, old_data, 0).ok());
+  }
+  EXPECT_EQ(array_.store().allocated_bytes(), before + 3 * 512u);
+  ASSERT_TRUE(array_.EraseBlock(0, 0, 1, 0).ok());
+  EXPECT_EQ(array_.store().allocated_bytes(), before);
+  const std::uint64_t first = PageIndex(TinyGeometry(), {0, 0, 1, 0});
+  EXPECT_TRUE(array_.store().View(first).empty());
+
+  ASSERT_TRUE(array_.ProgramPage(PageAddress{0, 0, 1, 0}, new_data, 0).ok());
+  std::vector<std::byte> out(512);
+  ASSERT_TRUE(array_.ReadPage(PageAddress{0, 0, 1, 0}, 0, out).ok());
+  EXPECT_EQ(out, new_data);
+  ASSERT_TRUE(array_.ReadPage(PageAddress{0, 0, 0, 0}, 0, out).ok());
+  EXPECT_EQ(out, old_data);
+  EXPECT_EQ(array_.store().allocated_bytes(), before + 512u);
 }
 
 // --- Timing behaviour ---

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -196,6 +197,111 @@ TEST_F(FtlTest, GcPreservesAllLiveData) {
     const auto expected = Pattern(256, latest[lpn]);
     EXPECT_EQ(std::memcmp(out.data(), expected.data(), 256), 0)
         << "lpn " << lpn;
+  }
+}
+
+// --- Chunked maps: every boundary of the two-level tables ---
+
+// 2 x 2 chips x 16 blocks x 32 pages = 2,048 physical pages and 1,792
+// logical ones, so both maps span several chunks and the logical map
+// ends in a partial one.
+flash::Geometry MultiChunkGeometry() {
+  flash::Geometry g = TinyGeometry();
+  g.blocks_per_chip = 16;
+  g.pages_per_block = 32;
+  return g;
+}
+
+class ChunkedMapTest : public ::testing::Test {
+ protected:
+  ChunkedMapTest()
+      : array_(MultiChunkGeometry(), flash::Timings{}),
+        ftl_(&array_, FtlConfig{}) {}
+
+  void ExpectReadsBack(std::uint64_t lpn, std::uint8_t tag) {
+    std::vector<std::byte> out(256);
+    ASSERT_TRUE(ftl_.Read(lpn, out, 0).ok()) << "lpn " << lpn;
+    EXPECT_EQ(out, Pattern(256, tag)) << "lpn " << lpn;
+    const auto view = ftl_.View(lpn);
+    ASSERT_EQ(view.size(), 256u) << "lpn " << lpn;
+    EXPECT_TRUE(std::equal(view.begin(), view.end(), out.begin()));
+  }
+
+  flash::FlashArray array_;
+  Ftl ftl_;
+};
+
+TEST_F(ChunkedMapTest, FirstAndLastEntryOfAChunk) {
+  constexpr std::uint64_t kChunk = Ftl::kMapChunkEntries;
+  ASSERT_GT(ftl_.logical_pages(), 3 * kChunk);
+  const std::uint64_t lpns[] = {0, kChunk - 1, kChunk, 2 * kChunk - 1,
+                                2 * kChunk};
+  std::uint8_t tag = 40;
+  for (const std::uint64_t lpn : lpns) {
+    ASSERT_TRUE(ftl_.Write(lpn, Pattern(256, tag++), 0).ok());
+  }
+  tag = 40;
+  for (const std::uint64_t lpn : lpns) ExpectReadsBack(lpn, tag++);
+  // Entries next to them, inside the same allocated chunks, stay
+  // unmapped and read as zeros without a flash operation.
+  const std::uint64_t reads_before = array_.reads();
+  for (const std::uint64_t lpn : {std::uint64_t{1}, kChunk - 2, kChunk + 1,
+                                  2 * kChunk - 2, 2 * kChunk + 1}) {
+    EXPECT_FALSE(ftl_.IsMapped(lpn)) << "lpn " << lpn;
+    EXPECT_TRUE(ftl_.View(lpn).empty()) << "lpn " << lpn;
+    std::vector<std::byte> out(256, std::byte{0xCD});
+    ASSERT_TRUE(ftl_.Read(lpn, out, 0).ok());
+    EXPECT_EQ(out, std::vector<std::byte>(256));
+  }
+  EXPECT_EQ(array_.reads(), reads_before);
+}
+
+TEST_F(ChunkedMapTest, TopLogicalPageWhereSpillExtentsStart) {
+  const std::uint64_t top = ftl_.logical_pages() - 1;
+  ASSERT_NE(ftl_.logical_pages() % Ftl::kMapChunkEntries, 0u);
+  EXPECT_FALSE(ftl_.IsMapped(top));
+  ASSERT_TRUE(ftl_.Write(top, Pattern(256, 50), 0).ok());
+  ASSERT_TRUE(ftl_.Write(top - 1, Pattern(256, 51), 0).ok());
+  ExpectReadsBack(top, 50);
+  ExpectReadsBack(top - 1, 51);
+  EXPECT_FALSE(ftl_.IsMapped(0));
+  // Overwrite and trim at the top keep the map consistent.
+  ASSERT_TRUE(ftl_.Write(top, Pattern(256, 52), 0).ok());
+  ExpectReadsBack(top, 52);
+  ASSERT_TRUE(ftl_.Trim(top).ok());
+  EXPECT_FALSE(ftl_.IsMapped(top));
+  EXPECT_TRUE(ftl_.View(top).empty());
+  ExpectReadsBack(top - 1, 51);
+  EXPECT_FALSE(ftl_.Write(top + 1, Pattern(256, 53), 0).ok());
+}
+
+TEST_F(ChunkedMapTest, GcRelocatesAcrossEveryPhysicalChunk) {
+  // Fill the top of the logical range, then churn the rest so GC walks
+  // every physical block while the top's pages move underneath it.
+  const std::uint64_t n = ftl_.logical_pages();
+  for (std::uint64_t lpn = n - 64; lpn < n; ++lpn) {
+    ASSERT_TRUE(
+        ftl_.Write(lpn, Pattern(256, static_cast<std::uint8_t>(lpn)), 0)
+            .ok());
+  }
+  for (int round = 0; round < 3; ++round) {
+    for (std::uint64_t lpn = 0; lpn < n - 64; ++lpn) {
+      ASSERT_TRUE(ftl_.Write(lpn,
+                             Pattern(256, static_cast<std::uint8_t>(
+                                              lpn + round)),
+                             0)
+                      .ok());
+    }
+  }
+  // Every block, the last one included, has been collected, so GC
+  // looked up p2l entries in every physical chunk.
+  EXPECT_GT(ftl_.stats().gc_relocations, 0u);
+  EXPECT_GT(ftl_.min_erase_count(), 0u);
+  for (std::uint64_t lpn = n - 64; lpn < n; ++lpn) {
+    ExpectReadsBack(lpn, static_cast<std::uint8_t>(lpn));
+  }
+  for (std::uint64_t lpn = 0; lpn < n - 64; lpn += 97) {
+    ExpectReadsBack(lpn, static_cast<std::uint8_t>(lpn + 2));
   }
 }
 
