@@ -134,7 +134,9 @@ WallMeasurement MeasureWall(std::uint64_t rows, int repeats, Fn&& fn) {
 // Write() emits a JSON array with one object per measured configuration:
 //   {"bench": ..., "config": ..., "virtual_seconds": ...,
 //    "paper_ratio": ..., "measured_ratio": ...}
-// so successive runs can append to the repo's perf trajectory. Ratios
+// (wall-clock rows carry "wall_seconds" and "rows_per_sec" instead of
+// "virtual_seconds") so successive runs can append to the repo's perf
+// trajectory. Ratios
 // are each bench's headline comparison (e.g. speedup over the baseline
 // configuration); pass NAN where the paper gives no number — it is
 // serialized as null. Without `--json=...` the reporter is inert, so the
@@ -183,9 +185,9 @@ class JsonReporter {
                         measured_ratio, NAN, std::move(counters)});
   }
 
-  // Wall-clock variant: also records rows/sec. The extra field is only
-  // serialized for rows added through this overload, so virtual-time
-  // benches keep their existing JSON schema.
+  // Wall-clock variant: serialized with "wall_seconds" in place of
+  // "virtual_seconds", plus rows/sec. Only rows added through this
+  // overload change shape, so virtual-time benches keep their schema.
   void AddWall(std::string_view config, double wall_seconds,
                double paper_ratio, double measured_ratio,
                double rows_per_sec) {
@@ -214,17 +216,17 @@ class JsonReporter {
     }
     for (std::size_t i = 0; i < rows_.size(); ++i) {
       const Row& row = rows_[i];
+      const bool wall = !std::isnan(row.rows_per_sec);
       std::fprintf(f,
                    "{\"bench\":\"%s\",\"config\":\"%s\","
-                   "\"virtual_seconds\":%.9g,\"paper_ratio\":",
+                   "\"%s\":%.9g,\"paper_ratio\":",
                    JsonEscape(bench_id_).c_str(),
-                   JsonEscape(row.config).c_str(), row.virtual_seconds);
+                   JsonEscape(row.config).c_str(),
+                   wall ? "wall_seconds" : "virtual_seconds", row.seconds);
       WriteRatio(f, row.paper_ratio);
       std::fprintf(f, ",\"measured_ratio\":");
       WriteRatio(f, row.measured_ratio);
-      if (!std::isnan(row.rows_per_sec)) {
-        std::fprintf(f, ",\"rows_per_sec\":%.9g", row.rows_per_sec);
-      }
+      if (wall) std::fprintf(f, ",\"rows_per_sec\":%.9g", row.rows_per_sec);
       if (!row.counters.empty()) {
         std::fprintf(f, ",\"counters\":{");
         for (std::size_t c = 0; c < row.counters.size(); ++c) {
@@ -244,7 +246,7 @@ class JsonReporter {
  private:
   struct Row {
     std::string config;
-    double virtual_seconds;
+    double seconds;  // virtual time, or wall time on a wall-clock row
     double paper_ratio;
     double measured_ratio;
     double rows_per_sec;  // NAN = virtual-time row, field omitted

@@ -8,7 +8,7 @@
 // construction (the differential harness proves it), so the only thing
 // at stake here is how fast the host machine grinds pages.
 //
-//   wall_kernels [--json=BENCH_wall.json] [--threads=2,4]
+//   wall_kernels [--json=BENCH_wall.json]
 //
 // Measured configurations per workload:
 //   scalar            interpreted reference kernel
@@ -17,8 +17,6 @@
 //   vectorized+simd   batch kernel on this CPU's best ISA
 //   vectorized+simd+zm  ... plus zone-map batch skipping (headline;
 //                     measured_ratio = speedup over `vectorized`)
-//   morsel tN         headline kernel under the morsel-parallel
-//                     scanner at N worker threads (PAX 1%/10% only)
 // Every run's aggregates AND OpCounts are checked identical to the
 // scalar kernel — a fast wrong answer is not a speedup, and a kernel
 // that charges different counts would corrupt virtual time.
@@ -30,21 +28,19 @@
 //
 // Sweeps selectivity at fixed width, and tuple width at fixed
 // selectivity, over both page layouts. Each JSON row carries
-// rows_per_sec; a metadata header row records the toolchain, build
-// type, and kernel ISA that produced the numbers.
+// wall_seconds and rows_per_sec; a metadata header row records the
+// toolchain, build type, kernel ISA and hardware thread count that
+// produced the numbers.
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "common/random.h"
-#include "exec/morsel.h"
 #include "exec/page_processor.h"
 #include "exec/query_spec.h"
 #include "expr/kernel_isa.h"
@@ -167,7 +163,6 @@ struct RunOptions {
   exec::KernelMode mode = exec::KernelMode::kVectorized;
   expr::KernelIsa isa = expr::KernelIsa::kScalarIsa;
   bool use_zone_map = false;
-  int morsel_threads = 0;  // 0 = serial page loop
 };
 
 KernelRun RunKernel(const exec::BoundQuery& bound, const MemTable& table,
@@ -179,36 +174,20 @@ KernelRun RunKernel(const exec::BoundQuery& bound, const MemTable& table,
   auto pass = [&]() {
     std::vector<std::byte> out;
     exec::OpCounts counts;
-    if (options.morsel_threads > 0) {
-      exec::MorselScanner scanner(&bound, nullptr,
-                                  exec::KernelMode::kVectorized, map,
-                                  options.morsel_threads);
-      for (std::size_t p = 0; p < table.pages.size(); ++p) {
-        scanner.AddPage(p, table.pages[p]);
-      }
-      bench::Check(scanner.Drain(), "MorselScanner::Drain");
-      for (std::size_t i = 0; i < scanner.pages_submitted(); ++i) {
-        counts += scanner.page_counts(i);
-      }
-      scanner.AppendRows(&out);
-      bench::Check(scanner.merged().Finish(&counts, &out), "Finish");
-      run.aggs = scanner.merged().agg_state();
-    } else {
-      exec::PageProcessor processor(&bound, nullptr, options.mode);
-      if (options.mode == exec::KernelMode::kVectorized) {
-        // A silent fallback would time the scalar kernel twice and
-        // report a bogus 1.0x — refuse to measure it.
-        SMARTSSD_CHECK(processor.kernel_mode() ==
-                       exec::KernelMode::kVectorized);
-      }
-      processor.SetZoneMap(map);
-      for (std::size_t p = 0; p < table.pages.size(); ++p) {
-        bench::Check(processor.ProcessPage(table.pages[p], p, &counts, &out),
-                     "ProcessPage");
-      }
-      bench::Check(processor.Finish(&counts, &out), "Finish");
-      run.aggs = processor.agg_state();
+    exec::PageProcessor processor(&bound, nullptr, options.mode);
+    if (options.mode == exec::KernelMode::kVectorized) {
+      // A silent fallback would time the scalar kernel twice and
+      // report a bogus 1.0x — refuse to measure it.
+      SMARTSSD_CHECK(processor.kernel_mode() ==
+                     exec::KernelMode::kVectorized);
     }
+    processor.SetZoneMap(map);
+    for (std::size_t p = 0; p < table.pages.size(); ++p) {
+      bench::Check(processor.ProcessPage(table.pages[p], p, &counts, &out),
+                   "ProcessPage");
+    }
+    bench::Check(processor.Finish(&counts, &out), "Finish");
+    run.aggs = processor.agg_state();
     run.counts = counts;
   };
   const bench::WallMeasurement m = bench::MeasureWall(
@@ -223,7 +202,6 @@ struct Config {
   double selectivity;
   int columns;
   PageLayout layout;
-  bool morsel;  // also measure the morsel scanner on this config
 };
 
 const char* CompilerId() {
@@ -244,21 +222,6 @@ int main(int argc, char** argv) {
       "Wall-clock kernel throughput: scalar vs vectorized vs SIMD",
       "raw-speed pass; simulator efficiency, not device time");
 
-  std::vector<int> morsel_threads = {2, 4};
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg(argv[i]);
-    constexpr std::string_view kFlag = "--threads=";
-    if (arg.substr(0, kFlag.size()) == kFlag) {
-      morsel_threads.clear();
-      std::string list(arg.substr(kFlag.size()));
-      for (char* tok = std::strtok(list.data(), ","); tok != nullptr;
-           tok = std::strtok(nullptr, ",")) {
-        const int t = std::atoi(tok);
-        if (t >= 2) morsel_threads.push_back(t);
-      }
-    }
-  }
-
   const expr::KernelIsa best_isa = expr::DetectKernelIsa();
   json.SetMetadata(
       {{"compiler", CompilerId()},
@@ -275,9 +238,7 @@ int main(int argc, char** argv) {
       char name[64];
       std::snprintf(name, sizeof(name), "scan-agg sel=%.0f%% w=8 %s",
                     sel * 100, layout == PageLayout::kNsm ? "nsm" : "pax");
-      // Morsel rows only on the headline PAX 1%/10% configurations.
-      const bool morsel = layout == PageLayout::kPax && sel <= 0.10;
-      configs.push_back({name, sel, 8, layout, morsel});
+      configs.push_back({name, sel, 8, layout});
     }
   }
   for (const int columns : {4, 32}) {
@@ -285,7 +246,7 @@ int main(int argc, char** argv) {
       char name[64];
       std::snprintf(name, sizeof(name), "scan-agg sel=10%% w=%d %s",
                     columns, layout == PageLayout::kNsm ? "nsm" : "pax");
-      configs.push_back({name, 0.10, columns, layout, false});
+      configs.push_back({name, 0.10, columns, layout});
     }
   }
 
@@ -338,28 +299,6 @@ int main(int argc, char** argv) {
     json.AddWall(config.name + " vectorized+simd+zm", simd_zm.seconds,
                  NAN, speedup_over(simd_zm, vectorized),
                  simd_zm.rows_per_sec);
-
-    if (config.morsel) {
-      // Morsel scaling is measured without the zone map: batch skipping
-      // leaves almost no per-page work on these clustered configs, so a
-      // skip-enabled morsel row would only measure dispatch overhead.
-      // The interesting question is how the full-work SIMD kernel
-      // scales across threads, so measured_ratio = speedup over the
-      // single-threaded `vectorized+simd` row.
-      for (const int t : morsel_threads) {
-        const KernelRun morsel = RunKernel(
-            *bound, table, {.isa = best_isa, .morsel_threads = t});
-        SMARTSSD_CHECK(scalar.aggs == morsel.aggs);
-        SMARTSSD_CHECK(scalar.counts == morsel.counts);
-        char mname[96];
-        std::snprintf(mname, sizeof(mname), "%s morsel t%d",
-                      config.name.c_str(), t);
-        std::printf("%-26s %12s %12s %12.3g %12s %7.2fx\n", mname, "", "",
-                    morsel.rows_per_sec, "", speedup_over(morsel, simd));
-        json.AddWall(mname, morsel.seconds, NAN, speedup_over(morsel, simd),
-                     morsel.rows_per_sec);
-      }
-    }
   }
 
   bench::PrintRule();

@@ -7,12 +7,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
-#include <vector>
 
-#include "engine/parallel.h"
+#include "engine/fleet.h"
 #include "engine/update.h"
-#include "storage/nsm_page.h"
 #include "tpch/queries.h"
 #include "tpch/tpch_gen.h"
 
@@ -36,59 +33,26 @@ int main(int argc, char** argv) {
   std::printf("Appliance: host coordinator + %d Smart SSD workers, "
               "LINEITEM SF %.3f partitioned across them.\n\n",
               workers, sf);
-  engine::ParallelDatabase cluster(
-      workers, engine::DatabaseOptions::PaperSmartSsd());
-
-  // Materialize LINEITEM once, partition by row ranges.
-  const storage::Schema schema = tpch::LineitemSchema();
-  const std::uint64_t rows = tpch::LineitemRows(sf);
-  auto buffer = std::make_shared<std::vector<std::byte>>(
-      rows * schema.tuple_size());
-  {
-    engine::Database scratch(engine::DatabaseOptions::PaperSmartSsd());
-    auto info = tpch::LoadLineitem(scratch, "lineitem", sf,
-                                   storage::PageLayout::kNsm);
-    Check(info.status(), "generate lineitem");
-    std::vector<std::byte> page(scratch.device().page_size());
-    std::uint64_t row = 0;
-    for (std::uint64_t p = 0; p < info->page_count; ++p) {
-      Check(scratch.device()
-                .ReadPages(info->first_lpn + p, 1, page, 0)
-                .status(),
-            "read");
-      auto reader = storage::NsmPageReader::Open(&schema, page);
-      Check(reader.status(), "decode");
-      for (std::uint16_t i = 0; i < reader->tuple_count(); ++i, ++row) {
-        std::memcpy(buffer->data() + row * schema.tuple_size(),
-                    reader->tuple(i), schema.tuple_size());
-      }
-    }
-  }
-  const std::uint32_t tuple_size = schema.tuple_size();
-  storage::RowGenerator replay =
-      [buffer, tuple_size](std::uint64_t row, storage::TupleWriter& w) {
-        w.CopyFrom({buffer->data() + row * tuple_size, tuple_size});
-      };
-  Check(cluster.LoadPartitionedTable("lineitem", schema,
-                                     storage::PageLayout::kPax, rows,
-                                     replay),
+  engine::Fleet fleet(workers, engine::DatabaseOptions::PaperSmartSsd());
+  Check(tpch::LoadLineitemFleet(fleet, "lineitem", sf,
+                                storage::PageLayout::kPax),
         "partitioned load");
-  cluster.ResetForColdRun();
+  fleet.ResetForColdRun();
 
   // 1. Q6 across the array.
-  auto q6 = cluster.Execute(tpch::Q6Spec("lineitem"),
-                            engine::ExecutionTarget::kSmartSsd);
+  auto q6 = engine::ExecuteOnFleet(fleet, tpch::Q6Spec("lineitem"),
+                                   engine::ExecutionTarget::kSmartSsd);
   Check(q6.status(), "Q6");
   std::printf("Q6 across %d workers: revenue %.2f in %.4f s (virtual); "
               "slowest worker %.4f s\n",
               workers, tpch::Q6Revenue(q6->agg_values),
               q6->elapsed_seconds(),
-              ToSeconds(q6->worker_stats[0].elapsed()));
+              ToSeconds(q6->partition_stats[0].elapsed()));
 
   // 2. Q1 (grouped) across the array — merged key-wise by the host.
-  cluster.ResetForColdRun();
-  auto q1 = cluster.Execute(tpch::Q1Spec("lineitem"),
-                            engine::ExecutionTarget::kSmartSsd);
+  fleet.ResetForColdRun();
+  auto q1 = engine::ExecuteOnFleet(fleet, tpch::Q1Spec("lineitem"),
+                                   engine::ExecutionTarget::kSmartSsd);
   Check(q1.status(), "Q1");
   std::printf("Q1 across %d workers: %llu groups in %.4f s\n", workers,
               static_cast<unsigned long long>(q1->row_count()),
@@ -105,7 +69,7 @@ int main(int argc, char** argv) {
 
   // 3. Coherence in action: update worker 0's partition, watch its
   //    pushdown get refused until the dirty pages are flushed.
-  engine::Database& w0 = cluster.worker(0);
+  engine::Database& w0 = fleet.device(0);
   engine::TableUpdater updater(&w0);
   const auto pred =
       expr::Le(expr::Col(tpch::kLOrderKey), expr::Lit(10));

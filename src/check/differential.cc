@@ -12,7 +12,6 @@
 #include "check/write_phase.h"
 #include "engine/executor.h"
 #include "engine/fleet.h"
-#include "engine/parallel.h"
 #include "expr/kernel_isa.h"
 #include "sim/fault_injector.h"
 
@@ -24,7 +23,6 @@ using engine::Database;
 using engine::DatabaseOptions;
 using engine::ExecutionTarget;
 using engine::Fleet;
-using engine::ParallelDatabase;
 using engine::QueryExecutor;
 
 // Fault kinds safe for differential runs: each either recovers inside
@@ -191,43 +189,31 @@ class DifferentialRunner {
     SMARTSSD_CHECK(db_pax_->BuildZoneMap(kOuterTable).ok());
     SMARTSSD_CHECK(db_adapt_->BuildZoneMap(kOuterTable).ok());
 
-    par1_ = std::make_unique<ParallelDatabase>(1, base);
-    par2_ = std::make_unique<ParallelDatabase>(2, base);
-    par4_ = std::make_unique<ParallelDatabase>(4, base);
-    SMARTSSD_CHECK(LoadTablesPartitioned(*par1_, gen_.tables,
-                                         storage::PageLayout::kNsm)
-                       .ok());
-    SMARTSSD_CHECK(LoadTablesPartitioned(*par2_, gen_.tables,
-                                         storage::PageLayout::kPax)
-                       .ok());
-    SMARTSSD_CHECK(LoadTablesPartitioned(*par4_, gen_.tables,
-                                         storage::PageLayout::kNsm)
-                       .ok());
-    for (ParallelDatabase* par : {par1_.get(), par2_.get(), par4_.get()}) {
-      for (int w = 0; w < par->workers(); ++w) {
-        SMARTSSD_CHECK(par->worker(w).BuildZoneMap(kOuterTable).ok());
-      }
-    }
-
-    // Fleet shapes: a uniform 3-device fleet and a heterogeneous
-    // 2-device fleet (device 1 gets a weaker embedded CPU — results
-    // must not care how fast a partition computed). The per-device
-    // fault seeds derive from the spec seed, so replay lines stay
-    // one-line reproducible.
+    // Fleet shapes: uniform 1-, 3- and 4-device fleets and a
+    // heterogeneous 2-device fleet (device 1 gets a weaker embedded CPU
+    // — results must not care how fast a partition computed). The
+    // per-device fault seeds derive from the spec seed, so replay lines
+    // stay one-line reproducible.
+    fleet1_ = std::make_unique<Fleet>(1, base, /*fleet_seed=*/seed);
     fleet3_ = std::make_unique<Fleet>(3, base, /*fleet_seed=*/seed);
+    fleet4_ = std::make_unique<Fleet>(4, base, /*fleet_seed=*/seed);
     DatabaseOptions slow = base;
     slow.ssd.embedded_cpu.cores = 2;
     slow.ssd.embedded_cpu.clock_hz = 300ull * 1000 * 1000;
     fleet_het2_ = std::make_unique<Fleet>(
         std::vector<DatabaseOptions>{base, slow}, /*fleet_seed=*/seed);
-    SMARTSSD_CHECK(LoadTablesFleet(*fleet3_, gen_.tables,
-                                   storage::PageLayout::kNsm)
-                       .ok());
+    for (Fleet* fleet : {fleet1_.get(), fleet3_.get(), fleet4_.get()}) {
+      SMARTSSD_CHECK(
+          LoadTablesFleet(*fleet, gen_.tables, storage::PageLayout::kNsm)
+              .ok());
+    }
     SMARTSSD_CHECK(LoadTablesFleet(*fleet_het2_, gen_.tables,
                                    storage::PageLayout::kPax)
                        .ok());
-    SMARTSSD_CHECK(fleet3_->BuildZoneMaps(kOuterTable).ok());
-    SMARTSSD_CHECK(fleet_het2_->BuildZoneMaps(kOuterTable).ok());
+    for (Fleet* fleet :
+         {fleet1_.get(), fleet3_.get(), fleet4_.get(), fleet_het2_.get()}) {
+      SMARTSSD_CHECK(fleet->BuildZoneMaps(kOuterTable).ok());
+    }
 
     // Write-path pair: one GC-prone database per victim-selection
     // policy, plus the in-memory oracle their stored bytes are verified
@@ -261,7 +247,9 @@ class DifferentialRunner {
     db_spill3_->AttachTracer(&tracer_spill3_, "sp3-dev", "sp3-host");
     db_split_->AttachTracer(&tracer_split_, "spl-dev", "spl-host");
     db_adapt_->AttachTracer(&tracer_adapt_, "adp-dev", "adp-host");
+    fleet1_->AttachTracer(&tracer_fleet1_);
     fleet3_->AttachTracer(&tracer_fleet3_);
+    fleet4_->AttachTracer(&tracer_fleet4_);
     fleet_het2_->AttachTracer(&tracer_fleet2_);
   }
 
@@ -441,36 +429,6 @@ class DifferentialRunner {
       }
     }
 
-    struct ParConfig {
-      const char* name;
-      ParallelDatabase* par;
-      std::optional<sim::FaultKind> fault;
-    };
-    std::vector<ParConfig> parallels = {
-        {"par1-nsm-smart", par1_.get(), std::nullopt},
-        {"par2-pax-smart", par2_.get(), std::nullopt},
-        {"par4-nsm-smart", par4_.get(), std::nullopt},
-    };
-    if (options_.with_faults) {
-      parallels.push_back(
-          {"par2-pax-smart-fault", par2_.get(),
-           kFaultRotation[(static_cast<std::size_t>(index) + 4) %
-                          std::size(kFaultRotation)]});
-    }
-    for (const ParConfig& config : parallels) {
-      sim::FaultSchedule schedule;
-      if (config.fault.has_value()) schedule = MakeSchedule(*config.fault);
-      auto out = RunParallel(*config.par, spec, config.name,
-                             config.fault.has_value() ? &schedule : nullptr);
-      if (!out.ok()) {
-        return std::make_pair(std::string(config.name),
-                              out.status().ToString());
-      }
-      if (Status diff = CompareOutputs(*ref, *out); !diff.ok()) {
-        return std::make_pair(std::string(config.name), diff.ToString());
-      }
-    }
-
     // Fleet scatter-gather: every shape must reproduce the single-device
     // ground truth byte-for-byte — healthy, with a rotating fault on a
     // rotating device (per-partition host fallback), and with one
@@ -483,7 +441,11 @@ class DifferentialRunner {
       bool pretrip_breaker;
     };
     std::vector<FleetConfig> fleets = {
+        {"fleet1-nsm-smart", fleet1_.get(), &tracer_fleet1_, std::nullopt,
+         false},
         {"fleet3-nsm-smart", fleet3_.get(), &tracer_fleet3_, std::nullopt,
+         false},
+        {"fleet4-nsm-smart", fleet4_.get(), &tracer_fleet4_, std::nullopt,
          false},
         {"fleet2het-pax-smart", fleet_het2_.get(), &tracer_fleet2_,
          std::nullopt, false},
@@ -672,32 +634,6 @@ class DifferentialRunner {
     return FromQuery(config, result.value());
   }
 
-  Result<ExecutionOutput> RunParallel(ParallelDatabase& par,
-                                      const exec::QuerySpec& spec,
-                                      const char* config,
-                                      const sim::FaultSchedule* faults) {
-    ++executions_;
-    par.ResetForColdRun();
-    if (faults != nullptr && par.worker(0).ssd() != nullptr) {
-      par.worker(0).ssd()->fault_injector().Load(*faults);
-    }
-    Result<engine::ParallelQueryResult> result =
-        par.Execute(spec, ExecutionTarget::kSmartSsd);
-    for (int w = 0; w < par.workers(); ++w) {
-      if (par.worker(w).ssd() != nullptr) {
-        par.worker(w).ssd()->fault_injector().Clear();
-      }
-    }
-    SMARTSSD_RETURN_IF_ERROR(result.status());
-    for (const engine::QueryStats& stats : result->worker_stats) {
-      if (stats.fell_back) ++fallbacks_;
-    }
-    for (int w = 0; w < par.workers(); ++w) {
-      SMARTSSD_RETURN_IF_ERROR(CheckDatabaseInvariants(par.worker(w)));
-    }
-    return FromParallel(config, result.value());
-  }
-
   Result<ExecutionOutput> RunFleet(Fleet& fleet, obs::Tracer& tracer,
                                    const exec::QuerySpec& spec,
                                    const char* config,
@@ -754,10 +690,9 @@ class DifferentialRunner {
   std::unique_ptr<Database> db_spill3_;
   std::unique_ptr<Database> db_split_;
   std::unique_ptr<Database> db_adapt_;
-  std::unique_ptr<ParallelDatabase> par1_;
-  std::unique_ptr<ParallelDatabase> par2_;
-  std::unique_ptr<ParallelDatabase> par4_;
+  std::unique_ptr<Fleet> fleet1_;
   std::unique_ptr<Fleet> fleet3_;
+  std::unique_ptr<Fleet> fleet4_;
   std::unique_ptr<Fleet> fleet_het2_;
   std::unique_ptr<Database> db_gc_greedy_;
   std::unique_ptr<Database> db_gc_cb_;
@@ -773,7 +708,9 @@ class DifferentialRunner {
   obs::Tracer tracer_spill3_;
   obs::Tracer tracer_split_;
   obs::Tracer tracer_adapt_;
+  obs::Tracer tracer_fleet1_;
   obs::Tracer tracer_fleet3_;
+  obs::Tracer tracer_fleet4_;
   obs::Tracer tracer_fleet2_;
   int executions_ = 0;
   int fallbacks_ = 0;

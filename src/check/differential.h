@@ -13,7 +13,9 @@
 //     fragments across host and device, partials merged — results AND
 //     OpCounts must equal the unpruned monolithic reference) and
 //     adaptive routing over PAX + zone map,
-//   * ParallelDatabase with 1, 2, and 4 workers (pushdown),
+//   * Fleet scatter-gather (pushdown) over uniform 1-, 3- and 4-device
+//     fleets and a heterogeneous 2-device PAX fleet, plus a rotating
+//     fault on a rotating device and a breaker-open re-dispatch,
 //   * pushdown with an injected device fault (rotating fault kinds),
 //     exercising retry, degraded host fallback, and the breaker —
 //     including faults landing mid-spill,

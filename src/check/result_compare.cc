@@ -15,15 +15,6 @@ ExecutionOutput FromQuery(std::string config,
                          .counts = result.stats.counts};
 }
 
-ExecutionOutput FromParallel(std::string config,
-                             const engine::ParallelQueryResult& result) {
-  return ExecutionOutput{.config = std::move(config),
-                         .schema = result.output_schema,
-                         .rows = result.rows,
-                         .aggs = result.agg_values,
-                         .counts = {}};
-}
-
 ExecutionOutput FromFleet(std::string config,
                           const engine::FleetQueryResult& result) {
   return ExecutionOutput{.config = std::move(config),

@@ -15,22 +15,21 @@
 #include "common/result.h"
 #include "engine/executor.h"
 #include "engine/fleet.h"
-#include "engine/parallel.h"
 #include "exec/cost_model.h"
 #include "storage/schema.h"
 
 namespace smartssd::check {
 
 // One execution's observable output, normalized across the single-
-// database and parallel entry points.
+// database and fleet entry points.
 struct ExecutionOutput {
   std::string config;  // which configuration produced it
   storage::Schema schema;
   std::vector<std::byte> rows;
   std::vector<std::int64_t> aggs;
   // Operation counts drive the cost model, so kernel rewrites must keep
-  // them stable too. Only populated by FromQuery (parallel runs shard
-  // pages across workers, so per-worker counts are not comparable to a
+  // them stable too. Only populated by FromQuery (fleet runs shard
+  // pages across devices, so per-device counts are not comparable to a
   // single-database run).
   exec::OpCounts counts;
 
@@ -42,8 +41,6 @@ struct ExecutionOutput {
 
 ExecutionOutput FromQuery(std::string config,
                           const engine::QueryResult& result);
-ExecutionOutput FromParallel(std::string config,
-                             const engine::ParallelQueryResult& result);
 ExecutionOutput FromFleet(std::string config,
                           const engine::FleetQueryResult& result);
 

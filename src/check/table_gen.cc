@@ -129,22 +129,4 @@ Status LoadTablesFleet(engine::Fleet& fleet, const TableGenConfig& config,
   return Status::OK();
 }
 
-Status LoadTablesPartitioned(engine::ParallelDatabase& db,
-                             const TableGenConfig& config,
-                             storage::PageLayout layout) {
-  const storage::Schema outer = OuterSchema();
-  const storage::Schema inner = InnerSchema();
-  SMARTSSD_RETURN_IF_ERROR(db.LoadPartitionedTable(
-      kOuterTable, outer, layout, config.outer_rows,
-      MakeGenerator(outer, [&config](std::uint64_t row, int col) {
-        return OuterValue(config, row, col);
-      })));
-  SMARTSSD_RETURN_IF_ERROR(db.LoadReplicatedTable(
-      kInnerTable, inner, layout, config.inner_rows,
-      MakeGenerator(inner, [&config](std::uint64_t row, int col) {
-        return InnerValue(config, row, col);
-      })));
-  return Status::OK();
-}
-
 }  // namespace smartssd::check

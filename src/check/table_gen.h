@@ -3,8 +3,8 @@
 
 // Deterministic workload tables for the differential harness. Every
 // cell value is a pure function of (seed, row, column), so a table
-// loaded into one database, another layout, or partitioned across N
-// parallel workers is byte-for-byte the same relation — the property
+// loaded into one database, another layout, or partitioned across a
+// fleet's devices is byte-for-byte the same relation — the property
 // the cross-path comparisons rest on.
 //
 // Outer fact table "F" (the scanned/probed side):
@@ -30,7 +30,6 @@
 #include "common/result.h"
 #include "engine/database.h"
 #include "engine/fleet.h"
-#include "engine/parallel.h"
 #include "storage/schema.h"
 #include "storage/types.h"
 
@@ -70,12 +69,6 @@ std::int64_t InnerValue(const TableGenConfig& config, std::uint64_t row,
 // Loads F and D into a single database in the given layout.
 Status LoadTables(engine::Database& db, const TableGenConfig& config,
                   storage::PageLayout layout);
-
-// Loads F partitioned (contiguous global row ranges) and D replicated
-// across the workers of a parallel database.
-Status LoadTablesPartitioned(engine::ParallelDatabase& db,
-                             const TableGenConfig& config,
-                             storage::PageLayout layout);
 
 // Loads F partitioned and D replicated across a fleet's devices. The
 // generator's purity makes every fleet shape cell-identical to the

@@ -53,14 +53,6 @@ struct DatabaseOptions {
   // time never depends on this); kScalar exists as the semantic
   // reference for differential testing.
   exec::KernelMode kernel = exec::KernelMode::kVectorized;
-  // Wall-clock-only morsel parallelism for host scans: > 1 runs the
-  // page-processing loop on that many worker threads (exec/morsel.h).
-  // Virtual-time accounting replays the identical per-page OpCounts in
-  // page order, so results and every simulated number are byte-
-  // identical at any setting; simulation and differential paths keep
-  // the default of 1 (no threads are ever spawned then). Top-N queries
-  // are not morsel-eligible and fall back to the serial loop.
-  int host_threads = 1;
   // Memory-constrained pushdown joins. budget_bytes caps the resident
   // build side of an in-device join; when the estimated hash table
   // exceeds it, the build switches to the hybrid hash join and the

@@ -27,23 +27,24 @@ Status DecodeAggValues(const exec::BoundQuery& bound,
   return Status::OK();
 }
 
+// True when [first_page, first_page + page_count) leaves out part of the
+// outer table: the range is a split-scan fragment, whose task reports a
+// partial result. SplitDevicePages keeps each side of a split at least
+// one page, so every fragment qualifies.
+bool ProperSubRange(const exec::BoundQuery& bound, std::uint64_t first_page,
+                    std::uint64_t page_count) {
+  return first_page > 0 || page_count < bound.outer->page_count;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // HostQueryTask
 
 HostQueryTask::HostQueryTask(Database* db, const exec::BoundQuery* bound,
-                             SimTime start)
-    : HostQueryTask(db, bound, start, 0, ~0ull, /*partial=*/false) {}
-
-HostQueryTask::HostQueryTask(Database* db, const exec::BoundQuery* bound,
                              SimTime start, std::uint64_t first_page,
-                             std::uint64_t page_count, bool partial)
-    : db_(db),
-      bound_(bound),
-      start_(start),
-      tracer_(db->tracer()),
-      partial_(partial) {
+                             std::uint64_t page_count)
+    : db_(db), bound_(bound), start_(start), tracer_(db->tracer()) {
   SMARTSSD_CHECK(db != nullptr);
   SMARTSSD_CHECK(bound != nullptr);
   const std::uint64_t table_pages = bound->outer->page_count;
@@ -51,16 +52,12 @@ HostQueryTask::HostQueryTask(Database* db, const exec::BoundQuery* bound,
   scan_end_ = page_count >= table_pages - scan_begin_
                   ? table_pages
                   : scan_begin_ + page_count;
+  partial_ = ProperSubRange(*bound, first_page, page_count);
   page_ = scan_begin_;
   // Partial fragments never run joins: the build would repeat per
   // fragment and double-charge, and the hybrid join does real work at
   // Finish() that partial mode suppresses.
   SMARTSSD_CHECK(!partial_ || !bound->spec->join.has_value());
-}
-
-bool HostQueryTask::Fragmented() const {
-  return partial_ || scan_begin_ != 0 ||
-         scan_end_ != bound_->outer->page_count;
 }
 
 HostQueryTask::~HostQueryTask() { CloseSpanForError(); }
@@ -184,14 +181,8 @@ StepOutcome HostQueryTask::StepBuildFinish() {
 
 StepOutcome HostQueryTask::StepPrepareScan() {
   obs::ScopeGuard scope(tracer_, span_id_);
-  const bool use_morsels = db_->options().host_threads > 1 &&
-                           exec::MorselScanner::Eligible(*bound_) &&
-                           !Fragmented();
-  if (!use_morsels) {
-    processor_.emplace(bound_,
-                       hash_table_.has_value() ? &*hash_table_ : nullptr,
-                       db_->options().kernel);
-  }
+  processor_.emplace(bound_, hash_table_.has_value() ? &*hash_table_ : nullptr,
+                     db_->options().kernel);
   host_params_ = exec::HostCostParams(bound_->outer->layout);
   hash_entries_ = hash_table_.has_value() ? hash_table_->entries() : 0;
 
@@ -217,17 +208,14 @@ StepOutcome HostQueryTask::StepPrepareScan() {
   // Arm the batch-skip fast paths with the same statistics: pages that
   // survive the merged-interval pruning above can still be settled
   // wholesale per conjunct inside the batch loop (exec/batch_skip.h).
-  if (processor_.has_value()) {
-    processor_->SetZoneMap(zone_map_);
-    armed_zone_map_ = zone_map_;
-  }
+  processor_->SetZoneMap(zone_map_);
+  armed_zone_map_ = zone_map_;
   scan_started_ = end_;
   state_ = State::kScan;
   return {.at = end_};
 }
 
 StepOutcome HostQueryTask::StepScan() {
-  if (!processor_.has_value()) return StepScanMorsel();
   obs::ScopeGuard scope(tracer_, span_id_);
   QueryStats& stats = result_.stats;
   const storage::TableInfo& outer = *bound_->outer;
@@ -291,84 +279,14 @@ StepOutcome HostQueryTask::StepScan() {
   return {.at = end_};
 }
 
-StepOutcome HostQueryTask::StepScanMorsel() {
-  obs::ScopeGuard scope(tracer_, span_id_);
-  QueryStats& stats = result_.stats;
-  const storage::TableInfo& outer = *bound_->outer;
-  const std::uint64_t limit = outer.first_lpn + outer.page_count;
-  // The whole scan runs inside this one step, so the zone map fetched
-  // here stays alive throughout (writers only invalidate it at step
-  // boundaries of *their* tasks, which cannot interleave mid-step).
-  zone_map_ = db_->zone_map(bound_->spec->table);
-  morsel_.emplace(bound_, hash_table_.has_value() ? &*hash_table_ : nullptr,
-                  db_->options().kernel, zone_map_,
-                  db_->options().host_threads);
-  // Dispatch loop: identical page walk (pruning, buffer-pool fetches,
-  // fetch ordering) to the serial StepScan, but page processing is
-  // handed to the workers. Each submitted page's I/O-ready time is
-  // recorded so the virtual-time replay below can issue the exact
-  // host().Execute() sequence the serial loop would have.
-  std::vector<SimTime> io_done;
-  for (; page_ < scan_end_; ++page_) {
-    bool may_match = true;
-    if (zone_map_ != nullptr) {
-      for (const auto& [col, range] : prune_ranges_) {
-        if (!zone_map_->PageMayMatch(page_, col, range.lo, range.hi)) {
-          may_match = false;
-          break;
-        }
-      }
-    }
-    if (!may_match) {
-      ++stats.pages_skipped;
-      continue;
-    }
-    Result<std::pair<std::span<const std::byte>, SimTime>> page =
-        db_->buffer_pool().GetPage(outer.first_lpn + page_, start_, limit);
-    if (!page.ok()) return FailWith(page.status());
-    io_done.push_back(page.value().second);
-    morsel_->AddPage(page_, page.value().first);
-  }
-  const Status drained = morsel_->Drain();
-  if (!drained.ok()) return FailWith(drained);
-  // Virtual-time replay in submission order: byte-identical to the
-  // serial loop because the per-page OpCounts are (count-identity
-  // invariant) and the Execute() call sequence is.
-  for (std::size_t i = 0; i < morsel_->pages_submitted(); ++i) {
-    const exec::OpCounts& page_counts = morsel_->page_counts(i);
-    const std::uint64_t cycles =
-        exec::Cycles(page_counts, host_params_,
-                     outer.schema.num_columns(), hash_entries_);
-    end_ = std::max(end_, db_->host().Execute(cycles, io_done[i],
-                                              "scan batch"));
-    stats.counts += page_counts;
-    stats.host_cycles += cycles;
-    ++pages_scanned_;
-  }
-  morsel_->AppendRows(&result_.rows);
-  stats.pages_read += pages_scanned_;
-  stats.bytes_over_host_link +=
-      pages_scanned_ *
-      static_cast<std::uint64_t>(db_->device().page_size());
-  if (tracer_ != nullptr) {
-    tracer_->Complete(db_->executor_track(), "scan", "phase", scan_started_,
-                      end_,
-                      {obs::Arg::Uint("pages_scanned", pages_scanned_),
-                       obs::Arg::Uint("pages_skipped", stats.pages_skipped)});
-  }
-  state_ = State::kFinish;
-  return {.at = end_};
-}
-
 StepOutcome HostQueryTask::StepFinish() {
   obs::ScopeGuard scope(tracer_, span_id_);
   QueryStats& stats = result_.stats;
   const storage::TableInfo& outer = *bound_->outer;
   const SimTime finish_started = end_;
-  exec::PageProcessor& processor =
-      morsel_.has_value() ? morsel_->merged() : *processor_;
   exec::OpCounts final_counts;
-  const Status finished_ok = processor.Finish(&final_counts, &result_.rows);
+  const Status finished_ok =
+      processor_->Finish(&final_counts, &result_.rows);
   if (!finished_ok.ok()) return FailWith(finished_ok);
   const std::uint64_t final_cycles =
       exec::Cycles(final_counts, host_params_, outer.schema.num_columns(),
@@ -376,7 +294,7 @@ StepOutcome HostQueryTask::StepFinish() {
   end_ = db_->host().Execute(final_cycles, end_, "finalize");
   // Partial fragments report body-only counts: the split coordinator
   // charges the canonical finish emission over the merged result once,
-  // so per-fragment counts sum exactly to the monolithic run's.
+  // so per-fragment counts sum exactly to the whole-table run's.
   if (!partial_) stats.counts += final_counts;
   stats.host_cycles += final_cycles;
   if (tracer_ != nullptr) {
@@ -414,16 +332,9 @@ StepOutcome HostQueryTask::StepFinish() {
 DeviceQueryTask::DeviceQueryTask(Database* db,
                                  const exec::BoundQuery* bound,
                                  SimTime start, bool fallback,
-                                 bool wait_for_grant)
-    : DeviceQueryTask(db, bound, start, fallback, wait_for_grant, 0, ~0ull,
-                      /*partial=*/false) {}
-
-DeviceQueryTask::DeviceQueryTask(Database* db,
-                                 const exec::BoundQuery* bound,
-                                 SimTime start, bool fallback,
                                  bool wait_for_grant,
                                  std::uint64_t first_page,
-                                 std::uint64_t page_count, bool partial)
+                                 std::uint64_t page_count)
     : db_(db),
       bound_(bound),
       start_(start),
@@ -431,11 +342,11 @@ DeviceQueryTask::DeviceQueryTask(Database* db,
       wait_for_grant_(wait_for_grant),
       frag_first_(first_page),
       frag_pages_(page_count),
-      partial_(partial),
       tracer_(db->tracer()),
       failed_at_(start) {
   SMARTSSD_CHECK(db != nullptr);
   SMARTSSD_CHECK(bound != nullptr);
+  partial_ = ProperSubRange(*bound, first_page, page_count);
   SMARTSSD_CHECK(!partial_ || !bound->spec->join.has_value());
 }
 
@@ -555,8 +466,7 @@ StepOutcome DeviceQueryTask::StepSession() {
       db_->metrics().counter("engine.fallbacks")->Add();
       fell_back_ = true;
       redispatched_without_attempt_ = true;
-      host_rerun_.emplace(db_, bound_, start_, frag_first_, frag_pages_,
-                          partial_);
+      host_rerun_.emplace(db_, bound_, start_, frag_first_, frag_pages_);
       state_ = State::kHostRerun;
       return {.at = start_};
     }
@@ -637,7 +547,7 @@ StepOutcome DeviceQueryTask::HandleDeviceError(const Status& error) {
   // and the results stay byte-identical to a clean pushdown.
   fell_back_ = true;
   host_rerun_.emplace(db_, bound_, std::max(start_, failed_at_),
-                      frag_first_, frag_pages_, partial_);
+                      frag_first_, frag_pages_);
   state_ = State::kHostRerun;
   return {.at = std::max(start_, failed_at_)};
 }
@@ -683,10 +593,10 @@ SplitScanTask::SplitScanTask(Database* db, const exec::BoundQuery* bound,
     if (placement.target == ExecutionTarget::kSmartSsd) {
       fragment.device.emplace(db, bound, start, /*fallback=*/true,
                               wait_for_grant, placement.first_page,
-                              placement.page_count, /*partial=*/true);
+                              placement.page_count);
     } else {
       fragment.host.emplace(db, bound, start, placement.first_page,
-                            placement.page_count, /*partial=*/true);
+                            placement.page_count);
     }
   }
 }

@@ -13,7 +13,6 @@
 #include "engine/executor.h"
 #include "engine/placement.h"
 #include "engine/planner.h"
-#include "exec/morsel.h"
 #include "exec/page_processor.h"
 #include "exec/predicate_range.h"
 #include "exec/pushdown_program.h"
@@ -47,21 +46,19 @@ struct StepOutcome {
 // machine: join build one inner page per step, then scan one outer page
 // per step, then finalize. `bound` must outlive the task.
 //
-// Fragment mode (the scan-fragment refactor): the three-argument
-// constructor covers the whole outer table — the monolithic behavior,
-// byte-identical to the pre-fragment task. The six-argument form
-// restricts the scan to pages [first_page, first_page + page_count)
-// and, with `partial` set, reports a *partial* result for the split
-// coordinator: per-page OpCounts are charged exactly as the monolithic
-// path charges those pages, while the Finish() emission counts and the
-// per-query metrics bumps are left to the coordinator (which
-// re-synthesizes the canonical finish charge over the merged result).
+// The scan covers outer-table pages [first_page, first_page +
+// page_count), clamped to the table; the defaults cover all of it. A
+// proper sub-range of the table is a split-scan fragment and reports a
+// *partial* result: per-page OpCounts are charged exactly as the
+// whole-table scan charges those pages, while the Finish() emission
+// counts and the per-query metrics bumps are left to the split
+// coordinator (which re-synthesizes the canonical finish charge over
+// the merged result).
 class HostQueryTask {
  public:
-  HostQueryTask(Database* db, const exec::BoundQuery* bound, SimTime start);
   HostQueryTask(Database* db, const exec::BoundQuery* bound, SimTime start,
-                std::uint64_t first_page, std::uint64_t page_count,
-                bool partial);
+                std::uint64_t first_page = 0,
+                std::uint64_t page_count = ~0ull);
   ~HostQueryTask();
   SMARTSSD_DISALLOW_COPY_AND_ASSIGN(HostQueryTask);
 
@@ -87,18 +84,9 @@ class HostQueryTask {
   StepOutcome StepBuildFinish();
   StepOutcome StepPrepareScan();
   StepOutcome StepScan();
-  // Morsel-parallel variant: dispatches the whole scan to worker
-  // threads in one step, then replays virtual time from the per-page
-  // counts in page order (wall-clock-only parallelism; see
-  // exec/morsel.h). Taken when host_threads > 1 and the query is
-  // morsel-eligible.
-  StepOutcome StepScanMorsel();
   StepOutcome StepFinish();
   StepOutcome FailWith(const Status& error);
   void CloseSpanForError();
-  // True when this task runs a proper fragment (or partial) rather than
-  // the whole table; fragments always take the serial scan loop.
-  bool Fragmented() const;
 
   Database* db_;
   const exec::BoundQuery* bound_;
@@ -106,7 +94,7 @@ class HostQueryTask {
   obs::Tracer* tracer_ = nullptr;
 
   // Scan bounds over the outer table's page indices, clamped to the
-  // table in the constructor; [0, page_count) for monolithic tasks.
+  // table in the constructor; [0, page_count) for whole-table tasks.
   std::uint64_t scan_begin_ = 0;
   std::uint64_t scan_end_ = 0;
   bool partial_ = false;
@@ -124,12 +112,8 @@ class HostQueryTask {
   std::uint64_t build_page_ = 0;
   std::optional<exec::JoinHashTable> hash_table_;
 
-  // Scan state. Exactly one of processor_ / morsel_ is engaged:
-  // morsel_ when host_threads > 1 and the query is morsel-eligible
-  // (StepFinish then drives the merged processor), processor_
-  // otherwise.
+  // Scan state.
   std::optional<exec::PageProcessor> processor_;
-  std::optional<exec::MorselScanner> morsel_;
   exec::CpuCostParams host_params_{};
   std::uint64_t hash_entries_ = 0;
   const storage::ZoneMap* zone_map_ = nullptr;
@@ -152,19 +136,16 @@ class HostQueryTask {
 // device traffic) instead of issuing an OPEN while the device's session
 // thread pool is empty; the blocking executor passes false and eats the
 // rejection, matching the old behavior.
-// Fragment mode mirrors HostQueryTask: the six-extra-argument form
-// restricts the pushdown program to the fragment's page range (extent
-// announcement, pruning, and zone-check charge all fragment-scoped),
-// reports body-only OpCounts with `partial` set, and re-runs only its
-// own fragment on host fallback.
+// The page range mirrors HostQueryTask: it restricts the pushdown
+// program to those pages (extent announcement, pruning, and zone-check
+// charge all range-scoped); a proper sub-range of the table reports
+// body-only OpCounts and re-runs only its own range on host fallback.
 class DeviceQueryTask {
  public:
   DeviceQueryTask(Database* db, const exec::BoundQuery* bound,
-                  SimTime start, bool fallback, bool wait_for_grant);
-  DeviceQueryTask(Database* db, const exec::BoundQuery* bound,
                   SimTime start, bool fallback, bool wait_for_grant,
-                  std::uint64_t first_page, std::uint64_t page_count,
-                  bool partial);
+                  std::uint64_t first_page = 0,
+                  std::uint64_t page_count = ~0ull);
   ~DeviceQueryTask();
   SMARTSSD_DISALLOW_COPY_AND_ASSIGN(DeviceQueryTask);
 
@@ -193,8 +174,8 @@ class DeviceQueryTask {
   SimTime start_;
   bool fallback_;
   bool wait_for_grant_;
-  // Fragment range over the outer table (defaults cover it whole) and
-  // the partial-result flag; see the class comment.
+  // Page range over the outer table (defaults cover it whole) and
+  // whether it is a proper sub-range; see the class comment.
   std::uint64_t frag_first_ = 0;
   std::uint64_t frag_pages_ = ~0ull;
   bool partial_ = false;

@@ -97,10 +97,7 @@ Status JoinHashTable::Insert(std::int64_t key,
 }
 
 const std::byte* JoinHashTable::Probe(std::int64_t key) const {
-  // Conditional so that after Seal() no probing thread ever writes the
-  // flag: concurrent morsel workers only read a value that was fixed
-  // before they were spawned, which is race-free.
-  if (!sealed_) sealed_ = true;
+  sealed_ = true;
   std::size_t i = SlotFor(key);
   for (;;) {
     const Slot& slot = slots_[i];

@@ -50,12 +50,6 @@ class JoinHashTable {
   // further inserts.
   const std::byte* Probe(std::int64_t key) const;
 
-  // Seals the table up front. Probe() seals lazily by writing a mutable
-  // flag on first call; concurrent first-probes from morsel workers
-  // would race on that write, so a dispatcher sharing the table
-  // read-only across threads seals it before spawning them.
-  void Seal() const { sealed_ = true; }
-
   bool sealed() const { return sealed_; }
 
   std::uint64_t entries() const { return entries_; }

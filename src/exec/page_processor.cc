@@ -383,42 +383,6 @@ Status PageProcessor::ProcessPage(std::span<const std::byte> page,
   return ProcessPageScalar(page, counts, out);
 }
 
-void PageProcessor::MergeFrom(const PageProcessor& other) {
-  SMARTSSD_CHECK(!bound_->spec->top_n.has_value());
-  SMARTSSD_CHECK(hybrid_ == nullptr && other.hybrid_ == nullptr);
-  const QuerySpec& spec = *bound_->spec;
-  auto fold = [&spec](std::size_t i, std::int64_t& state, std::int64_t v) {
-    switch (spec.aggregates[i].fn) {
-      case AggSpec::Fn::kSum:
-      case AggSpec::Fn::kCount:  // partial counts are additive
-        state += v;
-        break;
-      case AggSpec::Fn::kMin:
-        state = std::min(state, v);
-        break;
-      case AggSpec::Fn::kMax:
-        state = std::max(state, v);
-        break;
-    }
-  };
-  if (spec.group_by.empty()) {
-    for (std::size_t i = 0; i < agg_state_.size(); ++i) {
-      fold(i, agg_state_[i], other.agg_state_[i]);
-    }
-  } else {
-    for (std::uint32_t g = 0; g < other.group_table_.size(); ++g) {
-      const std::uint32_t mine = group_table_.FindOrInsert(
-          other.group_table_.key(g), agg_init_.data());
-      std::int64_t* states = group_table_.states(mine);
-      const std::int64_t* theirs = other.group_table_.states(g);
-      for (std::size_t i = 0; i < spec.aggregates.size(); ++i) {
-        fold(i, states[i], theirs[i]);
-      }
-    }
-  }
-  rows_output_ += other.rows_output_;
-}
-
 Status PageProcessor::ProcessPageScalar(std::span<const std::byte> page,
                                         OpCounts* counts,
                                         std::vector<std::byte>* out) {

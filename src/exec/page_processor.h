@@ -80,15 +80,6 @@ class PageProcessor {
     return ProcessPage(page, kNoPage, counts, out);
   }
 
-  // Folds another processor's aggregation state into this one (morsel
-  // merge): scalar aggregates, GROUP BY groups, and the projection row
-  // count. Both processors must be built from the same BoundQuery and
-  // must not have Finish()ed; top-N and hybrid-join state do not merge
-  // (morsel mode excludes those queries). Aggregate folds are
-  // commutative and group output is sorted at Finish, so the merged
-  // result is independent of worker scheduling.
-  void MergeFrom(const PageProcessor& other);
-
   // Emits the final rows: the scalar aggregate row, the per-group rows
   // (GROUP BY, in key order), or the top-N rows (in sort order).
   Status Finish(OpCounts* counts, std::vector<std::byte>* out);

@@ -119,6 +119,9 @@ TEST(JsonReporterTest, MetadataHeaderRowIsEscapedAndFirst) {
   EXPECT_NE(written.find("\"kernel_isa\":\"avx2\""), std::string::npos);
   // Metadata must precede every measurement row.
   EXPECT_LT(meta_pos, written.find("\"config\":\"cfg\""));
+  // A wall-clock row reports wall seconds, never virtual ones.
+  EXPECT_NE(written.find("\"wall_seconds\":0.25"), std::string::npos);
+  EXPECT_EQ(written.find("virtual_seconds"), std::string::npos);
 }
 
 }  // namespace

@@ -1,13 +1,12 @@
 // Differential correctness fuzz: seeded random query specs run through
 // every execution configuration — host scan, Smart SSD pushdown over
-// NSM and PAX (with and without zone maps), parallel databases with
-// 1/2/4 workers, fault-injected pushdown with degraded fallback,
-// memory-constrained hybrid joins under 2-pass and 3-pass spill budgets
-// (results AND OpCounts against the unconstrained reference), and
-// fleet scatter-gather (uniform 3-device and heterogeneous 2-device
-// shapes, with rotating single-device faults and a breaker-open
-// re-dispatch variant) — asserting byte-identical results plus
-// structural invariants. A
+// NSM and PAX (with and without zone maps), fault-injected pushdown
+// with degraded fallback, memory-constrained hybrid joins under 2-pass
+// and 3-pass spill budgets (results AND OpCounts against the
+// unconstrained reference), and fleet scatter-gather (uniform 1-, 3-
+// and 4-device and heterogeneous 2-device shapes, with rotating
+// single-device faults and a breaker-open re-dispatch variant) —
+// asserting byte-identical results plus structural invariants. A
 // failure prints the generated spec, a minimized spec, and the one-line
 // check::ReplaySpec(...) reproducer; pin a found bug by adding that
 // line as a regression test below.
@@ -91,11 +90,11 @@ TEST(DifferentialReplay, FaultsOffStillCoversTheMatrix) {
   // ref (scalar + vectorized twin, plus a scalar-ISA re-run of the twin
   // on machines whose best kernel ISA uses SIMD lanes) + 8 single
   // configs (incl. the two hybrid-join spill budgets and the split/
-  // adaptive placement-policy configs) + 3 parallel configs + 2 fleet
-  // configs + 4 write-path GC configs per spec.
+  // adaptive placement-policy configs) + 4 fleet configs + 4
+  // write-path GC configs per spec.
   const int isa_axis =
       expr::DetectKernelIsa() != expr::KernelIsa::kScalarIsa ? 1 : 0;
-  EXPECT_EQ(report.executions, 2 * (19 + isa_axis));
+  EXPECT_EQ(report.executions, 2 * (18 + isa_axis));
 }
 
 TEST(DifferentialReplay, WritePhaseOffShrinksTheMatrix) {
@@ -107,7 +106,7 @@ TEST(DifferentialReplay, WritePhaseOffShrinksTheMatrix) {
   EXPECT_TRUE(report.ok()) << report.Summary();
   const int isa_axis =
       expr::DetectKernelIsa() != expr::KernelIsa::kScalarIsa ? 1 : 0;
-  EXPECT_EQ(report.executions, 2 * (15 + isa_axis));
+  EXPECT_EQ(report.executions, 2 * (14 + isa_axis));
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 // Tests for the fault-tolerant multi-device fleet (engine/fleet.h):
 // partitioned scatter-gather byte-identity against single-device ground
-// truth, per-device fault-seed purity, breaker-open re-dispatch,
-// half-open single-probe admission under concurrent traffic, hedged
-// subqueries with deterministic replay, and the degraded-mode ladder.
+// truth (aggregates, GROUP BY, global top-N, a join against a
+// replicated inner, TPC-H scale-out), per-device fault-seed purity,
+// breaker-open re-dispatch, half-open single-probe admission under
+// concurrent traffic, hedged subqueries with deterministic replay, and
+// the degraded-mode ladder.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +20,8 @@
 #include "expr/expression.h"
 #include "obs/trace.h"
 #include "sim/fault_injector.h"
+#include "tpch/queries.h"
+#include "tpch/tpch_gen.h"
 
 namespace smartssd::engine {
 namespace {
@@ -51,6 +55,20 @@ exec::QuerySpec GroupSpec() {
   spec.group_by = {2};
   spec.aggregates.push_back(exec::AggSpec{
       .fn = exec::AggSpec::Fn::kSum, .input = expr::Col(6), .name = "s"});
+  return spec;
+}
+
+// Top 50 by v64 over ~30% of F: winners come from every partition, so
+// the coordinator's re-selection of the global top k does real work.
+exec::QuerySpec TopNSpec() {
+  exec::QuerySpec spec;
+  spec.name = "fleet_topn";
+  spec.table = check::kOuterTable;
+  spec.predicate =
+      expr::Lt(expr::Col(3), expr::Lit(check::kValueDomain * 3 / 10));
+  spec.projection = {4, 0, 2};
+  spec.top_n =
+      exec::TopNSpec{.order_col = 4, .descending = true, .limit = 50};
   return spec;
 }
 
@@ -148,6 +166,100 @@ TEST_F(FleetTest, RejectsQueryOverReplicatedTable) {
   EXPECT_NE(std::string(result.status().message())
                 .find("not partition-loaded"),
             std::string::npos);
+}
+
+TEST_F(FleetTest, GlobalTopNMatchesSingleDevice) {
+  Fleet fleet(3, DatabaseOptions::PaperSmartSsd());
+  SMARTSSD_CHECK(
+      check::LoadTablesFleet(fleet, gen_, storage::PageLayout::kPax).ok());
+  const exec::QuerySpec spec = TopNSpec();
+  const ExecutionOutput expected =
+      GroundTruth(spec, ExecutionTarget::kSmartSsd, gen_);
+  EXPECT_EQ(expected.row_count(), 50u);
+  const ExecutionOutput actual =
+      FleetRun(fleet, spec, ExecutionTarget::kSmartSsd);
+  const Status s = CompareOutputs(expected, actual);
+  EXPECT_TRUE(s.ok()) << s.message();
+}
+
+TEST_F(FleetTest, RejectsTopNWithoutProjectedOrderColumn) {
+  Fleet fleet(2, DatabaseOptions::PaperSmartSsd());
+  SMARTSSD_CHECK(
+      check::LoadTablesFleet(fleet, gen_, storage::PageLayout::kNsm).ok());
+  exec::QuerySpec spec = TopNSpec();
+  spec.projection = {0, 2};  // order column 4 NOT projected
+  auto result = ExecuteOnFleet(fleet, spec, ExecutionTarget::kSmartSsd);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
+// --- TPC-H over a partitioned LINEITEM -----------------------------------
+
+constexpr double kTpchSf = 0.004;  // 24k LINEITEM rows in total
+
+// LINEITEM partitioned across a 4-device fleet with PART replicated on
+// every device, next to a single-device reference holding both whole.
+class FleetTpchTest : public ::testing::Test {
+ protected:
+  FleetTpchTest()
+      : fleet_(4, DatabaseOptions::PaperSmartSsd()),
+        single_(DatabaseOptions::PaperSmartSsd()) {
+    SMARTSSD_CHECK(tpch::LoadLineitem(single_, "lineitem", kTpchSf,
+                                      storage::PageLayout::kPax)
+                       .ok());
+    SMARTSSD_CHECK(
+        tpch::LoadPart(single_, "part", kTpchSf, storage::PageLayout::kPax)
+            .ok());
+    SMARTSSD_CHECK(tpch::LoadLineitemFleet(fleet_, "lineitem", kTpchSf,
+                                           storage::PageLayout::kPax)
+                       .ok());
+    for (int d = 0; d < fleet_.devices(); ++d) {
+      SMARTSSD_CHECK(tpch::LoadPart(fleet_.device(d), "part", kTpchSf,
+                                    storage::PageLayout::kPax)
+                         .ok());
+    }
+  }
+
+  QueryResult RunSingle(const exec::QuerySpec& spec) {
+    single_.ResetForColdRun();
+    QueryExecutor executor(&single_);
+    auto result = executor.Execute(spec, ExecutionTarget::kSmartSsd);
+    SMARTSSD_CHECK(result.ok());
+    return std::move(result).value();
+  }
+
+  FleetQueryResult RunOnFleet(const exec::QuerySpec& spec) {
+    fleet_.ResetForColdRun();
+    auto result = ExecuteOnFleet(fleet_, spec, ExecutionTarget::kSmartSsd);
+    SMARTSSD_CHECK(result.ok());
+    return std::move(result).value();
+  }
+
+  Fleet fleet_;
+  Database single_;
+};
+
+TEST_F(FleetTpchTest, JoinWithReplicatedInnerMergesExactly) {
+  const exec::QuerySpec spec = tpch::Q14Spec("lineitem", "part");
+  EXPECT_EQ(RunOnFleet(spec).agg_values, RunSingle(spec).agg_values);
+}
+
+TEST_F(FleetTpchTest, FourDevicesAreNearlyFourTimesFaster) {
+  const exec::QuerySpec spec = tpch::Q6Spec("lineitem");
+  const double scaling = RunSingle(spec).stats.elapsed_seconds() /
+                         RunOnFleet(spec).elapsed_seconds();
+  EXPECT_GT(scaling, 3.0);
+  EXPECT_LT(scaling, 4.5);
+}
+
+TEST_F(FleetTpchTest, PartitionStatsCoverEveryRow) {
+  const FleetQueryResult result = RunOnFleet(tpch::Q6Spec("lineitem"));
+  ASSERT_EQ(result.partition_stats.size(), 4u);
+  std::uint64_t tuples = 0;
+  for (const QueryStats& stats : result.partition_stats) {
+    tuples += stats.counts.tuples;
+  }
+  EXPECT_EQ(tuples, tpch::LineitemRows(kTpchSf));
 }
 
 // --- Breaker-open re-dispatch ---------------------------------------------
