@@ -150,18 +150,16 @@ class DifferentialRunner {
     db_spill2_ = std::make_unique<Database>(spill2);
     db_spill3_ = std::make_unique<Database>(spill3);
 
-    // Placement axis: the split policy fragments each eligible scan
-    // across the host and device halves and merges the partials, on an
-    // unpruned NSM database — so its OpCounts must equal the monolithic
+    // Placement axis: the adaptive policy fragments each eligible scan
+    // across the host and device halves and merges the partials. On an
+    // unpruned NSM database its OpCounts must equal the monolithic
     // reference exactly (fragmentation is pure scheduling, never
-    // semantics). The adaptive policy runs on PAX with a zone map and
-    // is compared rows-only, like the other pruned configs.
-    DatabaseOptions split_opts = base;
-    split_opts.placement = engine::PlacementPolicyKind::kSplit;
+    // semantics); on PAX with a zone map it is compared rows-only,
+    // like the other pruned configs.
     DatabaseOptions adapt_opts = base;
     adapt_opts.placement = engine::PlacementPolicyKind::kAdaptive;
-    db_split_ = std::make_unique<Database>(split_opts);
-    db_adapt_ = std::make_unique<Database>(adapt_opts);
+    db_adapt_nsm_ = std::make_unique<Database>(adapt_opts);
+    db_adapt_pax_ = std::make_unique<Database>(adapt_opts);
     SMARTSSD_CHECK(
         LoadTables(*db_ref_, gen_.tables, storage::PageLayout::kNsm).ok());
     SMARTSSD_CHECK(
@@ -178,16 +176,16 @@ class DifferentialRunner {
         LoadTables(*db_spill3_, gen_.tables, storage::PageLayout::kNsm)
             .ok());
     SMARTSSD_CHECK(
-        LoadTables(*db_split_, gen_.tables, storage::PageLayout::kNsm)
+        LoadTables(*db_adapt_nsm_, gen_.tables, storage::PageLayout::kNsm)
             .ok());
     SMARTSSD_CHECK(
-        LoadTables(*db_adapt_, gen_.tables, storage::PageLayout::kPax)
+        LoadTables(*db_adapt_pax_, gen_.tables, storage::PageLayout::kPax)
             .ok());
     // The reference database keeps NO zone map: it is the unpruned
     // ground truth a broken pruning path must disagree with.
     SMARTSSD_CHECK(db_nsm_->BuildZoneMap(kOuterTable).ok());
     SMARTSSD_CHECK(db_pax_->BuildZoneMap(kOuterTable).ok());
-    SMARTSSD_CHECK(db_adapt_->BuildZoneMap(kOuterTable).ok());
+    SMARTSSD_CHECK(db_adapt_pax_->BuildZoneMap(kOuterTable).ok());
 
     // Fleet shapes: uniform 1-, 3- and 4-device fleets and a
     // heterogeneous 2-device fleet (device 1 gets a weaker embedded CPU
@@ -245,8 +243,8 @@ class DifferentialRunner {
     db_pax_->AttachTracer(&tracer_pax_, "pax-dev", "pax-host");
     db_spill2_->AttachTracer(&tracer_spill2_, "sp2-dev", "sp2-host");
     db_spill3_->AttachTracer(&tracer_spill3_, "sp3-dev", "sp3-host");
-    db_split_->AttachTracer(&tracer_split_, "spl-dev", "spl-host");
-    db_adapt_->AttachTracer(&tracer_adapt_, "adp-dev", "adp-host");
+    db_adapt_nsm_->AttachTracer(&tracer_adapt_nsm_, "adn-dev", "adn-host");
+    db_adapt_pax_->AttachTracer(&tracer_adapt_pax_, "adp-dev", "adp-host");
     fleet1_->AttachTracer(&tracer_fleet1_);
     fleet3_->AttachTracer(&tracer_fleet3_);
     fleet4_->AttachTracer(&tracer_fleet4_);
@@ -372,17 +370,16 @@ class DifferentialRunner {
          ExecutionTarget::kSmartSsd, std::nullopt, true},
         {"nsm-spill3-smart", db_spill3_.get(), &tracer_spill3_,
          ExecutionTarget::kSmartSsd, std::nullopt, true},
-        // The split policy fragments the scan across both sides and
+        // The adaptive policy splits the scan across both sides and
         // merges partials: results AND OpCounts must equal the unpruned
         // monolithic reference exactly. Specs a split cannot serve
-        // (joins, top-N, single-page tables) fall back to whole-query
-        // cost-model routing inside the policy, so every generated spec
-        // still runs — and still has to match.
-        {"nsm-split-smart", db_split_.get(), &tracer_split_,
+        // (joins, top-N, single-page tables) run whole, so every
+        // generated spec still runs — and still has to match.
+        {"nsm-adaptive-smart", db_adapt_nsm_.get(), &tracer_adapt_nsm_,
          ExecutionTarget::kHost, std::nullopt, true, true},
-        // Adaptive routing over PAX + zone map: whatever side (or both)
-        // the live signals pick, rows must match the ground truth.
-        {"pax-adaptive-smart", db_adapt_.get(), &tracer_adapt_,
+        // The same over PAX + zone map: rows must match the ground
+        // truth.
+        {"pax-adaptive-smart", db_adapt_pax_.get(), &tracer_adapt_pax_,
          ExecutionTarget::kHost, std::nullopt, false, true},
     };
     if (options_.with_faults) {
@@ -688,8 +685,8 @@ class DifferentialRunner {
   std::unique_ptr<Database> db_pax_;
   std::unique_ptr<Database> db_spill2_;
   std::unique_ptr<Database> db_spill3_;
-  std::unique_ptr<Database> db_split_;
-  std::unique_ptr<Database> db_adapt_;
+  std::unique_ptr<Database> db_adapt_nsm_;
+  std::unique_ptr<Database> db_adapt_pax_;
   std::unique_ptr<Fleet> fleet1_;
   std::unique_ptr<Fleet> fleet3_;
   std::unique_ptr<Fleet> fleet4_;
@@ -706,8 +703,8 @@ class DifferentialRunner {
   obs::Tracer tracer_pax_;
   obs::Tracer tracer_spill2_;
   obs::Tracer tracer_spill3_;
-  obs::Tracer tracer_split_;
-  obs::Tracer tracer_adapt_;
+  obs::Tracer tracer_adapt_nsm_;
+  obs::Tracer tracer_adapt_pax_;
   obs::Tracer tracer_fleet1_;
   obs::Tracer tracer_fleet3_;
   obs::Tracer tracer_fleet4_;

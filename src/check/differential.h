@@ -9,10 +9,10 @@
 //   * pushdown under tiny join memory budgets (12 KiB and 4 KiB), so
 //     joins run the hybrid spill path with 2 and 3 passes — results
 //     AND OpCounts must match the unconstrained reference exactly,
-//   * placement policies: split-scan execution (each eligible scan
-//     fragments across host and device, partials merged — results AND
-//     OpCounts must equal the unpruned monolithic reference) and
-//     adaptive routing over PAX + zone map,
+//   * the adaptive placement policy, which splits each eligible scan
+//     across host and device and merges the partials: over NSM its
+//     results AND OpCounts must equal the unpruned monolithic
+//     reference; over PAX + zone map its rows must,
 //   * Fleet scatter-gather (pushdown) over uniform 1-, 3- and 4-device
 //     fleets and a heterogeneous 2-device PAX fleet, plus a rotating
 //     fault on a rotating device and a breaker-open re-dispatch,

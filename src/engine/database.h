@@ -63,9 +63,9 @@ struct DatabaseOptions {
   exec::HybridJoinConfig join_spill;
   // Routing policy applied when a query is submitted without an
   // explicit execution target (ExecuteAuto, scheduler clients without a
-  // pinned target). kCostModel is the planner's historical
-  // estimate-based host/device choice; see engine/placement.h for the
-  // static, adaptive, and split policies.
+  // pinned target). kCostModel is the planner's estimate-based
+  // host/device choice; kAdaptive routes on the session-grant pool and
+  // splits eligible scans across both sides (engine/placement.h).
   PlacementPolicyKind placement = PlacementPolicyKind::kCostModel;
 
   // The paper's three storage configurations (Section 4.1.2), identical

@@ -27,7 +27,8 @@ Result<QueryResult> QueryExecutor::ExecuteAuto(const exec::QuerySpec& spec,
   // work from the blocking path too. Under the default kCostModel
   // policy the task issues the identical Bind + planner.Decide +
   // host/device sequence this function historically inlined.
-  QueryTask task(db_, &spec, hints, start, /*wait_for_grant=*/false);
+  QueryTask task(db_, &spec, /*target=*/std::nullopt, hints, start,
+                 /*wait_for_grant=*/false);
   while (!task.finished()) task.Step();
   return task.TakeResult();
 }

@@ -53,8 +53,9 @@ class QueryExecutor {
   Result<QueryResult> Execute(const exec::QuerySpec& spec,
                               ExecutionTarget target, SimTime start = 0);
 
-  // Lets the pushdown planner pick the target (Section 4.3's rules),
-  // then executes. The decision taken is in the result's stats.target.
+  // Lets the database's placement policy pick the target (by default
+  // the pushdown planner's Section 4.3 rules), then executes. The
+  // decision taken is in the result's stats.target.
   Result<QueryResult> ExecuteAuto(const exec::QuerySpec& spec,
                                   const PlanHints& hints = {},
                                   SimTime start = 0);

@@ -269,39 +269,33 @@ void FleetCoordinator::StartQuery(std::size_t source, SimTime arrival,
     sub.record.device = d;
     sub.record.start = admitted;
     Database& db = fleet_->device(d);
-    if (src.config.target.has_value()) {
-      ExecutionTarget target = *src.config.target;
-      if (target == ExecutionTarget::kSmartSsd && db.smart_capable()) {
-        // Breaker-aware re-dispatch: a tripped device's partition goes
-        // straight to its host path instead of burning a doomed session;
-        // once the cooldown elapses, exactly one subquery is admitted as
-        // the half-open probe while co-arrivals keep bypassing.
-        DeviceCircuitBreaker& breaker = db.circuit_breaker();
-        const DeviceCircuitBreaker::State before = breaker.state();
-        if (breaker.ShouldBypass(admitted)) {
-          target = ExecutionTarget::kHost;
-          sub.record.redispatched = true;
-          ++redispatches_;
-          fleet_->metrics().counter("fleet.redispatches")->Add();
-          if (tracer_ != nullptr) {
-            tracer_->Instant(device_tracks_[static_cast<std::size_t>(d)],
-                             "redispatch to host", "fleet", admitted,
-                             {obs::Arg::Uint("query", id)});
-          }
-        } else if (before != DeviceCircuitBreaker::State::kClosed) {
-          ++breaker_probes_;
-          fleet_->metrics().counter("fleet.breaker_probes")->Add();
+    std::optional<ExecutionTarget> target = src.config.target;
+    if (target == ExecutionTarget::kSmartSsd && db.smart_capable()) {
+      // Breaker-aware re-dispatch: a tripped device's partition goes
+      // straight to its host path instead of burning a doomed session;
+      // once the cooldown elapses, exactly one subquery is admitted as
+      // the half-open probe while co-arrivals keep bypassing.
+      DeviceCircuitBreaker& breaker = db.circuit_breaker();
+      const DeviceCircuitBreaker::State before = breaker.state();
+      if (breaker.ShouldBypass(admitted)) {
+        target = ExecutionTarget::kHost;
+        sub.record.redispatched = true;
+        ++redispatches_;
+        fleet_->metrics().counter("fleet.redispatches")->Add();
+        if (tracer_ != nullptr) {
+          tracer_->Instant(device_tracks_[static_cast<std::size_t>(d)],
+                           "redispatch to host", "fleet", admitted,
+                           {obs::Arg::Uint("query", id)});
         }
+      } else if (before != DeviceCircuitBreaker::State::kClosed) {
+        ++breaker_probes_;
+        fleet_->metrics().counter("fleet.breaker_probes")->Add();
       }
-      sub.hedge_eligible = target == ExecutionTarget::kSmartSsd;
-      sub.primary = std::make_unique<QueryTask>(&db, src.config.spec,
-                                                target, admitted,
-                                                options_.wait_for_grant);
-    } else {
-      sub.primary = std::make_unique<QueryTask>(&db, src.config.spec,
-                                                src.config.hints, admitted,
-                                                options_.wait_for_grant);
     }
+    sub.hedge_eligible = target == ExecutionTarget::kSmartSsd;
+    sub.primary = std::make_unique<QueryTask>(
+        &db, src.config.spec, target, src.config.hints, admitted,
+        options_.wait_for_grant);
   }
   for (int d = 0; d < n; ++d) {
     ScheduleStep(q, static_cast<std::size_t>(d), Branch::kPrimary,
@@ -474,7 +468,7 @@ void FleetCoordinator::OnHedgeDeadline(
   // session, so a stalled device GET does not stall the hedge.
   sub.hedge = std::make_unique<QueryTask>(
       &fleet_->device(sub.device), sources_[q->source].config.spec,
-      ExecutionTarget::kHost, now, /*wait_for_grant=*/false);
+      ExecutionTarget::kHost, PlanHints{}, now, /*wait_for_grant=*/false);
   sub.record.hedged = true;
   ++hedges_launched_;
   fleet_->metrics().counter("fleet.hedges")->Add();

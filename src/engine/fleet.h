@@ -216,8 +216,8 @@ struct FleetQueryConfig {
   std::string client = "client";
   const exec::QuerySpec* spec = nullptr;
   // Fixed execution target for every subquery; nullopt lets each
-  // device's pushdown planner decide (hedging only arms for explicit
-  // kSmartSsd subqueries — the planner already routes around slowness).
+  // device's placement policy decide (hedging only arms for explicit
+  // kSmartSsd subqueries — the policy already routes around slowness).
   std::optional<ExecutionTarget> target = ExecutionTarget::kSmartSsd;
   PlanHints hints;
 };

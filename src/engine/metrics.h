@@ -18,34 +18,12 @@ inline const char* ExecutionTargetName(ExecutionTarget target) {
   return target == ExecutionTarget::kHost ? "host" : "smart-ssd";
 }
 
-// How the engine decides, per query, where the scan runs. kCostModel is
-// the planner's historical estimate-based choice (the default);
-// kAdaptive consults live scheduler/obs signals and may split one scan
-// across both sides; kSplit always splits eligible scans by the cost
-// model's host/device ratio. See engine/placement.h.
-enum class PlacementPolicyKind {
-  kStaticHost,
-  kStaticDevice,
-  kCostModel,
-  kAdaptive,
-  kSplit,
-};
-
-inline const char* PlacementPolicyName(PlacementPolicyKind kind) {
-  switch (kind) {
-    case PlacementPolicyKind::kStaticHost:
-      return "static-host";
-    case PlacementPolicyKind::kStaticDevice:
-      return "static-device";
-    case PlacementPolicyKind::kCostModel:
-      return "cost-model";
-    case PlacementPolicyKind::kAdaptive:
-      return "adaptive";
-    case PlacementPolicyKind::kSplit:
-      return "split";
-  }
-  return "unknown";
-}
+// How the engine decides where a query runs when no target is pinned.
+// kCostModel is the planner's estimate-based host/device choice (the
+// default); kAdaptive overflows whole queries to the host while the
+// device's session-grant pool is empty and otherwise splits eligible
+// scans across both sides. See engine/placement.h.
+enum class PlacementPolicyKind { kCostModel, kAdaptive };
 
 // Per-stage virtual busy time attributable to one query: the delta of
 // every pipeline resource's accumulated busy time over the query's

@@ -30,32 +30,6 @@ std::uint64_t SplitDevicePages(const PushdownPlanner& planner,
   return std::clamp<std::uint64_t>(device_pages, 1, pages - 1);
 }
 
-PlacementDecision SplitDecision(const PushdownPlanner& planner,
-                                const exec::BoundQuery& bound,
-                                const PlanHints& hints, std::string reason) {
-  const std::uint64_t pages = bound.outer->page_count;
-  const std::uint64_t device_pages = SplitDevicePages(planner, bound, hints);
-  PlacementDecision decision;
-  decision.target = ExecutionTarget::kSmartSsd;
-  decision.split = true;
-  // Host takes the page-order prefix, device the suffix: the device
-  // streams its extent through the internal path while the host works
-  // the front of the table through the buffer pool.
-  decision.fragments = {
-      {0, pages - device_pages, ExecutionTarget::kHost},
-      {pages - device_pages, device_pages, ExecutionTarget::kSmartSsd},
-  };
-  decision.reason = std::move(reason);
-  return decision;
-}
-
-PlacementDecision FromPlan(const PlanDecision& plan) {
-  PlacementDecision decision;
-  decision.target = plan.target;
-  decision.reason = plan.reason;
-  return decision;
-}
-
 PlacementDecision HostDecision(std::string reason) {
   PlacementDecision decision;
   decision.target = ExecutionTarget::kHost;
@@ -77,86 +51,49 @@ Result<PlacementDecision> DecidePlacement(Database* db,
                                           const exec::BoundQuery& bound,
                                           const PlanHints& hints,
                                           PlacementPolicyKind policy,
-                                          SimTime now,
-                                          const SignalSource* signals) {
+                                          SimTime now) {
   SMARTSSD_CHECK(db != nullptr);
   const PushdownPlanner planner(db);
-  switch (policy) {
-    case PlacementPolicyKind::kStaticHost:
-      return HostDecision("static policy pins the host path");
-
-    case PlacementPolicyKind::kStaticDevice: {
-      if (!db->smart_capable()) {
-        return HostDecision("static device policy, but no Smart SSD runtime");
-      }
-      PlacementDecision decision;
-      decision.target = ExecutionTarget::kSmartSsd;
-      decision.reason = "static policy pins the device path";
-      return decision;
-    }
-
-    case PlacementPolicyKind::kCostModel: {
-      // The historical planner behavior, verbatim: same estimates, same
-      // rule order, same single (mutating) breaker-bypass check.
-      SMARTSSD_ASSIGN_OR_RETURN(const PlanDecision plan,
-                                planner.Decide(bound, hints, now));
-      return FromPlan(plan);
-    }
-
-    case PlacementPolicyKind::kSplit: {
-      if (!SplittableScan(bound)) {
-        // Unsplittable shapes (joins, top-N, single-page tables) keep
-        // the whole-query cost-model route, breaker check included.
-        SMARTSSD_ASSIGN_OR_RETURN(const PlanDecision plan,
-                                  planner.Decide(bound, hints, now));
-        PlacementDecision decision = FromPlan(plan);
-        decision.reason = "unsplittable scan: " + decision.reason;
-        return decision;
-      }
-      if (auto constraint = planner.DeviceConstraint(bound)) {
-        return HostDecision(*constraint);
-      }
-      if (db->circuit_breaker().ShouldBypass(now)) {
-        return HostDecision(
-            "breaker open: device excluded from split placement");
-      }
-      return SplitDecision(planner, bound, hints,
-                           "split: cost-weighted host/device fragments");
-    }
-
-    case PlacementPolicyKind::kAdaptive: {
-      if (auto constraint = planner.DeviceConstraint(bound)) {
-        return HostDecision(*constraint);
-      }
-      if (db->circuit_breaker().ShouldBypass(now)) {
-        return HostDecision(
-            "breaker open: device excluded from adaptive placement");
-      }
-      // Live signals: the device takes work while its session-grant
-      // pool has a free firmware thread; once the pool is saturated new
-      // arrivals overflow to the host instead of parking behind the
-      // grant queue — that is what lets the mixed workload use both
-      // sides' capacity at once. Under an admission backlog a splittable
-      // scan is additionally spread across both sides.
-      const LiveSignals live =
-          signals != nullptr ? signals->Signals() : LiveSignals{};
-      if (db->runtime()->session_slots_free() <= 0) {
-        return HostDecision(
-            "session-grant pool exhausted: overflow to the host path");
-      }
-      if (live.queue_depth > 0 && SplittableScan(bound)) {
-        return SplitDecision(
-            planner, bound, hints,
-            "admission backlog: splitting across host and device");
-      }
-      PlacementDecision decision;
-      decision.target = ExecutionTarget::kSmartSsd;
-      decision.reason = "session grant free: device path";
-      return decision;
-    }
+  if (policy == PlacementPolicyKind::kCostModel) {
+    SMARTSSD_ASSIGN_OR_RETURN(const PlanDecision plan,
+                              planner.Decide(bound, hints, now));
+    PlacementDecision decision;
+    decision.target = plan.target;
+    decision.reason = plan.reason;
+    return decision;
   }
-  SMARTSSD_CHECK(false);  // unknown placement policy
-  return HostDecision("unknown policy");
+
+  // kAdaptive. The device takes work while its session-grant pool has a
+  // free firmware thread; once the pool is empty, new arrivals overflow
+  // whole to the host instead of parking behind the grant queue, so a
+  // loaded workload uses both sides' capacity at once.
+  if (auto constraint = planner.DeviceConstraint(bound)) {
+    return HostDecision(*constraint);
+  }
+  if (db->runtime()->session_slots_free() <= 0) {
+    return HostDecision("session-grant pool empty: whole query to the host");
+  }
+  if (db->circuit_breaker().ShouldBypass(now)) {
+    return HostDecision("breaker open: device excluded from placement");
+  }
+  PlacementDecision decision;
+  decision.target = ExecutionTarget::kSmartSsd;
+  if (!SplittableScan(bound)) {
+    decision.reason = "session grant free: device path";
+    return decision;
+  }
+  // Host takes the page-order prefix, device the suffix: the device
+  // streams its extent through the internal path while the host works
+  // the front of the table through the buffer pool.
+  const std::uint64_t pages = bound.outer->page_count;
+  const std::uint64_t device_pages = SplitDevicePages(planner, bound, hints);
+  decision.split = true;
+  decision.fragments = {
+      {0, pages - device_pages, ExecutionTarget::kHost},
+      {pages - device_pages, device_pages, ExecutionTarget::kSmartSsd},
+  };
+  decision.reason = "split: cost-weighted host/device fragments";
+  return decision;
 }
 
 }  // namespace smartssd::engine

@@ -1,19 +1,25 @@
 #ifndef SMARTSSD_ENGINE_PLACEMENT_H_
 #define SMARTSSD_ENGINE_PLACEMENT_H_
 
-// Placement: where a query's scan runs. The historical decision — host
-// or device, chosen once by the pushdown planner's cost model — is one
-// policy here (kCostModel, the default). The others either pin a side
-// (kStaticHost / kStaticDevice), always split eligible scans by the
-// cost model's host/device ratio (kSplit), or consult live scheduler
-// signals to route each query and split under backlog (kAdaptive).
+// Placement: where a query's scan runs when no target is pinned (a
+// pinned side is WorkloadQueryConfig::target or QueryExecutor::Execute).
+// Two policies:
+//
+//   kCostModel (the default) is the pushdown planner's Section 4.3
+//   decision, host or device, chosen once per query by its rules and
+//   cost estimates.
+//
+//   kAdaptive reads only the database it routes on, in this order:
+//   a hard device constraint (no smart runtime, dirty pages, join DRAM)
+//   -> host; session-grant pool empty -> the whole query to the host;
+//   circuit breaker open -> host; a splittable scan -> host/device
+//   fragments weighted by the cost model; otherwise the device.
 //
 // A split scan becomes an ordered list of ScanFragments — contiguous
 // page ranges of the outer table, each independently placeable — whose
 // partial results merge in fixed fragment order through
-// engine/partial_merge. Every signal a policy reads lives on the
-// virtual clock (grant pool occupancy, breaker state, admission-queue
-// histograms), so a fixed arrival trace yields byte-identical routing
+// engine/partial_merge. Everything a policy reads lives on the virtual
+// clock, so a fixed arrival trace yields byte-identical routing
 // decisions and results run-to-run.
 
 #include <cstdint>
@@ -37,22 +43,6 @@ struct ScanFragment {
   ExecutionTarget target = ExecutionTarget::kHost;
 };
 
-// Live load signals a policy may consult, all deterministic on the
-// virtual clock. A scheduler exposes them through SignalSource; solo
-// (blocking) execution passes none and the defaults mean "idle".
-struct LiveSignals {
-  std::uint64_t in_flight = 0;        // queries admitted, not yet done
-  std::uint64_t queue_depth = 0;      // arrivals waiting for admission
-  std::uint64_t queue_wait_count = 0;  // completed-query queue waits seen
-  double queue_wait_p95_ns = 0;
-};
-
-class SignalSource {
- public:
-  virtual ~SignalSource() = default;
-  virtual LiveSignals Signals() const = 0;
-};
-
 struct PlacementDecision {
   ExecutionTarget target = ExecutionTarget::kHost;
   // When set, run the scan as `fragments` (ordered by page range) and
@@ -71,17 +61,16 @@ struct PlacementDecision {
 // routing, so every spec shape stays executable under every policy.
 bool SplittableScan(const exec::BoundQuery& bound);
 
-// Applies `policy` to one query at virtual time `now`. `signals` may be
-// null (blocking executors). Policies that may touch the device check
-// hard eligibility (smart runtime, dirty pages, join DRAM fit) and the
-// circuit breaker up front, so a known-bad device is excluded before
-// dispatch rather than discovered via fallback.
+// Applies `policy` to one query at virtual time `now`. Both policies
+// check the hard device constraints before the circuit breaker, and
+// consult the breaker's (mutating) bypass check only for a query that
+// would otherwise reach the device, so a half-open probe is never spent
+// on a host run.
 Result<PlacementDecision> DecidePlacement(Database* db,
                                           const exec::BoundQuery& bound,
                                           const PlanHints& hints,
                                           PlacementPolicyKind policy,
-                                          SimTime now,
-                                          const SignalSource* signals);
+                                          SimTime now);
 
 }  // namespace smartssd::engine
 

@@ -246,71 +246,27 @@ std::optional<std::string> PushdownPlanner::DeviceConstraint(
 Result<PlanDecision> PushdownPlanner::Decide(const exec::BoundQuery& bound,
                                              const PlanHints& hints,
                                              SimTime now) const {
-  PlanDecision decision;
+  PlanDecision decision;  // the host unless the last rule picks the device
   decision.est_host_seconds = EstimateHostSeconds(bound, hints);
-
-  if (!db_->smart_capable()) {
-    decision.target = ExecutionTarget::kHost;
-    decision.reason = "device has no Smart SSD runtime";
-    return decision;
+  if (db_->smart_capable()) {
+    decision.est_smart_seconds = EstimateSmartSeconds(bound, hints);
   }
-  if (db_->circuit_breaker().ShouldBypass(now)) {
-    decision.target = ExecutionTarget::kHost;
-    decision.reason =
-        "circuit breaker open after repeated device failures";
-    return decision;
-  }
-  decision.est_smart_seconds = EstimateSmartSeconds(bound, hints);
-
-  const BufferPool& pool = db_->buffer_pool();
   const storage::TableInfo& outer = *bound.outer;
-  if (pool.HasDirtyInRange(outer.first_lpn, outer.page_count) ||
-      (bound.inner != nullptr &&
-       pool.HasDirtyInRange(bound.inner->first_lpn,
-                            bound.inner->page_count))) {
-    decision.target = ExecutionTarget::kHost;
-    decision.reason =
-        "coherence: dirty pages of this table in the buffer pool";
-    return decision;
-  }
-
-  const std::uint64_t cached =
-      pool.CachedInRange(outer.first_lpn, outer.page_count);
-  if (outer.page_count > 0 &&
-      static_cast<double>(cached) /
-              static_cast<double>(outer.page_count) >=
-          0.5) {
-    decision.target = ExecutionTarget::kHost;
+  if (auto constraint = DeviceConstraint(bound)) {
+    decision.reason = *constraint;
+  } else if (outer.page_count > 0 &&
+             2 * db_->buffer_pool().CachedInRange(outer.first_lpn,
+                                                  outer.page_count) >=
+                 outer.page_count) {
     decision.reason = "data mostly cached in the buffer pool";
-    return decision;
-  }
-
-  if (bound.spec->join.has_value()) {
-    const std::uint64_t table_bytes = exec::JoinHashTable::EstimateBytes(
-        bound.inner->tuple_count, bound.payload_width);
-    const std::uint64_t budget = ResolveJoinBudget(*db_, bound);
-    const bool hybrid = budget > 0 && table_bytes > budget;
-    if (hybrid && budget < kMinJoinBudgetBytes) {
-      decision.target = ExecutionTarget::kHost;
-      decision.reason = "join budget below the hybrid spill floor";
-      return decision;
-    }
-    const std::uint64_t resident =
-        (hybrid ? budget : table_bytes) + 2ull * 1024 * 1024;
-    if (resident > db_->ssd()->device_dram_free()) {
-      decision.target = ExecutionTarget::kHost;
-      decision.reason = hybrid ? "join budget exceeds device DRAM"
-                               : "join hash table exceeds device DRAM";
-      return decision;
-    }
-  }
-
-  if (decision.est_smart_seconds < decision.est_host_seconds) {
+  } else if (decision.est_smart_seconds >= decision.est_host_seconds) {
+    decision.reason = "estimated cost favors host execution";
+  } else if (db_->circuit_breaker().ShouldBypass(now)) {
+    // Last, so the half-open probe it may admit is a device run.
+    decision.reason = "circuit breaker open after repeated device failures";
+  } else {
     decision.target = ExecutionTarget::kSmartSsd;
     decision.reason = "estimated cost favors in-SSD execution";
-  } else {
-    decision.target = ExecutionTarget::kHost;
-    decision.reason = "estimated cost favors host execution";
   }
   return decision;
 }

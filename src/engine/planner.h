@@ -50,19 +50,20 @@ std::uint64_t ResolveJoinBudget(const Database& db,
 //   1. no smart runtime -> host (trivially);
 //   2. dirty pages of any involved table in the buffer pool -> host
 //      (the device would compute over stale data);
-//   3. data already mostly cached -> host (pushdown would re-read flash
-//      for pages RAM already holds);
-//   4. the join's resident memory must fit device DRAM: the whole hash
+//   3. the join's resident memory must fit device DRAM: the whole hash
 //      table in unconstrained mode, the spill budget in hybrid mode —
 //      and a budget below the spill floor goes to the host outright;
+//   4. data already mostly cached -> host (pushdown would re-read flash
+//      for pages RAM already holds);
 //   5. otherwise, estimated cost decides: each path is a pipeline whose
 //      elapsed time is the max of its stage times (I/O, CPU, result
 //      transfer).
 //
-// Plus one health rule ahead of all cost reasoning: while the database's
-// circuit breaker is open (repeated pushdown session failures, still in
-// cool-down at virtual time `now`), route to the host without touching
-// the device.
+// Plus one health rule after them: a query the rules send to the device
+// goes to the host while the database's circuit breaker is open
+// (repeated pushdown session failures, still in cool-down at virtual
+// time `now`). It is consulted last because past the cool-down it
+// admits the one half-open probe, which must be a device run.
 class PushdownPlanner {
  public:
   explicit PushdownPlanner(Database* db);
@@ -79,11 +80,11 @@ class PushdownPlanner {
   double EstimateSmartSeconds(const exec::BoundQuery& bound,
                               const PlanHints& hints) const;
 
-  // The hard device-eligibility constraints of Decide() — rules 1, 2,
-  // and 4, without the breaker's (mutating) bypass check or the cost
-  // heuristics — as a pure predicate for the placement layer's
-  // adaptive/split policies. Returns the refusal reason, or nullopt
-  // when the device may legally run the query.
+  // The hard device-eligibility constraints — rules 1 to 3, without the
+  // breaker's (mutating) bypass check or the cost heuristics — as a
+  // pure predicate, shared by Decide() and the adaptive placement
+  // policy. Returns the refusal reason, or nullopt when the device may
+  // legally run the query.
   std::optional<std::string> DeviceConstraint(
       const exec::BoundQuery& bound) const;
 

@@ -765,26 +765,15 @@ StepOutcome SplitScanTask::Merge() {
 // QueryTask
 
 QueryTask::QueryTask(Database* db, const exec::QuerySpec* spec,
-                     ExecutionTarget target, SimTime start,
+                     std::optional<ExecutionTarget> target,
+                     const PlanHints& hints, SimTime start,
                      bool wait_for_grant)
     : db_(db),
       spec_(spec),
       start_(start),
       wait_for_grant_(wait_for_grant),
-      explicit_target_(target) {
-  SMARTSSD_CHECK(db != nullptr);
-  SMARTSSD_CHECK(spec != nullptr);
-}
-
-QueryTask::QueryTask(Database* db, const exec::QuerySpec* spec,
-                     const PlanHints& hints, SimTime start,
-                     bool wait_for_grant, const SignalSource* signals)
-    : db_(db),
-      spec_(spec),
-      start_(start),
-      wait_for_grant_(wait_for_grant),
-      hints_(hints),
-      signals_(signals) {
+      target_(target),
+      hints_(hints) {
   SMARTSSD_CHECK(db != nullptr);
   SMARTSSD_CHECK(spec != nullptr);
 }
@@ -806,32 +795,27 @@ StepOutcome QueryTask::Step() {
       return {.at = start_, .finished = true};
     }
     bound_.emplace(std::move(bound.value()));
-    if (explicit_target_.has_value()) {
-      if (*explicit_target_ == ExecutionTarget::kSmartSsd) {
-        device_task_.emplace(db_, &*bound_, start_, /*fallback=*/true,
-                             wait_for_grant_);
-      } else {
-        host_task_.emplace(db_, &*bound_, start_);
-      }
+    PlacementDecision decision;
+    if (target_.has_value()) {
+      decision.target = *target_;
     } else {
-      Result<PlacementDecision> placed =
-          DecidePlacement(db_, *bound_, hints_, db_->options().placement,
-                          start_, signals_);
+      Result<PlacementDecision> placed = DecidePlacement(
+          db_, *bound_, hints_, db_->options().placement, start_);
       if (!placed.ok()) {
         final_result_ = placed.status();
         state_ = State::kDone;
         return {.at = start_, .finished = true};
       }
-      const PlacementDecision& decision = placed.value();
-      if (decision.split) {
-        split_task_.emplace(db_, &*bound_, decision.fragments, start_,
-                            wait_for_grant_);
-      } else if (decision.target == ExecutionTarget::kSmartSsd) {
-        device_task_.emplace(db_, &*bound_, start_, /*fallback=*/true,
-                             wait_for_grant_);
-      } else {
-        host_task_.emplace(db_, &*bound_, start_);
-      }
+      decision = std::move(placed).value();
+    }
+    if (decision.split) {
+      split_task_.emplace(db_, &*bound_, decision.fragments, start_,
+                          wait_for_grant_);
+    } else if (decision.target == ExecutionTarget::kSmartSsd) {
+      device_task_.emplace(db_, &*bound_, start_, /*fallback=*/true,
+                           wait_for_grant_);
+    } else {
+      host_task_.emplace(db_, &*bound_, start_);
     }
     state_ = State::kRun;
     return {.at = start_};

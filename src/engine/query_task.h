@@ -256,22 +256,18 @@ class SplitScanTask {
   std::optional<Result<QueryResult>> final_result_;
 };
 
-// A whole submitted query: binds the spec, picks the placement (an
-// explicit target, or the database's placement policy — possibly a
-// split across both sides), and delegates to the host, device, or
-// split-scan task. This is the unit the workload scheduler drives.
-// `spec` must outlive the task (keep specs at stable addresses);
-// `signals` (optional) gives the adaptive policy its live scheduler
-// view and must outlive the task too.
+// A whole submitted query: binds the spec, picks the placement (the
+// pinned `target`, or when it is nullopt the database's placement
+// policy with `hints` — possibly a split across both sides), and
+// delegates to the host, device, or split-scan task. This is the unit
+// the workload scheduler and the fleet coordinator drive, and what
+// QueryExecutor::ExecuteAuto runs. `spec` must outlive the task (keep
+// specs at stable addresses).
 class QueryTask {
  public:
-  // Explicit target, as QueryExecutor::Execute.
   QueryTask(Database* db, const exec::QuerySpec* spec,
-            ExecutionTarget target, SimTime start, bool wait_for_grant);
-  // Policy-chosen placement, as QueryExecutor::ExecuteAuto.
-  QueryTask(Database* db, const exec::QuerySpec* spec,
-            const PlanHints& hints, SimTime start, bool wait_for_grant,
-            const SignalSource* signals = nullptr);
+            std::optional<ExecutionTarget> target, const PlanHints& hints,
+            SimTime start, bool wait_for_grant);
   SMARTSSD_DISALLOW_COPY_AND_ASSIGN(QueryTask);
 
   StepOutcome Step();
@@ -288,9 +284,8 @@ class QueryTask {
   const exec::QuerySpec* spec_;
   SimTime start_;
   bool wait_for_grant_;
-  std::optional<ExecutionTarget> explicit_target_;
+  std::optional<ExecutionTarget> target_;
   PlanHints hints_;
-  const SignalSource* signals_ = nullptr;
 
   State state_ = State::kPlan;
   std::optional<exec::BoundQuery> bound_;

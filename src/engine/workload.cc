@@ -184,18 +184,9 @@ void WorkloadScheduler::StartQuery(std::size_t source, SimTime arrival,
   q->source = source;
   q->arrival = arrival;
   q->admitted = admitted;
-  if (src.config.target.has_value()) {
-    q->task = std::make_unique<QueryTask>(db_, &src.config.spec,
-                                          *src.config.target, admitted,
-                                          options_.wait_for_grant);
-  } else {
-    // The scheduler itself is the SignalSource: an adaptive policy sees
-    // this query's admission-time load (in-flight count, queue depth,
-    // queue-wait histogram) when the task plans.
-    q->task = std::make_unique<QueryTask>(db_, &src.config.spec,
-                                          src.config.hints, admitted,
-                                          options_.wait_for_grant, this);
-  }
+  q->task = std::make_unique<QueryTask>(db_, &src.config.spec,
+                                        src.config.target, src.config.hints,
+                                        admitted, options_.wait_for_grant);
   ++in_flight_;
   peak_in_flight_ = std::max(peak_in_flight_, in_flight_);
   ScheduleStep(std::move(q), admitted);
@@ -283,17 +274,6 @@ void WorkloadScheduler::OnComplete(const std::shared_ptr<Running>& q,
     admission_queue_.pop_front();
     StartQuery(next.source, next.arrival, /*admitted=*/end, next.id);
   }
-}
-
-LiveSignals WorkloadScheduler::Signals() const {
-  LiveSignals live;
-  live.in_flight = static_cast<std::uint64_t>(in_flight_);
-  live.queue_depth = static_cast<std::uint64_t>(admission_queue_.size());
-  const obs::HistogramSnapshot wait =
-      db_->metrics().SnapshotHistogram("workload.queue_wait_ns");
-  live.queue_wait_count = wait.count;
-  live.queue_wait_p95_ns = wait.p95;
-  return live;
 }
 
 void WorkloadScheduler::TryUnpark() {

@@ -27,8 +27,8 @@ namespace smartssd::engine {
 struct WorkloadQueryConfig {
   std::string client = "client";  // tracer lane + completion records
   exec::QuerySpec spec;
-  // Fixed execution target; nullopt lets the pushdown planner decide
-  // per query (with `hints`) at its admission time.
+  // Fixed execution target; nullopt lets the database's placement
+  // policy decide per query (with `hints`) at its admission time.
   std::optional<ExecutionTarget> target;
   PlanHints hints;
 };
@@ -92,12 +92,10 @@ struct WorkloadOptions {
 // breakdown) and queue wait in workload.queue_wait_ns; each client gets
 // a tracer lane under the "workload" process with one span per query.
 //
-// The scheduler is the SignalSource for adaptive placement: policies
-// read the in-flight count, admission-queue depth, and the
-// workload.queue_wait_ns histogram snapshot at each query's admission
-// time — all virtual-clock-deterministic, so a fixed arrival trace
-// yields byte-identical routing run-to-run.
-class WorkloadScheduler : public SignalSource {
+// A query without a pinned target is placed by the database's policy
+// when its task first steps, at its admission time; the adaptive
+// policy then sees the session grants that earlier admissions hold.
+class WorkloadScheduler {
  public:
   explicit WorkloadScheduler(Database* db,
                              const WorkloadOptions& options = {});
@@ -141,9 +139,6 @@ class WorkloadScheduler : public SignalSource {
   SimTime now() const { return clock_.now(); }
   int peak_in_flight() const { return peak_in_flight_; }
   std::uint64_t peak_queue_depth() const { return peak_queue_depth_; }
-
-  // Live load signals for placement policies (engine/placement.h).
-  LiveSignals Signals() const override;
 
  private:
   struct Source {

@@ -89,8 +89,8 @@ TEST(DifferentialReplay, FaultsOffStillCoversTheMatrix) {
   EXPECT_TRUE(report.ok()) << report.Summary();
   // ref (scalar + vectorized twin, plus a scalar-ISA re-run of the twin
   // on machines whose best kernel ISA uses SIMD lanes) + 8 single
-  // configs (incl. the two hybrid-join spill budgets and the split/
-  // adaptive placement-policy configs) + 4 fleet configs + 4
+  // configs (incl. the two hybrid-join spill budgets and the NSM and
+  // PAX adaptive-placement configs) + 4 fleet configs + 4
   // write-path GC configs per spec.
   const int isa_axis =
       expr::DetectKernelIsa() != expr::KernelIsa::kScalarIsa ? 1 : 0;

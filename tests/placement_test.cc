@@ -1,11 +1,12 @@
-// Placement policies and split-scan execution. The split identity tests
-// pin the refactor's core contract: a scan fragmented across host and
-// device must reproduce the monolithic run's rows, aggregates, AND
+// The adaptive placement policy and split-scan execution. The split
+// identity tests pin the core contract: a scan fragmented across host
+// and device must reproduce the monolithic run's rows, aggregates, AND
 // OpCounts byte-for-byte, on both layouts. The determinism test pins
-// the adaptive router: a fixed arrival trace yields byte-identical
-// routing decisions and results run-to-run. The breaker test pins
-// satellite exclusion: an open breaker keeps the device out of
-// adaptive/split placement up front, with zero device attempts.
+// the router under load: a fixed arrival trace yields byte-identical
+// routing decisions and results run-to-run. The breaker tests pin
+// device exclusion: an open breaker keeps the device out up front, with
+// zero device attempts, and a query overflowing to the host does not
+// spend the half-open probe.
 
 #include <gtest/gtest.h>
 
@@ -97,9 +98,10 @@ TEST_P(SplitIdentityTest, SplitMatchesMonolithicHostAndDevice) {
   Database db(DatabaseOptions::PaperSmartSsd());
   Load(db, GetParam());
   for (const exec::QuerySpec& spec : SplittableSpecs()) {
-    const QueryResult host= RunPinned(db, spec, ExecutionTarget::kHost);
-    const QueryResult device= RunPinned(db, spec, ExecutionTarget::kSmartSsd);
-    const QueryResult split = RunAuto(db, spec, PlacementPolicyKind::kSplit);
+    const QueryResult host = RunPinned(db, spec, ExecutionTarget::kHost);
+    const QueryResult device = RunPinned(db, spec, ExecutionTarget::kSmartSsd);
+    const QueryResult split =
+        RunAuto(db, spec, PlacementPolicyKind::kAdaptive);
 
     ASSERT_TRUE(split.stats.split_scan) << spec.name;
     EXPECT_GE(split.stats.fragments, 2u) << spec.name;
@@ -118,8 +120,8 @@ INSTANTIATE_TEST_SUITE_P(Layouts, SplitIdentityTest,
                          ::testing::Values(storage::PageLayout::kNsm,
                                            storage::PageLayout::kPax));
 
-// Ineligible shapes (joins, top-N) must still execute under the split
-// policy — the decision falls back to whole-query cost-model routing.
+// Ineligible shapes (joins, top-N) must still execute under the
+// adaptive policy — they run whole, on the device.
 TEST(SplitEligibility, IneligibleSpecsFallBackToWholeQueryRouting) {
   Database db(DatabaseOptions::PaperSmartSsd());
   SMARTSSD_CHECK(
@@ -137,35 +139,21 @@ TEST(SplitEligibility, IneligibleSpecsFallBackToWholeQueryRouting) {
   for (const exec::QuerySpec* spec : {&join, &topn}) {
     const QueryResult host = RunPinned(db, *spec, ExecutionTarget::kHost);
     const QueryResult routed =
-        RunAuto(db, *spec, PlacementPolicyKind::kSplit);
+        RunAuto(db, *spec, PlacementPolicyKind::kAdaptive);
     EXPECT_FALSE(routed.stats.split_scan) << spec->name;
+    EXPECT_EQ(routed.stats.target, ExecutionTarget::kSmartSsd) << spec->name;
     EXPECT_EQ(host.rows, routed.rows) << spec->name;
     EXPECT_EQ(host.agg_values, routed.agg_values) << spec->name;
   }
 }
 
-// Static policies pin the side regardless of estimates.
-TEST(StaticPolicies, PinTheirSide) {
-  Database db(DatabaseOptions::PaperSmartSsd());
-  Load(db, storage::PageLayout::kNsm);
-  const exec::QuerySpec spec = tpch::Q6Spec("lineitem");
-
-  const QueryResult host =
-      RunAuto(db, spec, PlacementPolicyKind::kStaticHost);
-  EXPECT_EQ(host.stats.target, ExecutionTarget::kHost);
-  EXPECT_FALSE(host.stats.split_scan);
-
-  const QueryResult device =
-      RunAuto(db, spec, PlacementPolicyKind::kStaticDevice);
-  EXPECT_EQ(device.stats.target, ExecutionTarget::kSmartSsd);
-  EXPECT_EQ(host.rows, device.rows);
-  EXPECT_EQ(host.agg_values, device.agg_values);
-}
-
 // The adaptive router is deterministic: two identical databases driven
 // by the same arrival trace produce byte-identical completion records —
 // same routing decisions (target, split flags), same virtual end times,
-// same result bytes.
+// same result bytes. Admission allows more queries in flight than the
+// device has session grants, so the trace exercises both of the
+// policy's load-dependent routes: split scans while a grant is free,
+// and whole queries on the host while every grant is held.
 TEST(AdaptiveDeterminism, FixedTraceYieldsIdenticalRoutingAndResults) {
   DatabaseOptions options = DatabaseOptions::PaperSmartSsd();
   options.placement = PlacementPolicyKind::kAdaptive;
@@ -174,14 +162,14 @@ TEST(AdaptiveDeterminism, FixedTraceYieldsIdenticalRoutingAndResults) {
     Database db(options);
     Load(db, storage::PageLayout::kPax);
     WorkloadOptions wl;
-    wl.max_in_flight = 2;  // small pool: arrivals queue, backlog splits
+    wl.max_in_flight = 4;  // above the device's 3 session grants
     WorkloadScheduler sched(&db, wl);
     WorkloadQueryConfig config;
     config.client = "trace";
     config.spec = tpch::Q6Spec("lineitem");
     config.target = std::nullopt;  // policy decides
-    // 12 arrivals at a gap far below per-query latency: the admission
-    // queue grows, so the adaptive policy sees real backlog signals.
+    // 12 arrivals at a gap far below per-query latency: admission
+    // fills up, so later arrivals find every session grant held.
     sched.AddOpenLoopClient(std::move(config), 12,
                             /*inter_arrival=*/1'000'000);
     auto records = sched.Run();
@@ -193,7 +181,8 @@ TEST(AdaptiveDeterminism, FixedTraceYieldsIdenticalRoutingAndResults) {
   const auto second = run_trace();
   ASSERT_EQ(first.size(), second.size());
   ASSERT_EQ(first.size(), 12u);
-  bool any_split = false;
+  int splits = 0;
+  int host_overflows = 0;
   for (std::size_t i = 0; i < first.size(); ++i) {
     EXPECT_EQ(first[i].id, second[i].id);
     EXPECT_EQ(first[i].admitted, second[i].admitted);
@@ -207,79 +196,98 @@ TEST(AdaptiveDeterminism, FixedTraceYieldsIdenticalRoutingAndResults) {
     EXPECT_EQ(a.stats.fragments, b.stats.fragments);
     EXPECT_EQ(a.rows, b.rows);
     EXPECT_EQ(a.agg_values, b.agg_values);
-    any_split |= a.stats.split_scan;
+    splits += a.stats.split_scan ? 1 : 0;
+    const bool host_overflow =
+        !a.stats.split_scan && a.stats.target == ExecutionTarget::kHost;
+    host_overflows += host_overflow ? 1 : 0;
   }
-  // The trace was built to back up the admission queue; if no query ever
-  // split, the backlog signal never reached the router and this test
-  // pins nothing.
-  EXPECT_TRUE(any_split);
+  // Without both routes the trace never reached a grant-dependent
+  // decision and this test pins nothing.
+  EXPECT_GE(splits, 1);
+  EXPECT_GE(host_overflows, 1);
 }
 
-// An open breaker excludes the device from adaptive and split placement
-// up front: the query routes to the host at decision time, never
-// attempting (and never falling back from) a device dispatch.
+void TripBreaker(Database& db) {
+  engine::DeviceCircuitBreaker& breaker = db.circuit_breaker();
+  for (std::uint32_t i = 0; i < breaker.config().failure_threshold; ++i) {
+    breaker.RecordFailure(0, "pretrip");
+  }
+  SMARTSSD_CHECK(breaker.state() ==
+                 engine::DeviceCircuitBreaker::State::kOpen);
+}
+
+// An open breaker excludes the device from adaptive placement up front:
+// the query routes to the host at decision time, never attempting (and
+// never falling back from) a device dispatch.
 TEST(BreakerExclusion, OpenBreakerRoutesHostUpFrontWithoutDispatch) {
   Database db(DatabaseOptions::PaperSmartSsd());
   Load(db, storage::PageLayout::kNsm);
   const exec::QuerySpec spec = tpch::Q6Spec("lineitem");
-  const QueryResult healthy= RunPinned(db, spec, ExecutionTarget::kHost);
+  const QueryResult healthy = RunPinned(db, spec, ExecutionTarget::kHost);
 
-  for (const PlacementPolicyKind policy :
-       {PlacementPolicyKind::kAdaptive, PlacementPolicyKind::kSplit}) {
-    engine::DeviceCircuitBreaker& breaker = db.circuit_breaker();
-    breaker.Reset();
-    for (std::uint32_t i = 0; i < breaker.config().failure_threshold; ++i) {
-      breaker.RecordFailure(0, "pretrip");
-    }
-    ASSERT_EQ(breaker.state(),
-              engine::DeviceCircuitBreaker::State::kOpen);
-
-    const QueryResult routed = RunAuto(db, spec, policy);
-    EXPECT_EQ(routed.stats.target, ExecutionTarget::kHost)
-        << engine::PlacementPolicyName(policy);
-    EXPECT_FALSE(routed.stats.split_scan);
-    EXPECT_FALSE(routed.stats.fell_back);
-    EXPECT_EQ(routed.stats.device_attempts, 0u);
-    EXPECT_EQ(healthy.rows, routed.rows);
-    EXPECT_EQ(healthy.agg_values, routed.agg_values);
-    breaker.Reset();
-  }
+  TripBreaker(db);
+  const QueryResult routed =
+      RunAuto(db, spec, PlacementPolicyKind::kAdaptive);
+  EXPECT_EQ(routed.stats.target, ExecutionTarget::kHost);
+  EXPECT_FALSE(routed.stats.split_scan);
+  EXPECT_FALSE(routed.stats.fell_back);
+  EXPECT_EQ(routed.stats.device_attempts, 0u);
+  EXPECT_EQ(healthy.rows, routed.rows);
+  EXPECT_EQ(healthy.agg_values, routed.agg_values);
 }
 
-// DecidePlacement itself, on the signal boundary: an idle scheduler
-// (no queue) keeps the device whole; a backlogged one splits.
-TEST(AdaptiveSignals, BacklogSplitsIdleStaysWhole) {
+// Past the cooldown the breaker admits exactly one half-open probe, and
+// only a device run reports back to it. A query that overflows to the
+// host because every session grant is held must leave the probe for
+// the next query that reaches the device.
+TEST(BreakerExclusion, HostOverflowLeavesTheProbeToTheDevice) {
   Database db(DatabaseOptions::PaperSmartSsd());
   Load(db, storage::PageLayout::kNsm);
   const exec::QuerySpec spec = tpch::Q6Spec("lineitem");
   const auto bound = exec::Bind(spec, db.catalog());
   ASSERT_TRUE(bound.ok());
+  TripBreaker(db);
+  const SimTime past_cooldown = db.circuit_breaker().config().cooldown + 1;
 
-  struct FixedSignals : engine::SignalSource {
-    engine::LiveSignals live;
-    engine::LiveSignals Signals() const override { return live; }
-  };
+  int held = 0;
+  while (db.ssd()->AcquireSessionThread().ok()) ++held;
+  ASSERT_GT(held, 0);
+  auto overflow = engine::DecidePlacement(
+      &db, *bound, {}, PlacementPolicyKind::kAdaptive, past_cooldown);
+  ASSERT_TRUE(overflow.ok());
+  EXPECT_EQ(overflow->target, ExecutionTarget::kHost);
+  EXPECT_FALSE(overflow->split);
 
-  FixedSignals idle;
-  auto whole = engine::DecidePlacement(&db, *bound, {},
-                                       PlacementPolicyKind::kAdaptive, 0,
-                                       &idle);
-  ASSERT_TRUE(whole.ok());
-  EXPECT_FALSE(whole->split);
-  EXPECT_EQ(whole->target, ExecutionTarget::kSmartSsd);
+  for (int i = 0; i < held; ++i) db.ssd()->ReleaseSessionThread();
+  auto probe = engine::DecidePlacement(
+      &db, *bound, {}, PlacementPolicyKind::kAdaptive, past_cooldown);
+  ASSERT_TRUE(probe.ok());
+  EXPECT_EQ(probe->target, ExecutionTarget::kSmartSsd) << probe->reason;
+  EXPECT_TRUE(db.circuit_breaker().probe_in_flight());
+}
 
-  FixedSignals backlog;
-  backlog.live.queue_depth = 4;
+// DecidePlacement itself: with a session grant free, a splittable scan
+// becomes two fragments, host then device, that partition the outer
+// table in page order.
+TEST(AdaptivePlacement, GrantFreeSplitsIntoPageOrderFragments) {
+  Database db(DatabaseOptions::PaperSmartSsd());
+  Load(db, storage::PageLayout::kNsm);
+  const exec::QuerySpec spec = tpch::Q6Spec("lineitem");
+  const auto bound = exec::Bind(spec, db.catalog());
+  ASSERT_TRUE(bound.ok());
+  ASSERT_GT(db.runtime()->session_slots_free(), 0);
+
   auto split = engine::DecidePlacement(&db, *bound, {},
-                                       PlacementPolicyKind::kAdaptive, 0,
-                                       &backlog);
+                                       PlacementPolicyKind::kAdaptive, 0);
   ASSERT_TRUE(split.ok());
   EXPECT_TRUE(split->split);
+  EXPECT_EQ(split->target, ExecutionTarget::kSmartSsd);
   ASSERT_EQ(split->fragments.size(), 2u);
   EXPECT_EQ(split->fragments[0].target, ExecutionTarget::kHost);
   EXPECT_EQ(split->fragments[1].target, ExecutionTarget::kSmartSsd);
-  // Fragments partition the outer table in page order.
   EXPECT_EQ(split->fragments[0].first_page, 0u);
+  EXPECT_GT(split->fragments[0].page_count, 0u);
+  EXPECT_GT(split->fragments[1].page_count, 0u);
   EXPECT_EQ(split->fragments[0].first_page + split->fragments[0].page_count,
             split->fragments[1].first_page);
   EXPECT_EQ(split->fragments[1].first_page + split->fragments[1].page_count,

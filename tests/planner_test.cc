@@ -139,6 +139,41 @@ TEST_F(PlannerTest, WideRowReturningScanStaysOnHost) {
   EXPECT_NE(decision->reason.find("cost"), std::string::npos);
 }
 
+// Past the cooldown the breaker admits exactly one half-open probe, and
+// only a device run reports back to it. A scan the cost model keeps on
+// the host must leave the probe for the next query that reaches the
+// device; otherwise the device stays bypassed a further cooldown with
+// no probe run.
+TEST_F(PlannerTest, HostRoutedScanLeavesTheBreakerProbeToTheDevice) {
+  SMARTSSD_CHECK(tpch::LoadSyntheticS(db_, "wide", 16, 20000, 10,
+                                      storage::PageLayout::kPax)
+                     .ok());
+  db_.ResetForColdRun();
+  DeviceCircuitBreaker& breaker = db_.circuit_breaker();
+  for (std::uint32_t i = 0; i < breaker.config().failure_threshold; ++i) {
+    breaker.RecordFailure(0, "pretrip");
+  }
+  ASSERT_EQ(breaker.state(), DeviceCircuitBreaker::State::kOpen);
+  const SimTime past_cooldown = breaker.config().cooldown + 1;
+  PushdownPlanner planner(&db_);
+
+  const auto wide_spec = tpch::ScanQuerySpec("wide", 16, 1.0, false);
+  auto host = planner.Decide(BindOrDie(wide_spec),
+                             PlanHints{.predicate_selectivity = 1.0},
+                             past_cooldown);
+  ASSERT_TRUE(host.ok());
+  EXPECT_EQ(host->target, ExecutionTarget::kHost);
+  EXPECT_FALSE(breaker.probe_in_flight());
+
+  const auto q6_spec = tpch::Q6Spec("lineitem");
+  auto probe = planner.Decide(BindOrDie(q6_spec),
+                              PlanHints{.predicate_selectivity = 0.006},
+                              past_cooldown);
+  ASSERT_TRUE(probe.ok());
+  EXPECT_EQ(probe->target, ExecutionTarget::kSmartSsd) << probe->reason;
+  EXPECT_TRUE(breaker.probe_in_flight());
+}
+
 TEST_F(PlannerTest, ExecuteAutoFollowsTheDecision) {
   QueryExecutor executor(&db_);
   db_.ResetForColdRun();
