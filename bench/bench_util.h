@@ -173,9 +173,9 @@ class JsonReporter {
   }
 
   // Robustness-aware variant: attaches a flat name->value counter map
-  // serialized as an extra "counters" object (hedge launches, breaker
-  // trips, re-dispatches, ...). Rows added without counters keep the
-  // existing JSON schema.
+  // serialized as an extra "counters" object (breaker trips,
+  // re-dispatches, ...). Rows added without counters keep the existing
+  // JSON schema.
   void AddWithCounters(
       std::string_view config, double virtual_seconds, double paper_ratio,
       double measured_ratio,

@@ -11,8 +11,8 @@
 // `--json=<path>` emits one row per fleet configuration with p99
 // latency as the headline number, achieved-QPS speedup over the
 // 1-device fleet as the measured ratio, and a "counters" object
-// carrying the robustness counters (hedges, re-dispatches, fallbacks,
-// breaker trips) for the CI artifact trail.
+// carrying the robustness counters (re-dispatches, fallbacks, breaker
+// trips) for the CI artifact trail.
 
 #include <algorithm>
 #include <cmath>
@@ -46,7 +46,6 @@ struct PointStats {
   double p50 = 0;
   double p99 = 0;
   double qps = 0;
-  std::uint64_t hedges = 0;
   std::uint64_t redispatches = 0;
   std::uint64_t fallbacks = 0;
   std::uint64_t trips = 0;
@@ -109,7 +108,6 @@ PointStats RunPoint(int devices, bool fault_one_device,
   const double span = ToSeconds(last_end - records.front().arrival);
   stats.qps =
       span > 0 ? static_cast<double>(records.size()) / span : 0;
-  stats.hedges = coordinator.hedges_launched();
   stats.redispatches = coordinator.redispatches();
   stats.fallbacks = coordinator.subquery_fallbacks();
   stats.trips = fleet.TotalBreakerTrips();
@@ -142,9 +140,8 @@ int main(int argc, char** argv) {
                     .agg_values;
   }
 
-  std::printf("%-14s | %8s %8s %8s %8s | %6s %6s %6s %6s\n", "fleet",
-              "p50 s", "p99 s", "qps", "vs 1dev", "hedge", "redisp",
-              "fallbk", "trips");
+  std::printf("%-14s | %8s %8s %8s %8s | %6s %6s %6s\n", "fleet", "p50 s",
+              "p99 s", "qps", "vs 1dev", "redisp", "fallbk", "trips");
   bench::PrintRule();
 
   double one_device_qps = 0;
@@ -165,10 +162,8 @@ int main(int argc, char** argv) {
     char name[32];
     std::snprintf(name, sizeof name, "fleet%d%s", cfg.devices,
                   cfg.faulted ? "-faulted" : "");
-    std::printf("%-14s | %8.4f %8.4f %8.1f %7.2fx | %6llu %6llu %6llu "
-                "%6llu\n",
+    std::printf("%-14s | %8.4f %8.4f %8.1f %7.2fx | %6llu %6llu %6llu\n",
                 name, stats.p50, stats.p99, stats.qps, speedup,
-                static_cast<unsigned long long>(stats.hedges),
                 static_cast<unsigned long long>(stats.redispatches),
                 static_cast<unsigned long long>(stats.fallbacks),
                 static_cast<unsigned long long>(stats.trips));
@@ -180,7 +175,6 @@ int main(int argc, char** argv) {
     reporter.AddWithCounters(
         name, stats.p99, NAN, speedup,
         {{"qps", stats.qps},
-         {"hedges", static_cast<double>(stats.hedges)},
          {"redispatches", static_cast<double>(stats.redispatches)},
          {"fallbacks", static_cast<double>(stats.fallbacks)},
          {"breaker_trips", static_cast<double>(stats.trips)}});

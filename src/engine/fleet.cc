@@ -1,7 +1,6 @@
 #include "engine/fleet.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "engine/partial_merge.h"
@@ -149,16 +148,20 @@ std::uint64_t Fleet::TotalBreakerTrips() const {
 
 // --- FleetCoordinator ------------------------------------------------------
 
-FleetCoordinator::FleetCoordinator(Fleet* fleet,
-                                   const FleetOptions& options)
-    : fleet_(fleet),
-      options_(options),
-      events_(&clock_),
-      tracer_(fleet->tracer()) {
+namespace {
+
+// Fleet queries admitted at once (each fans out one subquery per
+// device); arrivals beyond this wait in a FIFO queue.
+constexpr int kMaxQueriesInFlight = 8;
+// Park a device-path subquery at the host while its device's session
+// thread pool is empty instead of eating an OPEN rejection.
+constexpr bool kWaitForGrant = true;
+
+}  // namespace
+
+FleetCoordinator::FleetCoordinator(Fleet* fleet)
+    : fleet_(fleet), events_(&clock_), tracer_(fleet->tracer()) {
   SMARTSSD_CHECK(fleet != nullptr);
-  SMARTSSD_CHECK_GT(options.max_in_flight, 0);
-  SMARTSSD_CHECK_GT(options.hedge_latency_factor, 0.0);
-  SMARTSSD_CHECK_GT(options.hedge_min_samples, 0);
   if (tracer_ != nullptr) {
     for (int i = 0; i < fleet_->devices(); ++i) {
       device_tracks_.push_back(
@@ -228,7 +231,7 @@ void FleetCoordinator::ScheduleArrival(std::size_t source, SimTime at,
 
 void FleetCoordinator::OnArrival(std::size_t source, SimTime arrival,
                                  std::uint64_t id) {
-  if (in_flight_ < options_.max_in_flight) {
+  if (in_flight_ < kMaxQueriesInFlight) {
     StartQuery(source, arrival, /*admitted=*/arrival, id);
     return;
   }
@@ -264,8 +267,6 @@ void FleetCoordinator::StartQuery(std::size_t source, SimTime arrival,
   q->outstanding = n;
   for (int d = 0; d < n; ++d) {
     Subquery& sub = q->subs[static_cast<std::size_t>(d)];
-    sub.device = d;
-    sub.start = admitted;
     sub.record.device = d;
     sub.record.start = admitted;
     Database& db = fleet_->device(d);
@@ -292,217 +293,111 @@ void FleetCoordinator::StartQuery(std::size_t source, SimTime arrival,
         fleet_->metrics().counter("fleet.breaker_probes")->Add();
       }
     }
-    sub.hedge_eligible = target == ExecutionTarget::kSmartSsd;
-    sub.primary = std::make_unique<QueryTask>(
-        &db, src.config.spec, target, src.config.hints, admitted,
-        options_.wait_for_grant);
+    sub.task = std::make_unique<QueryTask>(&db, src.config.spec, target,
+                                           src.config.hints, admitted,
+                                           kWaitForGrant);
   }
   for (int d = 0; d < n; ++d) {
-    ScheduleStep(q, static_cast<std::size_t>(d), Branch::kPrimary,
-                 admitted);
-    MaybeArmHedge(q, static_cast<std::size_t>(d));
+    ScheduleStep(q, static_cast<std::size_t>(d), admitted);
   }
 }
 
 void FleetCoordinator::ScheduleStep(std::shared_ptr<FleetQuery> q,
-                                    std::size_t sub, Branch branch,
-                                    SimTime at) {
+                                    std::size_t sub, SimTime at) {
   // Some steps retire in the virtual past (cached pages, pruned pages):
   // clamp to the coordinator's now.
   events_.ScheduleAt(std::max(clock_.now(), at),
-                     [this, q = std::move(q), sub, branch](SimTime) {
-                       OnStep(q, sub, branch);
+                     [this, q = std::move(q), sub](SimTime) {
+                       OnStep(q, sub);
                      });
 }
 
 void FleetCoordinator::OnStep(const std::shared_ptr<FleetQuery>& q,
-                              std::size_t sub_idx, Branch branch) {
-  Subquery& sub = q->subs[sub_idx];
-  QueryTask* task =
-      branch == Branch::kPrimary ? sub.primary.get() : sub.hedge.get();
-  // A null task is a stale event: the branch lost a hedge race, its
-  // partition resolved, or the whole query was cancelled.
-  if (task == nullptr || sub.completed) return;
+                              std::size_t sub_idx) {
+  QueryTask* task = q->subs[sub_idx].task.get();
+  // A null task is a stale event: the whole query was cancelled.
+  if (task == nullptr) return;
   const StepOutcome outcome = task->Step();
   if (outcome.waiting_for_grant) {
-    parked_.push_back(
-        Parked{.query = q, .sub = sub_idx, .branch = branch});
+    parked_.push_back(Parked{.query = q, .sub = sub_idx});
     return;
   }
   if (outcome.finished) {
-    OnBranchComplete(q, sub_idx, branch, outcome.at);
+    OnSubqueryComplete(q, sub_idx, outcome.at);
   } else {
-    ScheduleStep(q, sub_idx, branch, outcome.at);
+    ScheduleStep(q, sub_idx, outcome.at);
   }
-  // This step may have released a session grant (CLOSE, failure, hedge
+  // This step may have released a session grant (CLOSE, failure,
   // cancellation); wake parked tasks while grants are free.
   TryUnpark();
 }
 
-void FleetCoordinator::OnBranchComplete(
-    const std::shared_ptr<FleetQuery>& q, std::size_t sub_idx,
-    Branch branch, SimTime at) {
+void FleetCoordinator::OnSubqueryComplete(
+    const std::shared_ptr<FleetQuery>& q, std::size_t sub_idx, SimTime at) {
   Subquery& sub = q->subs[sub_idx];
-  QueryTask* task =
-      branch == Branch::kPrimary ? sub.primary.get() : sub.hedge.get();
-  Result<QueryResult> result = task->TakeResult();
-
-  if (result.ok()) {
-    // First result wins; destroying the losing task releases any session
-    // grants it held (SessionTask's destructor) and turns its pending
-    // events into no-ops.
-    sub.completed = true;
-    sub.winner = std::move(result).value();
-    sub.record.end = at;
-    if (branch == Branch::kHedge) {
-      sub.record.hedge_won = true;
-      ++hedge_wins_;
-      fleet_->metrics().counter("fleet.hedge_wins")->Add();
-    } else if (sub.winner->stats.fell_back) {
-      sub.record.fell_back = true;
-      ++subquery_fallbacks_;
-      fleet_->metrics().counter("fleet.subquery_fallbacks")->Add();
-    }
-    sub.primary.reset();
-    sub.hedge.reset();
-    q->last_done = std::max(q->last_done, at);
-    NoteSubqueryLatency(at - sub.start);
-    if (tracer_ != nullptr) {
-      std::vector<obs::Arg> args{
-          obs::Arg::Uint("query", q->id),
-          obs::Arg::Str("target",
-                        ExecutionTargetName(sub.winner->stats.target))};
-      if (sub.record.redispatched) {
-        args.push_back(obs::Arg::Uint("redispatched", 1));
-      }
-      if (sub.record.fell_back) {
-        args.push_back(obs::Arg::Uint("fell_back", 1));
-      }
-      if (sub.record.hedge_won) {
-        args.push_back(obs::Arg::Uint("hedge_won", 1));
-      }
-      tracer_->Complete(device_tracks_[static_cast<std::size_t>(sub.device)],
-                        "subquery", "fleet", sub.start, at,
-                        std::move(args));
-    }
-    if (--q->outstanding == 0) FinishQuery(q, at);
-    return;
-  }
-
-  // The branch failed. A primary carries its own internal host fallback,
-  // so a failed primary means both the device and host paths died; the
-  // hedge (if any) is the partition's last chance, and vice versa.
-  if (branch == Branch::kPrimary) {
-    sub.primary.reset();
-    sub.primary_failed = true;
-    sub.primary_error = result.status();
-    if (sub.hedge != nullptr) return;
-    OnPartitionUnavailable(q, sub_idx, sub.primary_error, at);
-  } else {
-    sub.hedge.reset();
-    if (sub.primary != nullptr) return;
-    OnPartitionUnavailable(
-        q, sub_idx,
-        sub.primary_failed ? sub.primary_error : result.status(), at);
-  }
-}
-
-void FleetCoordinator::OnPartitionUnavailable(
-    const std::shared_ptr<FleetQuery>& q, std::size_t sub_idx,
-    const Status& error, SimTime at) {
-  Subquery& sub = q->subs[sub_idx];
-  sub.completed = true;
-  sub.record.unavailable = true;
+  const int device = sub.record.device;
+  Result<QueryResult> result = sub.task->TakeResult();
+  sub.task.reset();
   sub.record.end = at;
-  q->last_done = std::max(q->last_done, at);
-  ++unavailable_partitions_;
-  fleet_->metrics().counter("fleet.unavailable_partitions")->Add();
-  if (tracer_ != nullptr) {
-    tracer_->Instant(device_tracks_[static_cast<std::size_t>(sub.device)],
-                     "partition unavailable", "fleet",
-                     std::max(clock_.now(), at),
-                     {obs::Arg::Uint("query", q->id),
-                      obs::Arg::Str("error", error.message())});
-  }
-  if (options_.policy == FleetResultPolicy::kStrict) {
-    q->failed = true;
-    q->failure = AbortedError(
-        "partition " + std::to_string(sub.device) +
-        " unavailable on every path: " + std::string(error.message()));
+
+  if (!result.ok()) {
+    // The task carries its own in-query host fallback, so a failure
+    // means the device and host paths both died: the partition is
+    // unavailable and the query fails.
+    sub.record.unavailable = true;
+    ++unavailable_partitions_;
+    fleet_->metrics().counter("fleet.unavailable_partitions")->Add();
+    if (tracer_ != nullptr) {
+      tracer_->Instant(device_tracks_[static_cast<std::size_t>(device)],
+                       "partition unavailable", "fleet",
+                       std::max(clock_.now(), at),
+                       {obs::Arg::Uint("query", q->id),
+                        obs::Arg::Str("error", result.status().message())});
+    }
     // Cancel the surviving subqueries: their results can no longer
     // matter, and destroying the tasks hands session grants back.
-    for (Subquery& other : q->subs) {
-      other.primary.reset();
-      other.hedge.reset();
-    }
-    q->outstanding = 0;
-    FinishQuery(q, at);
+    for (Subquery& other : q->subs) other.task.reset();
+    CompleteRecord(q, at,
+                   AbortedError("partition " + std::to_string(device) +
+                                " unavailable on every path: " +
+                                std::string(result.status().message())));
     return;
   }
-  if (--q->outstanding == 0) FinishQuery(q, at);
-}
 
-void FleetCoordinator::MaybeArmHedge(const std::shared_ptr<FleetQuery>& q,
-                                     std::size_t sub_idx) {
-  if (!options_.hedging) return;
-  Subquery& sub = q->subs[sub_idx];
-  if (!sub.hedge_eligible) return;
-  const SimDuration deadline = HedgeDeadline();
-  if (deadline == 0) return;  // not enough samples fleet-wide yet
-  events_.ScheduleAt(sub.start + deadline,
-                     [this, q, sub_idx](SimTime) {
-                       OnHedgeDeadline(q, sub_idx);
-                     });
-}
-
-void FleetCoordinator::OnHedgeDeadline(
-    const std::shared_ptr<FleetQuery>& q, std::size_t sub_idx) {
-  Subquery& sub = q->subs[sub_idx];
-  // Stale unless the primary is still the partition's only live hope.
-  if (sub.completed || sub.hedge != nullptr || sub.primary == nullptr) {
-    return;
+  sub.result = std::move(result).value();
+  q->last_done = std::max(q->last_done, at);
+  if (sub.result->stats.fell_back) {
+    sub.record.fell_back = true;
+    ++subquery_fallbacks_;
+    fleet_->metrics().counter("fleet.subquery_fallbacks")->Add();
   }
-  const SimTime now = clock_.now();
-  // The duplicate runs the host path over the same device's partition —
-  // a different data path (host link + buffer pool) than the stuck
-  // session, so a stalled device GET does not stall the hedge.
-  sub.hedge = std::make_unique<QueryTask>(
-      &fleet_->device(sub.device), sources_[q->source].config.spec,
-      ExecutionTarget::kHost, PlanHints{}, now, /*wait_for_grant=*/false);
-  sub.record.hedged = true;
-  ++hedges_launched_;
-  fleet_->metrics().counter("fleet.hedges")->Add();
+  fleet_->metrics()
+      .histogram("fleet.subquery_latency_ns")
+      ->Record(at - sub.record.start);
   if (tracer_ != nullptr) {
-    tracer_->Instant(device_tracks_[static_cast<std::size_t>(sub.device)],
-                     "hedge launched", "fleet", now,
-                     {obs::Arg::Uint("query", q->id)});
+    std::vector<obs::Arg> args{
+        obs::Arg::Uint("query", q->id),
+        obs::Arg::Str("target",
+                      ExecutionTargetName(sub.result->stats.target))};
+    if (sub.record.redispatched) {
+      args.push_back(obs::Arg::Uint("redispatched", 1));
+    }
+    if (sub.record.fell_back) {
+      args.push_back(obs::Arg::Uint("fell_back", 1));
+    }
+    tracer_->Complete(device_tracks_[static_cast<std::size_t>(device)],
+                      "subquery", "fleet", sub.record.start, at,
+                      std::move(args));
   }
-  ScheduleStep(q, sub_idx, Branch::kHedge, now);
+  if (--q->outstanding == 0) FinishQuery(q);
 }
 
-void FleetCoordinator::FinishQuery(const std::shared_ptr<FleetQuery>& q,
-                                   SimTime at) {
-  if (q->failed) {
-    CompleteRecord(q, at, q->failure);
-    return;
-  }
+void FleetCoordinator::FinishQuery(const std::shared_ptr<FleetQuery>& q) {
   const exec::QuerySpec& spec = *sources_[q->source].config.spec;
   // Merge order is fixed by partition id — never completion order — so
-  // hedges, fallbacks, and interleavings cannot perturb the bytes.
+  // fallbacks and interleavings cannot perturb the bytes.
   std::vector<const QueryResult*> ordered;
-  std::vector<int> missing;
-  for (const Subquery& sub : q->subs) {
-    if (sub.winner.has_value()) {
-      ordered.push_back(&*sub.winner);
-    } else {
-      missing.push_back(sub.device);
-    }
-  }
-  if (ordered.empty()) {
-    CompleteRecord(q, at,
-                   AbortedError("every partition unavailable"));
-    return;
-  }
+  for (const Subquery& sub : q->subs) ordered.push_back(&*sub.result);
   MergedPartials merged =
       MergePartialResults(spec, ordered.front()->output_schema, ordered);
 
@@ -516,17 +411,8 @@ void FleetCoordinator::FinishQuery(const std::shared_ptr<FleetQuery>& q,
   result.end = fleet_->device(0).host().Execute(
       MergeCostCycles(merged.input_rows, merged.input_bytes),
       q->last_done, "fleet merge");
-  result.partition_stats.resize(q->subs.size());
-  for (std::size_t d = 0; d < q->subs.size(); ++d) {
-    if (q->subs[d].winner.has_value()) {
-      result.partition_stats[d] = q->subs[d].winner->stats;
-    }
-  }
-  result.degraded = !missing.empty();
-  result.missing_partitions = std::move(missing);
-  if (result.degraded) {
-    ++degraded_queries_;
-    fleet_->metrics().counter("fleet.degraded")->Add();
+  for (const Subquery& sub : q->subs) {
+    result.partition_stats.push_back(sub.result->stats);
   }
   const SimTime end = result.end;
   CompleteRecord(q, end, std::move(result));
@@ -555,9 +441,6 @@ void FleetCoordinator::CompleteRecord(const std::shared_ptr<FleetQuery>& q,
   std::vector<obs::Arg> span_args{obs::Arg::Uint("id", record.id)};
   if (record.result.ok()) {
     metrics.counter("fleet.completed")->Add();
-    if (record.result.value().degraded) {
-      span_args.push_back(obs::Arg::Uint("degraded", 1));
-    }
   } else {
     metrics.counter("fleet.failed")->Add();
     span_args.push_back(
@@ -576,35 +459,11 @@ void FleetCoordinator::CompleteRecord(const std::shared_ptr<FleetQuery>& q,
     --mutable_src.remaining;
     ScheduleArrival(q->source, end + mutable_src.think_time, next_id_++);
   }
-  if (!admission_queue_.empty() && in_flight_ < options_.max_in_flight) {
+  if (!admission_queue_.empty() && in_flight_ < kMaxQueriesInFlight) {
     const PendingArrival next = admission_queue_.front();
     admission_queue_.pop_front();
     StartQuery(next.source, next.arrival, /*admitted=*/end, next.id);
   }
-}
-
-void FleetCoordinator::NoteSubqueryLatency(SimDuration latency) {
-  latency_samples_.push_back(latency);
-  fleet_->metrics().histogram("fleet.subquery_latency_ns")->Record(latency);
-}
-
-SimDuration FleetCoordinator::HedgeDeadline() const {
-  if (latency_samples_.size() <
-      static_cast<std::size_t>(options_.hedge_min_samples)) {
-    return 0;
-  }
-  std::vector<SimDuration> sorted = latency_samples_;
-  std::sort(sorted.begin(), sorted.end());
-  const double quantile =
-      std::clamp(options_.hedge_quantile, 0.0, 1.0);
-  // Nearest-rank, matching the bench harness's percentile convention.
-  std::size_t rank = static_cast<std::size_t>(
-      std::ceil(quantile * static_cast<double>(sorted.size())));
-  if (rank > 0) --rank;
-  if (rank >= sorted.size()) rank = sorted.size() - 1;
-  const double scaled = static_cast<double>(sorted[rank]) *
-                        options_.hedge_latency_factor;
-  return std::max<SimDuration>(1, static_cast<SimDuration>(scaled));
 }
 
 void FleetCoordinator::TryUnpark() {
@@ -617,14 +476,12 @@ void FleetCoordinator::TryUnpark() {
   for (std::size_t i = 0; i < n; ++i) {
     Parked p = std::move(parked_.front());
     parked_.pop_front();
-    Subquery& sub = p.query->subs[p.sub];
-    QueryTask* task = p.branch == Branch::kPrimary ? sub.primary.get()
-                                                   : sub.hedge.get();
-    if (task == nullptr || sub.completed) continue;
+    const Subquery& sub = p.query->subs[p.sub];
+    if (sub.task == nullptr) continue;
     smart::SmartSsdRuntime* runtime =
-        fleet_->device(sub.device).runtime();
+        fleet_->device(sub.record.device).runtime();
     if (runtime != nullptr && runtime->session_slots_free() > 0) {
-      ScheduleStep(p.query, p.sub, p.branch, clock_.now());
+      ScheduleStep(p.query, p.sub, clock_.now());
     } else {
       parked_.push_back(std::move(p));
     }
@@ -638,11 +495,7 @@ Result<std::vector<CompletedFleetQuery>> FleetCoordinator::Run() {
   fleet_->UpdateBreakerGauges();
   bool stuck_parked = false;
   for (const Parked& p : parked_) {
-    const Subquery& sub = p.query->subs[p.sub];
-    const QueryTask* task = p.branch == Branch::kPrimary
-                                ? sub.primary.get()
-                                : sub.hedge.get();
-    if (task != nullptr && !sub.completed) stuck_parked = true;
+    if (p.query->subs[p.sub].task != nullptr) stuck_parked = true;
   }
   if (completed_.size() != expected_ || in_flight_ != 0 || stuck_parked ||
       !admission_queue_.empty()) {
@@ -656,9 +509,8 @@ Result<std::vector<CompletedFleetQuery>> FleetCoordinator::Run() {
 Result<FleetQueryResult> ExecuteOnFleet(Fleet& fleet,
                                         const exec::QuerySpec& spec,
                                         ExecutionTarget target,
-                                        SimTime start,
-                                        const FleetOptions& options) {
-  FleetCoordinator coordinator(&fleet, options);
+                                        SimTime start) {
+  FleetCoordinator coordinator(&fleet);
   FleetQueryConfig config;
   config.client = "fleet-exec";
   config.spec = &spec;

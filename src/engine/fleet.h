@@ -11,27 +11,24 @@
 //     row indexes so any partitioning is cell-identical to a
 //     single-device load (the table_gen purity rule), each device with
 //     its own seeded fault-injector stream and its own circuit breaker;
-//   * FleetCoordinator: fans each query out as per-device resumable
-//     QueryTasks interleaved on one sim::EventQueue (the
+//   * FleetCoordinator: fans each query out as one resumable QueryTask
+//     per partition, interleaved on one sim::EventQueue (the
 //     WorkloadScheduler machinery), merges partials deterministically
-//     in partition-id order, and layers on the robustness ladder —
+//     in partition-id order, and climbs a three-rung robustness ladder —
 //       1. per-partition host fallback on device faults (byte-identical
 //          results, the DeviceQueryTask contract),
 //       2. breaker-open re-dispatch: a tripped device's partitions go
 //          straight to its host path, skipping the doomed session,
-//       3. hedged subqueries: a straggling device-path subquery gets a
-//          host-path duplicate once it outlives a fleet-wide latency
-//          quantile; first result wins, the loser is cancelled,
-//       4. degraded mode: a partition no path can compute is an
-//          explicit error (strict) or an explicitly-flagged partial
-//          result (best effort) — never a silent truncation.
+//       3. strict failure: a partition no path can compute fails the
+//          whole query with an explicit ABORTED error naming it — never
+//          a silent truncation.
 //
 // Determinism: everything is virtual-time-driven off one event queue
 // with FIFO tie-breaks, per-device fault seeds are a pure hash of
 // (fleet_seed, device_id), and the merge order is fixed by partition
-// id — so replays pick the same hedge winners and produce byte-
-// identical results, which is what lets fleet shapes sit in the
-// differential matrix next to the single-device ground truth.
+// id — so replays produce byte-identical results, which is what lets
+// fleet shapes sit in the differential matrix next to the single-device
+// ground truth.
 
 #include <cstdint>
 #include <deque>
@@ -60,39 +57,6 @@ inline constexpr std::uint64_t kDefaultFleetSeed = 0xF1EE7;
 // (fleet_seed, device_id), mirroring table_gen's purity rule, so one
 // fleet seed on a replay line reproduces every device's fault stream.
 std::uint64_t DeviceFaultSeed(std::uint64_t fleet_seed, int device_id);
-
-// How a fleet query ends when a partition is unavailable on every path.
-enum class FleetResultPolicy {
-  // The query fails with an Unavailable error naming the partition.
-  kStrict,
-  // Available partitions merge; the result carries degraded = true and
-  // the missing partition list. Explicit, never silent.
-  kBestEffort,
-};
-
-struct FleetOptions {
-  std::uint64_t fleet_seed = kDefaultFleetSeed;
-
-  // Hedging: once `hedge_min_samples` subqueries have completed
-  // fleet-wide, a device-path subquery still outstanding past
-  // `hedge_latency_factor` x the `hedge_quantile` of completed subquery
-  // latencies gets a host-path duplicate on the same device's data;
-  // whichever finishes first wins and the loser is cancelled (its
-  // session grants are released on destruction).
-  bool hedging = true;
-  double hedge_quantile = 0.9;
-  double hedge_latency_factor = 2.0;
-  int hedge_min_samples = 4;
-
-  FleetResultPolicy policy = FleetResultPolicy::kStrict;
-
-  // Admission control over whole fleet queries (each fans out one
-  // subquery per device); arrivals beyond this wait in a FIFO queue.
-  int max_in_flight = 8;
-  // Park a device-path subquery at the host while its device's session
-  // thread pool is empty instead of eating an OPEN rejection.
-  bool wait_for_grant = true;
-};
 
 // N single-device databases acting as one partitioned store. Device i's
 // fault injector is seeded with DeviceFaultSeed(fleet_seed, i) whenever
@@ -154,9 +118,9 @@ class Fleet {
   void AttachTracer(obs::Tracer* tracer);
   obs::Tracer* tracer() const { return tracer_; }
 
-  // Fleet-level instruments (hedge/re-dispatch counters, per-device
-  // breaker-state gauges, latency histograms) live here, separate from
-  // the per-device registries.
+  // Fleet-level instruments (re-dispatch and fallback counters,
+  // per-device breaker-state gauges, latency histograms) live here,
+  // separate from the per-device registries.
   obs::MetricsRegistry& metrics() { return metrics_; }
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 
@@ -184,13 +148,10 @@ struct FleetSubqueryRecord {
   SimTime end = 0;
   bool redispatched = false;  // breaker-open: sent straight to host
   bool fell_back = false;     // device session died, host rerun won
-  bool hedged = false;        // a host-path duplicate was launched
-  bool hedge_won = false;     // ... and delivered the winning result
   bool unavailable = false;   // no path produced this partition
 };
 
-// A merged fleet query result. `partition_stats` is indexed by device
-// id (default-constructed for unavailable partitions under best-effort).
+// A merged fleet query result. `partition_stats` is indexed by device id.
 struct FleetQueryResult {
   storage::Schema output_schema;
   std::vector<std::byte> rows;
@@ -198,8 +159,6 @@ struct FleetQueryResult {
   SimTime start = 0;
   SimTime end = 0;  // last partial done + coordinator merge
   std::vector<QueryStats> partition_stats;
-  bool degraded = false;
-  std::vector<int> missing_partitions;
 
   SimDuration elapsed() const { return end - start; }
   double elapsed_seconds() const { return ToSeconds(elapsed()); }
@@ -216,8 +175,7 @@ struct FleetQueryConfig {
   std::string client = "client";
   const exec::QuerySpec* spec = nullptr;
   // Fixed execution target for every subquery; nullopt lets each
-  // device's placement policy decide (hedging only arms for explicit
-  // kSmartSsd subqueries — the policy already routes around slowness).
+  // device's placement policy decide.
   std::optional<ExecutionTarget> target = ExecutionTarget::kSmartSsd;
   PlanHints hints;
 };
@@ -237,14 +195,16 @@ struct CompletedFleetQuery {
   SimDuration queue_wait() const { return admitted - arrival; }
 };
 
-// Drives N concurrent fleet queries, each scattered across every device
-// as resumable QueryTasks on one shared event queue, with hedging,
-// breaker-aware re-dispatch, and the degraded-mode ladder described in
-// the header comment. One-shot, like WorkloadScheduler: add clients,
+// Drives concurrent fleet queries, each scattered across every device
+// as one resumable QueryTask per partition on one shared event queue,
+// up the robustness ladder described in the header comment. Up to 8
+// fleet queries run at once; later arrivals wait in a FIFO queue. A
+// device-path subquery parks at the host while its device's session
+// thread pool is empty. One-shot, like WorkloadScheduler: add clients,
 // Run() once.
 class FleetCoordinator {
  public:
-  explicit FleetCoordinator(Fleet* fleet, const FleetOptions& options = {});
+  explicit FleetCoordinator(Fleet* fleet);
   SMARTSSD_DISALLOW_COPY_AND_ASSIGN(FleetCoordinator);
 
   // One fleet query arriving at virtual time `at`. Returns its id.
@@ -269,29 +229,19 @@ class FleetCoordinator {
 
   // Robustness counters for this run (also mirrored as fleet.* metrics
   // on the fleet's registry).
-  std::uint64_t hedges_launched() const { return hedges_launched_; }
-  std::uint64_t hedge_wins() const { return hedge_wins_; }
   std::uint64_t redispatches() const { return redispatches_; }
   std::uint64_t breaker_probes() const { return breaker_probes_; }
   std::uint64_t subquery_fallbacks() const { return subquery_fallbacks_; }
   std::uint64_t unavailable_partitions() const {
     return unavailable_partitions_;
   }
-  std::uint64_t degraded_queries() const { return degraded_queries_; }
 
  private:
-  enum class Branch { kPrimary, kHedge };
-
   struct Subquery {
-    int device = -1;
-    SimTime start = 0;
-    std::unique_ptr<QueryTask> primary;
-    std::unique_ptr<QueryTask> hedge;
-    bool hedge_eligible = false;  // explicit device-path primary
-    bool primary_failed = false;
-    Status primary_error = Status::OK();
-    bool completed = false;
-    std::optional<QueryResult> winner;
+    // Null once the partition resolved or the query was cancelled; the
+    // task's pending events and parked entry then go stale.
+    std::unique_ptr<QueryTask> task;
+    std::optional<QueryResult> result;
     FleetSubqueryRecord record;
   };
 
@@ -302,8 +252,6 @@ class FleetCoordinator {
     SimTime admitted = 0;
     std::vector<Subquery> subs;  // indexed by device id
     int outstanding = 0;
-    bool failed = false;
-    Status failure = Status::OK();
     SimTime last_done = 0;
   };
 
@@ -324,7 +272,6 @@ class FleetCoordinator {
   struct Parked {
     std::shared_ptr<FleetQuery> query;
     std::size_t sub = 0;
-    Branch branch = Branch::kPrimary;
   };
 
   std::size_t AddSource(FleetQueryConfig config);
@@ -333,26 +280,16 @@ class FleetCoordinator {
   void StartQuery(std::size_t source, SimTime arrival, SimTime admitted,
                   std::uint64_t id);
   void ScheduleStep(std::shared_ptr<FleetQuery> q, std::size_t sub,
-                    Branch branch, SimTime at);
-  void OnStep(const std::shared_ptr<FleetQuery>& q, std::size_t sub,
-              Branch branch);
-  void OnBranchComplete(const std::shared_ptr<FleetQuery>& q,
-                        std::size_t sub, Branch branch, SimTime at);
-  void OnPartitionUnavailable(const std::shared_ptr<FleetQuery>& q,
-                              std::size_t sub, const Status& error,
-                              SimTime at);
-  void MaybeArmHedge(const std::shared_ptr<FleetQuery>& q, std::size_t sub);
-  void OnHedgeDeadline(const std::shared_ptr<FleetQuery>& q,
-                       std::size_t sub);
-  void FinishQuery(const std::shared_ptr<FleetQuery>& q, SimTime at);
+                    SimTime at);
+  void OnStep(const std::shared_ptr<FleetQuery>& q, std::size_t sub);
+  void OnSubqueryComplete(const std::shared_ptr<FleetQuery>& q,
+                          std::size_t sub, SimTime at);
+  void FinishQuery(const std::shared_ptr<FleetQuery>& q);
   void CompleteRecord(const std::shared_ptr<FleetQuery>& q, SimTime end,
                       Result<FleetQueryResult> result);
-  void NoteSubqueryLatency(SimDuration latency);
-  SimDuration HedgeDeadline() const;  // factor x quantile, 0 if unarmed
   void TryUnpark();
 
   Fleet* fleet_;
-  FleetOptions options_;
   sim::Clock clock_;
   sim::EventQueue events_;
   obs::Tracer* tracer_ = nullptr;
@@ -362,20 +299,16 @@ class FleetCoordinator {
   std::deque<PendingArrival> admission_queue_;
   std::deque<Parked> parked_;
   std::vector<CompletedFleetQuery> completed_;
-  std::vector<SimDuration> latency_samples_;  // completed subqueries
   std::uint64_t next_id_ = 1;
   std::uint64_t expected_ = 0;
   int in_flight_ = 0;
   int peak_in_flight_ = 0;
   bool ran_ = false;
 
-  std::uint64_t hedges_launched_ = 0;
-  std::uint64_t hedge_wins_ = 0;
   std::uint64_t redispatches_ = 0;
   std::uint64_t breaker_probes_ = 0;
   std::uint64_t subquery_fallbacks_ = 0;
   std::uint64_t unavailable_partitions_ = 0;
-  std::uint64_t degraded_queries_ = 0;
 };
 
 // Blocking convenience: one query scattered across the fleet and merged
@@ -384,8 +317,7 @@ class FleetCoordinator {
 Result<FleetQueryResult> ExecuteOnFleet(Fleet& fleet,
                                         const exec::QuerySpec& spec,
                                         ExecutionTarget target,
-                                        SimTime start = 0,
-                                        const FleetOptions& options = {});
+                                        SimTime start = 0);
 
 }  // namespace smartssd::engine
 

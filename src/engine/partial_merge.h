@@ -7,7 +7,7 @@
 // The merge is a pure function of the partials *in the order given*, so
 // a coordinator that fixes that order by partition id (never by
 // completion order) gets byte-identical output no matter how the
-// partitions' executions interleaved, hedged, or fell back.
+// partitions' executions interleaved or fell back.
 
 #include <cstddef>
 #include <cstdint>

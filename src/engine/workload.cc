@@ -186,7 +186,7 @@ void WorkloadScheduler::StartQuery(std::size_t source, SimTime arrival,
   q->admitted = admitted;
   q->task = std::make_unique<QueryTask>(db_, &src.config.spec,
                                         src.config.target, src.config.hints,
-                                        admitted, options_.wait_for_grant);
+                                        admitted, /*wait_for_grant=*/true);
   ++in_flight_;
   peak_in_flight_ = std::max(peak_in_flight_, in_flight_);
   ScheduleStep(std::move(q), admitted);

@@ -71,9 +71,6 @@ struct WorkloadOptions {
   // complete). Arrivals beyond this wait in a FIFO queue — that wait is
   // the backpressure signal (workload.queue_wait_ns).
   int max_in_flight = 8;
-  // Park pushdown queries at the host while the device's session thread
-  // pool is empty instead of eating an OPEN rejection.
-  bool wait_for_grant = true;
 };
 
 // Drives N concurrent queries over one Database on a shared virtual
@@ -95,6 +92,8 @@ struct WorkloadOptions {
 // A query without a pinned target is placed by the database's policy
 // when its task first steps, at its admission time; the adaptive
 // policy then sees the session grants that earlier admissions hold.
+// A pushdown query parks at the host while the device's session thread
+// pool is empty instead of eating an OPEN rejection.
 class WorkloadScheduler {
  public:
   explicit WorkloadScheduler(Database* db,

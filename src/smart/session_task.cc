@@ -21,7 +21,7 @@ SessionTask::SessionTask(SmartSsdRuntime* runtime, InSsdProgram* program,
 }
 
 SessionTask::~SessionTask() {
-  // An abandoned in-flight task (hedge lost the race, scheduler
+  // An abandoned in-flight task (fleet query cancelled, scheduler
   // teardown) still hands every grant back; it just skips the
   // completed/failed bookkeeping.
   if (begin_noted_) runtime_->NoteSessionAbandoned();

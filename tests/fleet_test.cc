@@ -3,8 +3,9 @@
 // truth (aggregates, GROUP BY, global top-N, a join against a
 // replicated inner, TPC-H scale-out), per-device fault-seed purity,
 // breaker-open re-dispatch, half-open single-probe admission under
-// concurrent traffic, hedged subqueries with deterministic replay, and
-// the degraded-mode ladder.
+// concurrent traffic, deterministic replay with a straggling device,
+// and strict failure (with cancellation) when a partition is
+// unavailable on every path.
 
 #include <gtest/gtest.h>
 
@@ -86,10 +87,9 @@ ExecutionOutput GroundTruth(const exec::QuerySpec& spec,
 }
 
 ExecutionOutput FleetRun(Fleet& fleet, const exec::QuerySpec& spec,
-                         ExecutionTarget target,
-                         const FleetOptions& options = {}) {
+                         ExecutionTarget target) {
   fleet.ResetForColdRun();
-  auto result = ExecuteOnFleet(fleet, spec, target, 0, options);
+  auto result = ExecuteOnFleet(fleet, spec, target);
   SMARTSSD_CHECK(result.ok());
   return check::FromFleet("fleet", *result);
 }
@@ -355,21 +355,14 @@ TEST_F(FleetTest, HalfOpenAdmitsExactlyOneProbeUnderConcurrentTraffic) {
   EXPECT_EQ(breaker.state(), DeviceCircuitBreaker::State::kClosed);
 }
 
-// --- Hedged subqueries ----------------------------------------------------
+// --- Replay with a straggling device --------------------------------------
 
-struct HedgeRun {
-  std::vector<CompletedFleetQuery> completed;
-  std::uint64_t hedges = 0;
-  std::uint64_t wins = 0;
-  std::uint64_t abandoned = 0;
-};
-
-// A 4-device fleet where device 3's embedded CPU is 10x slower: its
-// device-path subqueries outlive the fleet latency quantile and get a
-// host-path hedge that wins. Returns everything replay determinism must
-// preserve.
-HedgeRun RunHedgedWorkload(const exec::QuerySpec& spec,
-                           const TableGenConfig& gen) {
+// A 4-device fleet where device 3's embedded CPU is 10x slower, so its
+// device-path subqueries finish last and every merge waits on them.
+// Runs a closed-loop client of 4 queries; everything replay
+// determinism must preserve lands in the completion records.
+std::vector<CompletedFleetQuery> RunStragglerWorkload(
+    const exec::QuerySpec& spec, const TableGenConfig& gen) {
   DatabaseOptions base = DatabaseOptions::PaperSmartSsd();
   DatabaseOptions straggler = base;
   straggler.ssd.embedded_cpu.clock_hz = 40ull * 1000 * 1000;
@@ -379,93 +372,59 @@ HedgeRun RunHedgedWorkload(const exec::QuerySpec& spec,
   obs::Tracer tracer;
   fleet.AttachTracer(&tracer);
 
-  FleetOptions options;
-  options.hedge_quantile = 0.5;  // track the fast devices' latencies
-  options.hedge_latency_factor = 2.0;
-  options.hedge_min_samples = 4;  // armed from the second query on
-  FleetCoordinator coordinator(&fleet, options);
+  FleetCoordinator coordinator(&fleet);
   FleetQueryConfig config;
   config.spec = &spec;
   coordinator.AddClosedLoopClient(config, /*count=*/4);
   auto completed = coordinator.Run();
   SMARTSSD_CHECK(completed.ok());
 
-  // Cancellation left nothing behind: grants returned, spans closed.
+  // Every grant returned, every span closed.
   SMARTSSD_CHECK(check::CheckFleetInvariants(fleet).ok());
   SMARTSSD_CHECK(check::CheckTraceInvariants(tracer).ok());
-
-  HedgeRun run;
-  run.completed = std::move(completed).value();
-  run.hedges = coordinator.hedges_launched();
-  run.wins = coordinator.hedge_wins();
-  run.abandoned = fleet.device(3).runtime()->sessions_abandoned();
-  return run;
+  return std::move(completed).value();
 }
 
-TEST_F(FleetTest, HedgeRescuesStragglerAndKeepsBytesIdentical) {
+TEST_F(FleetTest, StragglerFleetIsDeterministicOnReplay) {
   const exec::QuerySpec spec = SumSpec();
   const ExecutionOutput expected =
       GroundTruth(spec, ExecutionTarget::kSmartSsd, gen_);
-  const HedgeRun run = RunHedgedWorkload(spec, gen_);
-  ASSERT_EQ(run.completed.size(), 4u);
-
-  // The first query has no latency samples, so it cannot hedge; later
-  // queries hedge the straggler and the host-path duplicate wins.
-  EXPECT_FALSE(run.completed.front().subqueries[3].hedged);
-  EXPECT_GE(run.hedges, 1u);
-  EXPECT_GE(run.wins, 1u);
-  // The losing device-path task was destroyed mid-session.
-  EXPECT_GE(run.abandoned, 1u);
-
-  bool any_hedge_won = false;
-  for (const CompletedFleetQuery& record : run.completed) {
-    ASSERT_TRUE(record.result.ok()) << record.result.status().message();
-    EXPECT_FALSE(record.result.value().degraded);
-    const ExecutionOutput out =
-        check::FromFleet("fleet-hedge", record.result.value());
-    const Status s = CompareOutputs(expected, out);
-    EXPECT_TRUE(s.ok()) << s.message();
-    const FleetSubqueryRecord& straggler = record.subqueries[3];
-    if (straggler.hedge_won) {
-      any_hedge_won = true;
-      EXPECT_TRUE(straggler.hedged);
-    }
-  }
-  EXPECT_TRUE(any_hedge_won);
-}
-
-TEST_F(FleetTest, HedgeWinnersAreDeterministicOnReplay) {
-  const exec::QuerySpec spec = SumSpec();
-  const HedgeRun first = RunHedgedWorkload(spec, gen_);
-  const HedgeRun second = RunHedgedWorkload(spec, gen_);
-  EXPECT_GE(first.hedges, 1u);  // the scenario actually hedged
-  EXPECT_EQ(first.hedges, second.hedges);
-  EXPECT_EQ(first.wins, second.wins);
-  EXPECT_EQ(first.abandoned, second.abandoned);
-  ASSERT_EQ(first.completed.size(), second.completed.size());
-  for (std::size_t i = 0; i < first.completed.size(); ++i) {
-    const CompletedFleetQuery& a = first.completed[i];
-    const CompletedFleetQuery& b = second.completed[i];
+  const std::vector<CompletedFleetQuery> first =
+      RunStragglerWorkload(spec, gen_);
+  const std::vector<CompletedFleetQuery> second =
+      RunStragglerWorkload(spec, gen_);
+  ASSERT_EQ(first.size(), 4u);
+  ASSERT_EQ(first.size(), second.size());
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    const CompletedFleetQuery& a = first[i];
+    const CompletedFleetQuery& b = second[i];
     EXPECT_EQ(a.id, b.id);
     EXPECT_EQ(a.arrival, b.arrival);
     EXPECT_EQ(a.end, b.end);
+    ASSERT_EQ(a.subqueries.size(), 4u);
     ASSERT_EQ(a.subqueries.size(), b.subqueries.size());
     for (std::size_t d = 0; d < a.subqueries.size(); ++d) {
       EXPECT_EQ(a.subqueries[d].start, b.subqueries[d].start);
       EXPECT_EQ(a.subqueries[d].end, b.subqueries[d].end);
-      EXPECT_EQ(a.subqueries[d].hedged, b.subqueries[d].hedged);
-      EXPECT_EQ(a.subqueries[d].hedge_won, b.subqueries[d].hedge_won);
       EXPECT_EQ(a.subqueries[d].fell_back, b.subqueries[d].fell_back);
+      // The slow device is the one every merge waits on.
+      EXPECT_LE(a.subqueries[d].end, a.subqueries[3].end);
     }
-    ASSERT_TRUE(a.result.ok());
-    ASSERT_TRUE(b.result.ok());
+    ASSERT_TRUE(a.result.ok()) << a.result.status().message();
+    ASSERT_TRUE(b.result.ok()) << b.result.status().message();
     EXPECT_EQ(a.result.value().rows, b.result.value().rows);
     EXPECT_EQ(a.result.value().agg_values, b.result.value().agg_values);
     EXPECT_EQ(a.result.value().end, b.result.value().end);
+    for (const CompletedFleetQuery* record : {&a, &b}) {
+      const ExecutionOutput out =
+          check::FromFleet("fleet-straggler", record->result.value());
+      const Status s = CompareOutputs(expected, out);
+      EXPECT_TRUE(s.ok()) << s.message();
+    }
   }
 }
 
-// --- Degraded mode --------------------------------------------------------
+// --- Unavailable partitions -----------------------------------------------
 
 // A fault schedule no path survives: every flash page read on the
 // device fails, so the session dies and the host rerun (which reads the
@@ -483,10 +442,12 @@ TEST_F(FleetTest, StrictPolicyFailsWhenPartitionIsUnavailable) {
   Fleet fleet(2, DatabaseOptions::PaperSmartSsd());
   SMARTSSD_CHECK(
       check::LoadTablesFleet(fleet, gen_, storage::PageLayout::kNsm).ok());
+  obs::Tracer tracer;
+  fleet.AttachTracer(&tracer);
   const exec::QuerySpec spec = SumSpec();
   fleet.LoadFaultSchedule(1, KillEveryRead());
 
-  FleetCoordinator coordinator(&fleet);  // default policy: strict
+  FleetCoordinator coordinator(&fleet);
   FleetQueryConfig config;
   config.spec = &spec;
   coordinator.Submit(config, 0);
@@ -495,57 +456,22 @@ TEST_F(FleetTest, StrictPolicyFailsWhenPartitionIsUnavailable) {
   ASSERT_EQ(completed->size(), 1u);
   const CompletedFleetQuery& record = completed->front();
   ASSERT_FALSE(record.result.ok());
+  EXPECT_EQ(record.result.status().code(), StatusCode::kAborted);
   EXPECT_NE(std::string(record.result.status().message())
                 .find("partition 1 unavailable"),
             std::string::npos);
   EXPECT_TRUE(record.subqueries[1].unavailable);
   EXPECT_EQ(coordinator.unavailable_partitions(), 1u);
+
+  // Partition 0's session was still running when partition 1 failed:
+  // cancelling the query destroyed it mid-flight, and it handed its
+  // grants back and closed its spans.
+  EXPECT_GE(fleet.device(0).runtime()->sessions_abandoned(), 1u);
+  const Status fleet_ok = check::CheckFleetInvariants(fleet);
+  EXPECT_TRUE(fleet_ok.ok()) << fleet_ok.message();
+  const Status trace_ok = check::CheckTraceInvariants(tracer);
+  EXPECT_TRUE(trace_ok.ok()) << trace_ok.message();
   fleet.ClearFaults();
-}
-
-TEST_F(FleetTest, BestEffortPolicyFlagsMissingPartitionExplicitly) {
-  Fleet fleet(2, DatabaseOptions::PaperSmartSsd());
-  SMARTSSD_CHECK(
-      check::LoadTablesFleet(fleet, gen_, storage::PageLayout::kNsm).ok());
-  const exec::QuerySpec spec = SumSpec();
-  fleet.LoadFaultSchedule(1, KillEveryRead());
-
-  FleetOptions options;
-  options.policy = FleetResultPolicy::kBestEffort;
-  auto result =
-      ExecuteOnFleet(fleet, spec, ExecutionTarget::kSmartSsd, 0, options);
-  ASSERT_TRUE(result.ok()) << result.status().message();
-  EXPECT_TRUE(result->degraded);
-  EXPECT_EQ(result->missing_partitions, std::vector<int>{1});
-  fleet.ClearFaults();
-
-  // The partial is exactly partition 0's answer — never a silently
-  // truncated variant of the full one. Recompute it from a single
-  // database loaded with just partition 0's global row range.
-  Database half(DatabaseOptions::PaperSmartSsd());
-  const std::uint64_t half_rows = gen_.outer_rows / 2;
-  const TableGenConfig& gen = gen_;
-  const storage::Schema outer_schema = check::OuterSchema();
-  storage::RowGenerator outer_gen =
-      [&gen, &outer_schema](std::uint64_t row, storage::TupleWriter& w) {
-        for (int c = 0; c < outer_schema.num_columns(); ++c) {
-          const std::int64_t v = check::OuterValue(gen, row, c);
-          if (outer_schema.column(c).type == storage::ColumnType::kInt64) {
-            w.SetInt64(c, v);
-          } else {
-            w.SetInt32(c, static_cast<std::int32_t>(v));
-          }
-        }
-      };
-  SMARTSSD_CHECK(half.LoadTable(check::kOuterTable, outer_schema,
-                                storage::PageLayout::kNsm, half_rows,
-                                outer_gen)
-                     .ok());
-  half.ResetForColdRun();
-  QueryExecutor executor(&half);
-  auto partial = executor.Execute(spec, ExecutionTarget::kSmartSsd);
-  ASSERT_TRUE(partial.ok());
-  EXPECT_EQ(result->agg_values, partial->agg_values);
 }
 
 }  // namespace
