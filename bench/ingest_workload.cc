@@ -3,16 +3,17 @@
 // through the host write path, forcing FTL garbage collection under
 // query load. The paper rules writes out of the device (Section 4.3);
 // this bench measures what the write path costs the *read* side — GC
-// pauses queue behind scan reads on the same chips, and the victim-
-// selection policy (greedy vs cost-benefit) measurably moves scan tail
-// latency while the data the scans see stays byte-identical to a quiet
+// pauses queue behind scan reads on the same chips and move scan tail
+// latency, while the data the scans see stays byte-identical to a quiet
 // device.
 //
 // The ingest is deliberately query-invariant: updates touch a column
 // the scan never reads, appended rows fail the scan predicate. Every
 // scan in every configuration must therefore return exactly the
 // quiet-device ground truth — checked, exit(1) on any mismatch — so the
-// policies can only differ in *when* things happen, never *what*.
+// ingest can only change *when* things happen, never *what*. After the
+// run, the whole table must hold exactly the relation the batches
+// define.
 //
 // `--json=<path>` emits one row per configuration with scan p99 as the
 // headline number plus FTL counters (gc_runs, relocations, write
@@ -29,7 +30,6 @@
 #include "engine/executor.h"
 #include "engine/workload.h"
 #include "expr/expression.h"
-#include "ftl/gc_policy.h"
 #include "tpch/synthetic.h"
 
 using namespace smartssd;
@@ -44,6 +44,12 @@ constexpr int kScansPerClient = 12;
 constexpr int kIngestBatches = 8;
 constexpr std::uint64_t kUpdateHi = 6'000;   // keys [0, kUpdateHi] updated
 constexpr std::uint64_t kAppendRows = 500;   // per batch
+constexpr std::uint64_t kFinalRows =
+    kBaseRows + kIngestBatches * kAppendRows;
+
+std::int32_t Col3(std::uint64_t row) {
+  return static_cast<std::int32_t>((row * 7) % 1000);
+}
 
 // Deterministic 4-column INT32 table, pure in the row index so appended
 // rows are indistinguishable from loaded ones: Col_1 = row (key),
@@ -51,14 +57,14 @@ constexpr std::uint64_t kAppendRows = 500;   // per batch
 void FillRow(std::uint64_t row, storage::TupleWriter& writer) {
   writer.SetInt32(0, static_cast<std::int32_t>(row));
   writer.SetInt32(1, static_cast<std::int32_t>(row % 97));
-  writer.SetInt32(2, static_cast<std::int32_t>((row * 7) % 1000));
+  writer.SetInt32(2, Col3(row));
   writer.SetInt32(3, 5);
 }
 
 // Small device, tight over-provisioning, small buffer pool: scans pay
 // flash reads and the ingest's flush-back pushes the free lists to the
 // GC watermark within a few batches.
-engine::DatabaseOptions GcProneOptions(ftl::GcPolicyKind policy) {
+engine::DatabaseOptions GcProneOptions() {
   engine::DatabaseOptions options =
       engine::DatabaseOptions::PaperSmartSsd();
   options.buffer_pool_pages = 96;
@@ -70,7 +76,6 @@ engine::DatabaseOptions GcProneOptions(ftl::GcPolicyKind policy) {
   options.ssd.dram.capacity_bytes = 64 * kMiB;
   options.ssd.ftl.over_provisioning = 0.25;
   options.ssd.ftl.gc_low_watermark_blocks = 2;
-  options.ssd.ftl.gc_policy = policy;
   return options;
 }
 
@@ -117,9 +122,8 @@ struct RunResult {
 
 // One configuration: two closed-loop scan clients, plus (unless quiet)
 // one ingest client running kIngestBatches update+append+flush batches.
-RunResult RunConfig(ftl::GcPolicyKind policy, bool with_ingest,
-                    std::int64_t truth) {
-  engine::Database db(GcProneOptions(policy));
+RunResult RunConfig(bool with_ingest, std::int64_t truth) {
+  engine::Database db(GcProneOptions());
   LoadBase(db);
 
   engine::WorkloadScheduler sched(&db);
@@ -208,7 +212,7 @@ RunResult RunConfig(ftl::GcPolicyKind policy, bool with_ingest,
 
 int main(int argc, char** argv) {
   bench::PrintHeader(
-      "Mixed ingest + scan workload: GC policy vs scan tail latency on a "
+      "Mixed ingest + scan workload: GC vs scan tail latency on a "
       "write-loaded device",
       "the write path Section 4.3 rules out of the device, measured "
       "from the host side");
@@ -217,7 +221,7 @@ int main(int argc, char** argv) {
   // Quiet-device ground truth for the invariant scan.
   std::int64_t truth = 0;
   {
-    engine::Database quiet(GcProneOptions(ftl::GcPolicyKind::kGreedy));
+    engine::Database quiet(GcProneOptions());
     LoadBase(quiet);
     engine::QueryExecutor executor(&quiet);
     truth = bench::Unwrap(
@@ -228,13 +232,11 @@ int main(int argc, char** argv) {
 
   struct Config {
     const char* name;
-    ftl::GcPolicyKind policy;
     bool with_ingest;
   };
   const Config kConfigs[] = {
-      {"quiet", ftl::GcPolicyKind::kGreedy, false},
-      {"greedy", ftl::GcPolicyKind::kGreedy, true},
-      {"cost-benefit", ftl::GcPolicyKind::kCostBenefit, true},
+      {"quiet", false},
+      {"greedy", true},
   };
 
   std::printf("%-13s | %8s %8s %8s | %7s %7s %7s %9s\n", "config",
@@ -243,10 +245,9 @@ int main(int argc, char** argv) {
   bench::PrintRule();
 
   double quiet_p99 = 0;
-  RunResult policy_results[2];
-  int policy_index = 0;
+  RunResult ingest_result;
   for (const Config& config : kConfigs) {
-    const RunResult r = RunConfig(config.policy, config.with_ingest, truth);
+    const RunResult r = RunConfig(config.with_ingest, truth);
     const double p50 = PercentileSeconds(r.scan_latencies, 0.50);
     const double p95 = PercentileSeconds(r.scan_latencies, 0.95);
     const double p99 = PercentileSeconds(r.scan_latencies, 0.99);
@@ -258,7 +259,7 @@ int main(int argc, char** argv) {
     if (!config.with_ingest) {
       quiet_p99 = p99;
     } else {
-      policy_results[policy_index++] = r;
+      ingest_result = r;
     }
     reporter.AddWithCounters(
         config.name, p99, NAN, quiet_p99 > 0 ? p99 / quiet_p99 : 1.0,
@@ -270,20 +271,26 @@ int main(int argc, char** argv) {
   }
   bench::PrintRule();
 
-  // Both ingest configurations ran the same batches: the final relation
-  // must agree between policies — GC placement is never host-visible.
-  if (policy_results[0].col3_sum != policy_results[1].col3_sum ||
-      policy_results[0].col4_sum != policy_results[1].col4_sum) {
+  // The relation the batches define: rows [0, kFinalRows) as FillRow
+  // writes them, with Col_4 = 7 on the updated keys [0, kUpdateHi]. GC
+  // placement is never host-visible, so the table must hold exactly it.
+  std::int64_t want_col3 = 0;
+  for (std::uint64_t row = 0; row < kFinalRows; ++row) want_col3 += Col3(row);
+  const auto want_col4 =
+      static_cast<std::int64_t>(7 * (kUpdateHi + 1) +
+                                5 * (kFinalRows - (kUpdateHi + 1)));
+  if (ingest_result.col3_sum != want_col3 ||
+      ingest_result.col4_sum != want_col4) {
     std::fprintf(stderr,
-                 "GC policies disagree on the final relation "
+                 "final relation differs from the batches' "
                  "(col3 %lld vs %lld, col4 %lld vs %lld)\n",
-                 static_cast<long long>(policy_results[0].col3_sum),
-                 static_cast<long long>(policy_results[1].col3_sum),
-                 static_cast<long long>(policy_results[0].col4_sum),
-                 static_cast<long long>(policy_results[1].col4_sum));
+                 static_cast<long long>(ingest_result.col3_sum),
+                 static_cast<long long>(want_col3),
+                 static_cast<long long>(ingest_result.col4_sum),
+                 static_cast<long long>(want_col4));
     return 1;
   }
-  if (policy_results[0].gc_runs == 0 || policy_results[1].gc_runs == 0) {
+  if (ingest_result.gc_runs == 0) {
     std::fprintf(stderr, "ingest never drove GC — bench is not "
                          "exercising the write path\n");
     return 1;
@@ -291,9 +298,9 @@ int main(int argc, char** argv) {
 
   std::printf(
       "Shape check: every scan returned the quiet-device truth in every "
-      "configuration (verified), both policies converge to the same "
-      "relation, and the ingest load moves scan p99 off the quiet "
-      "baseline by a policy-dependent amount.\n");
+      "configuration (verified), the final relation is the one the "
+      "batches define (verified), and the ingest load moves scan p99 off "
+      "the quiet baseline.\n");
   reporter.Write();
   return 0;
 }

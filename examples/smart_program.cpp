@@ -97,8 +97,7 @@ int main() {
   // Drive the session protocol directly.
   ZoneMapBuilder program(&*table, /*column=*/2);
   std::vector<std::byte> output;
-  auto session = db.runtime()->RunSession(program, smart::PollingPolicy{},
-                                          /*start=*/0, &output);
+  auto session = db.runtime()->RunSession(program, /*start=*/0, &output);
   if (!session.ok()) {
     std::fprintf(stderr, "session failed: %s\n",
                  session.status().ToString().c_str());

@@ -35,12 +35,11 @@ constexpr sim::FaultKind kFaultRotation[] = {
     sim::FaultKind::kUncorrectableRead,
 };
 
-// A deliberately tiny, GC-prone device for the write-phase databases:
+// A deliberately tiny, GC-prone device for the write-phase database:
 // 256 physical pages with 25% over-provisioning, so the write phases'
 // out-of-place page writes drain the free lists and force the garbage
 // collector to actually run under the differential comparisons.
-DatabaseOptions GcProneOptions(std::uint64_t buffer_pool_pages,
-                               ftl::GcPolicyKind policy) {
+DatabaseOptions GcProneOptions(std::uint64_t buffer_pool_pages) {
   DatabaseOptions options = DatabaseOptions::PaperSmartSsd();
   options.buffer_pool_pages = buffer_pool_pages;
   options.ssd.geometry.channels = 2;
@@ -51,7 +50,6 @@ DatabaseOptions GcProneOptions(std::uint64_t buffer_pool_pages,
   options.ssd.dram.capacity_bytes = 64 * kMiB;
   options.ssd.ftl.over_provisioning = 0.25;
   options.ssd.ftl.gc_low_watermark_blocks = 2;
-  options.ssd.ftl.gc_policy = policy;
   return options;
 }
 
@@ -213,9 +211,8 @@ class DifferentialRunner {
       SMARTSSD_CHECK(fleet->BuildZoneMaps(kOuterTable).ok());
     }
 
-    // Write-path pair: one GC-prone database per victim-selection
-    // policy, plus the in-memory oracle their stored bytes are verified
-    // against after every applied phase.
+    // Write path: one GC-prone database, plus the in-memory oracle its
+    // stored bytes are verified against after every applied phase.
     if (options_.with_write_phase) {
       const std::uint64_t reserve_rows =
           static_cast<std::uint64_t>(
@@ -223,18 +220,14 @@ class DifferentialRunner {
           kMaxWritePhaseAppendRows;
       // Conservative 40-byte tuples in 2 KiB pages.
       const std::uint64_t reserve_pages = reserve_rows / 40 + 2;
-      db_gc_greedy_ = std::make_unique<Database>(GcProneOptions(
-          options.buffer_pool_pages, ftl::GcPolicyKind::kGreedy));
-      db_gc_cb_ = std::make_unique<Database>(GcProneOptions(
-          options.buffer_pool_pages, ftl::GcPolicyKind::kCostBenefit));
-      for (Database* db : {db_gc_greedy_.get(), db_gc_cb_.get()}) {
-        SMARTSSD_CHECK(
-            LoadWritePathTables(*db, gen_.tables, reserve_pages).ok());
-        SMARTSSD_CHECK(db->BuildZoneMap(kOuterTable).ok());
-      }
+      db_gc_greedy_ = std::make_unique<Database>(
+          GcProneOptions(options.buffer_pool_pages));
+      SMARTSSD_CHECK(
+          LoadWritePathTables(*db_gc_greedy_, gen_.tables, reserve_pages)
+              .ok());
+      SMARTSSD_CHECK(db_gc_greedy_->BuildZoneMap(kOuterTable).ok());
       oracle_.emplace(gen_.tables);
       db_gc_greedy_->AttachTracer(&tracer_gcg_, "gcg-dev", "gcg-host");
-      db_gc_cb_->AttachTracer(&tracer_gcc_, "gcc-dev", "gcc-host");
     }
 
     db_ref_->AttachTracer(&tracer_ref_, "ref-dev", "ref-host");
@@ -266,24 +259,18 @@ class DifferentialRunner {
       while (next_write_index_ <= index) {
         const WritePhaseSpec phase =
             GenerateWritePhase(seed_, next_write_index_, gen_.tables);
-        for (Database* db : {db_gc_greedy_.get(), db_gc_cb_.get()}) {
-          if (Status s = ApplyWritePhase(*db, gen_.tables, phase);
-              !s.ok()) {
-            return std::make_pair(std::string("write-phase"),
-                                  s.ToString());
-          }
+        if (Status s = ApplyWritePhase(*db_gc_greedy_, gen_.tables, phase);
+            !s.ok()) {
+          return std::make_pair(std::string("write-phase"), s.ToString());
         }
         oracle_->Apply(phase);
         ++next_write_index_;
       }
       // Cell-exact readback: whatever GC relocated, the stored relation
-      // must equal the oracle on both devices.
+      // must equal the oracle.
       if (Status s = oracle_->Verify(*db_gc_greedy_); !s.ok()) {
         return std::make_pair(std::string("gcgreedy-oracle"),
                               s.ToString());
-      }
-      if (Status s = oracle_->Verify(*db_gc_cb_); !s.ok()) {
-        return std::make_pair(std::string("gccb-oracle"), s.ToString());
       }
     }
 
@@ -472,12 +459,10 @@ class DifferentialRunner {
       }
     }
 
-    // Write-path quartet. The GC databases hold a different relation
-    // from the reference (phases updated and appended rows), so their
-    // ground truth is the greedy-policy host scan — the other three
-    // configurations must match it byte-for-byte. Host-vs-host counts
-    // must also agree: GC policy choice may move pages physically but
-    // can never change what the host observes.
+    // Write-path pair. The GC database holds a different relation from
+    // the reference (phases updated and appended rows), so its ground
+    // truth is its own host scan, which pushdown must match
+    // byte-for-byte.
     if (options_.with_write_phase) {
       auto gc_ref =
           RunSingle(*db_gc_greedy_, tracer_gcg_, spec,
@@ -486,38 +471,16 @@ class DifferentialRunner {
         return std::make_pair(std::string("gcgreedy-nsm-host"),
                               gc_ref.status().ToString());
       }
-      struct GcConfig {
-        const char* name;
-        Database* db;
-        obs::Tracer* tracer;
-        ExecutionTarget target;
-        bool compare_counts;
-      };
-      const GcConfig gc_configs[] = {
-          {"gcgreedy-nsm-smart", db_gc_greedy_.get(), &tracer_gcg_,
-           ExecutionTarget::kSmartSsd, false},
-          {"gccb-nsm-host", db_gc_cb_.get(), &tracer_gcc_,
-           ExecutionTarget::kHost, true},
-          {"gccb-nsm-smart", db_gc_cb_.get(), &tracer_gcc_,
-           ExecutionTarget::kSmartSsd, false},
-      };
-      for (const GcConfig& config : gc_configs) {
-        auto out = RunSingle(*config.db, *config.tracer, spec,
-                             config.target, config.name, nullptr);
-        if (!out.ok()) {
-          return std::make_pair(std::string(config.name),
-                                out.status().ToString());
-        }
-        if (Status diff = CompareOutputs(*gc_ref, *out); !diff.ok()) {
-          return std::make_pair(std::string(config.name),
-                                diff.ToString());
-        }
-        if (config.compare_counts) {
-          if (Status diff = CompareCounts(*gc_ref, *out); !diff.ok()) {
-            return std::make_pair(std::string(config.name),
-                                  diff.ToString());
-          }
-        }
+      auto out =
+          RunSingle(*db_gc_greedy_, tracer_gcg_, spec,
+                    ExecutionTarget::kSmartSsd, "gcgreedy-nsm-smart", nullptr);
+      if (!out.ok()) {
+        return std::make_pair(std::string("gcgreedy-nsm-smart"),
+                              out.status().ToString());
+      }
+      if (Status diff = CompareOutputs(*gc_ref, *out); !diff.ok()) {
+        return std::make_pair(std::string("gcgreedy-nsm-smart"),
+                              diff.ToString());
       }
     }
     return std::nullopt;
@@ -687,11 +650,9 @@ class DifferentialRunner {
   std::unique_ptr<Fleet> fleet4_;
   std::unique_ptr<Fleet> fleet_het2_;
   std::unique_ptr<Database> db_gc_greedy_;
-  std::unique_ptr<Database> db_gc_cb_;
   std::optional<TableOracle> oracle_;
   int next_write_index_ = 0;
   obs::Tracer tracer_gcg_;
-  obs::Tracer tracer_gcc_;
   obs::Tracer tracer_ref_;
   obs::Tracer tracer_ref_vec_;
   obs::Tracer tracer_nsm_;

@@ -42,12 +42,11 @@ namespace smartssd::check {
 struct HarnessOptions {
   int specs_per_seed = 20;
   bool with_faults = true;
-  // Write-phase axis: a pair of small write-path databases (one per GC
-  // policy) absorbs a deterministic ingest/update batch before each
-  // odd-indexed spec, is verified cell-exact against an in-memory
-  // oracle, and then runs the spec on host and pushdown paths — all
-  // four results must agree byte-for-byte, whatever the garbage
-  // collector relocated underneath.
+  // Write-phase axis: a small write-path database absorbs a
+  // deterministic ingest/update batch before each odd-indexed spec, is
+  // verified cell-exact against an in-memory oracle, and then runs the
+  // spec on host and pushdown paths — both results must agree
+  // byte-for-byte, whatever the garbage collector relocated underneath.
   bool with_write_phase = true;
   // Attempt component-dropping minimization of failing specs.
   bool minimize_failures = true;

@@ -16,7 +16,6 @@
 #include "engine/metrics.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "smart/protocol.h"
 #include "smart/runtime.h"
 #include "ssd/hdd_device.h"
 #include "ssd/ssd_device.h"
@@ -46,7 +45,6 @@ struct DatabaseOptions {
   ssd::HddConfig hdd;
   HostConfig host;
   std::uint64_t buffer_pool_pages = 4096;
-  smart::PollingPolicy polling;
   CircuitBreakerConfig breaker;
   // Page kernel for both the host path and the pushdown program. The
   // two kernels are byte-identical in results and OpCounts (so virtual

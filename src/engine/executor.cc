@@ -41,8 +41,7 @@ Result<QueryResult> QueryExecutor::ExecuteAuto(const exec::QuerySpec& spec,
 
 Result<QueryResult> QueryExecutor::ExecuteDeviceWithFallback(
     const exec::BoundQuery& bound, SimTime start) {
-  DeviceQueryTask task(db_, &bound, start, /*fallback=*/true,
-                       /*wait_for_grant=*/false);
+  DeviceQueryTask task(db_, &bound, start, /*wait_for_grant=*/false);
   while (!task.finished()) task.Step();
   return task.TakeResult();
 }
@@ -51,15 +50,6 @@ Result<QueryResult> QueryExecutor::ExecuteOnHost(
     const exec::BoundQuery& bound, SimTime start) {
   HostQueryTask task(db_, &bound, start);
   while (!task.finished()) task.Step();
-  return task.TakeResult();
-}
-
-Result<QueryResult> QueryExecutor::ExecuteOnDevice(
-    const exec::BoundQuery& bound, SimTime start, SimTime* failed_at) {
-  DeviceQueryTask task(db_, &bound, start, /*fallback=*/false,
-                       /*wait_for_grant=*/false);
-  while (!task.finished()) task.Step();
-  if (failed_at != nullptr) *failed_at = task.failed_at();
   return task.TakeResult();
 }
 

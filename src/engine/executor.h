@@ -62,11 +62,6 @@ class QueryExecutor {
 
   Result<QueryResult> ExecuteOnHost(const exec::BoundQuery& bound,
                                     SimTime start);
-  // Raw pushdown, no fallback. On failure `failed_at` (if non-null)
-  // receives the virtual time the session was torn down at.
-  Result<QueryResult> ExecuteOnDevice(const exec::BoundQuery& bound,
-                                      SimTime start,
-                                      SimTime* failed_at = nullptr);
 
  private:
   // Pushdown with host fallback on retryable device failures; updates

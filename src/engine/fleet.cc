@@ -205,22 +205,6 @@ void FleetCoordinator::AddClosedLoopClient(FleetQueryConfig config,
   ScheduleArrival(source, first_arrival, next_id_++);
 }
 
-void FleetCoordinator::AddOpenLoopClient(FleetQueryConfig config,
-                                         int count,
-                                         SimDuration inter_arrival,
-                                         SimTime first_arrival) {
-  SMARTSSD_CHECK(!ran_);
-  if (count <= 0) return;
-  const std::size_t source = AddSource(std::move(config));
-  expected_ += static_cast<std::uint64_t>(count);
-  for (int i = 0; i < count; ++i) {
-    ScheduleArrival(
-        source,
-        first_arrival + static_cast<SimDuration>(i) * inter_arrival,
-        next_id_++);
-  }
-}
-
 void FleetCoordinator::ScheduleArrival(std::size_t source, SimTime at,
                                        std::uint64_t id) {
   events_.ScheduleAt(std::max(clock_.now(), at),
@@ -250,7 +234,6 @@ void FleetCoordinator::StartQuery(std::size_t source, SimTime arrival,
   q->admitted = admitted;
   q->last_done = admitted;
   ++in_flight_;
-  peak_in_flight_ = std::max(peak_in_flight_, in_flight_);
 
   Status valid = ValidateMergeable(spec);
   if (valid.ok() && !fleet_->IsPartitioned(spec.table)) {

@@ -216,16 +216,8 @@ class FleetCoordinator {
                            SimDuration think_time = 0,
                            SimTime first_arrival = 0);
 
-  // Open-loop client: `count` queries at a fixed inter-arrival gap.
-  void AddOpenLoopClient(FleetQueryConfig config, int count,
-                         SimDuration inter_arrival,
-                         SimTime first_arrival = 0);
-
   // Runs to drain; completion records in completion order. Call once.
   Result<std::vector<CompletedFleetQuery>> Run();
-
-  SimTime now() const { return clock_.now(); }
-  int peak_in_flight() const { return peak_in_flight_; }
 
   // Robustness counters for this run (also mirrored as fleet.* metrics
   // on the fleet's registry).
@@ -302,7 +294,6 @@ class FleetCoordinator {
   std::uint64_t next_id_ = 1;
   std::uint64_t expected_ = 0;
   int in_flight_ = 0;
-  int peak_in_flight_ = 0;
   bool ran_ = false;
 
   std::uint64_t redispatches_ = 0;

@@ -15,10 +15,6 @@ StepOutcome IngestTask::FailWith(const Status& error) {
   return StepOutcome{.at = t_, .finished = true};
 }
 
-IngestTask::State IngestTask::AfterWrites() const {
-  return spec_->flush ? State::kFlush : State::kRestore;
-}
-
 StepOutcome IngestTask::Step() {
   switch (state_) {
     case State::kStart: {
@@ -32,12 +28,12 @@ StepOutcome IngestTask::Step() {
       } else if (spec_->append_rows > 0) {
         auto cursor =
             AppendCursor::Open(db_, spec_->table, spec_->append_rows,
-                               spec_->append_gen, spec_->widen_zone_map);
+                               spec_->append_gen);
         if (!cursor.ok()) return FailWith(cursor.status());
         append_.emplace(std::move(cursor).value());
         state_ = State::kAppend;
       } else {
-        state_ = AfterWrites();
+        state_ = State::kFlush;
       }
       return StepOutcome{.at = t_};
     }
@@ -51,12 +47,12 @@ StepOutcome IngestTask::Step() {
         if (spec_->append_rows > 0) {
           auto cursor =
               AppendCursor::Open(db_, spec_->table, spec_->append_rows,
-                                 spec_->append_gen, spec_->widen_zone_map);
+                                 spec_->append_gen);
           if (!cursor.ok()) return FailWith(cursor.status());
           append_.emplace(std::move(cursor).value());
           state_ = State::kAppend;
         } else {
-          state_ = AfterWrites();
+          state_ = State::kFlush;
         }
       }
       return StepOutcome{.at = t_};
@@ -68,7 +64,7 @@ StepOutcome IngestTask::Step() {
       if (append_->done()) {
         stats_.rows_appended = append_->stats().rows_appended;
         stats_.pages_dirtied += append_->stats().pages_dirtied;
-        state_ = AfterWrites();
+        state_ = State::kFlush;
       }
       return StepOutcome{.at = t_};
     }
@@ -90,11 +86,9 @@ StepOutcome IngestTask::Step() {
       return StepOutcome{.at = t_};
     }
     case State::kRestore: {
-      // No-op unless an update (or a widen_zone_map=false append)
-      // marked the table's zone map stale. RestoreZoneMaps itself skips
-      // tables with dirty pages still in the pool, so an unflushed
-      // batch leaves its map stale rather than rebuilding from stale
-      // device bytes.
+      // No-op unless an update marked the table's zone map stale.
+      // RestoreZoneMaps itself skips tables with dirty pages still in
+      // the pool, so it never rebuilds from stale device bytes.
       auto at = db_->RestoreZoneMaps(t_);
       if (!at.ok()) return FailWith(at.status());
       t_ = at.value();

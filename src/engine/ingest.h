@@ -15,11 +15,11 @@
 namespace smartssd::engine {
 
 // One ingest batch: an optional in-place update pass followed by an
-// optional append run, then (by default) a flush of the dirtied pages
-// and zone-map recovery. All phases are host-only (Section 4.3 rules
-// writes out of the device), so while a batch is in flight its dirty
-// pages gate pushdown on the table; the flush phase is what hands
-// eligibility back.
+// optional append run, then a flush of the dirtied pages and zone-map
+// recovery. All phases are host-only (Section 4.3 rules writes out of
+// the device), so while a batch is in flight its dirty pages gate
+// pushdown on the table; the flush phase is what hands eligibility
+// back.
 struct IngestBatchSpec {
   std::string table;
 
@@ -33,14 +33,6 @@ struct IngestBatchSpec {
   // row indexes (see TableAppender::Append).
   std::uint64_t append_rows = 0;
   storage::RowGenerator append_gen;
-
-  // Flush dirty pages page-by-page after the writes and then restore
-  // any stale zone maps. Leaving this false keeps the table dirty (and
-  // pushdown-ineligible) for the caller to flush later.
-  bool flush = true;
-  // Appends widen the live zone map in place; false marks it stale so
-  // the flush phase rebuilds it instead (drop-and-rebuild maintenance).
-  bool widen_zone_map = true;
 };
 
 struct IngestStats {
@@ -70,8 +62,6 @@ class IngestTask {
   enum class State { kStart, kUpdate, kAppend, kFlush, kRestore, kDone };
 
   StepOutcome FailWith(const Status& error);
-  // The state after the write phases: flush, restore, or done.
-  State AfterWrites() const;
 
   Database* db_;
   const IngestBatchSpec* spec_;

@@ -6,6 +6,7 @@
 
 #include "exec/cost_model.h"
 #include "exec/hash_table.h"
+#include "exec/hybrid_join.h"
 
 namespace smartssd::engine {
 
@@ -192,8 +193,7 @@ double PushdownPlanner::EstimateSmartSeconds(const exec::BoundQuery& bound,
       const double spilled_fraction =
           1.0 - static_cast<double>(budget) /
                     static_cast<double>(table_bytes);
-      const double fanout = static_cast<double>(
-          std::max<std::uint32_t>(db_->options().join_spill.fanout, 2));
+      const double fanout = static_cast<double>(exec::HybridJoin::kFanout);
       const double passes = std::max(
           1.0, std::ceil(std::log(static_cast<double>(table_bytes) /
                                   static_cast<double>(budget)) /

@@ -331,14 +331,12 @@ StepOutcome HostQueryTask::StepFinish() {
 
 DeviceQueryTask::DeviceQueryTask(Database* db,
                                  const exec::BoundQuery* bound,
-                                 SimTime start, bool fallback,
-                                 bool wait_for_grant,
+                                 SimTime start, bool wait_for_grant,
                                  std::uint64_t first_page,
                                  std::uint64_t page_count)
     : db_(db),
       bound_(bound),
       start_(start),
-      fallback_(fallback),
       wait_for_grant_(wait_for_grant),
       frag_first_(first_page),
       frag_pages_(page_count),
@@ -436,8 +434,7 @@ StepOutcome DeviceQueryTask::StepStart() {
                    device_zone_map_.has_value() ? &*device_zone_map_ : nullptr,
                    db_->options().kernel, spill, db_->device().page_size(),
                    frag_first_, frag_pages_);
-  session_ = db_->runtime()->StartSession(*program_, db_->options().polling,
-                                          start_, &result_.rows);
+  session_ = db_->runtime()->StartSession(*program_, start_, &result_.rows);
   state_ = State::kSession;
   return {.at = start_};
 }
@@ -445,7 +442,7 @@ StepOutcome DeviceQueryTask::StepStart() {
 StepOutcome DeviceQueryTask::StepSession() {
   if (wait_for_grant_ && !session_started_ &&
       db_->runtime()->session_slots_free() <= 0) {
-    if (fallback_ && db_->circuit_breaker().open()) {
+    if (db_->circuit_breaker().open()) {
       // Every session grant is taken and the breaker says the device is
       // failing. The grant holders are likely dying sessions, and while
       // the breaker is open the planner routes new work around the
@@ -464,7 +461,6 @@ StepOutcome DeviceQueryTask::StepSession() {
              obs::Arg::Str("error", device_error_.message())});
       }
       db_->metrics().counter("engine.fallbacks")->Add();
-      fell_back_ = true;
       redispatched_without_attempt_ = true;
       host_rerun_.emplace(db_, bound_, start_, frag_first_, frag_pages_);
       state_ = State::kHostRerun;
@@ -517,9 +513,7 @@ StepOutcome DeviceQueryTask::StepSession() {
   const Status decoded =
       DecodeAggValues(*bound_, result_.rows, &result_.agg_values);
   if (!decoded.ok()) return FinishWithError(decoded);
-  if (fallback_) {
-    db_->circuit_breaker().RecordSuccess(stats.end);
-  }
+  db_->circuit_breaker().RecordSuccess(stats.end);
   final_result_ = std::move(result_);
   state_ = State::kDone;
   return {.at = stats.end, .finished = true};
@@ -529,7 +523,7 @@ StepOutcome DeviceQueryTask::HandleDeviceError(const Status& error) {
   // The device query span dies with the session, before any fallback
   // bookkeeping — the same order the blocking wrapper produced.
   CloseSpanForError();
-  if (!fallback_ || !RetryableDeviceFailure(error)) {
+  if (!RetryableDeviceFailure(error)) {
     return FinishWithError(error);
   }
   device_error_ = error;
@@ -545,7 +539,6 @@ StepOutcome DeviceQueryTask::HandleDeviceError(const Status& error) {
   // Degraded execution: redo the whole query on the host, starting when
   // the failed session was torn down, so the timeline stays consistent
   // and the results stay byte-identical to a clean pushdown.
-  fell_back_ = true;
   host_rerun_.emplace(db_, bound_, std::max(start_, failed_at_),
                       frag_first_, frag_pages_);
   state_ = State::kHostRerun;
@@ -591,9 +584,8 @@ SplitScanTask::SplitScanTask(Database* db, const exec::BoundQuery* bound,
     fragment.placement = placement;
     fragment.ready = start;
     if (placement.target == ExecutionTarget::kSmartSsd) {
-      fragment.device.emplace(db, bound, start, /*fallback=*/true,
-                              wait_for_grant, placement.first_page,
-                              placement.page_count);
+      fragment.device.emplace(db, bound, start, wait_for_grant,
+                              placement.first_page, placement.page_count);
     } else {
       fragment.host.emplace(db, bound, start, placement.first_page,
                             placement.page_count);
@@ -812,8 +804,7 @@ StepOutcome QueryTask::Step() {
       split_task_.emplace(db_, &*bound_, decision.fragments, start_,
                           wait_for_grant_);
     } else if (decision.target == ExecutionTarget::kSmartSsd) {
-      device_task_.emplace(db_, &*bound_, start_, /*fallback=*/true,
-                           wait_for_grant_);
+      device_task_.emplace(db_, &*bound_, start_, wait_for_grant_);
     } else {
       host_task_.emplace(db_, &*bound_, start_);
     }

@@ -129,9 +129,8 @@ class HostQueryTask {
 };
 
 // The pushdown path as a state machine: one session protocol unit per
-// step. With `fallback` set it reproduces ExecuteDeviceWithFallback —
-// a retryable device failure records on the circuit breaker and re-runs
-// the query on the host path from the failure time. With
+// step. A retryable device failure records on the circuit breaker and
+// re-runs the query on the host path from the failure time. With
 // `wait_for_grant` set the task parks (waiting_for_grant outcome, no
 // device traffic) instead of issuing an OPEN while the device's session
 // thread pool is empty; the blocking executor passes false and eats the
@@ -143,7 +142,7 @@ class HostQueryTask {
 class DeviceQueryTask {
  public:
   DeviceQueryTask(Database* db, const exec::BoundQuery* bound,
-                  SimTime start, bool fallback, bool wait_for_grant,
+                  SimTime start, bool wait_for_grant,
                   std::uint64_t first_page = 0,
                   std::uint64_t page_count = ~0ull);
   ~DeviceQueryTask();
@@ -151,11 +150,6 @@ class DeviceQueryTask {
 
   StepOutcome Step();
   bool finished() const { return state_ == State::kDone; }
-
-  // Virtual time the device session was torn down at; equals the start
-  // time unless a session actually failed.
-  SimTime failed_at() const { return failed_at_; }
-  bool fell_back() const { return fell_back_; }
 
   Result<QueryResult> TakeResult();
 
@@ -172,7 +166,6 @@ class DeviceQueryTask {
   Database* db_;
   const exec::BoundQuery* bound_;
   SimTime start_;
-  bool fallback_;
   bool wait_for_grant_;
   // Page range over the outer table (defaults cover it whole) and
   // whether it is a proper sub-range; see the class comment.
@@ -184,7 +177,7 @@ class DeviceQueryTask {
   State state_ = State::kStart;
   QueryResult result_;
   std::optional<Result<QueryResult>> final_result_;
-  StageBreakdown stage_before_;       // device attempt (ExecuteOnDevice)
+  StageBreakdown stage_before_;       // device attempt
   StageBreakdown outer_stage_before_;  // whole query incl. fallback
   obs::SpanId span_id_ = obs::kNoSpan;
   bool span_ended_ = false;
@@ -200,7 +193,6 @@ class DeviceQueryTask {
   std::unique_ptr<smart::SessionTask> session_;
   bool session_started_ = false;
   SimTime failed_at_ = 0;
-  bool fell_back_ = false;
   // Set when the task abandoned its park for a session grant because the
   // breaker opened: the query fell back without ever reaching the
   // device, so the stats must not count a device attempt.

@@ -160,10 +160,9 @@ TableAppender::TableAppender(Database* db) : db_(db) {
 
 Result<TableAppender::AppendStats> TableAppender::Append(
     const std::string& table, std::uint64_t row_count,
-    const storage::RowGenerator& gen, SimTime start, bool widen_zone_map) {
-  SMARTSSD_ASSIGN_OR_RETURN(
-      AppendCursor cursor,
-      AppendCursor::Open(db_, table, row_count, gen, widen_zone_map));
+    const storage::RowGenerator& gen, SimTime start) {
+  SMARTSSD_ASSIGN_OR_RETURN(AppendCursor cursor,
+                            AppendCursor::Open(db_, table, row_count, gen));
   SimTime t = start;
   while (!cursor.done()) {
     SMARTSSD_ASSIGN_OR_RETURN(t, cursor.StepPage(t));
@@ -173,8 +172,7 @@ Result<TableAppender::AppendStats> TableAppender::Append(
 
 Result<AppendCursor> AppendCursor::Open(Database* db, std::string table,
                                         std::uint64_t row_count,
-                                        storage::RowGenerator gen,
-                                        bool widen_zone_map) {
+                                        storage::RowGenerator gen) {
   SMARTSSD_CHECK(db != nullptr);
   SMARTSSD_RETURN_IF_ERROR(db->catalog().GetTable(table).status());
   AppendCursor cursor;
@@ -182,7 +180,6 @@ Result<AppendCursor> AppendCursor::Open(Database* db, std::string table,
   cursor.table_ = std::move(table);
   cursor.gen_ = std::move(gen);
   cursor.target_rows_ = row_count;
-  cursor.widen_zone_map_ = widen_zone_map;
   return cursor;
 }
 
@@ -281,11 +278,7 @@ Result<SimTime> AppendCursor::StepPage(SimTime ready) {
   info->tuple_count += new_rows;
   if (new_page) ++info->page_count;
 
-  if (widen_zone_map_) {
-    SMARTSSD_RETURN_IF_ERROR(db_->WidenZoneMap(table_, page_index, image));
-  } else {
-    db_->MarkZoneMapStale(table_);
-  }
+  SMARTSSD_RETURN_IF_ERROR(db_->WidenZoneMap(table_, page_index, image));
   stats_.end = t;
   return t;
 }

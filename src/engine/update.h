@@ -96,8 +96,7 @@ class UpdateCursor {
 //
 // Zone-map maintenance is widen-on-append: every page image written is
 // folded into the live zone map (ranges only grow, so pruning stays
-// sound without a rebuild). Pass widen_zone_map = false to mark the
-// map stale instead and let Database::FlushAll rebuild it.
+// sound without a rebuild).
 class TableAppender {
  public:
   explicit TableAppender(Database* db);
@@ -115,7 +114,7 @@ class TableAppender {
   Result<AppendStats> Append(const std::string& table,
                              std::uint64_t row_count,
                              const storage::RowGenerator& gen,
-                             SimTime start = 0, bool widen_zone_map = true);
+                             SimTime start = 0);
 
  private:
   Database* db_;
@@ -126,8 +125,7 @@ class AppendCursor {
  public:
   static Result<AppendCursor> Open(Database* db, std::string table,
                                    std::uint64_t row_count,
-                                   storage::RowGenerator gen,
-                                   bool widen_zone_map = true);
+                                   storage::RowGenerator gen);
 
   AppendCursor(AppendCursor&&) = default;
   AppendCursor& operator=(AppendCursor&&) = default;
@@ -147,7 +145,6 @@ class AppendCursor {
   std::string table_;
   storage::RowGenerator gen_;
   std::uint64_t target_rows_ = 0;
-  bool widen_zone_map_ = true;
   TableAppender::AppendStats stats_;
 };
 

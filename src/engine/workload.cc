@@ -171,9 +171,6 @@ void WorkloadScheduler::OnArrival(std::size_t source, SimTime arrival,
   }
   admission_queue_.push_back(
       PendingArrival{.source = source, .arrival = arrival, .id = id});
-  peak_queue_depth_ =
-      std::max(peak_queue_depth_,
-               static_cast<std::uint64_t>(admission_queue_.size()));
 }
 
 void WorkloadScheduler::StartQuery(std::size_t source, SimTime arrival,

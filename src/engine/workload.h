@@ -135,9 +135,7 @@ class WorkloadScheduler {
     return completed_ingests_;
   }
 
-  SimTime now() const { return clock_.now(); }
   int peak_in_flight() const { return peak_in_flight_; }
-  std::uint64_t peak_queue_depth() const { return peak_queue_depth_; }
 
  private:
   struct Source {
@@ -211,7 +209,6 @@ class WorkloadScheduler {
   int ingest_in_flight_ = 0;
   int in_flight_ = 0;
   int peak_in_flight_ = 0;
-  std::uint64_t peak_queue_depth_ = 0;
   bool ran_ = false;
 };
 

@@ -1,6 +1,7 @@
 #include "exec/hybrid_join.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <utility>
 
@@ -28,6 +29,8 @@ constexpr std::uint64_t kLevelSalts[] = {
 constexpr std::uint32_t kNumLevelSalts =
     sizeof(kLevelSalts) / sizeof(kLevelSalts[0]);
 
+constexpr int kFanoutShift = std::countr_zero(HybridJoin::kFanout);
+
 std::uint64_t Load64(const std::byte* p) {
   std::uint64_t v;
   std::memcpy(&v, p, sizeof(v));
@@ -49,16 +52,12 @@ HybridJoin::HybridJoin(const BoundQuery* bound,
       page_size_(device->page_size()) {
   SMARTSSD_CHECK(bound_->spec->join.has_value());
   SMARTSSD_CHECK_GT(config_.budget_bytes, 0u);
-  SMARTSSD_CHECK_GT(config_.fanout, 1u);
-  SMARTSSD_CHECK((config_.fanout & (config_.fanout - 1)) == 0);
-  SMARTSSD_CHECK_GE(config_.max_depth, 1u);
-  while ((1u << fanout_shift_) < config_.fanout) ++fanout_shift_;
   build_rec_width_ = 8 + bound_->payload_width;
   outer_row_width_ = bound_->outer->schema.tuple_size();
   probe_rec_width_ = 8 + outer_row_width_;
   SMARTSSD_CHECK_LE(build_rec_width_, page_size_);
   SMARTSSD_CHECK_LE(probe_rec_width_, page_size_);
-  partitions_.resize(config_.fanout);
+  partitions_.resize(kFanout);
 }
 
 std::uint32_t HybridJoin::PartitionOf(std::int64_t key,
@@ -69,7 +68,7 @@ std::uint32_t HybridJoin::PartitionOf(std::int64_t key,
   h ^= h >> 29;
   // High bits: SlotFor() masks the low bits, so partition choice and
   // in-table placement stay independent.
-  return static_cast<std::uint32_t>(h >> (64 - fanout_shift_));
+  return static_cast<std::uint32_t>(h >> (64 - kFanoutShift));
 }
 
 std::int64_t HybridJoin::KeyFromOuterRow(const std::byte* row) const {
@@ -303,9 +302,7 @@ std::uint64_t HybridJoin::SketchBump(std::int64_t key) {
   // Space-saving: at capacity, the newcomer inherits (and increments)
   // the smallest tracked count, so a genuine heavy hitter climbs fast
   // even if it arrived late.
-  const std::size_t capacity =
-      std::max<std::size_t>(config_.hot_key_capacity, 1);
-  if (sketch_.size() < capacity) {
+  if (sketch_.size() < kHotKeyCapacity) {
     sketch_.emplace(key, 1);
     return 1;
   }
@@ -368,8 +365,8 @@ Result<HybridJoin::ProbeResult> HybridJoin::Probe(
     result.payload = HotPayload(hot->second);
     return result;
   }
-  if (SketchBump(key) >= config_.hot_key_threshold &&
-      hot_.size() < config_.hot_key_capacity) {
+  if (SketchBump(key) >= kHotKeyThreshold &&
+      hot_.size() < kHotKeyCapacity) {
     SMARTSSD_RETURN_IF_ERROR(Promote(key, p));
     ++counts->probes;
     ++stats_.hot_hits;
@@ -453,15 +450,15 @@ Status HybridJoin::ResolveFiles(PageFile build, PageFile probe,
           return deliver(seq, row, payload);
         });
   }
-  if (level >= config_.max_depth) {
+  if (level >= kMaxDepth) {
     return ResourceExhaustedError(
         "hybrid join: partition still exceeds the memory budget at the "
         "maximum recursion depth");
   }
-  // Split both files into fanout children with the next level's salt and
+  // Split both files into kFanout children with the next level's salt and
   // recurse. Records move wholesale: no OpCounts are recharged.
-  std::vector<PageFile> child_build(config_.fanout);
-  std::vector<PageFile> child_probe(config_.fanout);
+  std::vector<PageFile> child_build(kFanout);
+  std::vector<PageFile> child_probe(kFanout);
   SMARTSSD_RETURN_IF_ERROR(ForEachRecord(
       build, build_rec_width_, [&](const std::byte* rec) {
         const std::int64_t key = static_cast<std::int64_t>(Load64(rec));
@@ -478,7 +475,7 @@ Status HybridJoin::ResolveFiles(PageFile build, PageFile probe,
                                                        probe_rec_width_));
       }));
   for (PageFile& f : child_probe) SMARTSSD_RETURN_IF_ERROR(SealFile(&f));
-  for (std::uint32_t c = 0; c < config_.fanout; ++c) {
+  for (std::uint32_t c = 0; c < kFanout; ++c) {
     SMARTSSD_RETURN_IF_ERROR(ResolveFiles(std::move(child_build[c]),
                                           std::move(child_probe[c]),
                                           level + 1, counts, deliver));

@@ -1,6 +1,7 @@
 #ifndef SMARTSSD_EXEC_HYBRID_JOIN_H_
 #define SMARTSSD_EXEC_HYBRID_JOIN_H_
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -22,7 +23,7 @@ namespace smartssd::exec {
 // The paper's join assumes the build side fits the session's device-DRAM
 // grant; this class turns that cliff into a curve (after "Design
 // Trade-offs for a Robust Dynamic Hybrid Hash Join", PAPERS.md). The
-// inner table is hashed into `fanout` partitions by a level-salted
+// inner table is hashed into kFanout partitions by a level-salted
 // rehash of the join key. Partitions stay resident while the projected
 // hash-table footprint fits `budget_bytes`; when it would not, the
 // largest resident partition is evicted to flash through the device's
@@ -34,7 +35,7 @@ namespace smartssd::exec {
 // handling) and pins their build rows resident so a skewed key stops
 // paying the spill path. At Finish, each spilled partition is resolved:
 // build its table if it now fits, else recursively re-partition both
-// files with the next level's salt, bounded by `max_depth` (beyond it
+// files with the next level's salt, bounded by kMaxDepth (beyond it
 // the join fails with RESOURCE_EXHAUSTED and the engine falls back to
 // the host, byte-identically).
 //
@@ -61,10 +62,6 @@ namespace smartssd::exec {
 // commutatively, so they sink matches the moment they are found.
 struct HybridJoinConfig {
   std::uint64_t budget_bytes = 0;  // resident build-side budget (> 0)
-  std::uint32_t fanout = 4;        // partitions per level (power of two)
-  std::uint32_t max_depth = 4;     // recursive re-partitioning bound
-  std::uint32_t hot_key_capacity = 8;    // max pinned heavy hitters
-  std::uint32_t hot_key_threshold = 32;  // sketch count before pinning
 };
 
 struct HybridJoinStats {
@@ -80,6 +77,13 @@ struct HybridJoinStats {
 
 class HybridJoin {
  public:
+  static constexpr std::uint32_t kFanout = 4;    // partitions per level
+  static constexpr std::uint32_t kMaxDepth = 4;  // re-partitioning bound
+  static constexpr std::uint32_t kHotKeyCapacity = 8;    // pinned keys
+  static constexpr std::uint32_t kHotKeyThreshold = 32;  // sightings to pin
+  static_assert(kFanout > 1 && std::has_single_bit(kFanout),
+                "partition choice takes the hash's top log2(kFanout) bits");
+
   HybridJoin(const BoundQuery* bound, smart::DeviceServices* device,
              const HybridJoinConfig& config);
   SMARTSSD_DISALLOW_COPY_AND_ASSIGN(HybridJoin);
@@ -201,7 +205,6 @@ class HybridJoin {
   smart::DeviceServices* device_;
   HybridJoinConfig config_;
   std::uint32_t page_size_;
-  std::uint32_t fanout_shift_ = 0;  // log2(fanout)
   std::uint32_t build_rec_width_;   // 8-byte key + payload
   std::uint32_t probe_rec_width_;   // 8-byte seq + outer row
   std::uint32_t outer_row_width_;

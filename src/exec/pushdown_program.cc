@@ -84,8 +84,8 @@ std::uint64_t PushdownProgram::DramBytesRequired() const {
       // (build + probe), one spill-read staging page, and the pinned
       // heavy hitters.
       bytes += spill_.budget_bytes;
-      bytes += (2ull * spill_.fanout + 1) * spill_page_size_hint_;
-      bytes += spill_.hot_key_capacity *
+      bytes += (2ull * HybridJoin::kFanout + 1) * spill_page_size_hint_;
+      bytes += HybridJoin::kHotKeyCapacity *
                (bound_->payload_width + 48ull);
       if (spec.aggregates.empty()) {
         // Order-sensitive output stages every match (seq + outer row +

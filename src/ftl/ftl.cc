@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <tuple>
 
 #include "common/logging.h"
 
@@ -34,17 +35,27 @@ class GcScope {
 };
 }  // namespace
 
+std::uint32_t SelectGcVictim(std::span<const GcBlockView> candidates) {
+  const GcBlockView* best = nullptr;
+  for (const GcBlockView& c : candidates) {
+    if (best == nullptr ||
+        std::tie(c.valid_pages, c.erase_count, c.block) <
+            std::tie(best->valid_pages, best->erase_count, best->block)) {
+      best = &c;
+    }
+  }
+  return best == nullptr ? kNoGcVictim : best->block;
+}
+
 Ftl::Ftl(flash::FlashArray* array, const FtlConfig& config)
     : array_(array),
       config_(config),
-      policy_(MakeGcPolicy(config.gc_policy)),
       logical_pages_(LogicalPageCount(array, config)),
       l2p_(logical_pages_, kMapChunkEntries, kUnmapped),
       p2l_(array->geometry().total_pages(), kMapChunkEntries, kUnmapped) {
   const flash::Geometry& g = array_->geometry();
   valid_.assign(g.total_pages(), false);
   valid_per_block_.assign(g.total_blocks(), 0);
-  block_invalidate_stamp_.assign(g.total_blocks(), 0);
 
   cursors_.resize(g.total_chips());
   for (std::uint64_t chip = 0; chip < g.total_chips(); ++chip) {
@@ -77,7 +88,6 @@ Status Ftl::Invalidate(std::uint64_t ppn) {
         "ftl: valid-page accounting underflow (map corruption)");
   }
   --valid_per_block_[block];
-  block_invalidate_stamp_[block] = ++invalidate_stamp_;
   return Status::OK();
 }
 
@@ -130,8 +140,7 @@ Result<SimTime> Ftl::MaybeCollect(int channel, int chip, SimTime ready) {
   const std::uint64_t relocations_before = stats_.gc_relocations;
   SimTime now = ready;
 
-  // Candidates: every non-active, non-free block on this chip. The
-  // configured policy picks the victim.
+  // Candidates: every non-active, non-free block on this chip.
   const std::uint64_t first_block =
       chip_index * static_cast<std::uint64_t>(g.blocks_per_chip);
   std::vector<GcBlockView> candidates;
@@ -146,12 +155,10 @@ Result<SimTime> Ftl::MaybeCollect(int channel, int chip, SimTime ready) {
     candidates.push_back(GcBlockView{
         .block = b,
         .valid_pages = valid_per_block_[block_index],
-        .erase_count = array_->block_state(block_index).erase_count,
-        .age = invalidate_stamp_ - block_invalidate_stamp_[block_index]});
+        .erase_count = array_->block_state(block_index).erase_count});
   }
-  const std::uint32_t victim =
-      policy_->SelectVictim(candidates, g.pages_per_block);
-  if (victim == GcPolicy::kNoVictim) {
+  const std::uint32_t victim = SelectGcVictim(candidates);
+  if (victim == kNoGcVictim) {
     return ResourceExhaustedError("ftl: no GC victim available");
   }
   const std::uint32_t victim_valid = valid_per_block_[first_block + victim];
@@ -206,7 +213,7 @@ Result<SimTime> Ftl::MaybeCollect(int channel, int chip, SimTime ready) {
          obs::Arg::Uint("victim_erases",
                         array_->block_state(first_block + victim)
                             .erase_count),
-         obs::Arg::Str("policy", policy_->name())});
+         obs::Arg::Str("policy", "greedy")});
   }
   return now;
 }

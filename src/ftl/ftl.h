@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -13,7 +12,6 @@
 #include "common/status.h"
 #include "common/units.h"
 #include "flash/flash_array.h"
-#include "ftl/gc_policy.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -26,9 +24,23 @@ struct FtlConfig {
   std::uint32_t gc_low_watermark_blocks = 2;
   // Firmware lookup/dispatch overhead charged per host command.
   SimDuration command_overhead = 2 * kMicrosecond;
-  // Victim-selection policy for garbage collection (see gc_policy.h).
-  GcPolicyKind gc_policy = GcPolicyKind::kGreedy;
 };
+
+// What garbage collection sees of one candidate block (chip-relative).
+// The FTL only offers non-active, non-free blocks as candidates.
+struct GcBlockView {
+  std::uint32_t block = 0;        // chip-relative block index
+  std::uint32_t valid_pages = 0;  // pages GC would have to relocate
+  std::uint32_t erase_count = 0;  // wear
+};
+
+inline constexpr std::uint32_t kNoGcVictim = ~0U;
+
+// Greedy victim selection: the block with the fewest valid pages, ties
+// broken toward fewer erases, then the lower block index, so the choice
+// is a total order. Returns the victim's chip-relative block index, or
+// kNoGcVictim when `candidates` is empty.
+std::uint32_t SelectGcVictim(std::span<const GcBlockView> candidates);
 
 struct FtlStats {
   std::uint64_t host_writes = 0;       // pages written by the host
@@ -48,7 +60,7 @@ struct FtlStats {
 // Page-level Flash Translation Layer. Maps logical page numbers (LPNs) to
 // physical pages, stripes consecutive writes across channels (which is
 // what gives sequential scans their channel-level parallelism), and runs
-// greedy cost-based garbage collection per chip.
+// greedy garbage collection per chip (SelectGcVictim).
 //
 // The FTL is the firmware component the paper's Section 2 describes as
 // running on the embedded processors; its command overhead is charged on
@@ -94,7 +106,6 @@ class Ftl {
 
   const FtlStats& stats() const { return stats_; }
   const FtlConfig& config() const { return config_; }
-  const GcPolicy& gc_policy() const { return *policy_; }
 
   // Records each GC run as a span on an "ftl gc" lane under `process`
   // (args: relocated pages, victim valid count, erases, policy).
@@ -143,7 +154,6 @@ class Ftl {
 
   flash::FlashArray* array_;
   FtlConfig config_;
-  std::unique_ptr<GcPolicy> policy_;
   std::uint64_t logical_pages_;
 
   // Both maps are chunked, and an entry never written reads kUnmapped.
@@ -154,10 +164,6 @@ class Ftl {
   ChunkedTable<std::uint64_t> p2l_;  // ppn -> lpn or kUnmapped
   std::vector<bool> valid_;         // per physical page
   std::vector<std::uint32_t> valid_per_block_;
-  // Monotone invalidation clock and, per block, the stamp of its most
-  // recent invalidation — what the cost-benefit policy reads as age.
-  std::uint64_t invalidate_stamp_ = 0;
-  std::vector<std::uint64_t> block_invalidate_stamp_;
 
   std::vector<ChipCursor> cursors_;  // per chip (flat index)
   std::uint64_t stripe_cursor_ = 0;  // round-robin over chips

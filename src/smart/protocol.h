@@ -30,46 +30,16 @@ enum class SessionState {
 // reset before the host can reach it again.
 inline constexpr SimDuration kDeviceResetRecovery = 10 * kMillisecond;
 
-// Host-side polling policy for GET, with bounded exponential backoff and
-// stall handling. While the device reports kRunning with no data ready,
-// the host sleeps `min_poll_interval`, doubling (times
-// `backoff_multiplier`) up to `max_poll_interval` on consecutive empty
-// polls; any delivered data resets the interval. The shared default keeps
-// min == max == 500 us — i.e. the original fixed-interval polling — so
-// timing-sensitive experiments are unchanged unless a caller opts into
-// backoff.
+// Host-side GET polling. While the device reports kRunning with no data
+// ready, the host sleeps a fixed kPollInterval before the next GET.
 //
-// A GET whose response does not arrive within `get_timeout` is treated as
-// lost: the host re-issues it, spending one unit of the per-session retry
-// budget. A session that exhausts `session_retry_budget` fails, and the
-// engine falls back to the host scan path.
-struct PollingPolicy {
-  SimDuration min_poll_interval = 500 * kMicrosecond;
-  SimDuration max_poll_interval = 500 * kMicrosecond;
-  double backoff_multiplier = 2.0;
-  SimDuration get_timeout = 50 * kMillisecond;
-  std::uint32_t session_retry_budget = 3;
-
-  // Next sleep after one more empty poll at `current`.
-  SimDuration NextInterval(SimDuration current) const {
-    if (current >= max_poll_interval) return max_poll_interval;
-    const double next =
-        static_cast<double>(current) *
-        (backoff_multiplier > 1.0 ? backoff_multiplier : 1.0);
-    const double max = static_cast<double>(max_poll_interval);
-    return next >= max ? max_poll_interval
-                       : static_cast<SimDuration>(next);
-  }
-
-  // A latency-lenient variant that backs off 500 us -> 8 ms, trading GET
-  // round-trips (host-link command traffic) for result latency.
-  static PollingPolicy WithBackoff() {
-    PollingPolicy policy;
-    policy.min_poll_interval = 500 * kMicrosecond;
-    policy.max_poll_interval = 8 * kMillisecond;
-    return policy;
-  }
-};
+// A GET whose response does not arrive within kGetTimeout is treated as
+// lost: the host re-issues it, spending one unit of the per-session
+// retry budget. A session that exhausts kSessionRetryBudget fails, and
+// the engine falls back to the host scan path.
+inline constexpr SimDuration kPollInterval = 500 * kMicrosecond;
+inline constexpr SimDuration kGetTimeout = 50 * kMillisecond;
+inline constexpr std::uint32_t kSessionRetryBudget = 3;
 
 }  // namespace smartssd::smart
 

@@ -20,18 +20,18 @@ void SmartSsdRuntime::AttachTracer(obs::Tracer* tracer,
 }
 
 std::unique_ptr<SessionTask> SmartSsdRuntime::StartSession(
-    InSsdProgram& program, const PollingPolicy& policy, SimTime start,
+    InSsdProgram& program, SimTime start,
     std::vector<std::byte>* host_output) {
   return std::unique_ptr<SessionTask>(
-      new SessionTask(this, &program, policy, start, host_output));
+      new SessionTask(this, &program, start, host_output));
 }
 
 Result<SessionStats> SmartSsdRuntime::RunSession(
-    InSsdProgram& program, const PollingPolicy& policy, SimTime start,
+    InSsdProgram& program, SimTime start,
     std::vector<std::byte>* host_output, SimTime* failed_at) {
   const std::uint64_t dram_free_before = device_->device_dram_free();
   std::unique_ptr<SessionTask> task =
-      StartSession(program, policy, start, host_output);
+      StartSession(program, start, host_output);
   Status error = Status::OK();
   while (!task->finished()) {
     Result<SimTime> step = task->Step();

@@ -71,9 +71,7 @@ class SmartSsdRuntime {
   explicit SmartSsdRuntime(ssd::SsdDevice* device);
   SMARTSSD_DISALLOW_COPY_AND_ASSIGN(SmartSsdRuntime);
 
-  Result<SessionStats> RunSession(InSsdProgram& program,
-                                  const PollingPolicy& policy,
-                                  SimTime start,
+  Result<SessionStats> RunSession(InSsdProgram& program, SimTime start,
                                   std::vector<std::byte>* host_output,
                                   SimTime* failed_at = nullptr);
 
@@ -81,7 +79,7 @@ class SmartSsdRuntime {
   // Step(); the task borrows `program` and `host_output` for its
   // lifetime. Destroying an unfinished task releases its grants.
   std::unique_ptr<SessionTask> StartSession(
-      InSsdProgram& program, const PollingPolicy& policy, SimTime start,
+      InSsdProgram& program, SimTime start,
       std::vector<std::byte>* host_output);
 
   ssd::SsdDevice& device() { return *device_; }

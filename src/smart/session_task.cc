@@ -6,12 +6,10 @@
 namespace smartssd::smart {
 
 SessionTask::SessionTask(SmartSsdRuntime* runtime, InSsdProgram* program,
-                         const PollingPolicy& policy, SimTime start,
-                         std::vector<std::byte>* host_output)
+                         SimTime start, std::vector<std::byte>* host_output)
     : runtime_(runtime),
       device_(&runtime->device()),
       program_(program),
-      policy_(policy),
       host_output_(host_output),
       start_(start),
       fail_time_(start),
@@ -177,8 +175,7 @@ Result<SimTime> SessionTask::StepFinishProgram() {
   // after the OPEN acknowledgment, not after the last page retires.
   poll_time_ = open_done_;
   last_transfer_ = open_done_;
-  interval_ = policy_.min_poll_interval;
-  retries_left_ = policy_.session_retry_budget;
+  retries_left_ = kSessionRetryBudget;
   state_ = State::kPoll;
   return processing_done_;
 }
@@ -197,7 +194,7 @@ Result<SimTime> SessionTask::StepPoll() {
     // The response never arrives: the host times out and re-issues,
     // burning one unit of the session retry budget.
     if (retries_left_ == 0) {
-      fail_time_ = poll_time_ + policy_.get_timeout;
+      fail_time_ = poll_time_ + kGetTimeout;
       return Fail(IoError("GET stalled; session retry budget exhausted"));
     }
     --retries_left_;
@@ -207,8 +204,7 @@ Result<SimTime> SessionTask::StepPoll() {
           runtime_->track_, "GET stall", "protocol", poll_time_,
           {obs::Arg::Uint("retries_left", retries_left_)});
     }
-    poll_time_ += policy_.get_timeout;
-    interval_ = policy_.min_poll_interval;
+    poll_time_ += kGetTimeout;
     return poll_time_;
   }
   bool transferred = false;
@@ -241,16 +237,13 @@ Result<SimTime> SessionTask::StepPoll() {
     state_ = State::kClose;
     return poll_time_;
   }
-  if (transferred) {
-    interval_ = policy_.min_poll_interval;
-  } else {
+  if (!transferred) {
     if (runtime_->tracer_ != nullptr) {
       runtime_->tracer_->Instant(
           runtime_->track_, "poll backoff", "protocol", poll_time_,
-          {obs::Arg::Uint("interval_ns", interval_)});
+          {obs::Arg::Uint("interval_ns", kPollInterval)});
     }
-    poll_time_ += interval_;
-    interval_ = policy_.NextInterval(interval_);
+    poll_time_ += kPollInterval;
   }
   return poll_time_;
 }

@@ -28,7 +28,7 @@ namespace smartssd::smart {
 //                   embedded execution, result-queue append;
 //   kFinishProgram  the program's Finish callback and final flush;
 //   kPoll           one GET round: command, drain ready chunks over the
-//                   host link, back off if nothing was ready;
+//                   host link, sleep kPollInterval if nothing was ready;
 //   kClose          the CLOSE command round and grant teardown.
 //
 // Driven to completion in a tight loop (SmartSsdRuntime::RunSession does
@@ -171,8 +171,7 @@ class SessionTask {
   };
 
   SessionTask(SmartSsdRuntime* runtime, InSsdProgram* program,
-              const PollingPolicy& policy, SimTime start,
-              std::vector<std::byte>* host_output);
+              SimTime start, std::vector<std::byte>* host_output);
 
   Result<SimTime> StepOpen();
   Result<SimTime> StepProcess();
@@ -189,7 +188,6 @@ class SessionTask {
   SmartSsdRuntime* runtime_;
   ssd::SsdDevice* device_;
   InSsdProgram* program_;
-  PollingPolicy policy_;
   std::vector<std::byte>* host_output_;
 
   State state_ = State::kOpen;
@@ -217,7 +215,6 @@ class SessionTask {
   // GET polling state.
   SimTime poll_time_ = 0;
   SimTime last_transfer_ = 0;
-  SimDuration interval_ = 0;
   std::uint32_t retries_left_ = 0;
 };
 

@@ -90,11 +90,11 @@ TEST(DifferentialReplay, FaultsOffStillCoversTheMatrix) {
   // ref (scalar + vectorized twin, plus a scalar-ISA re-run of the twin
   // on machines whose best kernel ISA uses SIMD lanes) + 8 single
   // configs (incl. the two hybrid-join spill budgets and the NSM and
-  // PAX adaptive-placement configs) + 4 fleet configs + 4
+  // PAX adaptive-placement configs) + 4 fleet configs + 2
   // write-path GC configs per spec.
   const int isa_axis =
       expr::DetectKernelIsa() != expr::KernelIsa::kScalarIsa ? 1 : 0;
-  EXPECT_EQ(report.executions, 2 * (18 + isa_axis));
+  EXPECT_EQ(report.executions, 2 * (16 + isa_axis));
 }
 
 TEST(DifferentialReplay, WritePhaseOffShrinksTheMatrix) {

@@ -16,6 +16,7 @@
 #include "engine/planner.h"
 #include "sim/fault_injector.h"
 #include "smart/program.h"
+#include "smart/protocol.h"
 #include "smart/runtime.h"
 #include "ssd/ssd_device.h"
 #include "tpch/queries.h"
@@ -250,12 +251,10 @@ class SessionFaultTest : public DeviceFaultTest {
 
   // Runs a 32-page session and returns its result, asserting no device
   // DRAM leaked whatever the outcome.
-  Result<smart::SessionStats> RunOnce(
-      const smart::PollingPolicy& policy = {}) {
+  Result<smart::SessionStats> RunOnce() {
     const std::uint64_t dram_before = device_.device_dram_free();
     ByteSumProgram program(32, /*dram_bytes=*/1 << 20);
-    auto result = runtime_.RunSession(program, policy, 0, &output_,
-                                      &failed_at_);
+    auto result = runtime_.RunSession(program, 0, &output_, &failed_at_);
     EXPECT_EQ(device_.device_dram_free(), dram_before)
         << "session leaked device DRAM";
     return result;
@@ -319,14 +318,13 @@ TEST_F(SessionFaultTest, GetStallWithinBudgetRecovers) {
   Preload(32);
   device_.fault_injector().Load(OneFault(
       FaultKind::kGetStall, TriggerUnit::kSimTime, 0, /*count=*/2));
-  auto result = RunOnce();  // default budget is 3
+  auto result = RunOnce();  // the retry budget is 3
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->get_retries, 2u);
   // Output intact despite the stalls: one byte/page + 8-byte total.
   EXPECT_EQ(output_.size(), 32u + 8u);
   // Each timeout pushed the session end out.
-  smart::PollingPolicy policy;
-  EXPECT_GE(result->close_done, 2 * policy.get_timeout);
+  EXPECT_GE(result->close_done, 2 * smart::kGetTimeout);
 }
 
 TEST_F(SessionFaultTest, GetStallBudgetExhaustedFails) {
@@ -347,35 +345,6 @@ TEST_F(SessionFaultTest, SessionCountersTrackOutcomes) {
   EXPECT_FALSE(RunOnce().ok());
   EXPECT_EQ(runtime_.sessions_run(), 2u);
   EXPECT_EQ(runtime_.sessions_failed(), 1u);
-}
-
-TEST_F(SessionFaultTest, BackoffPollingPreservesResults) {
-  Preload(32);
-  std::vector<std::byte> fixed_output;
-  {
-    ByteSumProgram program(32);
-    auto fixed = runtime_.RunSession(program, smart::PollingPolicy{}, 0,
-                                     &fixed_output);
-    ASSERT_TRUE(fixed.ok());
-  }
-  device_.ResetTiming();
-  auto backoff = RunOnce(smart::PollingPolicy::WithBackoff());
-  ASSERT_TRUE(backoff.ok());
-  // Backoff trades GET round-trips for latency; bytes are identical.
-  EXPECT_EQ(output_, fixed_output);
-}
-
-TEST(PollingPolicyTest, BackoffClampsAtMax) {
-  const smart::PollingPolicy policy = smart::PollingPolicy::WithBackoff();
-  SimDuration interval = policy.min_poll_interval;
-  interval = policy.NextInterval(interval);
-  EXPECT_EQ(interval, 2 * policy.min_poll_interval);
-  for (int i = 0; i < 16; ++i) interval = policy.NextInterval(interval);
-  EXPECT_EQ(interval, policy.max_poll_interval);
-  // The shared default is fixed-interval: min == max.
-  const smart::PollingPolicy fixed;
-  EXPECT_EQ(fixed.NextInterval(fixed.min_poll_interval),
-            fixed.min_poll_interval);
 }
 
 // --- Circuit breaker unit tests ---------------------------------------

@@ -14,6 +14,7 @@
 #include "common/random.h"
 #include "engine/database.h"
 #include "engine/executor.h"
+#include "exec/hybrid_join.h"
 #include "tpch/queries.h"
 #include "tpch/synthetic.h"
 #include "tpch/tpch_gen.h"
@@ -95,7 +96,7 @@ TEST(HybridJoinPropertyTest, GrantSweepIsInvisibleToResultsAndCounts) {
       if (budget == std::uint64_t{2} * 1024) {
         // Below one partition's footprint: every partition spills and
         // every build row takes the flash round-trip.
-        EXPECT_EQ(js.partitions_spilled, db->options().join_spill.fanout);
+        EXPECT_EQ(js.partitions_spilled, exec::HybridJoin::kFanout);
         EXPECT_EQ(js.build_rows_spilled, kRRows);
       }
       // The spill extents were trimmed back at session close.

@@ -43,8 +43,7 @@ TEST_F(PushdownProgramTest, ScanProgramLifecycle) {
   EXPECT_EQ(extents[0].count, bound->outer->page_count);
 
   std::vector<std::byte> output;
-  auto session = db_.runtime()->RunSession(program, smart::PollingPolicy{},
-                                           0, &output);
+  auto session = db_.runtime()->RunSession(program, 0, &output);
   ASSERT_TRUE(session.ok());
   EXPECT_EQ(session->pages_processed, bound->outer->page_count);
   EXPECT_EQ(output.size(), 8u);  // one SUM
@@ -68,9 +67,7 @@ TEST_F(PushdownProgramTest, JoinProgramReservesHashTableDram) {
             without_join.DramBytesRequired());
 
   std::vector<std::byte> output;
-  auto session = db_.runtime()->RunSession(with_join,
-                                           smart::PollingPolicy{}, 0,
-                                           &output);
+  auto session = db_.runtime()->RunSession(with_join, 0, &output);
   ASSERT_TRUE(session.ok());
   // Build-phase work is part of the session: inserts for all 50 R rows.
   EXPECT_EQ(with_join.counts().hash_inserts, 50u);
@@ -88,8 +85,7 @@ TEST_F(PushdownProgramTest, HybridJoinUnderTinyBudgetMatchesUnconstrained) {
   PushdownProgram whole(&*bound);
   ASSERT_FALSE(whole.hybrid_join_engaged());
   std::vector<std::byte> whole_out;
-  auto whole_session = db_.runtime()->RunSession(
-      whole, smart::PollingPolicy{}, 0, &whole_out);
+  auto whole_session = db_.runtime()->RunSession(whole, 0, &whole_out);
   ASSERT_TRUE(whole_session.ok());
   db_.ResetForColdRun();
 
@@ -101,8 +97,7 @@ TEST_F(PushdownProgramTest, HybridJoinUnderTinyBudgetMatchesUnconstrained) {
                           spill, db_.device().page_size());
   ASSERT_TRUE(program.hybrid_join_engaged());
   std::vector<std::byte> out;
-  auto session = db_.runtime()->RunSession(program, smart::PollingPolicy{},
-                                           0, &out);
+  auto session = db_.runtime()->RunSession(program, 0, &out);
   ASSERT_TRUE(session.ok());
 
   const HybridJoinStats stats = program.hybrid_stats();
@@ -176,8 +171,7 @@ TEST_F(PushdownProgramTest, ZoneMapPruningShrinksExtents) {
 
   // And the pruned session still returns the exact count.
   std::vector<std::byte> output;
-  auto session = db_.runtime()->RunSession(pruned, smart::PollingPolicy{},
-                                           0, &output);
+  auto session = db_.runtime()->RunSession(pruned, 0, &output);
   ASSERT_TRUE(session.ok());
   ASSERT_EQ(pruned.agg_state().size(), 1u);
   EXPECT_EQ(pruned.agg_state()[0], 1999);

@@ -102,7 +102,7 @@ TEST_F(SmartRuntimeTest, SessionDeliversAllResults) {
   Preload(kPages, 3);
   ByteSumProgram program(0, kPages, 500);
   std::vector<std::byte> output;
-  auto stats = runtime_.RunSession(program, PollingPolicy{}, 0, &output);
+  auto stats = runtime_.RunSession(program, 0, &output);
   ASSERT_TRUE(stats.ok());
 
   // One byte per page + the 8-byte total.
@@ -123,7 +123,7 @@ TEST_F(SmartRuntimeTest, TimelineIsOrdered) {
   constexpr std::uint64_t kPages = 64;
   Preload(kPages, 1);
   ByteSumProgram program(0, kPages, 1000);
-  auto stats = runtime_.RunSession(program, PollingPolicy{}, 1000, nullptr);
+  auto stats = runtime_.RunSession(program, 1000, nullptr);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->open_issued, 1000u);
   EXPECT_LE(stats->open_issued, stats->open_done);
@@ -142,10 +142,10 @@ TEST_F(SmartRuntimeTest, CpuBoundSessionScalesWithCycles) {
   ByteSumProgram cheap(0, kPages, 100);
   ByteSumProgram expensive(0, kPages, 1'000'000);
   auto cheap_stats =
-      runtime_.RunSession(cheap, PollingPolicy{}, 0, nullptr);
+      runtime_.RunSession(cheap, 0, nullptr);
   device_.ResetTiming();
   auto expensive_stats =
-      runtime_.RunSession(expensive, PollingPolicy{}, 0, nullptr);
+      runtime_.RunSession(expensive, 0, nullptr);
   ASSERT_TRUE(cheap_stats.ok());
   ASSERT_TRUE(expensive_stats.ok());
   // 256 pages x 1M cycles / (3 cores x 400 MHz) ~ 213 ms.
@@ -157,7 +157,7 @@ TEST_F(SmartRuntimeTest, IoBoundSessionTracksInternalBandwidth) {
   constexpr std::uint64_t kPages = 2048;
   Preload(kPages, 0);
   ByteSumProgram program(0, kPages, 1);  // negligible CPU
-  auto stats = runtime_.RunSession(program, PollingPolicy{}, 0, nullptr);
+  auto stats = runtime_.RunSession(program, 0, nullptr);
   ASSERT_TRUE(stats.ok());
   const double seconds = ToSeconds(stats->elapsed());
   const double bytes = static_cast<double>(kPages) * device_.page_size();
@@ -169,7 +169,7 @@ TEST_F(SmartRuntimeTest, DramGrantEnforced) {
   Preload(4, 0);
   ByteSumProgram program(0, 4, 10,
                          /*dram_bytes=*/device_.device_dram_free() + 1);
-  auto stats = runtime_.RunSession(program, PollingPolicy{}, 0, nullptr);
+  auto stats = runtime_.RunSession(program, 0, nullptr);
   EXPECT_FALSE(stats.ok());
   EXPECT_EQ(stats.status().code(), StatusCode::kResourceExhausted);
 }
@@ -178,7 +178,7 @@ TEST_F(SmartRuntimeTest, DramReleasedAtClose) {
   Preload(4, 0);
   const std::uint64_t free_before = device_.device_dram_free();
   ByteSumProgram program(0, 4, 10, /*dram_bytes=*/1024 * 1024);
-  auto stats = runtime_.RunSession(program, PollingPolicy{}, 0, nullptr);
+  auto stats = runtime_.RunSession(program, 0, nullptr);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(device_.device_dram_free(), free_before);
 }
@@ -187,8 +187,8 @@ TEST_F(SmartRuntimeTest, SessionIdsIncrease) {
   Preload(2, 0);
   ByteSumProgram a(0, 2, 10);
   ByteSumProgram b(0, 2, 10);
-  auto s1 = runtime_.RunSession(a, PollingPolicy{}, 0, nullptr);
-  auto s2 = runtime_.RunSession(b, PollingPolicy{}, s1->close_done, nullptr);
+  auto s1 = runtime_.RunSession(a, 0, nullptr);
+  auto s2 = runtime_.RunSession(b, s1->close_done, nullptr);
   ASSERT_TRUE(s1.ok());
   ASSERT_TRUE(s2.ok());
   EXPECT_LT(s1->session_id, s2->session_id);
