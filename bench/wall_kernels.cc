@@ -27,9 +27,13 @@
 // columns stay uniform random. All kernels read the identical pages.
 //
 // Sweeps selectivity at fixed width, and tuple width at fixed
-// selectivity, over both page layouts. Each JSON row carries
-// wall_seconds and rows_per_sec; a metadata header row records the
-// toolchain, build type, kernel ISA and hardware thread count that
+// selectivity, over both page layouts. Two TPC-H-shaped rows on PAX
+// follow: Q1 (GROUP BY two 1-byte keys, four SUMs and a COUNT) and
+// Q14 (probe-first FK join into PART, whose keys are dense 1..N), so
+// the group-table and hash-probe stages are measured too. Their
+// l_shipdate is a row-proportional ramp like col1. Each JSON row
+// carries wall_seconds and rows_per_sec; a metadata header row records
+// the toolchain, build type, kernel ISA and hardware thread count that
 // produced the numbers.
 
 #include <cinttypes>
@@ -49,7 +53,10 @@
 #include "storage/pax_page.h"
 #include "storage/tuple.h"
 #include "storage/zone_map.h"
+#include "tpch/dates.h"
+#include "tpch/queries.h"
 #include "tpch/synthetic.h"
+#include "tpch/tpch_gen.h"
 
 using namespace smartssd;
 
@@ -76,13 +83,15 @@ struct MemTable {
   std::optional<storage::ZoneMap> zone_map;
 };
 
-MemTable BuildTable(int columns, PageLayout layout, int rows) {
-  const storage::Schema schema = tpch::SyntheticSchema(columns);
+// Serializes `rows` rows of `gen` into page images of `layout` and
+// builds the table's zone map over them.
+MemTable BuildMemTable(std::string name, const storage::Schema& schema,
+                       PageLayout layout, int rows,
+                       const storage::RowGenerator& gen) {
   MemTable table;
   std::vector<std::byte> tuple(schema.tuple_size());
   storage::NsmPageBuilder nsm(&schema, kPageSize);
   storage::PaxPageBuilder pax(&schema, kPageSize);
-  Random rng(42);
   auto seal = [&]() {
     if (layout == PageLayout::kNsm) {
       table.pages.emplace_back(nsm.image().begin(), nsm.image().end());
@@ -94,19 +103,7 @@ MemTable BuildTable(int columns, PageLayout layout, int rows) {
   };
   for (int row = 0; row < rows; ++row) {
     storage::TupleWriter w(&schema, tuple);
-    for (int c = 0; c < columns; ++c) {
-      if (c == 1) {
-        // Clustered predicate column: a row-proportional ramp over the
-        // same value range the uniform columns draw from, so a
-        // selectivity-s predicate still passes ~s of the rows but the
-        // matches concentrate in the first ~s of the pages.
-        w.SetInt32(c, static_cast<std::int32_t>(
-                          (static_cast<std::int64_t>(row) * kValueRange) /
-                          rows));
-      } else {
-        w.SetInt32(c, static_cast<std::int32_t>(rng.Uniform(kValueRange)));
-      }
-    }
+    gen(static_cast<std::uint64_t>(row), w);
     const bool ok = layout == PageLayout::kNsm ? nsm.Append(tuple)
                                                : pax.Append(tuple);
     if (!ok) {
@@ -120,7 +117,7 @@ MemTable BuildTable(int columns, PageLayout layout, int rows) {
     seal();
   }
   table.info = storage::TableInfo{
-      .name = "t",
+      .name = std::move(name),
       .schema = schema,
       .layout = layout,
       .first_lpn = 0,
@@ -136,6 +133,83 @@ MemTable BuildTable(int columns, PageLayout layout, int rows) {
           }),
       "ZoneMap::Build");
   return table;
+}
+
+MemTable BuildTable(int columns, PageLayout layout, int rows) {
+  Random rng(42);
+  return BuildMemTable(
+      "t", tpch::SyntheticSchema(columns), layout, rows,
+      [&](std::uint64_t row, storage::TupleWriter& w) {
+        for (int c = 0; c < columns; ++c) {
+          if (c == 1) {
+            // Clustered predicate column: a row-proportional ramp over
+            // the same value range the uniform columns draw from, so a
+            // selectivity-s predicate still passes ~s of the rows but
+            // the matches concentrate in the first ~s of the pages.
+            w.SetInt32(c, static_cast<std::int32_t>(
+                              (static_cast<std::int64_t>(row) *
+                               kValueRange) /
+                              rows));
+          } else {
+            w.SetInt32(c,
+                       static_cast<std::int32_t>(rng.Uniform(kValueRange)));
+          }
+        }
+      });
+}
+
+// PART rows for the Q14-shaped join: p_partkey is dense 1..N, and one
+// p_type in six starts with "PROMO".
+constexpr int kPartRows = kRows / 30;
+
+MemTable BuildPart() {
+  Random rng(43);
+  return BuildMemTable(
+      "part", tpch::PartSchema(), PageLayout::kPax, kPartRows,
+      [&](std::uint64_t row, storage::TupleWriter& w) {
+        w.SetInt32(tpch::kPPartKey, static_cast<std::int32_t>(row + 1));
+        w.SetChar(tpch::kPType,
+                  rng.Uniform(6) == 0 ? "PROMO PLATED TIN"
+                                      : "STANDARD PLATED TIN");
+      });
+}
+
+// LINEITEM rows with the columns Q1 and Q14 read: l_shipdate ramps
+// across the table (a date-ordered fact table), the flags follow
+// TPC-H's correlation with the dates (four Q1 groups), and l_partkey
+// is a uniform FK into PART.
+MemTable BuildLineitem() {
+  Random rng(44);
+  constexpr std::int32_t kCurrentDate = tpch::DateToDays(1995, 6, 17);
+  return BuildMemTable(
+      "lineitem", tpch::LineitemSchema(), PageLayout::kPax, kRows,
+      [&](std::uint64_t row, storage::TupleWriter& w) {
+        const std::int32_t shipdate = static_cast<std::int32_t>(
+            tpch::kMinShipDate +
+            static_cast<std::int64_t>(row) *
+                (tpch::kMaxShipDate - tpch::kMinShipDate) / kRows);
+        const std::int32_t quantity =
+            static_cast<std::int32_t>(rng.Uniform(50) + 1);
+        w.SetInt32(tpch::kLPartKey,
+                   static_cast<std::int32_t>(rng.Uniform(kPartRows) + 1));
+        w.SetInt32(tpch::kLQuantity, quantity);
+        w.SetInt64(tpch::kLExtendedPrice,
+                   quantity * static_cast<std::int64_t>(
+                                  90000 + rng.Uniform(100000)));
+        w.SetInt32(tpch::kLDiscount,
+                   static_cast<std::int32_t>(rng.Uniform(11)));
+        w.SetInt32(tpch::kLTax, static_cast<std::int32_t>(rng.Uniform(9)));
+        const std::int32_t receiptdate =
+            shipdate + static_cast<std::int32_t>(rng.Uniform(30)) + 1;
+        if (receiptdate <= kCurrentDate) {
+          w.SetChar(tpch::kLReturnFlag, rng.Uniform(2) == 0 ? "R" : "A");
+        } else {
+          w.SetChar(tpch::kLReturnFlag, "N");
+        }
+        w.SetChar(tpch::kLLineStatus, shipdate > kCurrentDate ? "O" : "F");
+        w.SetInt32(tpch::kLShipDate, shipdate);
+        w.SetInt32(tpch::kLReceiptDate, receiptdate);
+      });
 }
 
 // SELECT SUM(col2) FROM t WHERE col1 < threshold — the scan-aggregate
@@ -155,7 +229,7 @@ exec::QuerySpec ScanAggSpec(double selectivity) {
 struct KernelRun {
   double seconds = 0;
   double rows_per_sec = 0;
-  std::vector<std::int64_t> aggs;
+  std::vector<std::byte> out;  // every emitted row, Finish's included
   exec::OpCounts counts;
 };
 
@@ -165,7 +239,9 @@ struct RunOptions {
   bool use_zone_map = false;
 };
 
+// `join` is the sealed inner table of a join query, else nullptr.
 KernelRun RunKernel(const exec::BoundQuery& bound, const MemTable& table,
+                    const exec::JoinHashTable* join,
                     const RunOptions& options) {
   const expr::ScopedKernelIsa scoped_isa(options.isa);
   const storage::ZoneMap* map =
@@ -174,7 +250,7 @@ KernelRun RunKernel(const exec::BoundQuery& bound, const MemTable& table,
   auto pass = [&]() {
     std::vector<std::byte> out;
     exec::OpCounts counts;
-    exec::PageProcessor processor(&bound, nullptr, options.mode);
+    exec::PageProcessor processor(&bound, join, options.mode);
     if (options.mode == exec::KernelMode::kVectorized) {
       // A silent fallback would time the scalar kernel twice and
       // report a bogus 1.0x — refuse to measure it.
@@ -187,7 +263,7 @@ KernelRun RunKernel(const exec::BoundQuery& bound, const MemTable& table,
                    "ProcessPage");
     }
     bench::Check(processor.Finish(&counts, &out), "Finish");
-    run.aggs = processor.agg_state();
+    run.out = std::move(out);
     run.counts = counts;
   };
   const bench::WallMeasurement m = bench::MeasureWall(
@@ -232,6 +308,48 @@ int main(int argc, char** argv) {
        {"hardware_threads",
         std::to_string(std::thread::hardware_concurrency())}});
 
+  std::printf("%-26s %12s %12s %12s %12s %8s\n", "config", "scalar r/s",
+              "vector r/s", "+simd r/s", "+simd+zm", "zm-gain");
+  bench::PrintRule();
+
+  // Times one query over `table` on every kernel build-up and prints
+  // and records the row.
+  auto measure = [&](const std::string& name, const exec::BoundQuery& bound,
+                     const MemTable& table,
+                     const exec::JoinHashTable* join) {
+    const KernelRun scalar = RunKernel(
+        bound, table, join, {.mode = exec::KernelMode::kScalar});
+    const KernelRun vectorized = RunKernel(
+        bound, table, join, {.isa = expr::KernelIsa::kScalarIsa});
+    const KernelRun simd = RunKernel(bound, table, join, {.isa = best_isa});
+    const KernelRun simd_zm = RunKernel(
+        bound, table, join, {.isa = best_isa, .use_zone_map = true});
+
+    // Every kernel build-up must agree with the interpreter bit for bit
+    // in results AND operation counts — the count identity is what
+    // keeps virtual time independent of all of this machinery.
+    for (const KernelRun* run : {&vectorized, &simd, &simd_zm}) {
+      SMARTSSD_CHECK(scalar.out == run->out);
+      SMARTSSD_CHECK(scalar.counts == run->counts);
+    }
+
+    auto speedup_over = [](const KernelRun& num, const KernelRun& den) {
+      return den.rows_per_sec > 0 ? num.rows_per_sec / den.rows_per_sec : 0;
+    };
+    std::printf("%-26s %12.3g %12.3g %12.3g %12.3g %7.2fx\n", name.c_str(),
+                scalar.rows_per_sec, vectorized.rows_per_sec,
+                simd.rows_per_sec, simd_zm.rows_per_sec,
+                speedup_over(simd_zm, vectorized));
+    json.AddWall(name + " scalar", scalar.seconds, NAN, NAN,
+                 scalar.rows_per_sec);
+    json.AddWall(name + " vectorized", vectorized.seconds, NAN,
+                 speedup_over(vectorized, scalar), vectorized.rows_per_sec);
+    json.AddWall(name + " vectorized+simd", simd.seconds, NAN,
+                 speedup_over(simd, vectorized), simd.rows_per_sec);
+    json.AddWall(name + " vectorized+simd+zm", simd_zm.seconds, NAN,
+                 speedup_over(simd_zm, vectorized), simd_zm.rows_per_sec);
+  };
+
   std::vector<Config> configs;
   for (const double sel : {0.01, 0.10, 0.50, 0.90}) {
     for (const PageLayout layout : {PageLayout::kNsm, PageLayout::kPax}) {
@@ -249,11 +367,6 @@ int main(int argc, char** argv) {
       configs.push_back({name, 0.10, columns, layout});
     }
   }
-
-  std::printf("%-26s %12s %12s %12s %12s %8s\n", "config", "scalar r/s",
-              "vector r/s", "+simd r/s", "+simd+zm", "zm-gain");
-  bench::PrintRule();
-
   for (const Config& config : configs) {
     const MemTable table =
         BuildTable(config.columns, config.layout, kRows);
@@ -262,43 +375,35 @@ int main(int argc, char** argv) {
     const exec::QuerySpec spec = ScanAggSpec(config.selectivity);
     auto bound = exec::Bind(spec, catalog);
     bench::Check(bound.status(), "Bind");
+    measure(config.name, *bound, table, nullptr);
+  }
 
-    const KernelRun scalar = RunKernel(
-        *bound, table, {.mode = exec::KernelMode::kScalar});
-    const KernelRun vectorized = RunKernel(
-        *bound, table, {.isa = expr::KernelIsa::kScalarIsa});
-    const KernelRun simd =
-        RunKernel(*bound, table, {.isa = best_isa});
-    const KernelRun simd_zm = RunKernel(
-        *bound, table, {.isa = best_isa, .use_zone_map = true});
+  {
+    const MemTable lineitem = BuildLineitem();
+    const MemTable part = BuildPart();
+    storage::Catalog catalog(100000);
+    bench::Check(catalog.AddTable(lineitem.info), "AddTable");
+    bench::Check(catalog.AddTable(part.info), "AddTable");
 
-    // Every kernel build-up must agree with the interpreter bit for bit
-    // in results AND operation counts — the count identity is what
-    // keeps virtual time independent of all of this machinery.
-    SMARTSSD_CHECK(scalar.aggs == vectorized.aggs);
-    SMARTSSD_CHECK(scalar.counts == vectorized.counts);
-    SMARTSSD_CHECK(scalar.aggs == simd.aggs);
-    SMARTSSD_CHECK(scalar.counts == simd.counts);
-    SMARTSSD_CHECK(scalar.aggs == simd_zm.aggs);
-    SMARTSSD_CHECK(scalar.counts == simd_zm.counts);
+    const exec::QuerySpec q1 = tpch::Q1Spec("lineitem");
+    auto q1_bound = exec::Bind(q1, catalog);
+    bench::Check(q1_bound.status(), "Bind");
+    measure("q1-groupby pax", *q1_bound, lineitem, nullptr);
 
-    auto speedup_over = [](const KernelRun& num, const KernelRun& den) {
-      return den.rows_per_sec > 0 ? num.rows_per_sec / den.rows_per_sec : 0;
-    };
-    std::printf("%-26s %12.3g %12.3g %12.3g %12.3g %7.2fx\n",
-                config.name.c_str(), scalar.rows_per_sec,
-                vectorized.rows_per_sec, simd.rows_per_sec,
-                simd_zm.rows_per_sec, speedup_over(simd_zm, vectorized));
-    json.AddWall(config.name + " scalar", scalar.seconds, NAN, NAN,
-                 scalar.rows_per_sec);
-    json.AddWall(config.name + " vectorized", vectorized.seconds, NAN,
-                 speedup_over(vectorized, scalar),
-                 vectorized.rows_per_sec);
-    json.AddWall(config.name + " vectorized+simd", simd.seconds, NAN,
-                 speedup_over(simd, vectorized), simd.rows_per_sec);
-    json.AddWall(config.name + " vectorized+simd+zm", simd_zm.seconds,
-                 NAN, speedup_over(simd_zm, vectorized),
-                 simd_zm.rows_per_sec);
+    const exec::QuerySpec q14 = tpch::Q14Spec("lineitem", "part");
+    auto q14_bound = exec::Bind(q14, catalog);
+    bench::Check(q14_bound.status(), "Bind");
+    exec::OpCounts build_counts;
+    const exec::JoinHashTable join = bench::Unwrap(
+        exec::BuildJoinHashTable(
+            *q14_bound,
+            [&](std::uint64_t page_index)
+                -> Result<std::span<const std::byte>> {
+              return std::span<const std::byte>(part.pages[page_index]);
+            },
+            &build_counts),
+        "BuildJoinHashTable");
+    measure("q14-probe pax", *q14_bound, lineitem, &join);
   }
 
   bench::PrintRule();
