@@ -100,13 +100,20 @@ Status Database::BuildZoneMap(const std::string& table) {
   };
   SMARTSSD_ASSIGN_OR_RETURN(storage::ZoneMap map,
                             storage::ZoneMap::Build(*info, read_page));
-  zone_maps_.insert_or_assign(table, std::move(map));
+  zone_maps_.insert_or_assign(
+      table, std::make_shared<storage::ZoneMap>(std::move(map)));
   return Status::OK();
 }
 
 const storage::ZoneMap* Database::zone_map(const std::string& table) const {
   auto it = zone_maps_.find(table);
-  return it == zone_maps_.end() ? nullptr : &it->second;
+  return it == zone_maps_.end() ? nullptr : it->second.get();
+}
+
+std::shared_ptr<const storage::ZoneMap> Database::zone_map_snapshot(
+    const std::string& table) const {
+  auto it = zone_maps_.find(table);
+  return it == zone_maps_.end() ? nullptr : it->second;
 }
 
 void Database::DropZoneMap(const std::string& table) {
@@ -127,7 +134,11 @@ Status Database::WidenZoneMap(const std::string& table,
   if (it == zone_maps_.end()) return Status::OK();
   SMARTSSD_ASSIGN_OR_RETURN(const storage::TableInfo* info,
                             catalog_->GetTable(table));
-  return it->second.WidenFromPage(*info, page_index, page);
+  // A session holds the current map as its snapshot: widen a copy.
+  if (it->second.use_count() > 1) {
+    it->second = std::make_shared<storage::ZoneMap>(*it->second);
+  }
+  return it->second->WidenFromPage(*info, page_index, page);
 }
 
 Result<SimTime> Database::RestoreZoneMaps(SimTime ready) {
@@ -152,7 +163,8 @@ Result<SimTime> Database::RestoreZoneMaps(SimTime ready) {
     };
     SMARTSSD_ASSIGN_OR_RETURN(storage::ZoneMap map,
                               storage::ZoneMap::Build(*info, read_page));
-    zone_maps_.insert_or_assign(table, std::move(map));
+    zone_maps_.insert_or_assign(
+        table, std::make_shared<storage::ZoneMap>(std::move(map)));
     it = stale_zone_maps_.erase(it);
   }
   return t;

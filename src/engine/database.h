@@ -130,6 +130,13 @@ class Database {
   // The table's zone map, or nullptr if none was built (or it is
   // currently stale after a write).
   const storage::ZoneMap* zone_map(const std::string& table) const;
+  // The same map as a shared, immutable snapshot (nullptr likewise): a
+  // device session ships it instead of copying the statistics. While a
+  // snapshot is held, WidenZoneMap widens a copy, so the holder keeps
+  // seeing the ranges it was given; MarkZoneMapStale drops only the
+  // database's reference.
+  std::shared_ptr<const storage::ZoneMap> zone_map_snapshot(
+      const std::string& table) const;
   // Drops a table's zone map permanently.
   void DropZoneMap(const std::string& table);
   // Marks a table's zone map stale after an in-place update: zone_map()
@@ -196,7 +203,9 @@ class Database {
   std::unique_ptr<BufferPool> pool_;
   std::unique_ptr<HostMachine> host_;
   DeviceCircuitBreaker breaker_;
-  std::map<std::string, storage::ZoneMap> zone_maps_;
+  // Shared so device sessions can hold a snapshot; copied on write
+  // while one does (WidenZoneMap).
+  std::map<std::string, std::shared_ptr<storage::ZoneMap>> zone_maps_;
   // Tables whose zone map was invalidated by a write and awaits rebuild.
   std::set<std::string> stale_zone_maps_;
   obs::Tracer* tracer_ = nullptr;

@@ -419,10 +419,7 @@ StepOutcome DeviceQueryTask::StepStart() {
                               "query", start_);
     span_ended_ = false;
   }
-  if (const storage::ZoneMap* map = db_->zone_map(bound_->spec->table);
-      map != nullptr) {
-    device_zone_map_.emplace(*map);
-  }
+  device_zone_map_ = db_->zone_map_snapshot(bound_->spec->table);
   exec::HybridJoinConfig spill = db_->options().join_spill;
   if (bound_->spec->join.has_value()) {
     spill.budget_bytes = ResolveJoinBudget(*db_, *bound_);
@@ -430,8 +427,7 @@ StepOutcome DeviceQueryTask::StepStart() {
     // it where the catalog's extents end before any session may spill.
     db_->ssd()->set_spill_floor(db_->catalog().pages_allocated());
   }
-  program_.emplace(bound_,
-                   device_zone_map_.has_value() ? &*device_zone_map_ : nullptr,
+  program_.emplace(bound_, device_zone_map_.get(),
                    db_->options().kernel, spill, db_->device().page_size(),
                    frag_first_, frag_pages_);
   session_ = db_->runtime()->StartSession(*program_, start_, &result_.rows);

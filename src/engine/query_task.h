@@ -182,13 +182,15 @@ class DeviceQueryTask {
   obs::SpanId span_id_ = obs::kNoSpan;
   bool span_ended_ = false;
 
-  // Device-resident copy of the table's zone map, taken when the
-  // session opens. The host-side map object can be destroyed mid-flight
-  // by a co-scheduled writer marking it stale; the device prunes with
-  // the snapshot it was shipped, which stays consistent with the pages
-  // the session reads (writers only reach flash after a flush, and the
-  // dirty-page gate refused the session if a flush was pending).
-  std::optional<storage::ZoneMap> device_zone_map_;
+  // Device-resident snapshot of the table's zone map, taken when the
+  // session opens. A co-scheduled writer can mark the host-side map
+  // stale (dropping the database's reference) or widen it (which then
+  // widens a copy) mid-flight; the device prunes with the snapshot it
+  // was shipped, which stays consistent with the pages the session
+  // reads (writers only reach flash after a flush, and the dirty-page
+  // gate refused the session if a flush was pending). Shared and
+  // immutable, so shipping it copies nothing.
+  std::shared_ptr<const storage::ZoneMap> device_zone_map_;
   std::optional<exec::PushdownProgram> program_;
   std::unique_ptr<smart::SessionTask> session_;
   bool session_started_ = false;

@@ -53,7 +53,8 @@ BatchSkipAnalysis::BatchSkipAnalysis(const expr::Expression* pred,
     const std::optional<expr::ColumnCompare> cc = e.AsColumnCompare();
     if (cc.has_value() && cc->column < num_outer_columns &&
         map->TracksColumn(cc->column)) {
-      conjuncts_.emplace_back(cc);
+      conjuncts_.emplace_back(
+          Conjunct{.cc = *cc, .slot = map->TrackedSlot(cc->column)});
     } else {
       conjuncts_.emplace_back(std::nullopt);
     }
@@ -69,16 +70,17 @@ BatchSkipAnalysis::BatchSkipAnalysis(const expr::Expression* pred,
 
 PageClass BatchSkipAnalysis::Classify(std::uint64_t page,
                                       expr::EvalStats* per_row) const {
+  // Pages past the map (appended after the last widen) have no range.
+  if (page >= map_->pages()) return PageClass::kMixed;
   expr::EvalStats cost;
-  for (const auto& cc : conjuncts_) {
-    if (!cc.has_value()) return PageClass::kMixed;
-    const Result<storage::ZoneMap::Range> range =
-        map_->PageRange(page, cc->column);
-    if (!range.ok()) return PageClass::kMixed;
+  for (const auto& conjunct : conjuncts_) {
+    if (!conjunct.has_value()) return PageClass::kMixed;
+    const storage::ZoneMap::Range& range =
+        map_->SlotRange(page, conjunct->slot);
     // One column read + one comparison per row this conjunct runs on.
     ++cost.column_reads;
     ++cost.comparisons;
-    switch (ClassifyConjunct(*cc, range->min, range->max)) {
+    switch (ClassifyConjunct(conjunct->cc, range.min, range.max)) {
       case ConjunctVerdict::kAllPass:
         break;  // every row reaches the next conjunct
       case ConjunctVerdict::kAllFail:

@@ -67,15 +67,22 @@ class BatchSkipAnalysis {
   // the first conjunct is non-conforming); callers then skip Classify.
   bool usable() const { return usable_; }
 
-  // Classifies one page. On kAllPass, *per_row is the full conjunct
+  // Classifies one page; requires usable(). A page past the map's last
+  // tracked page is kMixed. On kAllPass, *per_row is the full conjunct
   // chain's per-row cost; on kAllFail, the evaluated-prefix cost
   // (including the failing conjunct). Untouched on kMixed.
   PageClass Classify(std::uint64_t page, expr::EvalStats* per_row) const;
 
  private:
+  // A conforming conjunct and its column's zone-map slot, resolved once
+  // so Classify reads ranges through a lookup that cannot fail.
+  struct Conjunct {
+    expr::ColumnCompare cc;
+    int slot = -1;
+  };
   // nullopt marks a non-conforming conjunct: classification cannot see
   // past it (it may pass or fail per row).
-  std::vector<std::optional<expr::ColumnCompare>> conjuncts_;
+  std::vector<std::optional<Conjunct>> conjuncts_;
   const storage::ZoneMap* map_ = nullptr;
   bool usable_ = false;
 };

@@ -43,6 +43,13 @@ class HybridJoin;
 // Both produce byte-identical output and byte-identical OpCounts; a
 // query the batch compiler cannot express silently degrades to kScalar
 // (see kernel_mode()).
+//
+// The vectorized kernel's per-page path allocates nothing once its
+// buffers have seen the largest page: it sets up only the outer
+// columns some stage reads, probes the join table once per batch
+// (JoinHashTable::ProbeBatch), resolves group keys once per batch
+// (GroupTable::FindOrInsertBatch), and keeps top-N rows in one flat
+// buffer.
 class PageProcessor {
  public:
   // `hash_table` must outlive the processor and is required iff the
@@ -132,16 +139,22 @@ class PageProcessor {
   Status ProcessPageVectorized(std::span<const std::byte> page,
                                std::uint64_t page_index, OpCounts* counts,
                                std::vector<std::byte>* out);
-  // Probes the join hash table for every lane of sel_, keeps the hits,
-  // and repoints the payload batch columns. `rows` is the page's tuple
-  // count (payload pointers are indexed by row id).
-  void ProbeBatch(std::uint32_t rows, OpCounts* counts);
+  // Grows the per-lane buffers to hold a page of `rows` tuples.
+  void EnsureLanes(std::size_t rows);
+  // Probes the join hash table for every lane of sel_ in one batched
+  // lookup, keeps the hits, and records each hit's payload by row id
+  // (payload_ptrs_, which the payload batch columns point into).
+  void ProbeBatch(OpCounts* counts);
+  // Resolves every lane of sel_ to its group index in group_idx_.
+  void GroupBatch();
   // Aggregation / projection over the surviving lanes of sel_.
   Status SinkBatch(const expr::BatchInput& in, OpCounts* counts,
                    std::vector<std::byte>* out);
 
-  void PushTopN(std::int64_t key, std::vector<std::byte> row,
-                OpCounts* counts);
+  // Offers a row with order key `key` to the top-N stage. Returns where
+  // to write the row's output_row_width() bytes if it is kept, or
+  // nullptr if it is not.
+  std::byte* PushTopN(std::int64_t key, OpCounts* counts);
 
   const BoundQuery* bound_;
   const JoinHashTable* hash_table_;
@@ -150,9 +163,11 @@ class PageProcessor {
   std::vector<std::int64_t> agg_init_;   // one init value per aggregate
   std::vector<std::int64_t> agg_state_;  // scalar aggregation
   GroupTable group_table_;               // GROUP BY state (both kernels)
-  // Top-N candidates as a binary heap ordered so the *worst* kept row is
-  // on top (max-heap for ascending order, min-heap for descending).
-  std::vector<std::pair<std::int64_t, std::vector<std::byte>>> top_n_;
+  // Top-N candidates as a binary heap of (order key, row slot) ordered
+  // so the *worst* kept row is on top (max-heap for ascending order,
+  // min-heap for descending). Row slot i is top_n_rows_[i * width].
+  std::vector<std::pair<std::int64_t, std::uint32_t>> top_n_;
+  std::vector<std::byte> top_n_rows_;
   std::vector<std::byte> row_scratch_;
   std::uint32_t output_row_width_ = 0;
   std::uint64_t rows_output_ = 0;
@@ -166,9 +181,17 @@ class PageProcessor {
   std::vector<std::optional<expr::CompiledExpr>> agg_compiled_;
   expr::BatchScratch scratch_;
   std::vector<expr::BatchColumn> batch_columns_;  // combined-row columns
+  // Outer columns some stage reads (predicate, aggregates, group keys,
+  // projection, order key, join key): the only ones set up per page.
+  std::vector<int> outer_cols_used_;
+  // Per-lane buffers, sized to the largest page seen (lanes_ rows).
+  std::size_t lanes_ = 0;
   expr::SelVec sel_;
   std::vector<const std::byte*> tuple_ptrs_;    // NSM gather
+  std::vector<std::int64_t> probe_keys_;        // FK per lane
+  std::vector<const std::byte*> probe_hits_;    // payload per lane
   std::vector<const std::byte*> payload_ptrs_;  // probe hits, by row id
+  std::vector<std::byte> group_keys_;           // key_stride() per lane
   std::vector<std::uint32_t> group_idx_;        // per-lane group index
 };
 

@@ -95,9 +95,23 @@ Result<CompiledExpr> CompiledExpr::Compile(const Expression& root,
   return CompiledExpr(std::move(prog), slot, type);
 }
 
+void BatchScratch::Reserve(int num_slots, std::size_t lanes) {
+  if (slots_.size() < static_cast<std::size_t>(num_slots)) {
+    slots_.resize(static_cast<std::size_t>(num_slots));
+  }
+  if (lanes > lanes_) {
+    lanes_ = lanes;
+    for (SelVec& saved : sel_stack_) saved.reserve(lanes);
+  }
+  // Selection buffers trade places (with each other and with a caller's
+  // SelVec in Filter), so each one that enters cur_ is sized here.
+  cur_.reserve(lanes_);
+}
+
 void CompiledExpr::Run(const BatchInput& in, BatchScratch* scratch,
                        EvalStats* stats) const {
-  scratch->slots_.resize(static_cast<std::size_t>(prog_.num_slots()));
+  // Every lane set below is a subset of the batch's input lanes.
+  scratch->Reserve(prog_.num_slots(), scratch->cur_.size());
   // Literal slots carry their value straight from the program; doing it
   // every Run keeps the scratch shareable between compiled expressions.
   for (int s = 0; s < prog_.num_slots(); ++s) {
@@ -124,8 +138,8 @@ void CompiledExpr::Run(const BatchInput& in, BatchScratch* scratch,
     switch (op.code) {
       case BatchOp::Code::kLoadI64: {
         const BatchColumn& col = in.columns[op.col];
-        auto& out = scratch->slots_[static_cast<std::size_t>(op.dst)].i64;
-        out.resize(n);
+        std::int64_t* out = scratch->Lanes(
+            scratch->slots_[static_cast<std::size_t>(op.dst)].i64);
         stats->column_reads += n;
         // Dense strided gather (all-pass pages, unfiltered loads over a
         // packed PAX minipage) is a contiguous copy. `sel` is ascending
@@ -135,7 +149,7 @@ void CompiledExpr::Run(const BatchInput& in, BatchScratch* scratch,
             static_cast<std::size_t>(sel[n - 1] - sel[0]) + 1 == n) {
           LoadI64ContigAvx2(
               col.base + static_cast<std::size_t>(sel[0]) * col.stride,
-              col.width, out.data(), n);
+              col.width, out, n);
           break;
         }
         auto load = [&](auto addr) {
@@ -170,8 +184,8 @@ void CompiledExpr::Run(const BatchInput& in, BatchScratch* scratch,
       }
       case BatchOp::Code::kLoadStr: {
         const BatchColumn& col = in.columns[op.col];
-        auto& out = scratch->slots_[static_cast<std::size_t>(op.dst)].str;
-        out.resize(n);
+        std::string_view* out = scratch->Lanes(
+            scratch->slots_[static_cast<std::size_t>(op.dst)].str);
         stats->column_reads += n;
         const std::size_t width = col.width;
         for (std::size_t i = 0; i < n; ++i) {
@@ -193,8 +207,7 @@ void CompiledExpr::Run(const BatchInput& in, BatchScratch* scratch,
         const bool ua = prog_.slot(op.a).uniform;
         const bool ub = prog_.slot(op.b).uniform;
         if (!is_d && isa == KernelIsa::kAvx2 && !(ua && ub)) {
-          sd.b8.resize(n);
-          std::uint8_t* o = sd.b8.data();
+          std::uint8_t* o = scratch->Lanes(sd.b8);
           if (ua) {
             // uniform OP v[i]  ==  v[i] FLIP(OP) uniform.
             CmpI64VecLitAvx2(FlipCompare(op.cmp), sb.i64.data(), sa.u_i64, o,
@@ -214,8 +227,7 @@ void CompiledExpr::Run(const BatchInput& in, BatchScratch* scratch,
             sd.u_b8 = CmpScalar(op.cmp, uax, ubx) ? 1 : 0;
             return;
           }
-          sd.b8.resize(n);
-          std::uint8_t* o = sd.b8.data();
+          std::uint8_t* o = scratch->Lanes(sd.b8);
           auto loop = [&](auto ga, auto gb) {
             switch (op.cmp) {
               case CompareOp::kEq:
@@ -274,9 +286,9 @@ void CompiledExpr::Run(const BatchInput& in, BatchScratch* scratch,
           sd.u_b8 = CmpStr(op.cmp, sa.u_str, sb.u_str) ? 1 : 0;
           break;
         }
-        sd.b8.resize(n);
+        std::uint8_t* o = scratch->Lanes(sd.b8);
         for (std::size_t i = 0; i < n; ++i) {
-          sd.b8[i] = CmpStr(op.cmp, ga(i), gb(i)) ? 1 : 0;
+          o[i] = CmpStr(op.cmp, ga(i), gb(i)) ? 1 : 0;
         }
         break;
       }
@@ -294,8 +306,7 @@ void CompiledExpr::Run(const BatchInput& in, BatchScratch* scratch,
           sd.u_i64 = ArithScalarI(op.arith, sa.u_i64, sb.u_i64);
           break;
         }
-        sd.i64.resize(n);
-        std::int64_t* o = sd.i64.data();
+        std::int64_t* o = scratch->Lanes(sd.i64);
         if (isa == KernelIsa::kAvx2) {
           const bool done =
               ua ? ArithI64LitVecAvx2(op.arith, sa.u_i64, sb.i64.data(), o, n)
@@ -355,9 +366,9 @@ void CompiledExpr::Run(const BatchInput& in, BatchScratch* scratch,
           sd.u_f64 = ArithScalarD(op.arith, sa.u_f64, sb.u_f64);
           break;
         }
-        sd.f64.resize(n);
+        double* o = scratch->Lanes(sd.f64);
         for (std::size_t i = 0; i < n; ++i) {
-          sd.f64[i] = ArithScalarD(op.arith, ga(i), gb(i));
+          o[i] = ArithScalarD(op.arith, ga(i), gb(i));
         }
         break;
       }
@@ -370,9 +381,9 @@ void CompiledExpr::Run(const BatchInput& in, BatchScratch* scratch,
           sd.u_f64 = static_cast<double>(sa.u_i64);
           break;
         }
-        sd.f64.resize(n);
+        double* o = scratch->Lanes(sd.f64);
         for (std::size_t i = 0; i < n; ++i) {
-          sd.f64[i] = static_cast<double>(sa.i64[i]);
+          o[i] = static_cast<double>(sa.i64[i]);
         }
         break;
       }
@@ -385,9 +396,9 @@ void CompiledExpr::Run(const BatchInput& in, BatchScratch* scratch,
           sd.u_b8 = sa.u_b8 == 0 ? 1 : 0;
           break;
         }
-        sd.b8.resize(n);
+        std::uint8_t* o = scratch->Lanes(sd.b8);
         for (std::size_t i = 0; i < n; ++i) {
-          sd.b8[i] = sa.b8[i] == 0 ? 1 : 0;
+          o[i] = sa.b8[i] == 0 ? 1 : 0;
         }
         break;
       }
@@ -402,9 +413,9 @@ void CompiledExpr::Run(const BatchInput& in, BatchScratch* scratch,
           sd.u_b8 = LikeScalar(sa.u_str, prefix) ? 1 : 0;
           break;
         }
-        sd.b8.resize(n);
+        std::uint8_t* o = scratch->Lanes(sd.b8);
         for (std::size_t i = 0; i < n; ++i) {
-          sd.b8[i] = LikeScalar(sa.str[i], prefix) ? 1 : 0;
+          o[i] = LikeScalar(sa.str[i], prefix) ? 1 : 0;
         }
         break;
       }
@@ -413,7 +424,7 @@ void CompiledExpr::Run(const BatchInput& in, BatchScratch* scratch,
         break;
       case BatchOp::Code::kSelSave: {
         if (scratch->sel_stack_.size() <= depth) {
-          scratch->sel_stack_.emplace_back();
+          scratch->sel_stack_.emplace_back().reserve(scratch->lanes_);
         }
         scratch->sel_stack_[depth].assign(cur.begin(), cur.end());
         ++depth;
@@ -451,14 +462,14 @@ void CompiledExpr::Run(const BatchInput& in, BatchScratch* scratch,
         BatchScratch::Slot& sd =
             scratch->slots_[static_cast<std::size_t>(op.dst)];
         const bool invert = op.flag != 0;
-        sd.b8.resize(saved.size());
+        std::uint8_t* o = scratch->Lanes(sd.b8);
         // `cur` is an ordered subset of `saved`: one forward walk marks
         // the survivors.
         std::size_t j = 0;
         for (std::size_t i = 0; i < saved.size(); ++i) {
           const bool member = j < cur.size() && cur[j] == saved[i];
           if (member) ++j;
-          sd.b8[i] = (member != invert) ? 1 : 0;
+          o[i] = (member != invert) ? 1 : 0;
         }
         std::swap(cur, saved);
         --depth;
@@ -503,34 +514,34 @@ void CompiledExpr::Run(const BatchInput& in, BatchScratch* scratch,
         std::size_t je = 0;
         switch (prog_.slot(op.dst).type) {
           case SlotType::kI64: {
-            sd.i64.resize(n);
+            auto* o = scratch->Lanes(sd.i64);
             for (std::size_t i = 0; i < n; ++i) {
-              sd.i64[i] = cond(i) ? (ut ? st.u_i64 : st.i64[jt++])
-                                  : (ue ? se.u_i64 : se.i64[je++]);
+              o[i] = cond(i) ? (ut ? st.u_i64 : st.i64[jt++])
+                             : (ue ? se.u_i64 : se.i64[je++]);
             }
             break;
           }
           case SlotType::kF64: {
-            sd.f64.resize(n);
+            auto* o = scratch->Lanes(sd.f64);
             for (std::size_t i = 0; i < n; ++i) {
-              sd.f64[i] = cond(i) ? (ut ? st.u_f64 : st.f64[jt++])
-                                  : (ue ? se.u_f64 : se.f64[je++]);
+              o[i] = cond(i) ? (ut ? st.u_f64 : st.f64[jt++])
+                             : (ue ? se.u_f64 : se.f64[je++]);
             }
             break;
           }
           case SlotType::kStr: {
-            sd.str.resize(n);
+            auto* o = scratch->Lanes(sd.str);
             for (std::size_t i = 0; i < n; ++i) {
-              sd.str[i] = cond(i) ? (ut ? st.u_str : st.str[jt++])
-                                  : (ue ? se.u_str : se.str[je++]);
+              o[i] = cond(i) ? (ut ? st.u_str : st.str[jt++])
+                             : (ue ? se.u_str : se.str[je++]);
             }
             break;
           }
           case SlotType::kBool: {
-            sd.b8.resize(n);
+            std::uint8_t* o = scratch->Lanes(sd.b8);
             for (std::size_t i = 0; i < n; ++i) {
-              sd.b8[i] = cond(i) ? (ut ? st.u_b8 : st.b8[jt++])
-                                 : (ue ? se.u_b8 : se.b8[je++]);
+              o[i] = cond(i) ? (ut ? st.u_b8 : st.b8[jt++])
+                             : (ue ? se.u_b8 : se.b8[je++]);
             }
             break;
           }
@@ -550,6 +561,8 @@ void CompiledExpr::Filter(const BatchInput& in, SelVec* sel,
     // thing either, so skip the op walk entirely.
     return;
   }
+  // Size the buffer the caller gets back before it changes hands.
+  scratch->Reserve(prog_.num_slots(), sel->size());
   std::swap(scratch->cur_, *sel);
   Run(in, scratch, stats);
   std::swap(scratch->cur_, *sel);
@@ -576,15 +589,17 @@ std::span<const std::int64_t> CompiledExpr::EvalI64(
     EvalStats* stats) const {
   SMARTSSD_CHECK(result_type_ == SlotType::kI64);
   if (sel.empty()) return {};
+  scratch->Reserve(prog_.num_slots(), sel.size());
   scratch->cur_.assign(sel.begin(), sel.end());
   Run(in, scratch, stats);
   const BatchScratch::Slot& root =
       scratch->slots_[static_cast<std::size_t>(root_)];
   if (prog_.slot(root_).uniform) {
-    scratch->broadcast_.assign(sel.size(), root.u_i64);
-    return scratch->broadcast_;
+    std::int64_t* lanes = scratch->Lanes(scratch->broadcast_);
+    std::fill(lanes, lanes + sel.size(), root.u_i64);
+    return {lanes, sel.size()};
   }
-  return root.i64;
+  return {root.i64.data(), sel.size()};
 }
 
 }  // namespace smartssd::expr

@@ -164,6 +164,14 @@ class BatchProgram {
 // Reusable evaluation state (slot storage, selection stack). Owned by
 // the caller and shared across pages — and across the several compiled
 // expressions of one query — so the steady state allocates nothing.
+//
+// The scratch is sized once: it grows to the most slots any program it
+// served has used and to the most lanes any batch it served has had,
+// and never shrinks. Every slot buffer it hands out holds that many
+// lanes, and every selection buffer has that much capacity, so a batch
+// no larger than an earlier one touches no allocator. Slot contents
+// left over from an earlier program or page are never observed: an op
+// writes its destination lanes before any later op reads them.
 class BatchScratch {
  public:
   BatchScratch() = default;
@@ -182,9 +190,19 @@ class BatchScratch {
     std::uint8_t u_b8 = 0;
   };
 
+  // Grows to `num_slots` slots and `lanes` lanes (never shrinks).
+  void Reserve(int num_slots, std::size_t lanes);
+  // `buf` holding lanes_ values (grown on first use, then left alone).
+  template <typename T>
+  T* Lanes(std::vector<T>& buf) {
+    if (buf.size() < lanes_) buf.resize(lanes_);
+    return buf.data();
+  }
+
   std::vector<Slot> slots_;
   std::vector<SelVec> sel_stack_;
   std::size_t sel_depth_ = 0;
+  std::size_t lanes_ = 0;
   SelVec cur_;
   std::vector<std::int64_t> broadcast_;
 };
@@ -200,6 +218,7 @@ class CompiledExpr {
                                       const storage::Schema& schema);
 
   SlotType result_type() const { return result_type_; }
+  int num_slots() const { return prog_.num_slots(); }
 
   // Predicate evaluation: removes the lanes of `sel` where the (BOOL)
   // expression is false. Charges exactly the interpreter's EvalStats.

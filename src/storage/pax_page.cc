@@ -81,7 +81,7 @@ Result<PaxPageReader> PaxPageReader::Open(const Schema* schema,
   }
   const std::uint16_t magic = LoadU16(page.data());
   if (magic == 0) {
-    return PaxPageReader(schema, page, 0, {});
+    return PaxPageReader(schema, page.data(), 0);
   }
   if (magic != kPaxMagic) {
     return CorruptionError("bad PAX page magic");
@@ -94,8 +94,6 @@ Result<PaxPageReader> PaxPageReader::Open(const Schema* schema,
   if (page.size() < HeaderBytes(*schema)) {
     return CorruptionError("PAX page truncated before minipage directory");
   }
-  std::vector<std::uint32_t> offsets;
-  offsets.reserve(ncols);
   for (int c = 0; c < ncols; ++c) {
     const std::uint32_t offset = LoadU16(page.data() + 8 + 2 * c);
     const std::uint64_t end =
@@ -103,15 +101,14 @@ Result<PaxPageReader> PaxPageReader::Open(const Schema* schema,
     if (offset < HeaderBytes(*schema) || end > page.size()) {
       return CorruptionError("PAX minipage outside the page");
     }
-    offsets.push_back(offset);
   }
-  return PaxPageReader(schema, page, count, std::move(offsets));
+  return PaxPageReader(schema, page.data(), count);
 }
 
 const std::byte* PaxPageReader::column_data(int col) const {
   SMARTSSD_CHECK_GE(col, 0);
   SMARTSSD_CHECK_LT(col, schema_->num_columns());
-  return page_.data() + minipage_offsets_[static_cast<std::size_t>(col)];
+  return page_ + LoadU16(page_ + 8 + 2 * col);
 }
 
 }  // namespace smartssd::storage

@@ -24,7 +24,10 @@ namespace smartssd::storage {
 //   minipages, each sized capacity * column_width
 //
 // Minipage offsets are fixed at build time from the page's capacity, so
-// appending scatters each field to its column's next slot.
+// appending scatters each field to its column's next slot. Readers use
+// the directory in place: Open validates every entry once, and
+// column_data() reads its entry straight from the page header, so
+// opening a page allocates nothing.
 inline constexpr std::uint16_t kPaxMagic = 0x5041;
 
 class PaxPageBuilder {
@@ -49,8 +52,13 @@ class PaxPageBuilder {
   std::uint16_t count_ = 0;
 };
 
+// A view of one PAX page image; it holds no copy of the directory. A
+// zeroed page (magic 0) opens with no rows and no directory, so
+// column_data() is only meaningful on a page with rows.
 class PaxPageReader {
  public:
+  // Checks the magic, the column count, and that every minipage lies
+  // inside the page (kCorruption otherwise).
   static Result<PaxPageReader> Open(const Schema* schema,
                                     std::span<const std::byte> page);
 
@@ -66,17 +74,13 @@ class PaxPageReader {
   }
 
  private:
-  PaxPageReader(const Schema* schema, std::span<const std::byte> page,
-                std::uint16_t count, std::vector<std::uint32_t> offsets)
-      : schema_(schema),
-        page_(page),
-        count_(count),
-        minipage_offsets_(std::move(offsets)) {}
+  PaxPageReader(const Schema* schema, const std::byte* page,
+                std::uint16_t count)
+      : schema_(schema), page_(page), count_(count) {}
 
   const Schema* schema_;
-  std::span<const std::byte> page_;
+  const std::byte* page_;
   std::uint16_t count_;
-  std::vector<std::uint32_t> minipage_offsets_;
 };
 
 // Max tuples a PAX page of `page_size` can hold for `schema`.

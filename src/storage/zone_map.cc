@@ -113,25 +113,10 @@ bool ZoneMap::PageMayMatch(std::uint64_t page_index, int col,
                            std::int64_t lo, std::int64_t hi) const {
   if (lo > hi) return false;  // empty query interval: no value lies in it
   if (!TracksColumn(col) || page_index >= pages_) return true;
-  const Range& range =
-      ranges_[page_index * static_cast<std::uint64_t>(tracked_columns_) +
-              static_cast<std::uint64_t>(
-                  column_slots_[static_cast<std::size_t>(col)])];
+  const Range& range = SlotRange(
+      page_index, column_slots_[static_cast<std::size_t>(col)]);
   if (range.min > range.max) return false;  // empty page
   return range.max >= lo && range.min <= hi;
-}
-
-Result<ZoneMap::Range> ZoneMap::PageRange(std::uint64_t page_index,
-                                          int col) const {
-  if (!TracksColumn(col)) {
-    return InvalidArgumentError("zone map does not track this column");
-  }
-  if (page_index >= pages_) {
-    return OutOfRangeError("zone map page index out of range");
-  }
-  return ranges_[page_index * static_cast<std::uint64_t>(tracked_columns_) +
-                 static_cast<std::uint64_t>(
-                     column_slots_[static_cast<std::size_t>(col)])];
 }
 
 }  // namespace smartssd::storage

@@ -40,8 +40,19 @@ class ZoneMap {
   bool PageMayMatch(std::uint64_t page_index, int col, std::int64_t lo,
                     std::int64_t hi) const;
 
-  // The page's [min, max] for a tracked column.
-  Result<Range> PageRange(std::uint64_t page_index, int col) const;
+  // The tracked slot of column `col`, or -1 when `col` is untracked.
+  int TrackedSlot(int col) const {
+    return TracksColumn(col) ? column_slots_[static_cast<std::size_t>(col)]
+                             : -1;
+  }
+
+  // The page's [min, max] for a tracked slot. The caller guarantees
+  // `page_index` < pages() and `slot` from TrackedSlot(), so the lookup
+  // cannot fail; an empty page reads min > max.
+  const Range& SlotRange(std::uint64_t page_index, int slot) const {
+    return ranges_[page_index * static_cast<std::uint64_t>(tracked_columns_) +
+                   static_cast<std::uint64_t>(slot)];
+  }
 
   // Widens page statistics from a fresh page image after a write.
   // Grows the map (with empty-page sentinels) when `page_index` is past

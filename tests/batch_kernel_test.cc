@@ -11,11 +11,13 @@
 
 #include <cstring>
 #include <limits>
+#include <numeric>
 #include <optional>
 #include <vector>
 
 #include "exec/page_processor.h"
 #include "exec/query_spec.h"
+#include "expr/batch.h"
 #include "storage/catalog.h"
 #include "storage/nsm_page.h"
 #include "storage/pax_page.h"
@@ -353,6 +355,79 @@ TEST(BatchKernelTest, UniformLiteralOnlyPredicate) {
   const RunOutput out = CheckBothKernels(spec, /*rows=*/40);
   EXPECT_EQ(out.counts.output_tuples, 40u);
   EXPECT_EQ(out.counts.eval.comparisons, 40u);
+}
+
+TEST(BatchKernelTest, SharedScratchMatchesFreshScratch) {
+  // One BatchScratch serves a 9-slot predicate (with a saved selection)
+  // and a 3-slot INT64 expression in turn. It grows to the larger
+  // program and never shrinks, so B reuses A's slots and A then reuses
+  // slots B overwrote: results and charged counts must equal those of
+  // a fresh scratch every time.
+  const Schema schema = OuterSchema();
+  const MemTable outer = BuildOuter(PageLayout::kPax, /*rows=*/31);
+  ASSERT_EQ(outer.pages.size(), 1u);
+  auto reader = storage::PaxPageReader::Open(&schema, outer.pages[0]);
+  ASSERT_TRUE(reader.ok());
+  std::vector<ex::BatchColumn> columns(
+      static_cast<std::size_t>(schema.num_columns()));
+  for (int c = 0; c < schema.num_columns(); ++c) {
+    ex::BatchColumn& col = columns[static_cast<std::size_t>(c)];
+    col.type = schema.column(c).type;
+    col.width = schema.column(c).width;
+    col.base = reader->column_data(c);
+    col.stride = col.width;
+  }
+  const ex::BatchInput in{columns.data(),
+                          static_cast<int>(columns.size())};
+
+  std::vector<ex::ExprPtr> disjuncts;
+  disjuncts.push_back(
+      ex::Lt(ex::Add(ex::Col(0), ex::Lit(1)), ex::Lit(10)));
+  disjuncts.push_back(ex::Ge(ex::Col(2), ex::Lit(40)));
+  const ex::ExprPtr pred = ex::Or(std::move(disjuncts));
+  const ex::ExprPtr value = ex::Add(ex::Col(2), ex::Lit(5));
+  auto a = ex::CompiledExpr::Compile(*pred, schema);
+  auto b = ex::CompiledExpr::Compile(*value, schema);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  EXPECT_EQ(a->num_slots(), 9);
+  EXPECT_EQ(b->num_slots(), 3);
+
+  ex::SelVec all(reader->tuple_count());
+  std::iota(all.begin(), all.end(), 0u);
+  auto run_a = [&](ex::BatchScratch* scratch, ex::EvalStats* stats) {
+    ex::SelVec sel = all;
+    a->Filter(in, &sel, scratch, stats);
+    return sel;
+  };
+  auto run_b = [&](const ex::SelVec& sel, ex::BatchScratch* scratch,
+                   ex::EvalStats* stats) {
+    const std::span<const std::int64_t> vals =
+        b->EvalI64(in, sel, scratch, stats);
+    return std::vector<std::int64_t>(vals.begin(), vals.end());
+  };
+
+  ex::BatchScratch shared;
+  ex::EvalStats shared_stats[3];
+  const ex::SelVec a1 = run_a(&shared, &shared_stats[0]);
+  const std::vector<std::int64_t> b1 = run_b(a1, &shared, &shared_stats[1]);
+  const ex::SelVec a2 = run_a(&shared, &shared_stats[2]);
+
+  ex::BatchScratch fresh[3];
+  ex::EvalStats fresh_stats[3];
+  const ex::SelVec want_a = run_a(&fresh[0], &fresh_stats[0]);
+  const std::vector<std::int64_t> want_b =
+      run_b(want_a, &fresh[1], &fresh_stats[1]);
+  EXPECT_EQ(run_a(&fresh[2], &fresh_stats[2]), want_a);
+
+  EXPECT_FALSE(want_a.empty());
+  EXPECT_LT(want_a.size(), all.size());
+  EXPECT_EQ(a1, want_a);
+  EXPECT_EQ(b1, want_b);
+  EXPECT_EQ(a2, want_a);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(shared_stats[i], fresh_stats[i]) << "run " << i;
+  }
 }
 
 }  // namespace

@@ -12,8 +12,11 @@
 #include "engine/database.h"
 #include "engine/executor.h"
 #include "engine/ingest.h"
+#include "engine/query_task.h"
 #include "engine/update.h"
 #include "engine/workload.h"
+#include "storage/nsm_page.h"
+#include "storage/pax_page.h"
 #include "tpch/synthetic.h"
 
 namespace smartssd::engine {
@@ -230,6 +233,75 @@ TEST_P(IngestTest, IngestTaskRunsBatchToCompletion) {
                                                  (*info)->reserved_pages));
   EXPECT_NE(db_.zone_map("T"), nullptr);
   EXPECT_EQ(RangeSum(db_, ExecutionTarget::kSmartSsd, 0, 50), 3 * 51);
+}
+
+// A device session takes a shared snapshot of the zone map when it
+// starts. A writer that widens the map (which then widens a copy) or
+// marks it stale before the session's OPEN must not change what the
+// session prunes: it matches its solo run exactly.
+TEST_P(IngestTest, DeviceSessionKeepsItsZoneMapSnapshot) {
+  exec::QuerySpec spec;  // keys [2000, 2500]: pages in the middle
+  spec.table = "T";
+  spec.predicate = ex::And([] {
+    std::vector<ex::ExprPtr> terms;
+    terms.push_back(ex::Ge(ex::Col(0), ex::Lit(2000)));
+    terms.push_back(ex::Le(ex::Col(0), ex::Lit(2500)));
+    return terms;
+  }());
+  spec.aggregates.push_back({exec::AggSpec::Fn::kSum, ex::Col(2), "s"});
+
+  enum class Writer { kNone, kWiden, kStale };
+  auto run = [&](Writer writer) {
+    Database db(DatabaseOptions::PaperSmartSsd());
+    LoadInto(db, GetParam());
+    QueryTask task(&db, &spec, ExecutionTarget::kSmartSsd, PlanHints{},
+                   /*start=*/0, /*wait_for_grant=*/false);
+    task.Step();  // bind and place
+    task.Step();  // session start: the snapshot is taken here
+    const storage::ZoneMap* live = db.zone_map("T");
+    if (writer == Writer::kWiden) {
+      // Widen page 0 over the query's range, so pruning with the live
+      // map would read it.
+      const storage::Schema schema = tpch::SyntheticSchema(4);
+      std::vector<std::byte> tuple(schema.tuple_size());
+      storage::TupleWriter w(&schema, tuple);
+      FillRow(2200, w);
+      std::vector<std::byte> image;
+      if (GetParam() == storage::PageLayout::kNsm) {
+        storage::NsmPageBuilder builder(&schema, db.device().page_size());
+        SMARTSSD_CHECK(builder.Append(tuple));
+        image.assign(builder.image().begin(), builder.image().end());
+      } else {
+        storage::PaxPageBuilder builder(&schema, db.device().page_size());
+        SMARTSSD_CHECK(builder.Append(tuple));
+        image.assign(builder.image().begin(), builder.image().end());
+      }
+      EXPECT_TRUE(db.WidenZoneMap("T", 0, image).ok());
+      EXPECT_NE(db.zone_map("T"), live);  // widened a copy
+      EXPECT_TRUE(db.zone_map("T")->PageMayMatch(0, 0, 2000, 2500));
+    } else if (writer == Writer::kStale) {
+      db.MarkZoneMapStale("T");
+      EXPECT_EQ(db.zone_map("T"), nullptr);
+    }
+    while (!task.finished()) task.Step();
+    auto result = task.TakeResult();
+    SMARTSSD_CHECK(result.ok());
+    return std::move(result).value();
+  };
+
+  const QueryResult solo = run(Writer::kNone);
+  EXPECT_GT(solo.stats.pages_skipped, 0u);  // pruning is in play
+  EXPECT_EQ(solo.stats.target, ExecutionTarget::kSmartSsd);
+  for (const Writer writer : {Writer::kWiden, Writer::kStale}) {
+    const QueryResult got = run(writer);
+    EXPECT_EQ(got.stats.target, ExecutionTarget::kSmartSsd);
+    EXPECT_EQ(got.agg_values, solo.agg_values);
+    EXPECT_EQ(got.rows, solo.rows);
+    EXPECT_TRUE(got.stats.counts == solo.stats.counts);
+    EXPECT_EQ(got.stats.pages_read, solo.stats.pages_read);
+    EXPECT_EQ(got.stats.pages_skipped, solo.stats.pages_skipped);
+    EXPECT_EQ(got.stats.end, solo.stats.end);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Layouts, IngestTest,

@@ -256,6 +256,57 @@ TEST(PaxPageTest, MinipagesAreContiguousPerColumn) {
   }
 }
 
+TEST(PaxPageTest, InPlaceDirectoryMatchesBuilderLayout) {
+  // The reader keeps no copy of the directory: each column_data() reads
+  // its entry from the page header. The offsets must be the builder's:
+  // minipages packed after the header, each capacity * width bytes.
+  const Schema schema = TestSchema();
+  PaxPageBuilder builder(&schema, 1024);
+  for (int i = 0; i < 7; ++i) {
+    ASSERT_TRUE(builder.Append(MakeTuple(schema, i)));
+  }
+  auto reader = PaxPageReader::Open(&schema, builder.image());
+  ASSERT_TRUE(reader.ok());
+  EXPECT_EQ(reader->tuple_count(), 7);
+  const std::byte* page = builder.image().data();
+  std::uint32_t offset = 8 + 2 * static_cast<std::uint32_t>(
+                                     schema.num_columns());
+  for (int c = 0; c < schema.num_columns(); ++c) {
+    EXPECT_EQ(reader->column_data(c), page + offset) << "column " << c;
+    std::uint16_t entry;
+    std::memcpy(&entry, page + 8 + 2 * c, sizeof(entry));
+    EXPECT_EQ(entry, offset) << "column " << c;
+    offset += builder.capacity() * schema.column(c).width;
+  }
+
+  // A zeroed page of any size still opens with no rows.
+  for (const std::size_t size : {8u, 1024u}) {
+    const std::vector<std::byte> zeros(size, std::byte{0});
+    auto empty = PaxPageReader::Open(&schema, zeros);
+    ASSERT_TRUE(empty.ok());
+    EXPECT_EQ(empty->tuple_count(), 0);
+  }
+}
+
+TEST(PaxPageTest, MinipageOutsideThePageIsCorruption) {
+  const Schema schema = TestSchema();
+  PaxPageBuilder builder(&schema, 1024);
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(builder.Append(MakeTuple(schema, i)));
+  }
+  // Point the last column's minipage so its 5 rows run past the end,
+  // then into the directory itself: Open must still check every entry.
+  const int last = schema.num_columns() - 1;
+  for (const std::uint16_t bogus : {std::uint16_t{1020}, std::uint16_t{4}}) {
+    std::vector<std::byte> image(builder.image().begin(),
+                                 builder.image().end());
+    std::memcpy(image.data() + 8 + 2 * last, &bogus, sizeof(bogus));
+    auto reader = PaxPageReader::Open(&schema, image);
+    ASSERT_FALSE(reader.ok()) << bogus;
+    EXPECT_EQ(reader.status().code(), StatusCode::kCorruption) << bogus;
+  }
+}
+
 // Property: random schemas and tuples round-trip through both codecs.
 TEST(PageCodecPropertyTest, RandomSchemasRoundTrip) {
   Random rng(2024);

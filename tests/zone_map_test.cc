@@ -113,13 +113,15 @@ TEST_F(ZoneMapTest, PageRangesCoverClusteredColumn) {
   auto info = db_.catalog().GetTable("T");
   ASSERT_TRUE(info.ok());
   // Col_1 is row+1: page p spans exactly its row range.
+  const int slot = map->TrackedSlot(0);
+  ASSERT_GE(slot, 0);
+  EXPECT_EQ(map->TrackedSlot(8), -1);
   std::int64_t prev_max = 0;
   for (std::uint64_t p = 0; p < map->pages(); ++p) {
-    auto range = map->PageRange(p, 0);
-    ASSERT_TRUE(range.ok());
-    EXPECT_EQ(range->min, prev_max + 1);
-    EXPECT_GE(range->max, range->min);
-    prev_max = range->max;
+    const storage::ZoneMap::Range& range = map->SlotRange(p, slot);
+    EXPECT_EQ(range.min, prev_max + 1);
+    EXPECT_GE(range.max, range.min);
+    prev_max = range.max;
   }
   EXPECT_EQ(prev_max, 50'000);
 }
