@@ -1,9 +1,9 @@
 // Extension experiment: an array of Smart SSDs as a parallel DBMS —
 // Section 4.3's end-of-spectrum vision ("the host machine could simply
 // be the coordinator that stages computation across an array of Smart
-// SSDs"). LINEITEM is partitioned across N devices; Q6 is scattered by
-// the fault-tolerant FleetCoordinator to every device's embedded engine
-// and the 8-byte partials are merged on the host in partition order.
+// SSDs"). LINEITEM is partitioned across N devices; ExecuteOnFleet runs
+// Q6 on every device's embedded engine and merges the 8-byte partials
+// on the host in partition order.
 // Because pushdown leaves the host idle and each device owns its data,
 // scaling is near-linear until the coordinator's merge work matters (it
 // never does for aggregates).

@@ -1,5 +1,5 @@
 // Fleet robustness sweep: a closed-loop Q6 stream scattered across
-// 1/2/4/8 Smart SSDs by the fault-tolerant FleetCoordinator, plus a
+// 1/2/4/8 Smart SSDs by the fault-tolerant ExecuteOnFleet, plus a
 // variant where one device of the 4-wide fleet starts failing every
 // session mid-workload. Healthy fleets show the Section 4.3 scale-out
 // (throughput grows near-linearly with devices because each subquery
@@ -81,35 +81,33 @@ PointStats RunPoint(int devices, bool fault_one_device,
     fleet.LoadFaultSchedule(devices / 2, std::move(schedule));
   }
 
-  engine::FleetCoordinator coordinator(&fleet);
-  engine::FleetQueryConfig config;
-  config.client = "client";
-  config.spec = &spec;
-  coordinator.AddClosedLoopClient(config, kQueries);
-  const std::vector<engine::CompletedFleetQuery> records =
-      bench::Unwrap(coordinator.Run(), "fleet sweep point");
-
+  // Closed loop, think time 0: each query starts when the previous one
+  // delivered its merged result.
   std::vector<SimDuration> latencies;
-  SimTime last_end = 0;
-  for (const engine::CompletedFleetQuery& record : records) {
-    bench::Check(record.result.status(), "fleet query");
-    if (record.result.value().agg_values != reference) {
+  SimTime now = 0;
+  for (int i = 0; i < kQueries; ++i) {
+    const engine::FleetQueryResult result = bench::Unwrap(
+        engine::ExecuteOnFleet(fleet, spec,
+                               engine::ExecutionTarget::kSmartSsd, now),
+        "fleet query");
+    if (result.agg_values != reference) {
       std::fprintf(stderr, "fleet result diverged from single-device\n");
       std::exit(1);
     }
-    latencies.push_back(record.latency());
-    last_end = std::max(last_end, record.end);
+    latencies.push_back(result.elapsed());
+    now = result.end;
   }
   std::sort(latencies.begin(), latencies.end());
 
   PointStats stats;
   stats.p50 = PercentileSeconds(latencies, 0.50);
   stats.p99 = PercentileSeconds(latencies, 0.99);
-  const double span = ToSeconds(last_end - records.front().arrival);
-  stats.qps =
-      span > 0 ? static_cast<double>(records.size()) / span : 0;
-  stats.redispatches = coordinator.redispatches();
-  stats.fallbacks = coordinator.subquery_fallbacks();
+  const double span = ToSeconds(now);
+  stats.qps = span > 0 ? static_cast<double>(kQueries) / span : 0;
+  stats.redispatches =
+      fleet.metrics().counter("fleet.redispatches")->value();
+  stats.fallbacks =
+      fleet.metrics().counter("fleet.subquery_fallbacks")->value();
   stats.trips = fleet.TotalBreakerTrips();
   return stats;
 }

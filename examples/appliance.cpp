@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "engine/executor.h"
 #include "engine/fleet.h"
 #include "engine/update.h"
 #include "tpch/queries.h"

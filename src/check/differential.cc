@@ -612,9 +612,9 @@ class DifferentialRunner {
       fleet.LoadFaultSchedule(target_device, MakeSchedule(*fault));
     }
     if (pretrip_breaker) {
-      // Trip one device's breaker so the coordinator re-dispatches its
-      // partition to the host path at admission — the result must not
-      // change by a byte.
+      // Trip one device's breaker so ExecuteOnFleet re-dispatches its
+      // partition to the host path at the query's start — the result
+      // must not change by a byte.
       engine::DeviceCircuitBreaker& breaker =
           fleet.device(target_device).circuit_breaker();
       for (std::uint32_t i = 0; i < breaker.config().failure_threshold;

@@ -13,9 +13,10 @@
 //     across host and device and merges the partials: over NSM its
 //     results AND OpCounts must equal the unpruned monolithic
 //     reference; over PAX + zone map its rows must,
-//   * Fleet scatter-gather (pushdown) over uniform 1-, 3- and 4-device
-//     fleets and a heterogeneous 2-device PAX fleet, plus a rotating
-//     fault on a rotating device and a breaker-open re-dispatch,
+//   * Fleet scatter-gather (ExecuteOnFleet, pushdown) over uniform 1-,
+//     3- and 4-device fleets and a heterogeneous 2-device PAX fleet,
+//     plus a rotating fault on a rotating device and a breaker-open
+//     re-dispatch,
 //   * pushdown with an injected device fault (rotating fault kinds),
 //     exercising retry, degraded host fallback, and the breaker —
 //     including faults landing mid-spill,

@@ -103,8 +103,8 @@ Status CheckFleetInvariants(const engine::Fleet& fleet) {
                            std::string(s.message()));
     }
     // The runtime's own leak detector (armed whenever the live-session
-    // count returns to zero) must agree — it also catches sessions of
-    // cancelled subqueries that failed to hand their grants back.
+    // count returns to zero) must agree — it also catches abandoned
+    // sessions that failed to hand their grants back.
     const smart::SmartSsdRuntime* runtime = db.runtime();
     if (runtime != nullptr) {
       if (runtime->session_leak_detected()) {

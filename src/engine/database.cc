@@ -1,5 +1,7 @@
 #include "engine/database.h"
 
+#include <algorithm>
+
 namespace smartssd::engine {
 
 DatabaseOptions DatabaseOptions::PaperHdd() {
@@ -61,6 +63,14 @@ void Database::AttachTracer(obs::Tracer* tracer,
   if (tracer != nullptr) {
     executor_track_ = tracer->RegisterTrack(host_process, "executor");
   }
+  trace_device_process_ = std::string(device_process);
+  trace_host_process_ = std::string(host_process);
+}
+
+SimTime Database::trace_latest_time() const {
+  SMARTSSD_CHECK(tracer_ != nullptr);
+  return std::max(tracer_->latest_time(trace_device_process_),
+                  tracer_->latest_time(trace_host_process_));
 }
 
 StageBreakdown Database::StageSnapshot() const {
@@ -114,11 +124,6 @@ std::shared_ptr<const storage::ZoneMap> Database::zone_map_snapshot(
     const std::string& table) const {
   auto it = zone_maps_.find(table);
   return it == zone_maps_.end() ? nullptr : it->second;
-}
-
-void Database::DropZoneMap(const std::string& table) {
-  zone_maps_.erase(table);
-  stale_zone_maps_.erase(table);
 }
 
 void Database::MarkZoneMapStale(const std::string& table) {

@@ -27,18 +27,6 @@ namespace smartssd::engine {
 
 enum class DeviceKind { kHdd, kSsd, kSmartSsd };
 
-inline const char* DeviceKindName(DeviceKind kind) {
-  switch (kind) {
-    case DeviceKind::kHdd:
-      return "SAS HDD";
-    case DeviceKind::kSsd:
-      return "SAS SSD";
-    case DeviceKind::kSmartSsd:
-      return "Smart SSD";
-  }
-  return "?";
-}
-
 struct DatabaseOptions {
   DeviceKind device = DeviceKind::kSmartSsd;
   ssd::SsdConfig ssd = ssd::SsdConfig::PaperSmartSsd();
@@ -137,8 +125,6 @@ class Database {
   // database's reference.
   std::shared_ptr<const storage::ZoneMap> zone_map_snapshot(
       const std::string& table) const;
-  // Drops a table's zone map permanently.
-  void DropZoneMap(const std::string& table);
   // Marks a table's zone map stale after an in-place update: zone_map()
   // returns nullptr (pushdown loses pruning, never correctness) until
   // RestoreZoneMaps rebuilds it. Tables with no map are a no-op.
@@ -181,6 +167,11 @@ class Database {
   obs::Tracer* tracer() const { return tracer_; }
   // The host-side "executor" lane query/phase spans land on.
   obs::TrackId executor_track() const { return executor_track_; }
+  // Latest virtual time recorded on this database's lanes (both of its
+  // processes), with a tracer attached: the end a span that dies on an
+  // error path gets. Databases sharing the tracer, like a fleet's
+  // devices, do not move it.
+  SimTime trace_latest_time() const;
 
   // Always-on instrument registry for this database (flash, FTL, buffer
   // pool, executor instruments register here at construction).
@@ -210,6 +201,8 @@ class Database {
   std::set<std::string> stale_zone_maps_;
   obs::Tracer* tracer_ = nullptr;
   obs::TrackId executor_track_ = 0;
+  std::string trace_device_process_;
+  std::string trace_host_process_;
 };
 
 }  // namespace smartssd::engine

@@ -2,12 +2,12 @@
 #define SMARTSSD_ENGINE_PARTIAL_MERGE_H_
 
 // Deterministic merge of per-partition partial query results, shared by
-// the fleet's scatter-gather coordinator (engine/fleet) and the split
-// scan (SplitScanTask, which merges page-range fragments of one table).
-// The merge is a pure function of the partials *in the order given*, so
-// a coordinator that fixes that order by partition id (never by
-// completion order) gets byte-identical output no matter how the
-// partitions' executions interleaved or fell back.
+// the fleet's scatter-gather entry point (ExecuteOnFleet, engine/fleet)
+// and the split scan (SplitScanTask, which merges page-range fragments
+// of one table). The merge is a pure function of the partials *in the
+// order given*, so a caller that fixes that order by partition id
+// (never by completion order) gets byte-identical output no matter how
+// the partitions' executions interleaved or fell back.
 
 #include <cstddef>
 #include <cstdint>

@@ -63,10 +63,10 @@ HostQueryTask::HostQueryTask(Database* db, const exec::BoundQuery* bound,
 HostQueryTask::~HostQueryTask() { CloseSpanForError(); }
 
 void HostQueryTask::CloseSpanForError() {
-  // Same close the old RAII query span applied on error paths: the best
-  // known end time is the tracer's high-water mark.
+  // On error paths the best known end time is the high-water mark of
+  // this database's trace lanes.
   if (tracer_ != nullptr && span_id_ != obs::kNoSpan && !span_ended_) {
-    tracer_->End(span_id_, std::max(start_, tracer_->latest_time()));
+    tracer_->End(span_id_, std::max(start_, db_->trace_latest_time()));
     span_ended_ = true;
   }
 }
@@ -189,21 +189,15 @@ StepOutcome HostQueryTask::StepPrepareScan() {
   // Zone-map pruning: skip pages whose per-page [min, max] cannot
   // satisfy the predicate's column ranges.
   zone_map_ = db_->zone_map(bound_->spec->table);
-  if (zone_map_ != nullptr) {
-    for (auto& [col, range] :
-         exec::ExtractColumnRanges(bound_->spec->predicate.get())) {
-      if (col < bound_->outer_columns() && zone_map_->TracksColumn(col)) {
-        prune_ranges_.emplace(col, range);
-      }
-    }
-    if (!prune_ranges_.empty()) {
-      // Checking the (host-cached) statistics costs a few cycles/page.
-      // Fragments check only their own range, so per-fragment charges
-      // sum to the monolithic whole-table charge.
-      end_ = std::max(end_,
-                      db_->host().Execute((scan_end_ - scan_begin_) * 2,
-                                          start_, "zone check"));
-    }
+  prune_ranges_ = exec::PruneRanges(bound_->spec->predicate.get(),
+                                    bound_->outer_columns(), zone_map_);
+  if (!prune_ranges_.empty()) {
+    // Checking the (host-cached) statistics costs a few cycles/page.
+    // Fragments check only their own range, so per-fragment charges
+    // sum to the monolithic whole-table charge.
+    end_ = std::max(end_,
+                    db_->host().Execute((scan_end_ - scan_begin_) * 2,
+                                        start_, "zone check"));
   }
   // Arm the batch-skip fast paths with the same statistics: pages that
   // survive the merged-interval pruning above can still be settled
@@ -233,16 +227,8 @@ StepOutcome HostQueryTask::StepScan() {
     armed_zone_map_ = zone_map_;
   }
   while (page_ < scan_end_) {
-    bool may_match = true;
-    if (zone_map_ != nullptr) {
-      for (const auto& [col, range] : prune_ranges_) {
-        if (!zone_map_->PageMayMatch(page_, col, range.lo, range.hi)) {
-          may_match = false;
-          break;
-        }
-      }
-    }
-    if (!may_match) {
+    if (zone_map_ != nullptr &&
+        !exec::PageMayMatch(*zone_map_, page_, prune_ranges_)) {
       ++stats.pages_skipped;
       ++page_;
       continue;  // pruned pages cost nothing: keep skipping
@@ -307,8 +293,8 @@ StepOutcome HostQueryTask::StepFinish() {
   stats.output_bytes = result_.rows.size();
   stats.stage = db_->StageSnapshot() - stage_before_;
   if (!partial_) {
-    // Per-query instruments count whole queries; the coordinator bumps
-    // them once for the merged query.
+    // Per-query instruments count whole queries; the split coordinator
+    // bumps them once for the merged query.
     db_->metrics().counter("engine.queries")->Add();
     db_->metrics().histogram("engine.query_ns")->Record(stats.elapsed());
   }
@@ -352,7 +338,7 @@ DeviceQueryTask::~DeviceQueryTask() { CloseSpanForError(); }
 
 void DeviceQueryTask::CloseSpanForError() {
   if (tracer_ != nullptr && span_id_ != obs::kNoSpan && !span_ended_) {
-    tracer_->End(span_id_, std::max(start_, tracer_->latest_time()));
+    tracer_->End(span_id_, std::max(start_, db_->trace_latest_time()));
     span_ended_ = true;
   }
 }
@@ -436,17 +422,19 @@ StepOutcome DeviceQueryTask::StepStart() {
 }
 
 StepOutcome DeviceQueryTask::StepSession() {
-  if (wait_for_grant_ && !session_started_ &&
-      db_->runtime()->session_slots_free() <= 0) {
-    if (db_->circuit_breaker().open()) {
-      // Every session grant is taken and the breaker says the device is
-      // failing. The grant holders are likely dying sessions, and while
+  if (wait_for_grant_ && !session_started_) {
+    const bool no_grant = db_->runtime()->session_slots_free() <= 0;
+    if ((no_grant || parked_) && db_->circuit_breaker().open()) {
+      // The breaker says the device is failing, and this task either
+      // finds every session grant taken or parked for one and is
+      // resuming. Grant holders are likely dying sessions, and while
       // the breaker is open the planner routes new work around the
       // device — so no healthy session is coming to free a slot, and a
       // parked task would wait out the whole outage (or forever, if the
-      // holder is wedged). Redispatch to the host instead. This task
-      // never touched the device: no breaker failure is recorded and
-      // the stats report zero device attempts.
+      // holder is wedged). A resumed task must not open a session on a
+      // breaker that tripped while it waited either. Redispatch to the
+      // host instead. This task never touched the device: no breaker
+      // failure is recorded and the stats report zero device attempts.
       CloseSpanForError();
       device_error_ = ResourceExhaustedError(
           "session grant unavailable while the device breaker is open");
@@ -462,7 +450,10 @@ StepOutcome DeviceQueryTask::StepSession() {
       state_ = State::kHostRerun;
       return {.at = start_};
     }
-    return {.at = start_, .waiting_for_grant = true};
+    if (no_grant) {
+      parked_ = true;
+      return {.at = start_, .waiting_for_grant = true};
+    }
   }
   Result<SimTime> stepped = InternalError("unreachable");
   {

@@ -133,8 +133,10 @@ class HostQueryTask {
 // re-runs the query on the host path from the failure time. With
 // `wait_for_grant` set the task parks (waiting_for_grant outcome, no
 // device traffic) instead of issuing an OPEN while the device's session
-// thread pool is empty; the blocking executor passes false and eats the
-// rejection, matching the old behavior.
+// thread pool is empty, and goes to the host path without a device
+// attempt if the breaker is open when it finds no grant or resumes from
+// a park; the blocking executor and ExecuteOnFleet pass false and eat
+// the rejection, matching the old behavior.
 // The page range mirrors HostQueryTask: it restricts the pushdown
 // program to those pages (extent announcement, pruning, and zone-check
 // charge all range-scoped); a proper sub-range of the table reports
@@ -194,6 +196,9 @@ class DeviceQueryTask {
   std::optional<exec::PushdownProgram> program_;
   std::unique_ptr<smart::SessionTask> session_;
   bool session_started_ = false;
+  // Set once the task parked for a session grant; on resuming it
+  // re-checks the breaker before opening a session.
+  bool parked_ = false;
   SimTime failed_at_ = 0;
   // Set when the task abandoned its park for a session grant because the
   // breaker opened: the query fell back without ever reaching the
@@ -254,9 +259,9 @@ class SplitScanTask {
 // pinned `target`, or when it is nullopt the database's placement
 // policy with `hints` — possibly a split across both sides), and
 // delegates to the host, device, or split-scan task. This is the unit
-// the workload scheduler and the fleet coordinator drive, and what
-// QueryExecutor::ExecuteAuto runs. `spec` must outlive the task (keep
-// specs at stable addresses).
+// the workload scheduler drives, what ExecuteOnFleet runs per
+// partition, and what QueryExecutor::ExecuteAuto runs. `spec` must
+// outlive the task (keep specs at stable addresses).
 class QueryTask {
  public:
   QueryTask(Database* db, const exec::QuerySpec* spec,

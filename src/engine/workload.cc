@@ -5,11 +5,9 @@
 
 namespace smartssd::engine {
 
-WorkloadScheduler::WorkloadScheduler(Database* db,
-                                     const WorkloadOptions& options)
-    : db_(db), options_(options), events_(&clock_), tracer_(db->tracer()) {
+WorkloadScheduler::WorkloadScheduler(Database* db)
+    : db_(db), events_(&clock_), tracer_(db->tracer()) {
   SMARTSSD_CHECK(db != nullptr);
-  SMARTSSD_CHECK_GT(options.max_in_flight, 0);
 }
 
 std::size_t WorkloadScheduler::AddSource(WorkloadQueryConfig config) {
@@ -165,7 +163,7 @@ void WorkloadScheduler::ScheduleArrival(std::size_t source, SimTime at,
 
 void WorkloadScheduler::OnArrival(std::size_t source, SimTime arrival,
                                   std::uint64_t id) {
-  if (in_flight_ < options_.max_in_flight) {
+  if (in_flight_ < kMaxQueriesInFlight) {
     StartQuery(source, arrival, /*admitted=*/arrival, id);
     return;
   }
@@ -265,8 +263,7 @@ void WorkloadScheduler::OnComplete(const std::shared_ptr<Running>& q,
   }
   // The freed admission slot goes to the longest-waiting arrival; its
   // query starts when the finishing query's result was delivered.
-  if (!admission_queue_.empty() &&
-      in_flight_ < options_.max_in_flight) {
+  if (!admission_queue_.empty() && in_flight_ < kMaxQueriesInFlight) {
     const PendingArrival next = admission_queue_.front();
     admission_queue_.pop_front();
     StartQuery(next.source, next.arrival, /*admitted=*/end, next.id);

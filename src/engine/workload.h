@@ -66,12 +66,10 @@ struct CompletedIngest {
   SimDuration latency() const { return end - arrival; }
 };
 
-struct WorkloadOptions {
-  // Admission control: queries running concurrently (started, not yet
-  // complete). Arrivals beyond this wait in a FIFO queue — that wait is
-  // the backpressure signal (workload.queue_wait_ns).
-  int max_in_flight = 8;
-};
+// Admission control: queries running concurrently (started, not yet
+// complete). Arrivals beyond this wait in a FIFO queue — that wait is
+// the backpressure signal (workload.queue_wait_ns).
+inline constexpr int kMaxQueriesInFlight = 8;
 
 // Drives N concurrent queries over one Database on a shared virtual
 // clock. Each query is a resumable QueryTask; the scheduler owns a
@@ -96,8 +94,7 @@ struct WorkloadOptions {
 // pool is empty instead of eating an OPEN rejection.
 class WorkloadScheduler {
  public:
-  explicit WorkloadScheduler(Database* db,
-                             const WorkloadOptions& options = {});
+  explicit WorkloadScheduler(Database* db);
   SMARTSSD_DISALLOW_COPY_AND_ASSIGN(WorkloadScheduler);
 
   // One query arriving at virtual time `at`. Returns its id.
@@ -192,7 +189,6 @@ class WorkloadScheduler {
                         SimTime end);
 
   Database* db_;
-  WorkloadOptions options_;
   sim::Clock clock_;
   sim::EventQueue events_;
   obs::Tracer* tracer_ = nullptr;

@@ -62,4 +62,25 @@ std::map<int, ColumnRange> ExtractColumnRanges(
   return ranges;
 }
 
+std::map<int, ColumnRange> PruneRanges(const expr::Expression* predicate,
+                                       int outer_columns,
+                                       const storage::ZoneMap* zone_map) {
+  std::map<int, ColumnRange> ranges;
+  if (zone_map == nullptr) return ranges;
+  for (const auto& [col, range] : ExtractColumnRanges(predicate)) {
+    if (col < outer_columns && zone_map->TracksColumn(col)) {
+      ranges.emplace(col, range);
+    }
+  }
+  return ranges;
+}
+
+bool PageMayMatch(const storage::ZoneMap& zone_map, std::uint64_t page,
+                  const std::map<int, ColumnRange>& ranges) {
+  for (const auto& [col, range] : ranges) {
+    if (!zone_map.PageMayMatch(page, col, range.lo, range.hi)) return false;
+  }
+  return true;
+}
+
 }  // namespace smartssd::exec

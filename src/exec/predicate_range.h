@@ -6,6 +6,7 @@
 #include <map>
 
 #include "expr/expression.h"
+#include "storage/zone_map.h"
 
 namespace smartssd::exec {
 
@@ -24,6 +25,20 @@ struct ColumnRange {
 // violating any returned range cannot satisfy the predicate.
 std::map<int, ColumnRange> ExtractColumnRanges(
     const expr::Expression* predicate);
+
+// Zone-map page pruning, the one rule the host scan and the pushdown
+// program share. PruneRanges keeps the ExtractColumnRanges intervals of
+// the outer table's columns (those below `outer_columns`) that
+// `zone_map` tracks; it is empty when `zone_map` is null or no range is
+// usable, and then no page can be pruned.
+std::map<int, ColumnRange> PruneRanges(const expr::Expression* predicate,
+                                       int outer_columns,
+                                       const storage::ZoneMap* zone_map);
+
+// False when page `page`'s statistics rule out one of `ranges`: no row
+// on it can satisfy the predicate.
+bool PageMayMatch(const storage::ZoneMap& zone_map, std::uint64_t page,
+                  const std::map<int, ColumnRange>& ranges);
 
 }  // namespace smartssd::exec
 

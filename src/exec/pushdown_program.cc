@@ -22,13 +22,11 @@ PushdownProgram::PushdownProgram(const BoundQuery* bound,
   scan_end_ = page_count >= table_pages - scan_begin_
                   ? table_pages
                   : scan_begin_ + page_count;
-  if (zone_map_ != nullptr) {
-    // Only outer-column ranges are usable for extent pruning.
-    for (auto& [col, range] :
-         ExtractColumnRanges(bound->spec->predicate.get())) {
-      if (col < bound->outer_columns() && zone_map_->TracksColumn(col)) {
-        prune_ranges_.emplace(col, range);
-      }
+  prune_ranges_ = PruneRanges(bound->spec->predicate.get(),
+                              bound->outer_columns(), zone_map_);
+  for (std::uint64_t p = scan_begin_; p < scan_end_; ++p) {
+    if (prune_ranges_.empty() || PageMayMatch(*zone_map_, p, prune_ranges_)) {
+      input_pages_.push_back(p);
     }
   }
 }
@@ -173,52 +171,21 @@ Result<SimTime> PushdownProgram::Open(smart::DeviceServices& device,
       bound_, hash_table_.has_value() ? &*hash_table_ : nullptr, kernel_,
       hybrid_.get());
   processor_->SetZoneMap(zone_map_);
-  // Page-index sequence matching InputExtents() (see header). With no
-  // prune ranges the inner loop is empty and every page survives.
-  input_pages_.clear();
   next_input_page_ = 0;
-  for (std::uint64_t p = scan_begin_; p < scan_end_; ++p) {
-    bool may_match = true;
-    for (const auto& [col, range] : prune_ranges_) {
-      if (!zone_map_->PageMayMatch(p, col, range.lo, range.hi)) {
-        may_match = false;
-        break;
-      }
-    }
-    if (may_match) input_pages_.push_back(p);
-  }
   NotePeak();
   return done;
 }
 
 std::vector<smart::LpnRange> PushdownProgram::InputExtents() const {
-  const storage::TableInfo& outer = *bound_->outer;
-  if (scan_end_ <= scan_begin_) return {};
-  if (prune_ranges_.empty()) {
-    return {{outer.first_lpn + scan_begin_, scan_end_ - scan_begin_}};
-  }
-  // Zone-map pruning: stream only pages whose per-column [min, max]
-  // intersects every predicate range, as coalesced runs.
-  pages_skipped_ = 0;  // recomputed on every call
+  // The surviving pages as coalesced runs.
+  const std::uint64_t first_lpn = bound_->outer->first_lpn;
   std::vector<smart::LpnRange> extents;
-  for (std::uint64_t p = scan_begin_; p < scan_end_; ++p) {
-    bool may_match = true;
-    for (const auto& [col, range] : prune_ranges_) {
-      if (!zone_map_->PageMayMatch(p, col, range.lo, range.hi)) {
-        may_match = false;
-        break;
-      }
-    }
-    if (!may_match) {
-      ++pages_skipped_;
-      continue;
-    }
-    if (!extents.empty() && extents.back().first_lpn +
-                                    extents.back().count ==
-                                outer.first_lpn + p) {
+  for (const std::uint64_t p : input_pages_) {
+    if (!extents.empty() &&
+        extents.back().first_lpn + extents.back().count == first_lpn + p) {
       ++extents.back().count;
     } else {
-      extents.push_back({outer.first_lpn + p, 1});
+      extents.push_back({first_lpn + p, 1});
     }
   }
   return extents;

@@ -34,7 +34,8 @@ class PushdownProgram final : public smart::InSsdProgram {
   // `zone_map` (optional) is the device-resident copy of the outer
   // table's per-page statistics: the program prunes its input extents
   // with it, so non-matching pages are never even read from flash —
-  // in-SSD indexing.
+  // in-SSD indexing. The map is an immutable snapshot that must outlive
+  // the program; the surviving pages are computed from it once, here.
   //
   // `spill.budget_bytes` > 0 caps the resident build side of a join;
   // 0 keeps the unconstrained build. `spill_page_size_hint` sizes the
@@ -82,7 +83,10 @@ class PushdownProgram final : public smart::InSsdProgram {
   const std::vector<std::int64_t>& agg_state() const {
     return processor_->agg_state();
   }
-  std::uint64_t pages_skipped() const { return pages_skipped_; }
+  // Pages of the range the zone map pruned.
+  std::uint64_t pages_skipped() const {
+    return (scan_end_ - scan_begin_) - input_pages_.size();
+  }
 
   // True when this program's join runs (or would run) the hybrid
   // spill path under the configured budget.
@@ -113,19 +117,18 @@ class PushdownProgram final : public smart::InSsdProgram {
   KernelMode kernel_;
   HybridJoinConfig spill_;
   std::uint32_t spill_page_size_hint_;
-  std::map<int, ColumnRange> prune_ranges_;  // outer columns only
-  // The session protocol delivers exactly the pages InputExtents()
-  // announces — one ProcessPage() call per page, in extent order. This
-  // is that page-index sequence (computed in Open() with the same
-  // pruning walk), consumed one entry per delivery so each page can be
-  // tied back to its zone-map entry for the batch-skip fast paths.
-  std::vector<std::uint64_t> input_pages_;
-  std::size_t next_input_page_ = 0;
+  std::map<int, ColumnRange> prune_ranges_;  // see PruneRanges
   // Fragment bounds over the outer table's page indices, clamped to the
   // table in the constructor. Monolithic programs cover [0, page_count).
   std::uint64_t scan_begin_ = 0;
   std::uint64_t scan_end_ = 0;
-  mutable std::uint64_t pages_skipped_ = 0;
+  // The pages of [scan_begin_, scan_end_) the zone map cannot rule out,
+  // in page order: what InputExtents() announces, so the session
+  // protocol delivers exactly these — one ProcessPage() call per page.
+  // Consumed one entry per delivery so each page can be tied back to
+  // its zone-map entry for the batch-skip fast paths.
+  std::vector<std::uint64_t> input_pages_;
+  std::size_t next_input_page_ = 0;
   std::optional<JoinHashTable> hash_table_;
   std::unique_ptr<HybridJoin> hybrid_;
   std::unique_ptr<PageProcessor> processor_;

@@ -65,10 +65,6 @@ Ftl::Ftl(flash::FlashArray* array, const FtlConfig& config)
   }
 }
 
-std::uint64_t Ftl::PhysicalPageCount() const {
-  return array_->geometry().total_pages();
-}
-
 bool Ftl::IsMapped(std::uint64_t lpn) const {
   return lpn < logical_pages_ && l2p_.Get(lpn) != kUnmapped;
 }

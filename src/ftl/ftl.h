@@ -137,7 +137,6 @@ class Ftl {
     static constexpr std::uint32_t kNoBlock = ~0U;
   };
 
-  std::uint64_t PhysicalPageCount() const;
   // Picks the next physical page to program, advancing the global stripe
   // cursor. May trigger GC on the chosen chip. Returns the physical page
   // index, with `*gc_done` >= ready reflecting any GC delay.

@@ -79,7 +79,7 @@ SpanId Tracer::Complete(TrackId track, std::string_view name,
   event.start = start;
   event.end = end;
   event.args = std::move(args);
-  Observe(end);
+  Observe(track, end);
   events_.push_back(std::move(event));
   return events_.back().id;
 }
@@ -98,7 +98,7 @@ SpanId Tracer::Begin(TrackId track, std::string_view name,
   event.start = start;
   event.end = TraceEvent::kOpen;
   event.args = std::move(args);
-  Observe(start);
+  Observe(track, start);
   events_.push_back(std::move(event));
   ++open_spans_;
   return events_.back().id;
@@ -110,7 +110,7 @@ void Tracer::End(SpanId id, SimTime end, std::vector<Arg> args) {
       SMARTSSD_CHECK(it->open());  // double-End is a programmer error
       it->end = std::max(it->start, end);
       for (Arg& arg : args) it->args.push_back(std::move(arg));
-      Observe(it->end);
+      Observe(it->track, it->end);
       SMARTSSD_CHECK_GT(open_spans_, 0u);
       --open_spans_;
       return;
@@ -132,7 +132,7 @@ void Tracer::Instant(TrackId track, std::string_view name,
   event.start = at;
   event.end = at;
   event.args = std::move(args);
-  Observe(at);
+  Observe(track, at);
   events_.push_back(std::move(event));
 }
 
@@ -147,12 +147,21 @@ SimDuration Tracer::TrackBusy(TrackId track) const {
   return total;
 }
 
+SimTime Tracer::latest_time(std::string_view process) const {
+  SimTime latest = 0;
+  for (const Track& track : tracks_) {
+    if (track.process == process) latest = std::max(latest, track.latest);
+  }
+  return latest;
+}
+
 void Tracer::Clear() {
   events_.clear();
   scopes_.clear();
   open_spans_ = 0;
   next_span_id_ = 1;
   latest_time_ = 0;
+  for (Track& track : tracks_) track.latest = 0;
 }
 
 ScopedSpan::ScopedSpan(Tracer* tracer, TrackId track, std::string_view name,

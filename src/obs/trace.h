@@ -78,6 +78,7 @@ struct Track {
   std::string thread;
   std::uint32_t pid = 0;  // process index, in registration order
   std::uint32_t tid = 0;  // lane index within the process
+  SimTime latest = 0;     // latest virtual time recorded on this lane
 };
 
 class Tracer {
@@ -128,6 +129,9 @@ class Tracer {
   // Latest virtual time seen by any record call. Used to close spans
   // that die on an error path with no better end time.
   SimTime latest_time() const { return latest_time_; }
+  // The same, over the lanes of `process` only: one simulated machine's
+  // high-water mark, which machines sharing the tracer do not move.
+  SimTime latest_time(std::string_view process) const;
 
   // Sum of closed span durations on `track` — the span-derived
   // occupancy, which must agree with the server's own busy_time().
@@ -138,8 +142,10 @@ class Tracer {
   void Clear();
 
  private:
-  void Observe(SimTime t) {
-    if (t != TraceEvent::kOpen && t > latest_time_) latest_time_ = t;
+  void Observe(TrackId track, SimTime t) {
+    if (t == TraceEvent::kOpen) return;
+    if (t > latest_time_) latest_time_ = t;
+    if (t > tracks_[track].latest) tracks_[track].latest = t;
   }
 
   std::vector<Track> tracks_;

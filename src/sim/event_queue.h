@@ -13,9 +13,9 @@
 namespace smartssd::sim {
 
 // Minimal discrete-event scheduler. The streaming data paths use the
-// RateServer recurrence directly; the event queue exists for control-plane
-// behaviour that is genuinely event-driven — the host's GET polling loop,
-// background garbage collection, and tests that need interleaved timelines.
+// RateServer recurrence directly; the event queue drives what is
+// genuinely event-driven — WorkloadScheduler's interleaving of
+// concurrent queries on one database.
 class EventQueue {
  public:
   using Callback = std::function<void(SimTime now)>;
@@ -30,21 +30,6 @@ class EventQueue {
   void ScheduleAt(SimTime when, Callback fn) {
     SMARTSSD_CHECK_GE(when, clock_->now());
     heap_.push(Event{when, next_seq_++, std::move(fn)});
-  }
-
-  void ScheduleAfter(SimDuration delay, Callback fn) {
-    ScheduleAt(clock_->now() + delay, std::move(fn));
-  }
-
-  bool empty() const { return heap_.empty(); }
-  std::size_t size() const { return heap_.size(); }
-
-  // Virtual time of the earliest pending event; calling this on an
-  // empty queue is a programmer error (check empty() first). Schedulers
-  // use it to decide whether a deadline falls before the next event.
-  SimTime NextEventTime() const {
-    SMARTSSD_CHECK(!heap_.empty());
-    return heap_.top().when;
   }
 
   // Runs the earliest event, advancing the clock to its time. Returns
@@ -62,15 +47,6 @@ class EventQueue {
   void RunUntilEmpty() {
     while (RunOne()) {
     }
-  }
-
-  // Runs all events with time <= `deadline`, then advances the clock to
-  // `deadline` if it is still behind.
-  void RunUntil(SimTime deadline) {
-    while (!heap_.empty() && heap_.top().when <= deadline) {
-      RunOne();
-    }
-    if (clock_->now() < deadline) clock_->AdvanceTo(deadline);
   }
 
  private:

@@ -65,11 +65,6 @@ class ResultQueue {
     return true;
   }
 
-  // Earliest time a pending sealed chunk becomes ready, or 0 if none.
-  SimTime NextReadyTime() const {
-    return sealed_.empty() ? 0 : sealed_.front().ready_time;
-  }
-
   std::uint64_t total_bytes() const { return total_bytes_; }
   std::size_t pending_chunks() const { return sealed_.size(); }
 

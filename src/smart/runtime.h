@@ -93,9 +93,9 @@ class SmartSsdRuntime {
 
   std::uint64_t sessions_run() const { return sessions_run_; }
   std::uint64_t sessions_failed() const { return sessions_failed_; }
-  // Sessions whose task was destroyed mid-flight (a coordinator
-  // cancelled the query, or a scheduler tore down). Their grants were
-  // still released; they just never reached CLOSE or failure.
+  // Sessions whose task was destroyed mid-flight (its driver went away
+  // before the session finished). Their grants were still released;
+  // they just never reached CLOSE or failure.
   std::uint64_t sessions_abandoned() const { return sessions_abandoned_; }
   // Sessions currently holding a firmware thread grant (OPEN granted,
   // not yet retired), and the high-water mark — the device's actual

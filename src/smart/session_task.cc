@@ -19,8 +19,8 @@ SessionTask::SessionTask(SmartSsdRuntime* runtime, InSsdProgram* program,
 }
 
 SessionTask::~SessionTask() {
-  // An abandoned in-flight task (fleet query cancelled, scheduler
-  // teardown) still hands every grant back; it just skips the
+  // An abandoned in-flight task (its driver went away before the
+  // session finished) still hands every grant back; it just skips the
   // completed/failed bookkeeping.
   if (begin_noted_) runtime_->NoteSessionAbandoned();
   ReleaseGrants();

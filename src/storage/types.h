@@ -17,18 +17,6 @@ enum class ColumnType : std::uint8_t {
   kFixedChar,  // CHAR(n), space-padded
 };
 
-inline const char* ColumnTypeName(ColumnType type) {
-  switch (type) {
-    case ColumnType::kInt32:
-      return "INT32";
-    case ColumnType::kInt64:
-      return "INT64";
-    case ColumnType::kFixedChar:
-      return "CHAR";
-  }
-  return "?";
-}
-
 struct Column {
   std::string name;
   ColumnType type = ColumnType::kInt32;

@@ -2,10 +2,9 @@
 // partitioned scatter-gather byte-identity against single-device ground
 // truth (aggregates, GROUP BY, global top-N, a join against a
 // replicated inner, TPC-H scale-out), per-device fault-seed purity,
-// breaker-open re-dispatch, half-open single-probe admission under
-// concurrent traffic, deterministic replay with a straggling device,
-// and strict failure (with cancellation) when a partition is
-// unavailable on every path.
+// breaker-open re-dispatch, the half-open probe closing the breaker,
+// deterministic replay with a straggling device, and strict failure
+// when a partition is unavailable on every path.
 
 #include <gtest/gtest.h>
 
@@ -284,23 +283,21 @@ TEST_F(FleetTest, BreakerOpenRedispatchIsByteIdentical) {
   fleet.UpdateBreakerGauges();
   EXPECT_EQ(fleet.metrics().gauge("fleet.dev1.breaker_state")->value(), 1);
 
-  FleetCoordinator coordinator(&fleet);
-  FleetQueryConfig config;
-  config.spec = &spec;
-  coordinator.Submit(config, /*at=*/0);
-  auto completed = coordinator.Run();
-  ASSERT_TRUE(completed.ok());
-  ASSERT_EQ(completed->size(), 1u);
-  const CompletedFleetQuery& record = completed->front();
-  ASSERT_TRUE(record.result.ok()) << record.result.status().message();
-  EXPECT_TRUE(record.subqueries[1].redispatched);
-  EXPECT_FALSE(record.subqueries[0].redispatched);
-  EXPECT_FALSE(record.subqueries[2].redispatched);
-  EXPECT_EQ(coordinator.redispatches(), 1u);
-  EXPECT_EQ(coordinator.breaker_probes(), 0u);
+  auto result = ExecuteOnFleet(fleet, spec, ExecutionTarget::kSmartSsd);
+  ASSERT_TRUE(result.ok()) << result.status().message();
+  // Partition 1 ran on the host path without a device attempt, so there
+  // was nothing to fall back from; the other partitions stayed on their
+  // devices.
+  ASSERT_EQ(result->partition_stats.size(), 3u);
+  EXPECT_EQ(result->partition_stats[1].target, ExecutionTarget::kHost);
+  EXPECT_FALSE(result->partition_stats[1].fell_back);
+  EXPECT_EQ(result->partition_stats[0].target, ExecutionTarget::kSmartSsd);
+  EXPECT_EQ(result->partition_stats[2].target, ExecutionTarget::kSmartSsd);
+  EXPECT_EQ(fleet.metrics().counter("fleet.redispatches")->value(), 1u);
+  EXPECT_EQ(fleet.metrics().counter("fleet.breaker_probes")->value(), 0u);
 
   const ExecutionOutput redispatched =
-      check::FromFleet("fleet-redispatch", record.result.value());
+      check::FromFleet("fleet-redispatch", result.value());
   const Status s = CompareOutputs(healthy, redispatched);
   EXPECT_TRUE(s.ok()) << s.message();
   // Gauges refreshed on completion: still open (nobody probed it).
@@ -308,7 +305,7 @@ TEST_F(FleetTest, BreakerOpenRedispatchIsByteIdentical) {
   breaker.Reset();
 }
 
-TEST_F(FleetTest, HalfOpenAdmitsExactlyOneProbeUnderConcurrentTraffic) {
+TEST_F(FleetTest, HalfOpenProbeClosesBreakerForLaterQueries) {
   Fleet fleet(2, DatabaseOptions::PaperSmartSsd());
   SMARTSSD_CHECK(
       check::LoadTablesFleet(fleet, gen_, storage::PageLayout::kNsm).ok());
@@ -322,46 +319,33 @@ TEST_F(FleetTest, HalfOpenAdmitsExactlyOneProbeUnderConcurrentTraffic) {
   }
   ASSERT_EQ(breaker.state(), DeviceCircuitBreaker::State::kOpen);
 
-  // Three fleet queries arrive together just past the cooldown: exactly
-  // one device-0 subquery is admitted as the half-open probe; the other
-  // two keep bypassing to the host path while the probe is in flight.
-  FleetCoordinator coordinator(&fleet);
-  const SimTime arrival = breaker.config().cooldown + 100 * kMillisecond;
-  FleetQueryConfig config;
-  config.spec = &spec;
-  for (int i = 0; i < 3; ++i) coordinator.Submit(config, arrival);
-  auto completed = coordinator.Run();
-  ASSERT_TRUE(completed.ok());
-  ASSERT_EQ(completed->size(), 3u);
-
-  EXPECT_EQ(coordinator.breaker_probes(), 1u);
-  EXPECT_EQ(coordinator.redispatches(), 2u);
-  int probes = 0, redispatches = 0;
-  for (const CompletedFleetQuery& record : *completed) {
-    ASSERT_TRUE(record.result.ok()) << record.result.status().message();
-    const ExecutionOutput out =
-        check::FromFleet("fleet-probe", record.result.value());
-    const Status s = CompareOutputs(healthy, out);
+  // Three queries back to back, the first just past the cooldown: its
+  // device-0 partition is the half-open probe, and its success closes
+  // the breaker, so the later queries run device 0 as usual.
+  SimTime at = breaker.config().cooldown + 100 * kMillisecond;
+  for (int i = 0; i < 3; ++i) {
+    SCOPED_TRACE(i);
+    auto result = ExecuteOnFleet(fleet, spec, ExecutionTarget::kSmartSsd, at);
+    ASSERT_TRUE(result.ok()) << result.status().message();
+    const Status s =
+        CompareOutputs(healthy, check::FromFleet("fleet-probe", *result));
     EXPECT_TRUE(s.ok()) << s.message();
-    if (record.subqueries[0].redispatched) {
-      ++redispatches;
-    } else {
-      ++probes;
-    }
+    EXPECT_EQ(result->partition_stats[0].target, ExecutionTarget::kSmartSsd);
+    EXPECT_FALSE(result->partition_stats[0].fell_back);
+    EXPECT_EQ(breaker.state(), DeviceCircuitBreaker::State::kClosed);
+    at = result->end;
   }
-  EXPECT_EQ(probes, 1);
-  EXPECT_EQ(redispatches, 2);
-  // The healthy probe succeeded, closing the breaker for good.
-  EXPECT_EQ(breaker.state(), DeviceCircuitBreaker::State::kClosed);
+  EXPECT_EQ(fleet.metrics().counter("fleet.breaker_probes")->value(), 1u);
+  EXPECT_EQ(fleet.metrics().counter("fleet.redispatches")->value(), 0u);
 }
 
 // --- Replay with a straggling device --------------------------------------
 
 // A 4-device fleet where device 3's embedded CPU is 10x slower, so its
 // device-path subqueries finish last and every merge waits on them.
-// Runs a closed-loop client of 4 queries; everything replay
-// determinism must preserve lands in the completion records.
-std::vector<CompletedFleetQuery> RunStragglerWorkload(
+// Runs 4 queries back to back; everything replay determinism must
+// preserve lands in the results.
+std::vector<FleetQueryResult> RunStragglerWorkload(
     const exec::QuerySpec& spec, const TableGenConfig& gen) {
   DatabaseOptions base = DatabaseOptions::PaperSmartSsd();
   DatabaseOptions straggler = base;
@@ -372,56 +356,98 @@ std::vector<CompletedFleetQuery> RunStragglerWorkload(
   obs::Tracer tracer;
   fleet.AttachTracer(&tracer);
 
-  FleetCoordinator coordinator(&fleet);
-  FleetQueryConfig config;
-  config.spec = &spec;
-  coordinator.AddClosedLoopClient(config, /*count=*/4);
-  auto completed = coordinator.Run();
-  SMARTSSD_CHECK(completed.ok());
+  std::vector<FleetQueryResult> results;
+  SimTime at = 0;
+  for (int i = 0; i < 4; ++i) {
+    auto result = ExecuteOnFleet(fleet, spec, ExecutionTarget::kSmartSsd, at);
+    SMARTSSD_CHECK(result.ok());
+    at = result->end;
+    results.push_back(std::move(result).value());
+  }
 
   // Every grant returned, every span closed.
   SMARTSSD_CHECK(check::CheckFleetInvariants(fleet).ok());
   SMARTSSD_CHECK(check::CheckTraceInvariants(tracer).ok());
-  return std::move(completed).value();
+  return results;
 }
 
 TEST_F(FleetTest, StragglerFleetIsDeterministicOnReplay) {
   const exec::QuerySpec spec = SumSpec();
   const ExecutionOutput expected =
       GroundTruth(spec, ExecutionTarget::kSmartSsd, gen_);
-  const std::vector<CompletedFleetQuery> first =
+  const std::vector<FleetQueryResult> first =
       RunStragglerWorkload(spec, gen_);
-  const std::vector<CompletedFleetQuery> second =
+  const std::vector<FleetQueryResult> second =
       RunStragglerWorkload(spec, gen_);
   ASSERT_EQ(first.size(), 4u);
   ASSERT_EQ(first.size(), second.size());
   for (std::size_t i = 0; i < first.size(); ++i) {
-    const CompletedFleetQuery& a = first[i];
-    const CompletedFleetQuery& b = second[i];
-    EXPECT_EQ(a.id, b.id);
-    EXPECT_EQ(a.arrival, b.arrival);
+    const FleetQueryResult& a = first[i];
+    const FleetQueryResult& b = second[i];
+    EXPECT_EQ(a.start, b.start);
     EXPECT_EQ(a.end, b.end);
-    ASSERT_EQ(a.subqueries.size(), 4u);
-    ASSERT_EQ(a.subqueries.size(), b.subqueries.size());
-    for (std::size_t d = 0; d < a.subqueries.size(); ++d) {
-      EXPECT_EQ(a.subqueries[d].start, b.subqueries[d].start);
-      EXPECT_EQ(a.subqueries[d].end, b.subqueries[d].end);
-      EXPECT_EQ(a.subqueries[d].fell_back, b.subqueries[d].fell_back);
+    ASSERT_EQ(a.partition_stats.size(), 4u);
+    ASSERT_EQ(a.partition_stats.size(), b.partition_stats.size());
+    for (std::size_t d = 0; d < a.partition_stats.size(); ++d) {
+      EXPECT_EQ(a.partition_stats[d].start, b.partition_stats[d].start);
+      EXPECT_EQ(a.partition_stats[d].end, b.partition_stats[d].end);
+      EXPECT_EQ(a.partition_stats[d].fell_back,
+                b.partition_stats[d].fell_back);
       // The slow device is the one every merge waits on.
-      EXPECT_LE(a.subqueries[d].end, a.subqueries[3].end);
+      EXPECT_LE(a.partition_stats[d].end, a.partition_stats[3].end);
     }
-    ASSERT_TRUE(a.result.ok()) << a.result.status().message();
-    ASSERT_TRUE(b.result.ok()) << b.result.status().message();
-    EXPECT_EQ(a.result.value().rows, b.result.value().rows);
-    EXPECT_EQ(a.result.value().agg_values, b.result.value().agg_values);
-    EXPECT_EQ(a.result.value().end, b.result.value().end);
-    for (const CompletedFleetQuery* record : {&a, &b}) {
+    EXPECT_EQ(a.rows, b.rows);
+    EXPECT_EQ(a.agg_values, b.agg_values);
+    for (const FleetQueryResult* result : {&a, &b}) {
       const ExecutionOutput out =
-          check::FromFleet("fleet-straggler", record->result.value());
+          check::FromFleet("fleet-straggler", *result);
       const Status s = CompareOutputs(expected, out);
       EXPECT_TRUE(s.ok()) << s.message();
     }
   }
+}
+
+// Partitions run one after another on a shared tracer, but a span that
+// dies on an error path ends on its own device's clock: device 1's
+// failed pushdown attempt ends when its session failed, not at device
+// 0's last event.
+TEST_F(FleetTest, FailedAttemptSpanEndsWhenItsSessionFailed) {
+  Fleet fleet(2, DatabaseOptions::PaperSmartSsd());
+  SMARTSSD_CHECK(
+      check::LoadTablesFleet(fleet, gen_, storage::PageLayout::kNsm).ok());
+  obs::Tracer tracer;
+  fleet.AttachTracer(&tracer);
+  sim::FaultSchedule schedule;
+  schedule.faults.push_back(sim::FaultSpec{
+      .kind = sim::FaultKind::kOpenRejected,
+      .trigger = {.unit = sim::TriggerUnit::kSimTime, .at = 0},
+      .count = 1});
+  fleet.LoadFaultSchedule(1, std::move(schedule));
+  const exec::QuerySpec spec = SumSpec();
+
+  auto result = ExecuteOnFleet(fleet, spec, ExecutionTarget::kSmartSsd);
+  fleet.ClearFaults();
+  ASSERT_TRUE(result.ok()) << result.status().message();
+  ASSERT_TRUE(result->partition_stats[1].fell_back);
+
+  const obs::TraceEvent* attempt = nullptr;
+  SimTime session_failed = 0;
+  for (const obs::TraceEvent& event : tracer.events()) {
+    const obs::Track& track = tracer.tracks()[event.track];
+    if (track.process != "fleet-host1") continue;
+    if (event.phase == obs::TraceEvent::Phase::kInstant &&
+        event.name == "session failed") {
+      session_failed = event.start;
+    }
+    if (attempt == nullptr && event.phase == obs::TraceEvent::Phase::kSpan &&
+        track.thread == "executor" && event.name == spec.name) {
+      attempt = &event;  // the device attempt opens before the rerun
+    }
+  }
+  ASSERT_NE(attempt, nullptr);
+  ASSERT_GT(session_failed, 0u);
+  EXPECT_EQ(attempt->end, session_failed);
+  EXPECT_LT(attempt->end, result->partition_stats[0].end);
 }
 
 // --- Unavailable partitions -----------------------------------------------
@@ -447,26 +473,17 @@ TEST_F(FleetTest, StrictPolicyFailsWhenPartitionIsUnavailable) {
   const exec::QuerySpec spec = SumSpec();
   fleet.LoadFaultSchedule(1, KillEveryRead());
 
-  FleetCoordinator coordinator(&fleet);
-  FleetQueryConfig config;
-  config.spec = &spec;
-  coordinator.Submit(config, 0);
-  auto completed = coordinator.Run();
-  ASSERT_TRUE(completed.ok());
-  ASSERT_EQ(completed->size(), 1u);
-  const CompletedFleetQuery& record = completed->front();
-  ASSERT_FALSE(record.result.ok());
-  EXPECT_EQ(record.result.status().code(), StatusCode::kAborted);
-  EXPECT_NE(std::string(record.result.status().message())
+  auto result = ExecuteOnFleet(fleet, spec, ExecutionTarget::kSmartSsd);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kAborted);
+  EXPECT_NE(std::string(result.status().message())
                 .find("partition 1 unavailable"),
             std::string::npos);
-  EXPECT_TRUE(record.subqueries[1].unavailable);
-  EXPECT_EQ(coordinator.unavailable_partitions(), 1u);
+  EXPECT_EQ(
+      fleet.metrics().counter("fleet.unavailable_partitions")->value(), 1u);
 
-  // Partition 0's session was still running when partition 1 failed:
-  // cancelling the query destroyed it mid-flight, and it handed its
-  // grants back and closed its spans.
-  EXPECT_GE(fleet.device(0).runtime()->sessions_abandoned(), 1u);
+  // Device 0 had finished before device 1 ran; every grant is back and
+  // every span closed.
   const Status fleet_ok = check::CheckFleetInvariants(fleet);
   EXPECT_TRUE(fleet_ok.ok()) << fleet_ok.message();
   const Status trace_ok = check::CheckTraceInvariants(tracer);

@@ -31,7 +31,6 @@ using engine::ExecutionTarget;
 using engine::PlacementPolicyKind;
 using engine::QueryExecutor;
 using engine::QueryResult;
-using engine::WorkloadOptions;
 using engine::WorkloadQueryConfig;
 using engine::WorkloadScheduler;
 
@@ -150,10 +149,11 @@ TEST(SplitEligibility, IneligibleSpecsFallBackToWholeQueryRouting) {
 // The adaptive router is deterministic: two identical databases driven
 // by the same arrival trace produce byte-identical completion records —
 // same routing decisions (target, split flags), same virtual end times,
-// same result bytes. Admission allows more queries in flight than the
-// device has session grants, so the trace exercises both of the
-// policy's load-dependent routes: split scans while a grant is free,
-// and whole queries on the host while every grant is held.
+// same result bytes. Admission (kMaxQueriesInFlight) allows more
+// queries in flight than the device's 3 session grants, so the trace
+// exercises both of the policy's load-dependent routes: split scans
+// while a grant is free, and whole queries on the host while every
+// grant is held.
 TEST(AdaptiveDeterminism, FixedTraceYieldsIdenticalRoutingAndResults) {
   DatabaseOptions options = DatabaseOptions::PaperSmartSsd();
   options.placement = PlacementPolicyKind::kAdaptive;
@@ -161,9 +161,7 @@ TEST(AdaptiveDeterminism, FixedTraceYieldsIdenticalRoutingAndResults) {
   auto run_trace = [&options]() {
     Database db(options);
     Load(db, storage::PageLayout::kPax);
-    WorkloadOptions wl;
-    wl.max_in_flight = 4;  // above the device's 3 session grants
-    WorkloadScheduler sched(&db, wl);
+    WorkloadScheduler sched(&db);
     WorkloadQueryConfig config;
     config.client = "trace";
     config.spec = tpch::Q6Spec("lineitem");

@@ -128,19 +128,5 @@ TEST(EventQueueTest, EventsCanScheduleEvents) {
   EXPECT_EQ(clock.now(), 10u);
 }
 
-TEST(EventQueueTest, RunUntilStopsAtDeadline) {
-  Clock clock;
-  EventQueue queue(&clock);
-  int fired = 0;
-  queue.ScheduleAt(10, [&](SimTime) { ++fired; });
-  queue.ScheduleAt(50, [&](SimTime) { ++fired; });
-  queue.RunUntil(20);
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(clock.now(), 20u);
-  EXPECT_EQ(queue.size(), 1u);
-  queue.RunUntilEmpty();
-  EXPECT_EQ(fired, 2);
-}
-
 }  // namespace
 }  // namespace smartssd::sim

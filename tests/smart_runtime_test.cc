@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <numeric>
 #include <vector>
 
 #include "smart/program.h"
 #include "smart/result_queue.h"
 #include "smart/runtime.h"
+#include "smart/session_task.h"
 #include "ssd/ssd_device.h"
 
 namespace smartssd::smart {
@@ -192,6 +194,33 @@ TEST_F(SmartRuntimeTest, SessionIdsIncrease) {
   ASSERT_TRUE(s1.ok());
   ASSERT_TRUE(s2.ok());
   EXPECT_LT(s1->session_id, s2->session_id);
+}
+
+// A session task destroyed mid-flight hands its thread and DRAM grants
+// back and counts as abandoned, not failed.
+TEST_F(SmartRuntimeTest, DestroyedSessionTaskReturnsItsGrants) {
+  constexpr std::uint64_t kPages = 16;
+  Preload(kPages, 0);
+  const int threads_free = device_.session_threads_free();
+  const std::uint64_t dram_free = device_.device_dram_free();
+  ByteSumProgram program(0, kPages, 10, /*dram_bytes=*/1024 * 1024);
+  std::vector<std::byte> output;
+  {
+    std::unique_ptr<SessionTask> task =
+        runtime_.StartSession(program, 0, &output);
+    ASSERT_TRUE(task->Step().ok());  // OPEN: thread and DRAM granted
+    ASSERT_TRUE(task->Step().ok());  // the first input page
+    ASSERT_FALSE(task->finished());
+    EXPECT_EQ(device_.session_threads_free(), threads_free - 1);
+    EXPECT_LT(device_.device_dram_free(), dram_free);
+    EXPECT_EQ(runtime_.active_sessions(), 1);
+  }
+  EXPECT_EQ(device_.session_threads_free(), threads_free);
+  EXPECT_EQ(device_.device_dram_free(), dram_free);
+  EXPECT_EQ(runtime_.active_sessions(), 0);
+  EXPECT_EQ(runtime_.sessions_abandoned(), 1u);
+  EXPECT_EQ(runtime_.sessions_failed(), 0u);
+  EXPECT_FALSE(runtime_.session_leak_detected());
 }
 
 // --- ResultQueue unit tests ---

@@ -22,7 +22,7 @@ namespace {
 
 using engine::CompletedQuery;
 using engine::ExecutionTarget;
-using engine::WorkloadOptions;
+using engine::kMaxQueriesInFlight;
 using engine::WorkloadQueryConfig;
 using engine::WorkloadScheduler;
 
@@ -59,10 +59,9 @@ class WorkloadSchedulerTest : public ::testing::Test {
     return std::move(result).value();
   }
 
-  std::vector<CompletedQuery> RunPair(ExecutionTarget target,
-                                      const WorkloadOptions& options = {}) {
+  std::vector<CompletedQuery> RunPair(ExecutionTarget target) {
     db_.ResetForColdRun();
-    WorkloadScheduler sched(&db_, options);
+    WorkloadScheduler sched(&db_);
     sched.Submit(Q6On("lineitem_a", target, "a"), 0);
     sched.Submit(Q6On("lineitem_b", target, "b"), 0);
     auto records = sched.Run();
@@ -274,12 +273,12 @@ TEST(WorkloadGrantParkingTest, SingleGrantSerializesSessionsNoFallback) {
 // opens must redispatch to the host instead of serializing onto a
 // failing device. One firmware thread and four queries: "a" takes the
 // grant and dies to an injected reset (threshold 1 opens the breaker
-// for a very long cooldown, "a" falls back). The freed slot goes to the
-// longest-parked task "b"; "c" and "d" then wake to an open breaker
-// with no free grant and must fall back from the park — byte-identical
-// results, zero device attempts charged (they never touched the
-// device). Before the fix they stayed parked until "b" finished and
-// then queued onto the device one by one.
+// for a very long cooldown, "a" falls back). "b", "c" and "d" then
+// resume from the park to an open breaker and fall back without opening
+// a session — byte-identical results, zero device attempts charged
+// (they never touched the device). "b" wakes into the freed grant, but
+// the breaker tripped while it waited, so it leaves the device alone
+// too.
 TEST(WorkloadGrantParkingTest, BreakerOpenRedispatchesParkedTasksToHost) {
   engine::DatabaseOptions options = engine::DatabaseOptions::PaperSmartSsd();
   options.ssd.embedded_cpu.session_threads = 1;
@@ -322,41 +321,92 @@ TEST(WorkloadGrantParkingTest, BreakerOpenRedispatchesParkedTasksToHost) {
       // The faulted session: a real device attempt, then fallback.
       EXPECT_TRUE(stats.fell_back);
       EXPECT_EQ(stats.device_attempts, 1u);
-    } else if (r.client == "b") {
-      // Woken into the freed grant; the spent fault lets it finish on
-      // the device (its success closes the breaker again).
-      EXPECT_FALSE(stats.fell_back);
-      EXPECT_EQ(stats.target, ExecutionTarget::kSmartSsd);
     } else {
-      // Parked with no grant and an open breaker: host redispatch that
+      // Parked, then resumed to an open breaker: host redispatch that
       // never touched the device.
       EXPECT_TRUE(stats.fell_back);
       EXPECT_EQ(stats.device_attempts, 0u);
       EXPECT_EQ(stats.target, ExecutionTarget::kHost);
     }
   }
-  EXPECT_EQ(db.runtime()->sessions_run(), 2u);  // only "a" and "b"
+  EXPECT_EQ(db.runtime()->sessions_run(), 1u);  // only "a"
   EXPECT_FALSE(db.runtime()->session_leak_detected());
 }
 
-// max_in_flight=1 turns the scheduler into an admission queue: the
-// second query's wait shows up as queue_wait, and it starts only after
-// the first delivers.
+// Regression: a task that parked before the breaker tripped must not
+// open a session after the trip. Eight pinned-device queries at t = 0
+// on three session grants, with every session failing from t = 0:
+// three sessions open and five tasks park. The first two failures each
+// wake a parked task into the freed grant, and the third failure trips
+// the breaker (threshold 3) with those two sessions still open. The
+// three tasks still parked then resume on an open breaker while one
+// grant is free. Without the re-check on resume the first of them
+// opened a session on it (6 failed sessions); with it, all three go to
+// the host and only the five sessions started before the trip fail.
+// Every result stays correct.
+TEST_F(WorkloadSchedulerTest, ParkedTasksRecheckBreakerOnResume) {
+  const engine::QueryResult host_ref =
+      Solo("lineitem_a", ExecutionTarget::kHost);
+
+  db_.ResetForColdRun();
+  db_.circuit_breaker().Reset();
+  db_.ssd()->fault_injector().Load([] {
+    sim::FaultSchedule schedule;
+    schedule.faults.push_back(
+        sim::FaultSpec{sim::FaultKind::kDeviceReset,
+                       {sim::TriggerUnit::kSimTime, 0},
+                       1000});
+    return schedule;
+  }());
+  WorkloadScheduler sched(&db_);
+  for (int i = 0; i < 8; ++i) {
+    sched.Submit(Q6On("lineitem_a", ExecutionTarget::kSmartSsd,
+                      "q" + std::to_string(i)),
+                 0);
+  }
+  auto records = sched.Run();
+  db_.ssd()->fault_injector().Clear();
+  ASSERT_TRUE(records.ok());
+  ASSERT_EQ(records->size(), 8u);
+  for (const CompletedQuery& r : *records) {
+    SCOPED_TRACE(r.client);
+    ASSERT_TRUE(r.result.ok()) << r.result.status().ToString();
+    EXPECT_EQ(r.result.value().rows, host_ref.rows);
+    EXPECT_EQ(r.result.value().agg_values, host_ref.agg_values);
+  }
+  EXPECT_EQ(db_.circuit_breaker().trips(), 1u);
+  EXPECT_EQ(db_.runtime()->sessions_failed(), 5u);
+  EXPECT_FALSE(db_.runtime()->session_leak_detected());
+  db_.circuit_breaker().Reset();
+}
+
+// One arrival more than kMaxQueriesInFlight: the extra query waits in
+// the admission queue, its wait shows up as queue_wait, and it starts
+// when the first query delivers.
 TEST_F(WorkloadSchedulerTest, AdmissionControlQueuesBeyondMaxInFlight) {
-  WorkloadOptions options;
-  options.max_in_flight = 1;
-  const std::vector<CompletedQuery> records =
-      RunPair(ExecutionTarget::kSmartSsd, options);
-  ASSERT_EQ(records.size(), 2u);
-  const CompletedQuery& head = records[0];
-  const CompletedQuery& queued = records[1];
-  EXPECT_EQ(head.queue_wait(), 0);
-  EXPECT_EQ(queued.admitted, head.end);
-  EXPECT_GT(queued.queue_wait(), 0);
-  ASSERT_TRUE(head.result.ok());
-  ASSERT_TRUE(queued.result.ok());
-  EXPECT_EQ(head.result.value().agg_values,
-            queued.result.value().agg_values);
+  db_.ResetForColdRun();
+  WorkloadScheduler sched(&db_);
+  std::uint64_t last_id = 0;
+  for (int i = 0; i <= kMaxQueriesInFlight; ++i) {
+    last_id = sched.Submit(
+        Q6On("lineitem_a", ExecutionTarget::kSmartSsd, "c"), 0);
+  }
+  auto records = sched.Run();
+  ASSERT_TRUE(records.ok());
+  ASSERT_EQ(records->size(),
+            static_cast<std::size_t>(kMaxQueriesInFlight) + 1);
+  const CompletedQuery& first = records->front();
+  for (const CompletedQuery& r : *records) {
+    SCOPED_TRACE(r.id);
+    ASSERT_TRUE(r.result.ok()) << r.result.status().ToString();
+    EXPECT_EQ(r.result.value().agg_values, first.result.value().agg_values);
+    if (r.id == last_id) {
+      EXPECT_EQ(r.admitted, first.end);
+      EXPECT_GT(r.queue_wait(), 0);
+    } else {
+      EXPECT_EQ(r.queue_wait(), 0);
+    }
+  }
 }
 
 // Closed-loop: each next arrival is the previous completion plus think
