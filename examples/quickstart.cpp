@@ -51,8 +51,7 @@ int main() {
   }
   std::printf("Plan: %s\n", exec::PlanToString(*bound).c_str());
   engine::PushdownPlanner planner(&db);
-  auto decision =
-      planner.Decide(*bound, engine::PlanHints{.predicate_selectivity = 0.01});
+  auto decision = planner.Decide(*bound);
   if (decision.ok()) {
     std::printf("Planner: %s (%s); est host %.3fs vs smart %.3fs\n",
                 engine::ExecutionTargetName(decision->target),

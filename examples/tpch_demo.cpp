@@ -19,7 +19,6 @@ using namespace smartssd;
 namespace {
 
 void RunBothWays(engine::Database& db, const exec::QuerySpec& spec,
-                 double selectivity_hint,
                  const std::function<void(const engine::QueryResult&)>&
                      print_answer) {
   auto bound = exec::Bind(spec, db.catalog());
@@ -32,8 +31,7 @@ void RunBothWays(engine::Database& db, const exec::QuerySpec& spec,
   std::printf("plan: %s\n", exec::PlanToString(*bound).c_str());
 
   engine::PushdownPlanner planner(&db);
-  auto decision = planner.Decide(
-      *bound, engine::PlanHints{.predicate_selectivity = selectivity_hint});
+  auto decision = planner.Decide(*bound);
   if (decision.ok()) {
     std::printf("planner: run on %s (%s)\n",
                 engine::ExecutionTargetName(decision->target),
@@ -93,19 +91,19 @@ int main(int argc, char** argv) {
                              storage::PageLayout::kPax),
         "load R");
 
-  RunBothWays(db, tpch::Q6Spec("lineitem"), 0.006,
+  RunBothWays(db, tpch::Q6Spec("lineitem"),
               [](const engine::QueryResult& result) {
                 std::printf("  Q6 revenue = %.2f\n",
                             tpch::Q6Revenue(result.agg_values));
               });
 
-  RunBothWays(db, tpch::Q14Spec("lineitem", "part"), 0.4,
+  RunBothWays(db, tpch::Q14Spec("lineitem", "part"),
               [](const engine::QueryResult& result) {
                 std::printf("  Q14 promo_revenue = %.4f%%\n",
                             tpch::Q14PromoRevenue(result.agg_values));
               });
 
-  RunBothWays(db, tpch::JoinQuerySpec("S", "R", 0.01), 0.01,
+  RunBothWays(db, tpch::JoinQuerySpec("S", "R", 0.01),
               [](const engine::QueryResult& result) {
                 std::printf("  join returned %llu rows\n",
                             static_cast<unsigned long long>(

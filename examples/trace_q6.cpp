@@ -33,24 +33,25 @@ bool RunQ6(engine::Database& db, const char* table,
            engine::ExecutionTarget target, const char* label) {
   db.ResetForColdRun();
   engine::QueryExecutor executor(&db);
+  // The query runs alone, so the database-wide busy-time change around
+  // it is its own per-stage breakdown.
+  const engine::StageBreakdown before = db.StageSnapshot();
   auto result = executor.Execute(tpch::Q6Spec(table), target);
   if (!result.ok()) {
     std::fprintf(stderr, "%s failed: %s\n", label,
                  result.status().ToString().c_str());
     return false;
   }
+  const engine::StageBreakdown stage = db.StageSnapshot() - before;
   std::printf(
       "%-16s : revenue %.2f, elapsed %.4f s (virtual)\n"
       "%-16s   stage busy: chip %.4f s, channel %.4f s, dram-bus %.4f s,"
       " host-link %.4f s, embedded %.4f s, host-cpu %.4f s\n",
       label, tpch::Q6Revenue(result->agg_values),
       result->stats.elapsed_seconds(), "",
-      ToSeconds(result->stats.stage.flash_chip),
-      ToSeconds(result->stats.stage.flash_channel),
-      ToSeconds(result->stats.stage.dram_bus),
-      ToSeconds(result->stats.stage.host_link),
-      ToSeconds(result->stats.stage.embedded_cpu),
-      ToSeconds(result->stats.stage.host_cpu));
+      ToSeconds(stage.flash_chip), ToSeconds(stage.flash_channel),
+      ToSeconds(stage.dram_bus), ToSeconds(stage.host_link),
+      ToSeconds(stage.embedded_cpu), ToSeconds(stage.host_cpu));
   return true;
 }
 

@@ -178,8 +178,8 @@ class Database {
   obs::MetricsRegistry& metrics() { return metrics_; }
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 
-  // Current accumulated busy time of every pipeline stage. The executor
-  // diffs two snapshots to fill QueryStats::stage.
+  // Current accumulated busy time of every pipeline stage; diff two
+  // snapshots to see which stage a solo query kept busy.
   StageBreakdown StageSnapshot() const;
 
  private:

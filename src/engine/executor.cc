@@ -1,8 +1,22 @@
 #include "engine/executor.h"
 
+#include <optional>
+
 #include "engine/query_task.h"
 
 namespace smartssd::engine {
+
+namespace {
+
+Result<QueryResult> RunAlone(Database* db, const exec::QuerySpec& spec,
+                             std::optional<ExecutionTarget> target,
+                             SimTime start) {
+  QueryTask task(db, &spec, target, start);
+  SimTime end = start;
+  return RunToCompletion(task, &end);
+}
+
+}  // namespace
 
 QueryExecutor::QueryExecutor(Database* db) : db_(db) {
   SMARTSSD_CHECK(db != nullptr);
@@ -11,46 +25,12 @@ QueryExecutor::QueryExecutor(Database* db) : db_(db) {
 Result<QueryResult> QueryExecutor::Execute(const exec::QuerySpec& spec,
                                            ExecutionTarget target,
                                            SimTime start) {
-  SMARTSSD_ASSIGN_OR_RETURN(const exec::BoundQuery bound,
-                            exec::Bind(spec, db_->catalog()));
-  if (target == ExecutionTarget::kSmartSsd) {
-    return ExecuteDeviceWithFallback(bound, start);
-  }
-  return ExecuteOnHost(bound, start);
+  return RunAlone(db_, spec, target, start);
 }
 
 Result<QueryResult> QueryExecutor::ExecuteAuto(const exec::QuerySpec& spec,
-                                               const PlanHints& hints,
                                                SimTime start) {
-  // Routed by the database's placement policy (DatabaseOptions::
-  // placement) through the resumable QueryTask, so split placements
-  // work from the blocking path too. Under the default kCostModel
-  // policy the task issues the identical Bind + planner.Decide +
-  // host/device sequence this function historically inlined.
-  QueryTask task(db_, &spec, /*target=*/std::nullopt, hints, start,
-                 /*wait_for_grant=*/false);
-  while (!task.finished()) task.Step();
-  return task.TakeResult();
-}
-
-// The blocking entry points drive the resumable tasks to completion in a
-// tight loop: the task then issues the identical resource-call sequence
-// the old monolithic bodies did, so these paths are byte-identical to
-// the pre-task executor — a property the differential and bench identity
-// tests pin down. Interleaved execution lives in WorkloadScheduler.
-
-Result<QueryResult> QueryExecutor::ExecuteDeviceWithFallback(
-    const exec::BoundQuery& bound, SimTime start) {
-  DeviceQueryTask task(db_, &bound, start, /*wait_for_grant=*/false);
-  while (!task.finished()) task.Step();
-  return task.TakeResult();
-}
-
-Result<QueryResult> QueryExecutor::ExecuteOnHost(
-    const exec::BoundQuery& bound, SimTime start) {
-  HostQueryTask task(db_, &bound, start);
-  while (!task.finished()) task.Step();
-  return task.TakeResult();
+  return RunAlone(db_, spec, std::nullopt, start);
 }
 
 }  // namespace smartssd::engine

@@ -7,8 +7,6 @@
 #include "common/result.h"
 #include "engine/database.h"
 #include "engine/metrics.h"
-#include "engine/planner.h"
-#include "exec/page_processor.h"
 #include "exec/query_spec.h"
 
 namespace smartssd::engine {
@@ -28,13 +26,16 @@ struct QueryResult {
   }
 };
 
-// Runs bound queries either the conventional way (pages to the host,
-// operators on the Xeons) or through the Smart SSD's session protocol
-// (the paper's "special path in SQL Server", Section 4.1.2). Both paths
-// execute the identical PageProcessor kernel over identical bytes, so
-// they must produce identical results — a property the test suite
-// checks — while their timelines differ according to the data path and
-// processor the work actually used.
+// Runs one query at a time, to completion, either the conventional way
+// (pages to the host, operators on the Xeons) or through the Smart SSD's
+// session protocol (the paper's "special path in SQL Server", Section
+// 4.1.2). Both paths execute the identical PageProcessor kernel over
+// identical bytes, so they must produce identical results — a property
+// the test suite checks — while their timelines differ according to the
+// data path and processor the work actually used. Each entry point runs
+// one QueryTask through RunToCompletion (engine/query_task.h); a
+// pushdown that finds every session grant held returns
+// RESOURCE_EXHAUSTED without touching the device.
 //
 // Degraded execution: when a pushdown session dies of a *device* fault
 // (uncorrectable read, reset, rejected OPEN, stalled GETs, transfer
@@ -57,18 +58,9 @@ class QueryExecutor {
   // the pushdown planner's Section 4.3 rules), then executes. The
   // decision taken is in the result's stats.target.
   Result<QueryResult> ExecuteAuto(const exec::QuerySpec& spec,
-                                  const PlanHints& hints = {},
                                   SimTime start = 0);
 
-  Result<QueryResult> ExecuteOnHost(const exec::BoundQuery& bound,
-                                    SimTime start);
-
  private:
-  // Pushdown with host fallback on retryable device failures; updates
-  // the shared circuit breaker either way.
-  Result<QueryResult> ExecuteDeviceWithFallback(
-      const exec::BoundQuery& bound, SimTime start);
-
   Database* db_;
 };
 

@@ -208,26 +208,23 @@ Result<FleetQueryResult> ExecuteOnFleet(Fleet& fleet,
         metrics.counter("fleet.breaker_probes")->Add();
       }
     }
-    // The only subquery on its device, so it never waits for a session
-    // grant.
-    QueryTask task(&db, &spec, partition_target, PlanHints{}, start,
-                   /*wait_for_grant=*/false);
-    StepOutcome outcome = task.Step();
-    while (!outcome.finished) outcome = task.Step();
-    Result<QueryResult> partial = task.TakeResult();
+    QueryTask task(&db, &spec, partition_target, start);
+    SimTime done = start;
+    Result<QueryResult> partial = RunToCompletion(task, &done);
 
     if (!partial.ok()) {
       // The task carries its own in-query host fallback, so a failure
-      // means the device and host paths both died: the partition is
-      // unavailable and the query fails. Later partitions never start.
+      // means the device and host paths both died, or the device had no
+      // session grant free: the partition is unavailable and the query
+      // fails. Later partitions never start.
       metrics.counter("fleet.unavailable_partitions")->Add();
       if (tracer != nullptr) {
         tracer->Instant(
-            track, "partition unavailable", "fleet", outcome.at,
+            track, "partition unavailable", "fleet", done,
             {obs::Arg::Str("error", partial.status().message())});
       }
       return FinishQuery(
-          fleet, start, outcome.at,
+          fleet, start, done,
           AbortedError("partition " + std::to_string(d) +
                        " unavailable on every path: " +
                        std::string(partial.status().message())));
@@ -235,17 +232,16 @@ Result<FleetQueryResult> ExecuteOnFleet(Fleet& fleet,
 
     const QueryStats& stats = partial.value().stats;
     if (stats.fell_back) metrics.counter("fleet.subquery_fallbacks")->Add();
-    metrics.histogram("fleet.subquery_latency_ns")
-        ->Record(outcome.at - start);
+    metrics.histogram("fleet.subquery_latency_ns")->Record(done - start);
     if (tracer != nullptr) {
       std::vector<obs::Arg> args{
           obs::Arg::Str("target", ExecutionTargetName(stats.target))};
       if (redispatched) args.push_back(obs::Arg::Uint("redispatched", 1));
       if (stats.fell_back) args.push_back(obs::Arg::Uint("fell_back", 1));
-      tracer->Complete(track, "subquery", "fleet", start, outcome.at,
+      tracer->Complete(track, "subquery", "fleet", start, done,
                        std::move(args));
     }
-    last_done = std::max(last_done, outcome.at);
+    last_done = std::max(last_done, done);
     partials.push_back(std::move(partial).value());
   }
 

@@ -18,17 +18,19 @@
 //          results, the DeviceQueryTask contract),
 //       2. breaker-open re-dispatch: a tripped device's partition goes
 //          straight to its host path, skipping the doomed session,
-//       3. strict failure: a partition no path can compute fails the
-//          whole query with an explicit ABORTED error naming it — never
-//          a silent truncation.
+//       3. strict failure: a partition no path can compute (or whose
+//          device has no session grant free) fails the whole query with
+//          an explicit ABORTED error naming it — never a silent
+//          truncation.
 //
 // One query at a time. Devices share no simulated resource: each
 // Database owns its SSD, buffer pool, host CPU and breaker, and the
 // merge is charged on device 0's host only after every partition is
-// done. So the partitions run to completion one after another, in
-// device-id order and each from the query's start time, and every
-// device's timeline is the one an interleaved run would give. Running
-// several queries at once is WorkloadScheduler's job.
+// done. So each partition's task runs alone to completion
+// (RunToCompletion, the loop QueryExecutor uses too), one after
+// another in device-id order and each from the query's start time, and
+// every device's timeline is the one an interleaved run would give.
+// Running several queries at once is WorkloadScheduler's job.
 //
 // Determinism: partitions run in a fixed order on virtual time,
 // per-device fault seeds are a pure hash of (fleet_seed, device_id), and

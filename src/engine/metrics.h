@@ -25,12 +25,13 @@ inline const char* ExecutionTargetName(ExecutionTarget target) {
 // scans across both sides. See engine/placement.h.
 enum class PlacementPolicyKind { kCostModel, kAdaptive };
 
-// Per-stage virtual busy time attributable to one query: the delta of
-// every pipeline resource's accumulated busy time over the query's
-// lifetime (the same occupancy the tracer records as spans, summed).
-// This is the paper's bottleneck evidence in numeric form — on a cold
-// run, the stage whose busy time approaches elapsed() is the stage that
-// paces the configuration.
+// Accumulated virtual busy time of every pipeline stage of one database
+// (the same occupancy the tracer records as spans, summed). The
+// difference of two snapshots taken around a query that ran alone is the
+// paper's bottleneck evidence in numeric form: on a cold run, the stage
+// whose busy time approaches the query's elapsed time is the stage that
+// paces the configuration. Under concurrency the difference also counts
+// every co-running query's work.
 struct StageBreakdown {
   SimDuration flash_chip = 0;     // NAND sense (tR) across all chips
   SimDuration flash_channel = 0;  // channel bus + ECC across all channels
@@ -95,10 +96,6 @@ struct QueryStats {
   // fragment ran on the device.
   bool split_scan = false;
   std::uint32_t fragments = 0;
-
-  // Busy-time deltas per pipeline stage (device stages stay zero on the
-  // HDD configuration and on warm runs served from the buffer pool).
-  StageBreakdown stage;
 
   double host_ingest_gbps() const {
     const double s = elapsed_seconds();

@@ -3,8 +3,8 @@
 
 // Deterministic merge of per-partition partial query results, shared by
 // the fleet's scatter-gather entry point (ExecuteOnFleet, engine/fleet)
-// and the split scan (SplitScanTask, which merges page-range fragments
-// of one table). The merge is a pure function of the partials *in the
+// and QueryTask (engine/query_task), which merges the page-range
+// fragments of a split scan of one table. The merge is a pure function of the partials *in the
 // order given*, so a caller that fixes that order by partition id
 // (never by completion order) gets byte-identical output no matter how
 // the partitions' executions interleaved or fell back.

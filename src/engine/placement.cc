@@ -15,11 +15,10 @@ namespace {
 // side keeps at least one page (a degenerate fraction would just be a
 // pure placement with extra merge overhead).
 std::uint64_t SplitDevicePages(const PushdownPlanner& planner,
-                               const exec::BoundQuery& bound,
-                               const PlanHints& hints) {
+                               const exec::BoundQuery& bound) {
   const std::uint64_t pages = bound.outer->page_count;
-  const double host_s = planner.EstimateHostSeconds(bound, hints);
-  const double smart_s = planner.EstimateSmartSeconds(bound, hints);
+  const double host_s = planner.EstimateHostSeconds(bound);
+  const double smart_s = planner.EstimateSmartSeconds(bound);
   double fraction = 0.5;
   if (std::isfinite(host_s) && std::isfinite(smart_s) &&
       host_s + smart_s > 0) {
@@ -30,11 +29,9 @@ std::uint64_t SplitDevicePages(const PushdownPlanner& planner,
   return std::clamp<std::uint64_t>(device_pages, 1, pages - 1);
 }
 
-PlacementDecision HostDecision(std::string reason) {
-  PlacementDecision decision;
-  decision.target = ExecutionTarget::kHost;
-  decision.reason = std::move(reason);
-  return decision;
+PlacementDecision Whole(ExecutionTarget target, std::string reason) {
+  return {.fragments = {ScanFragment{.target = target}},
+          .reason = std::move(reason)};
 }
 
 }  // namespace
@@ -49,18 +46,13 @@ bool SplittableScan(const exec::BoundQuery& bound) {
 
 Result<PlacementDecision> DecidePlacement(Database* db,
                                           const exec::BoundQuery& bound,
-                                          const PlanHints& hints,
                                           PlacementPolicyKind policy,
                                           SimTime now) {
   SMARTSSD_CHECK(db != nullptr);
   const PushdownPlanner planner(db);
   if (policy == PlacementPolicyKind::kCostModel) {
-    SMARTSSD_ASSIGN_OR_RETURN(const PlanDecision plan,
-                              planner.Decide(bound, hints, now));
-    PlacementDecision decision;
-    decision.target = plan.target;
-    decision.reason = plan.reason;
-    return decision;
+    SMARTSSD_ASSIGN_OR_RETURN(PlanDecision plan, planner.Decide(bound, now));
+    return Whole(plan.target, std::move(plan.reason));
   }
 
   // kAdaptive. The device takes work while its session-grant pool has a
@@ -68,32 +60,30 @@ Result<PlacementDecision> DecidePlacement(Database* db,
   // whole to the host instead of parking behind the grant queue, so a
   // loaded workload uses both sides' capacity at once.
   if (auto constraint = planner.DeviceConstraint(bound)) {
-    return HostDecision(*constraint);
+    return Whole(ExecutionTarget::kHost, *constraint);
   }
   if (db->runtime()->session_slots_free() <= 0) {
-    return HostDecision("session-grant pool empty: whole query to the host");
+    return Whole(ExecutionTarget::kHost,
+                 "session-grant pool empty: whole query to the host");
   }
   if (db->circuit_breaker().ShouldBypass(now)) {
-    return HostDecision("breaker open: device excluded from placement");
+    return Whole(ExecutionTarget::kHost,
+                 "breaker open: device excluded from placement");
   }
-  PlacementDecision decision;
-  decision.target = ExecutionTarget::kSmartSsd;
   if (!SplittableScan(bound)) {
-    decision.reason = "session grant free: device path";
-    return decision;
+    return Whole(ExecutionTarget::kSmartSsd,
+                 "session grant free: device path");
   }
   // Host takes the page-order prefix, device the suffix: the device
   // streams its extent through the internal path while the host works
   // the front of the table through the buffer pool.
   const std::uint64_t pages = bound.outer->page_count;
-  const std::uint64_t device_pages = SplitDevicePages(planner, bound, hints);
-  decision.split = true;
-  decision.fragments = {
-      {0, pages - device_pages, ExecutionTarget::kHost},
-      {pages - device_pages, device_pages, ExecutionTarget::kSmartSsd},
-  };
-  decision.reason = "split: cost-weighted host/device fragments";
-  return decision;
+  const std::uint64_t device_pages = SplitDevicePages(planner, bound);
+  return PlacementDecision{
+      .fragments = {{0, pages - device_pages, ExecutionTarget::kHost},
+                    {pages - device_pages, device_pages,
+                     ExecutionTarget::kSmartSsd}},
+      .reason = "split: cost-weighted host/device fragments"};
 }
 
 }  // namespace smartssd::engine

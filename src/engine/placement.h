@@ -3,7 +3,8 @@
 
 // Placement: where a query's scan runs when no target is pinned (a
 // pinned side is WorkloadQueryConfig::target or QueryExecutor::Execute).
-// Two policies:
+// Either way the answer is an ordered list of ScanFragments, which
+// QueryTask runs. Two policies:
 //
 //   kCostModel (the default) is the pushdown planner's Section 4.3
 //   decision, host or device, chosen once per query by its rules and
@@ -15,11 +16,11 @@
 //   circuit breaker open -> host; a splittable scan -> host/device
 //   fragments weighted by the cost model; otherwise the device.
 //
-// A split scan becomes an ordered list of ScanFragments — contiguous
-// page ranges of the outer table, each independently placeable — whose
-// partial results merge in fixed fragment order through
-// engine/partial_merge. Everything a policy reads lives on the virtual
-// clock, so a fixed arrival trace yields byte-identical routing
+// A whole query is one fragment that covers the table. A split scan is
+// two: contiguous page ranges of the outer table, host prefix then
+// device suffix, whose partial results merge in fixed fragment order
+// through engine/partial_merge. Everything a policy reads lives on the
+// virtual clock, so a fixed arrival trace yields byte-identical routing
 // decisions and results run-to-run.
 
 #include <cstdint>
@@ -35,20 +36,19 @@
 namespace smartssd::engine {
 
 // One placeable unit of a scan: pages [first_page, first_page +
-// page_count) of the outer table, routed to one side. Fragment order is
-// page order; the merge consumes partials in that order.
+// page_count) of the outer table, routed to one side. The defaults cover
+// the whole table, however many pages it has when the fragment's task
+// starts. Fragment order is page order; the merge consumes partials in
+// that order.
 struct ScanFragment {
   std::uint64_t first_page = 0;
-  std::uint64_t page_count = 0;
+  std::uint64_t page_count = ~0ull;
   ExecutionTarget target = ExecutionTarget::kHost;
 };
 
 struct PlacementDecision {
-  ExecutionTarget target = ExecutionTarget::kHost;
-  // When set, run the scan as `fragments` (ordered by page range) and
-  // merge partials; `target` then summarizes as kSmartSsd when any
-  // fragment goes to the device.
-  bool split = false;
+  // Ordered by page range: one whole-table fragment, or a split's host
+  // prefix and device suffix.
   std::vector<ScanFragment> fragments;
   std::string reason;
 };
@@ -68,7 +68,6 @@ bool SplittableScan(const exec::BoundQuery& bound);
 // on a host run.
 Result<PlacementDecision> DecidePlacement(Database* db,
                                           const exec::BoundQuery& bound,
-                                          const PlanHints& hints,
                                           PlacementPolicyKind policy,
                                           SimTime now);
 

@@ -17,6 +17,11 @@ namespace {
 // measured ratio on the paper's five-predicate Q6.
 constexpr double kShortCircuitFactor = 0.6;
 
+// Fraction of outer tuples assumed to pass a predicate. The planner has
+// no column statistics, so every predicate is costed at this one share;
+// a query without a predicate passes every tuple.
+constexpr double kAssumedSelectivity = 0.1;
+
 void ScaleEval(const expr::EvalStats& per_row, double rows, double factor,
                expr::EvalStats* out) {
   auto scale = [&](std::uint64_t v) {
@@ -58,11 +63,9 @@ PushdownPlanner::PushdownPlanner(Database* db) : db_(db) {
 }
 
 exec::OpCounts PushdownPlanner::EstimateCounts(
-    const exec::BoundQuery& bound, const PlanHints& hints,
-    exec::OpCounts* build_counts) const {
+    const exec::BoundQuery& bound, exec::OpCounts* build_counts) const {
   const exec::QuerySpec& spec = *bound.spec;
   const double tuples = static_cast<double>(bound.outer->tuple_count);
-  const double sel = std::clamp(hints.predicate_selectivity, 0.0, 1.0);
 
   exec::OpCounts counts;
   counts.pages = bound.outer->page_count;
@@ -73,7 +76,8 @@ exec::OpCounts PushdownPlanner::EstimateCounts(
     spec.predicate->EstimateOps(&per_row);
     ScaleEval(per_row, tuples, kShortCircuitFactor, &counts.eval);
   }
-  const double passing = tuples * (spec.predicate ? sel : 1.0);
+  const double passing =
+      tuples * (spec.predicate ? kAssumedSelectivity : 1.0);
   if (spec.join.has_value()) {
     const double probes =
         spec.order == exec::PipelineOrder::kProbeFirst ? tuples : passing;
@@ -121,10 +125,10 @@ exec::OpCounts PushdownPlanner::EstimateCounts(
   return counts;
 }
 
-double PushdownPlanner::EstimateHostSeconds(const exec::BoundQuery& bound,
-                                            const PlanHints& hints) const {
+double PushdownPlanner::EstimateHostSeconds(
+    const exec::BoundQuery& bound) const {
   exec::OpCounts build_counts;
-  const exec::OpCounts counts = EstimateCounts(bound, hints, &build_counts);
+  const exec::OpCounts counts = EstimateCounts(bound, &build_counts);
   const std::uint32_t page_size = db_->device().page_size();
   const std::uint64_t inner_pages =
       bound.inner == nullptr ? 0 : bound.inner->page_count;
@@ -148,13 +152,13 @@ double PushdownPlanner::EstimateHostSeconds(const exec::BoundQuery& bound,
   return std::max(io_s, cpu_s);
 }
 
-double PushdownPlanner::EstimateSmartSeconds(const exec::BoundQuery& bound,
-                                             const PlanHints& hints) const {
+double PushdownPlanner::EstimateSmartSeconds(
+    const exec::BoundQuery& bound) const {
   if (!db_->smart_capable()) {
     return std::numeric_limits<double>::infinity();
   }
   exec::OpCounts build_counts;
-  const exec::OpCounts counts = EstimateCounts(bound, hints, &build_counts);
+  const exec::OpCounts counts = EstimateCounts(bound, &build_counts);
   const std::uint32_t page_size = db_->device().page_size();
   const std::uint64_t inner_pages =
       bound.inner == nullptr ? 0 : bound.inner->page_count;
@@ -244,12 +248,11 @@ std::optional<std::string> PushdownPlanner::DeviceConstraint(
 }
 
 Result<PlanDecision> PushdownPlanner::Decide(const exec::BoundQuery& bound,
-                                             const PlanHints& hints,
                                              SimTime now) const {
   PlanDecision decision;  // the host unless the last rule picks the device
-  decision.est_host_seconds = EstimateHostSeconds(bound, hints);
+  decision.est_host_seconds = EstimateHostSeconds(bound);
   if (db_->smart_capable()) {
-    decision.est_smart_seconds = EstimateSmartSeconds(bound, hints);
+    decision.est_smart_seconds = EstimateSmartSeconds(bound);
   }
   const storage::TableInfo& outer = *bound.outer;
   if (auto constraint = DeviceConstraint(bound)) {

@@ -12,14 +12,6 @@
 
 namespace smartssd::engine {
 
-// Optimizer-style hints the caller may supply (the prototype has no
-// statistics subsystem; the paper's special path likewise relied on
-// knowing its queries).
-struct PlanHints {
-  // Fraction of outer tuples surviving the predicate.
-  double predicate_selectivity = 0.1;
-};
-
 struct PlanDecision {
   ExecutionTarget target = ExecutionTarget::kHost;
   std::string reason;
@@ -57,7 +49,8 @@ std::uint64_t ResolveJoinBudget(const Database& db,
 //      for pages RAM already holds);
 //   5. otherwise, estimated cost decides: each path is a pipeline whose
 //      elapsed time is the max of its stage times (I/O, CPU, result
-//      transfer).
+//      transfer). There are no column statistics, so the cost model
+//      assumes one fixed share of outer tuples passes a predicate.
 //
 // Plus one health rule after them: a query the rules send to the device
 // goes to the host while the database's circuit breaker is open
@@ -70,15 +63,12 @@ class PushdownPlanner {
   SMARTSSD_DISALLOW_COPY_AND_ASSIGN(PushdownPlanner);
 
   Result<PlanDecision> Decide(const exec::BoundQuery& bound,
-                              const PlanHints& hints,
                               SimTime now = 0) const;
 
   // The cost submodel, exposed for tests and ablations: estimated
   // elapsed seconds for each path.
-  double EstimateHostSeconds(const exec::BoundQuery& bound,
-                             const PlanHints& hints) const;
-  double EstimateSmartSeconds(const exec::BoundQuery& bound,
-                              const PlanHints& hints) const;
+  double EstimateHostSeconds(const exec::BoundQuery& bound) const;
+  double EstimateSmartSeconds(const exec::BoundQuery& bound) const;
 
   // The hard device-eligibility constraints — rules 1 to 3, without the
   // breaker's (mutating) bypass check or the cost heuristics — as a
@@ -90,7 +80,6 @@ class PushdownPlanner {
 
  private:
   exec::OpCounts EstimateCounts(const exec::BoundQuery& bound,
-                                const PlanHints& hints,
                                 exec::OpCounts* build_counts) const;
 
   Database* db_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <utility>
+#include <vector>
 
 #include "engine/fallback_reason.h"
 #include "engine/partial_merge.h"
@@ -28,9 +29,9 @@ Status DecodeAggValues(const exec::BoundQuery& bound,
 }
 
 // True when [first_page, first_page + page_count) leaves out part of the
-// outer table: the range is a split-scan fragment, whose task reports a
-// partial result. SplitDevicePages keeps each side of a split at least
-// one page, so every fragment qualifies.
+// outer table: the range is one of several fragments, whose task reports
+// a partial result. SplitDevicePages keeps each side of a split at least
+// one page, so every fragment of a split qualifies.
 bool ProperSubRange(const exec::BoundQuery& bound, std::uint64_t first_page,
                     std::uint64_t page_count) {
   return first_page > 0 || page_count < bound.outer->page_count;
@@ -122,7 +123,6 @@ StepOutcome HostQueryTask::StepStart() {
   stats.layout = bound_->outer->layout;
   stats.start = start_;
 
-  stage_before_ = db_->StageSnapshot();
   if (tracer_ != nullptr) {
     span_id_ = tracer_->Begin(db_->executor_track(), bound_->spec->name,
                               "query", start_);
@@ -278,9 +278,9 @@ StepOutcome HostQueryTask::StepFinish() {
       exec::Cycles(final_counts, host_params_, outer.schema.num_columns(),
                    hash_entries_);
   end_ = db_->host().Execute(final_cycles, end_, "finalize");
-  // Partial fragments report body-only counts: the split coordinator
-  // charges the canonical finish emission over the merged result once,
-  // so per-fragment counts sum exactly to the whole-table run's.
+  // Partial fragments report body-only counts: QueryTask's merge charges
+  // the canonical finish emission over the merged result once, so
+  // per-fragment counts sum exactly to the whole-table run's.
   if (!partial_) stats.counts += final_counts;
   stats.host_cycles += final_cycles;
   if (tracer_ != nullptr) {
@@ -291,10 +291,9 @@ StepOutcome HostQueryTask::StepFinish() {
   stats.end = end_;
   stats.output_rows = result_.row_count();
   stats.output_bytes = result_.rows.size();
-  stats.stage = db_->StageSnapshot() - stage_before_;
   if (!partial_) {
-    // Per-query instruments count whole queries; the split coordinator
-    // bumps them once for the merged query.
+    // Per-query instruments count whole queries; QueryTask's merge bumps
+    // them once for the merged query.
     db_->metrics().counter("engine.queries")->Add();
     db_->metrics().histogram("engine.query_ns")->Record(stats.elapsed());
   }
@@ -317,13 +316,11 @@ StepOutcome HostQueryTask::StepFinish() {
 
 DeviceQueryTask::DeviceQueryTask(Database* db,
                                  const exec::BoundQuery* bound,
-                                 SimTime start, bool wait_for_grant,
-                                 std::uint64_t first_page,
+                                 SimTime start, std::uint64_t first_page,
                                  std::uint64_t page_count)
     : db_(db),
       bound_(bound),
       start_(start),
-      wait_for_grant_(wait_for_grant),
       frag_first_(first_page),
       frag_pages_(page_count),
       tracer_(db->tracer()),
@@ -372,7 +369,6 @@ StepOutcome DeviceQueryTask::Step() {
 }
 
 StepOutcome DeviceQueryTask::StepStart() {
-  outer_stage_before_ = db_->StageSnapshot();
   if (!db_->smart_capable()) {
     return FinishWithError(FailedPreconditionError(
         "pushdown requires a Smart SSD device"));
@@ -399,7 +395,6 @@ StepOutcome DeviceQueryTask::StepStart() {
   stats.layout = bound_->outer->layout;
   stats.start = start_;
 
-  stage_before_ = db_->StageSnapshot();
   if (tracer_ != nullptr) {
     span_id_ = tracer_->Begin(db_->executor_track(), bound_->spec->name,
                               "query", start_);
@@ -422,7 +417,7 @@ StepOutcome DeviceQueryTask::StepStart() {
 }
 
 StepOutcome DeviceQueryTask::StepSession() {
-  if (wait_for_grant_ && !session_started_) {
+  if (!session_started_) {
     const bool no_grant = db_->runtime()->session_slots_free() <= 0;
     if ((no_grant || parked_) && db_->circuit_breaker().open()) {
       // The breaker says the device is failing, and this task either
@@ -472,8 +467,8 @@ StepOutcome DeviceQueryTask::StepSession() {
   stats.session = session;
   stats.end = session.close_done;
   stats.embedded_cycles = session.embedded_cycles;
-  // Partial fragments report body-only counts (see HostQueryTask): the
-  // split coordinator synthesizes the canonical finish charge over the
+  // Partial fragments report body-only counts (see HostQueryTask):
+  // QueryTask's merge synthesizes the canonical finish charge over the
   // merged result.
   stats.counts =
       partial_ ? program_->CountsExcludingFinish() : program_->counts();
@@ -486,7 +481,6 @@ StepOutcome DeviceQueryTask::StepSession() {
       session.result_bytes + (session.gets_issued + 2) * 64;
   stats.output_rows = result_.row_count();
   stats.output_bytes = result_.rows.size();
-  stats.stage = db_->StageSnapshot() - stage_before_;
   if (!partial_) {
     db_->metrics().counter("engine.queries")->Add();
     db_->metrics().histogram("engine.query_ns")->Record(stats.elapsed());
@@ -546,63 +540,74 @@ StepOutcome DeviceQueryTask::StepHostRerun() {
   result.stats.fell_back = true;
   result.stats.device_attempts = redispatched_without_attempt_ ? 0 : 1;
   result.stats.fallback_reason = FallbackReasonString(device_error_);
-  // The breakdown must cover the wasted device attempt too, not just the
-  // host re-run.
-  result.stats.stage = db_->StageSnapshot() - outer_stage_before_;
   final_result_ = std::move(result);
   state_ = State::kDone;
   return outcome;
 }
 
 // ---------------------------------------------------------------------------
-// SplitScanTask
+// QueryTask
 
-SplitScanTask::SplitScanTask(Database* db, const exec::BoundQuery* bound,
-                             const std::vector<ScanFragment>& fragments,
-                             SimTime start, bool wait_for_grant)
-    : db_(db), bound_(bound), start_(start), end_(start) {
+QueryTask::QueryTask(Database* db, const exec::QuerySpec* spec,
+                     std::optional<ExecutionTarget> target, SimTime start)
+    : db_(db), spec_(spec), target_(target), start_(start), end_(start) {
   SMARTSSD_CHECK(db != nullptr);
-  SMARTSSD_CHECK(bound != nullptr);
-  SMARTSSD_CHECK(!fragments.empty());
-  SMARTSSD_CHECK(!bound->spec->join.has_value());
-  stage_before_ = db->StageSnapshot();
-  for (const ScanFragment& placement : fragments) {
-    Fragment& fragment = fragments_.emplace_back();
-    fragment.placement = placement;
-    fragment.ready = start;
-    if (placement.target == ExecutionTarget::kSmartSsd) {
-      fragment.device.emplace(db, bound, start, wait_for_grant,
-                              placement.first_page, placement.page_count);
-    } else {
-      fragment.host.emplace(db, bound, start, placement.first_page,
-                            placement.page_count);
-    }
-  }
+  SMARTSSD_CHECK(spec != nullptr);
 }
 
-Result<QueryResult> SplitScanTask::TakeResult() {
+Result<QueryResult> QueryTask::TakeResult() {
   SMARTSSD_CHECK(finished());
   SMARTSSD_CHECK(final_result_.has_value());
   return std::move(*final_result_);
 }
 
-StepOutcome SplitScanTask::StepFragment(Fragment& fragment) {
-  return fragment.host.has_value() ? fragment.host->Step()
-                                   : fragment.device->Step();
+StepOutcome QueryTask::Finish(Result<QueryResult> result,
+                              StepOutcome outcome) {
+  final_result_ = std::move(result);
+  state_ = State::kDone;
+  outcome.finished = true;
+  return outcome;
 }
 
-StepOutcome SplitScanTask::Step() {
-  SMARTSSD_CHECK(!done_);
+StepOutcome QueryTask::Plan() {
+  Result<exec::BoundQuery> bound = exec::Bind(*spec_, db_->catalog());
+  if (!bound.ok()) return Finish(bound.status(), {.at = start_});
+  bound_.emplace(std::move(bound.value()));
+  std::vector<ScanFragment> placement;
+  if (target_.has_value()) {
+    placement = {ScanFragment{.target = *target_}};
+  } else {
+    Result<PlacementDecision> placed =
+        DecidePlacement(db_, *bound_, db_->options().placement, start_);
+    if (!placed.ok()) return Finish(placed.status(), {.at = start_});
+    placement = std::move(placed.value().fragments);
+  }
+  for (const ScanFragment& placed : placement) {
+    Fragment& fragment = fragments_.emplace_back();
+    fragment.ready = start_;
+    if (placed.target == ExecutionTarget::kSmartSsd) {
+      fragment.device.emplace(db_, &*bound_, start_, placed.first_page,
+                              placed.page_count);
+    } else {
+      fragment.host.emplace(db_, &*bound_, start_, placed.first_page,
+                            placed.page_count);
+    }
+  }
+  state_ = State::kRun;
+  return {.at = start_};
+}
+
+StepOutcome QueryTask::Step() {
+  if (state_ == State::kPlan) return Plan();
+  SMARTSSD_CHECK(state_ == State::kRun);
   for (;;) {
     // Earliest-ready unfinished, unparked fragment; lowest index breaks
     // ties. Deterministic: ready times are virtual, order is fixed.
     Fragment* next = nullptr;
-    bool any_unfinished = false;
     bool have_parked = false;
     SimTime parked_at = 0;
     for (Fragment& fragment : fragments_) {
       if (fragment.done) continue;
-      any_unfinished = true;
       if (fragment.parked) {
         if (!have_parked || fragment.ready < parked_at) {
           parked_at = fragment.ready;
@@ -612,15 +617,15 @@ StepOutcome SplitScanTask::Step() {
       }
       if (next == nullptr || fragment.ready < next->ready) next = &fragment;
     }
-    if (!any_unfinished) return Merge();
     if (next == nullptr) {
       // Every remaining fragment waits on a device session grant.
-      // Surface that to the scheduler; clear the park marks so the next
+      // Surface that to the driver; clear the park marks so the next
       // Step() (after a grant frees or the breaker opens) retries them.
       for (Fragment& fragment : fragments_) fragment.parked = false;
       return {.at = parked_at, .waiting_for_grant = true};
     }
-    const StepOutcome outcome = StepFragment(*next);
+    const StepOutcome outcome =
+        next->host.has_value() ? next->host->Step() : next->device->Step();
     next->ready = std::max(outcome.at, next->ready);
     if (outcome.waiting_for_grant) {
       // Other fragments may still have work: park just this one and
@@ -628,40 +633,34 @@ StepOutcome SplitScanTask::Step() {
       next->parked = true;
       continue;
     }
-    if (outcome.finished) {
-      next->done = true;
-      next->result = next->host.has_value() ? next->host->TakeResult()
-                                            : next->device->TakeResult();
-      end_ = std::max(end_, outcome.at);
-      bool all_done = true;
-      for (const Fragment& fragment : fragments_) {
-        if (!fragment.done) {
-          all_done = false;
-          break;
-        }
-      }
-      if (all_done) return Merge();
+    if (!outcome.finished) return outcome;
+    next->done = true;
+    next->result = next->host.has_value() ? next->host->TakeResult()
+                                          : next->device->TakeResult();
+    if (fragments_.size() == 1) {
+      return Finish(std::move(*next->result), outcome);
     }
-    return {.at = outcome.at};
+    end_ = std::max(end_, outcome.at);
+    for (const Fragment& fragment : fragments_) {
+      if (!fragment.done) return {.at = outcome.at};
+    }
+    return Merge();
   }
 }
 
-StepOutcome SplitScanTask::Merge() {
-  done_ = true;
+StepOutcome QueryTask::Merge() {
   // First failure in fragment order wins — deterministic regardless of
   // which fragment's execution failed first on the timeline.
   for (Fragment& fragment : fragments_) {
     if (!fragment.result->ok()) {
-      final_result_ = std::move(*fragment.result);
-      return {.at = std::max(start_, end_), .finished = true};
+      return Finish(std::move(*fragment.result), {.at = end_});
     }
   }
 
   QueryResult result;
   Result<storage::Schema> output_schema = OutputSchema(*bound_);
   if (!output_schema.ok()) {
-    final_result_ = output_schema.status();
-    return {.at = std::max(start_, end_), .finished = true};
+    return Finish(output_schema.status(), {.at = end_});
   }
   result.output_schema = std::move(output_schema.value());
 
@@ -671,12 +670,12 @@ StepOutcome SplitScanTask::Merge() {
     partials.push_back(&fragment.result->value());
   }
   MergedPartials merged =
-      MergePartialResults(*bound_->spec, result.output_schema, partials);
+      MergePartialResults(*spec_, result.output_schema, partials);
   result.rows = std::move(merged.rows);
   result.agg_values = std::move(merged.agg_values);
 
   QueryStats& stats = result.stats;
-  stats.query_name = bound_->spec->name;
+  stats.query_name = spec_->name;
   stats.device_name = std::string(db_->device().name());
   stats.layout = bound_->outer->layout;
   stats.start = start_;
@@ -702,108 +701,51 @@ StepOutcome SplitScanTask::Merge() {
       any_device ? ExecutionTarget::kSmartSsd : ExecutionTarget::kHost;
 
   // Canonical finish emission over the merged result — exactly what the
-  // monolithic Finish() charges: one OpCount/byte per emitted output row
-  // for aggregation shapes, nothing for plain projections. The
+  // whole-table Finish() charges: one OpCount/byte per emitted output
+  // row for aggregation shapes, nothing for plain projections. The
   // fragments excluded their own finish emission, so adding this once
-  // makes total counts byte-identical to the monolithic run.
+  // makes total counts byte-identical to the whole-table run.
   exec::OpCounts finish_counts;
-  if (!bound_->spec->aggregates.empty()) {
+  if (!spec_->aggregates.empty()) {
     finish_counts.output_tuples = result.row_count();
     finish_counts.output_bytes = result.rows.size();
   }
   stats.counts += finish_counts;
 
-  // Coordinator cost: touch every partial row once (the scatter-gather
-  // merge charge) plus the canonical finish emission on the host CPU.
-  const SimTime merge_started = end_;
+  // Merge cost: touch every partial row once (the scatter-gather merge
+  // charge) plus the canonical finish emission on the host CPU.
   const std::uint64_t merge_cycles =
       MergeCostCycles(merged.input_rows, merged.input_bytes) +
       exec::Cycles(finish_counts,
                    exec::HostCostParams(bound_->outer->layout),
                    bound_->outer->schema.num_columns(), 0);
-  end_ = db_->host().Execute(merge_cycles, end_, "split merge");
+  stats.end = db_->host().Execute(merge_cycles, end_, "split merge");
   stats.host_cycles += merge_cycles;
-
-  stats.end = end_;
   stats.output_rows = result.row_count();
   stats.output_bytes = result.rows.size();
-  stats.stage = db_->StageSnapshot() - stage_before_;
   db_->metrics().counter("engine.queries")->Add();
   db_->metrics().histogram("engine.query_ns")->Record(stats.elapsed());
   if (obs::Tracer* tracer = db_->tracer(); tracer != nullptr) {
     tracer->Complete(
-        db_->executor_track(), "split merge", "phase", merge_started, end_,
+        db_->executor_track(), "split merge", "phase", end_, stats.end,
         {obs::Arg::Uint("fragments", fragments_.size()),
          obs::Arg::Uint("rows", stats.output_rows)});
   }
-  final_result_ = std::move(result);
-  return {.at = end_, .finished = true};
+  const SimTime merged_at = stats.end;
+  return Finish(std::move(result), {.at = merged_at});
 }
 
-// ---------------------------------------------------------------------------
-// QueryTask
-
-QueryTask::QueryTask(Database* db, const exec::QuerySpec* spec,
-                     std::optional<ExecutionTarget> target,
-                     const PlanHints& hints, SimTime start,
-                     bool wait_for_grant)
-    : db_(db),
-      spec_(spec),
-      start_(start),
-      wait_for_grant_(wait_for_grant),
-      target_(target),
-      hints_(hints) {
-  SMARTSSD_CHECK(db != nullptr);
-  SMARTSSD_CHECK(spec != nullptr);
-}
-
-Result<QueryResult> QueryTask::TakeResult() {
-  SMARTSSD_CHECK(finished());
-  if (final_result_.has_value()) return std::move(*final_result_);
-  if (host_task_.has_value()) return host_task_->TakeResult();
-  if (split_task_.has_value()) return split_task_->TakeResult();
-  return device_task_->TakeResult();
-}
-
-StepOutcome QueryTask::Step() {
-  if (state_ == State::kPlan) {
-    Result<exec::BoundQuery> bound = exec::Bind(*spec_, db_->catalog());
-    if (!bound.ok()) {
-      final_result_ = bound.status();
-      state_ = State::kDone;
-      return {.at = start_, .finished = true};
+Result<QueryResult> RunToCompletion(QueryTask& task, SimTime* end) {
+  for (;;) {
+    const StepOutcome outcome = task.Step();
+    *end = outcome.at;
+    if (outcome.finished) return task.TakeResult();
+    if (outcome.waiting_for_grant) {
+      return ResourceExhaustedError(
+          "no device session grant free, and no co-running query to free "
+          "one");
     }
-    bound_.emplace(std::move(bound.value()));
-    PlacementDecision decision;
-    if (target_.has_value()) {
-      decision.target = *target_;
-    } else {
-      Result<PlacementDecision> placed = DecidePlacement(
-          db_, *bound_, hints_, db_->options().placement, start_);
-      if (!placed.ok()) {
-        final_result_ = placed.status();
-        state_ = State::kDone;
-        return {.at = start_, .finished = true};
-      }
-      decision = std::move(placed).value();
-    }
-    if (decision.split) {
-      split_task_.emplace(db_, &*bound_, decision.fragments, start_,
-                          wait_for_grant_);
-    } else if (decision.target == ExecutionTarget::kSmartSsd) {
-      device_task_.emplace(db_, &*bound_, start_, wait_for_grant_);
-    } else {
-      host_task_.emplace(db_, &*bound_, start_);
-    }
-    state_ = State::kRun;
-    return {.at = start_};
   }
-  SMARTSSD_CHECK(state_ == State::kRun);
-  StepOutcome outcome = host_task_.has_value()    ? host_task_->Step()
-                        : split_task_.has_value() ? split_task_->Step()
-                                                  : device_task_->Step();
-  if (outcome.finished) state_ = State::kDone;
-  return outcome;
 }
 
 }  // namespace smartssd::engine

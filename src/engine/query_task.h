@@ -5,7 +5,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <vector>
 
 #include "common/macros.h"
 #include "common/result.h"
@@ -21,14 +20,13 @@
 
 namespace smartssd::engine {
 
-// Resumable query execution. The blocking QueryExecutor entry points are
-// thin loops over the task classes below, which advance a query one page
-// (host path) or one session protocol unit (pushdown path) per Step().
-// That granularity is what lets a workload scheduler interleave many
-// in-flight queries on the shared simulated resources; driven solo in a
-// tight loop, each task issues the identical resource-call sequence the
-// old monolithic executor bodies did, so single-query timelines are
-// byte-identical by construction.
+// Resumable query execution. QueryTask is the one unit every caller
+// runs: it binds the spec, places it as one or more scan fragments, and
+// advances them one page (host path) or one session protocol unit
+// (pushdown path) per Step(). That granularity is what lets a workload
+// scheduler interleave many in-flight queries on the shared simulated
+// resources; the blocking callers (QueryExecutor, ExecuteOnFleet) step
+// one task alone through RunToCompletion.
 
 // What one Step() of a task reports back to its driver.
 struct StepOutcome {
@@ -42,23 +40,22 @@ struct StepOutcome {
   bool waiting_for_grant = false;
 };
 
-// The conventional path (QueryExecutor::ExecuteOnHost) as a state
+// One host-side scan fragment (the conventional path) as a state
 // machine: join build one inner page per step, then scan one outer page
 // per step, then finalize. `bound` must outlive the task.
 //
 // The scan covers outer-table pages [first_page, first_page +
-// page_count), clamped to the table; the defaults cover all of it. A
-// proper sub-range of the table is a split-scan fragment and reports a
-// *partial* result: per-page OpCounts are charged exactly as the
+// page_count), clamped to the table (see ScanFragment). A proper
+// sub-range of the table is one of several fragments and reports
+// a *partial* result: per-page OpCounts are charged exactly as the
 // whole-table scan charges those pages, while the Finish() emission
-// counts and the per-query metrics bumps are left to the split
-// coordinator (which re-synthesizes the canonical finish charge over
-// the merged result).
+// counts and the per-query metrics bumps are left to QueryTask's merge
+// (which re-synthesizes the canonical finish charge over the merged
+// result).
 class HostQueryTask {
  public:
   HostQueryTask(Database* db, const exec::BoundQuery* bound, SimTime start,
-                std::uint64_t first_page = 0,
-                std::uint64_t page_count = ~0ull);
+                std::uint64_t first_page, std::uint64_t page_count);
   ~HostQueryTask();
   SMARTSSD_DISALLOW_COPY_AND_ASSIGN(HostQueryTask);
 
@@ -102,7 +99,6 @@ class HostQueryTask {
   State state_ = State::kStart;
   QueryResult result_;
   std::optional<Result<QueryResult>> final_result_;
-  StageBreakdown stage_before_;
   obs::SpanId span_id_ = obs::kNoSpan;
   bool span_ended_ = false;
 
@@ -128,15 +124,14 @@ class HostQueryTask {
   std::uint64_t pages_scanned_ = 0;
 };
 
-// The pushdown path as a state machine: one session protocol unit per
-// step. A retryable device failure records on the circuit breaker and
-// re-runs the query on the host path from the failure time. With
-// `wait_for_grant` set the task parks (waiting_for_grant outcome, no
-// device traffic) instead of issuing an OPEN while the device's session
-// thread pool is empty, and goes to the host path without a device
-// attempt if the breaker is open when it finds no grant or resumes from
-// a park; the blocking executor and ExecuteOnFleet pass false and eat
-// the rejection, matching the old behavior.
+// One device-side scan fragment (the pushdown path) as a state machine:
+// one session protocol unit per step. A retryable device failure
+// records on the circuit breaker and re-runs the fragment on the host
+// path from the failure time. While the device's session thread pool is
+// empty the task parks (waiting_for_grant outcome, no device traffic)
+// instead of issuing an OPEN, and goes to the host path without a
+// device attempt if the breaker is open when it finds no grant or
+// resumes from a park.
 // The page range mirrors HostQueryTask: it restricts the pushdown
 // program to those pages (extent announcement, pruning, and zone-check
 // charge all range-scoped); a proper sub-range of the table reports
@@ -144,9 +139,8 @@ class HostQueryTask {
 class DeviceQueryTask {
  public:
   DeviceQueryTask(Database* db, const exec::BoundQuery* bound,
-                  SimTime start, bool wait_for_grant,
-                  std::uint64_t first_page = 0,
-                  std::uint64_t page_count = ~0ull);
+                  SimTime start, std::uint64_t first_page,
+                  std::uint64_t page_count);
   ~DeviceQueryTask();
   SMARTSSD_DISALLOW_COPY_AND_ASSIGN(DeviceQueryTask);
 
@@ -168,9 +162,8 @@ class DeviceQueryTask {
   Database* db_;
   const exec::BoundQuery* bound_;
   SimTime start_;
-  bool wait_for_grant_;
-  // Page range over the outer table (defaults cover it whole) and
-  // whether it is a proper sub-range; see the class comment.
+  // Page range over the outer table and whether it is a proper
+  // sub-range; see the class comment.
   std::uint64_t frag_first_ = 0;
   std::uint64_t frag_pages_ = ~0ull;
   bool partial_ = false;
@@ -179,8 +172,6 @@ class DeviceQueryTask {
   State state_ = State::kStart;
   QueryResult result_;
   std::optional<Result<QueryResult>> final_result_;
-  StageBreakdown stage_before_;       // device attempt
-  StageBreakdown outer_stage_before_;  // whole query incl. fallback
   obs::SpanId span_id_ = obs::kNoSpan;
   bool span_ended_ = false;
 
@@ -208,32 +199,39 @@ class DeviceQueryTask {
   std::optional<HostQueryTask> host_rerun_;
 };
 
-// A split scan: the query's page range partitioned into ScanFragments,
-// each run by its own host/device task in partial mode, concurrently on
-// the virtual timeline. One Step() advances the earliest-ready
-// unfinished fragment by one step (lowest fragment index breaks ties),
-// so fragments interleave on the shared resources exactly as two
-// independently scheduled queries would. When all fragments finish,
-// partials merge in fixed fragment order through engine/partial_merge,
-// and the coordinator charges the canonical finish emission (what the
-// monolithic path's Finish() charges for the merged output) exactly
-// once — total OpCounts equal the monolithic run's byte-for-byte.
-class SplitScanTask {
+// A whole submitted query: binds the spec, places it, and runs it as the
+// placement's ordered ScanFragments — one whole-table fragment on the
+// pinned `target` or the side the database's policy picked (when
+// `target` is nullopt), or adaptive's host-prefix/device-suffix pair.
+// This is the unit the workload scheduler drives, what ExecuteOnFleet
+// runs per partition, and what QueryExecutor runs.
+//
+// One Step() advances the earliest-ready unfinished fragment that is not
+// parked on a session grant (lowest fragment index breaks ties), so
+// fragments interleave on the shared resources exactly as independently
+// scheduled queries would. A lone fragment's outcomes and result pass
+// through untouched. Two or more merge, once all are done, in fixed
+// fragment order through engine/partial_merge, and the merge charges the
+// canonical finish emission (what a whole-table Finish() charges for the
+// merged output) exactly once, so total OpCounts equal the whole-table
+// run's byte for byte. `spec` must outlive the task (keep specs at
+// stable addresses).
+class QueryTask {
  public:
-  SplitScanTask(Database* db, const exec::BoundQuery* bound,
-                const std::vector<ScanFragment>& fragments, SimTime start,
-                bool wait_for_grant);
-  SMARTSSD_DISALLOW_COPY_AND_ASSIGN(SplitScanTask);
+  QueryTask(Database* db, const exec::QuerySpec* spec,
+            std::optional<ExecutionTarget> target, SimTime start);
+  SMARTSSD_DISALLOW_COPY_AND_ASSIGN(QueryTask);
 
   StepOutcome Step();
-  bool finished() const { return done_; }
+  bool finished() const { return state_ == State::kDone; }
 
   Result<QueryResult> TakeResult();
 
  private:
+  enum class State { kPlan, kRun, kDone };
+
   struct Fragment {
-    ScanFragment placement;
-    // Exactly one engaged, by placement.target.
+    // Exactly one engaged, by the fragment's placement target.
     std::optional<HostQueryTask> host;
     std::optional<DeviceQueryTask> device;
     SimTime ready = 0;
@@ -242,57 +240,27 @@ class SplitScanTask {
     std::optional<Result<QueryResult>> result;
   };
 
-  StepOutcome StepFragment(Fragment& fragment);
+  StepOutcome Plan();
   StepOutcome Merge();
-
-  Database* db_;
-  const exec::BoundQuery* bound_;
-  SimTime start_;
-  StageBreakdown stage_before_;
-  std::deque<Fragment> fragments_;  // deque: tasks are immovable
-  bool done_ = false;
-  SimTime end_ = 0;
-  std::optional<Result<QueryResult>> final_result_;
-};
-
-// A whole submitted query: binds the spec, picks the placement (the
-// pinned `target`, or when it is nullopt the database's placement
-// policy with `hints` — possibly a split across both sides), and
-// delegates to the host, device, or split-scan task. This is the unit
-// the workload scheduler drives, what ExecuteOnFleet runs per
-// partition, and what QueryExecutor::ExecuteAuto runs. `spec` must
-// outlive the task (keep specs at stable addresses).
-class QueryTask {
- public:
-  QueryTask(Database* db, const exec::QuerySpec* spec,
-            std::optional<ExecutionTarget> target, const PlanHints& hints,
-            SimTime start, bool wait_for_grant);
-  SMARTSSD_DISALLOW_COPY_AND_ASSIGN(QueryTask);
-
-  StepOutcome Step();
-  bool finished() const { return state_ == State::kDone; }
-  SimTime start() const { return start_; }
-  const exec::QuerySpec& spec() const { return *spec_; }
-
-  Result<QueryResult> TakeResult();
-
- private:
-  enum class State { kPlan, kRun, kDone };
+  StepOutcome Finish(Result<QueryResult> result, StepOutcome outcome);
 
   Database* db_;
   const exec::QuerySpec* spec_;
-  SimTime start_;
-  bool wait_for_grant_;
   std::optional<ExecutionTarget> target_;
-  PlanHints hints_;
+  SimTime start_;
+  SimTime end_;  // latest fragment finish, where the merge starts
 
   State state_ = State::kPlan;
   std::optional<exec::BoundQuery> bound_;
-  std::optional<HostQueryTask> host_task_;
-  std::optional<DeviceQueryTask> device_task_;
-  std::optional<SplitScanTask> split_task_;
+  std::deque<Fragment> fragments_;  // deque: tasks are immovable
   std::optional<Result<QueryResult>> final_result_;
 };
+
+// Steps `task` alone until it finishes and returns its result; `*end` is
+// when the last step retired. Alone, a task that parks for a session
+// grant has no co-running query to free one, so the result is then
+// RESOURCE_EXHAUSTED (no device traffic was issued).
+Result<QueryResult> RunToCompletion(QueryTask& task, SimTime* end);
 
 }  // namespace smartssd::engine
 

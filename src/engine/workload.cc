@@ -180,8 +180,7 @@ void WorkloadScheduler::StartQuery(std::size_t source, SimTime arrival,
   q->arrival = arrival;
   q->admitted = admitted;
   q->task = std::make_unique<QueryTask>(db_, &src.config.spec,
-                                        src.config.target, src.config.hints,
-                                        admitted, /*wait_for_grant=*/true);
+                                        src.config.target, admitted);
   ++in_flight_;
   peak_in_flight_ = std::max(peak_in_flight_, in_flight_);
   ScheduleStep(std::move(q), admitted);

@@ -28,9 +28,8 @@ struct WorkloadQueryConfig {
   std::string client = "client";  // tracer lane + completion records
   exec::QuerySpec spec;
   // Fixed execution target; nullopt lets the database's placement
-  // policy decide per query (with `hints`) at its admission time.
+  // policy decide per query at its admission time.
   std::optional<ExecutionTarget> target;
-  PlanHints hints;
 };
 
 // The completion record of one workload query, on the virtual clock.
@@ -90,8 +89,9 @@ inline constexpr int kMaxQueriesInFlight = 8;
 // A query without a pinned target is placed by the database's policy
 // when its task first steps, at its admission time; the adaptive
 // policy then sees the session grants that earlier admissions hold.
-// A pushdown query parks at the host while the device's session thread
-// pool is empty instead of eating an OPEN rejection.
+// A pushdown fragment parks at the host while the device's session
+// thread pool is empty instead of eating an OPEN rejection, and the
+// scheduler wakes it when another query's step frees a grant.
 class WorkloadScheduler {
  public:
   explicit WorkloadScheduler(Database* db);

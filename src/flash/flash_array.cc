@@ -1,18 +1,12 @@
 #include "flash/flash_array.h"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 
 namespace smartssd::flash {
 
-FlashArray::FlashArray(const Geometry& geometry, const Timings& timings,
-                       const Reliability& reliability)
-    : geometry_(geometry),
-      timings_(timings),
-      reliability_(reliability),
-      error_rng_(reliability.seed),
-      store_(geometry) {
+FlashArray::FlashArray(const Geometry& geometry, const Timings& timings)
+    : geometry_(geometry), timings_(timings), store_(geometry) {
   SMARTSSD_CHECK(geometry.Valid());
   blocks_.resize(static_cast<std::size_t>(geometry.total_blocks()));
   for (std::uint64_t i = 0; i < geometry.total_chips(); ++i) {
@@ -41,14 +35,12 @@ void FlashArray::AttachTracer(obs::Tracer* tracer,
 void FlashArray::AttachMetrics(obs::MetricsRegistry* metrics) {
   if (metrics == nullptr) {
     m_reads_ = nullptr;
-    m_corrected_ = nullptr;
     m_retries_ = nullptr;
     m_uncorrectable_ = nullptr;
     m_read_latency_ = nullptr;
     return;
   }
   m_reads_ = metrics->counter("flash.page_reads");
-  m_corrected_ = metrics->counter("flash.ecc_corrected");
   m_retries_ = metrics->counter("flash.ecc_retries");
   m_uncorrectable_ = metrics->counter("flash.uncorrectable_reads");
   m_read_latency_ = metrics->histogram("flash.page_read_ns");
@@ -59,34 +51,6 @@ Status FlashArray::CheckAddress(const PageAddress& addr) const {
     return OutOfRangeError("flash page address out of bounds");
   }
   return Status::OK();
-}
-
-std::uint32_t FlashArray::SampleBitErrors(std::uint32_t attempt) {
-  if (reliability_.raw_bit_error_rate <= 0.0) return 0;
-  // Read-retry with adjusted thresholds roughly halves the raw error
-  // rate per attempt.
-  const double rate =
-      reliability_.raw_bit_error_rate / static_cast<double>(1u << attempt);
-  const double lambda =
-      rate * 8.0 * static_cast<double>(geometry_.page_size_bytes);
-  // Poisson sampling: inversion for small lambda, normal approximation
-  // for large (where exact shape no longer matters).
-  if (lambda > 64.0) {
-    // Mean +/- a couple of sigmas via averaging uniforms (CLT).
-    double sum = 0;
-    for (int i = 0; i < 12; ++i) sum += error_rng_.NextDouble();
-    const double gaussian = sum - 6.0;  // ~N(0,1)
-    const double v = lambda + gaussian * std::sqrt(lambda);
-    return v < 0 ? 0 : static_cast<std::uint32_t>(v);
-  }
-  const double limit = std::exp(-lambda);
-  std::uint32_t k = 0;
-  double product = error_rng_.NextDouble();
-  while (product > limit) {
-    ++k;
-    product *= error_rng_.NextDouble();
-  }
-  return k;
 }
 
 Result<SimTime> FlashArray::ReadPageTiming(const PageAddress& addr,
@@ -107,11 +71,11 @@ Result<SimTime> FlashArray::ReadPageTiming(const PageAddress& addr,
   if (fault_injector_ != nullptr &&
       fault_injector_->OnPageRead(sim::FaultKind::kUncorrectableRead,
                                   at_controller)) {
-    for (std::uint32_t a = 0; a < reliability_.max_read_retries; ++a) {
+    for (std::uint32_t a = 0; a < kMaxReadRetries; ++a) {
       ++read_retries_;
       obs::BumpCounter(m_retries_);
-      sensed = chip.Serve(at_controller,
-                          timings_.read_page + reliability_.retry_penalty);
+      sensed =
+          chip.Serve(at_controller, timings_.read_page + kReadRetryPenalty);
       at_controller =
           channel.Serve(sensed, page_transfer_time_, "ecc retry");
     }
@@ -125,33 +89,6 @@ Result<SimTime> FlashArray::ReadPageTiming(const PageAddress& addr,
         "uncorrectable flash read (injected fault, ECC exhausted retries)");
   }
 
-  // ECC: correct raw bit errors, retrying the sense with adjusted
-  // thresholds when the error count exceeds the correction strength.
-  std::uint32_t errors = SampleBitErrors(0);
-  if (errors > 0 && errors <= reliability_.ecc_correctable_bits) {
-    ++reads_corrected_;
-    obs::BumpCounter(m_corrected_);
-  }
-  std::uint32_t attempt = 0;
-  while (errors > reliability_.ecc_correctable_bits) {
-    if (attempt >= reliability_.max_read_retries) {
-      ++uncorrectable_reads_;
-      obs::BumpCounter(m_uncorrectable_);
-      if (tracer != nullptr) {
-        tracer->Instant(channel.track(), "uncorrectable page", "flash",
-                        at_controller);
-      }
-      return CorruptionError(
-          "uncorrectable flash read (ECC exhausted retries)");
-    }
-    ++attempt;
-    ++read_retries_;
-    obs::BumpCounter(m_retries_);
-    sensed = chip.Serve(at_controller,
-                        timings_.read_page + reliability_.retry_penalty);
-    at_controller = channel.Serve(sensed, page_transfer_time_, "ecc retry");
-    errors = SampleBitErrors(attempt);
-  }
   obs::RecordHistogram(m_read_latency_, at_controller - ready);
   return at_controller;
 }

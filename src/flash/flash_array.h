@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/macros.h"
-#include "common/random.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "common/units.h"
@@ -19,6 +18,13 @@
 #include "sim/rate_server.h"
 
 namespace smartssd::flash {
+
+// The read-retry ladder an uncorrectable read (an injected
+// kUncorrectableRead) burns before the page is declared lost: this many
+// threshold-adjusted re-senses, each paying tR plus the penalty and a
+// second channel transfer.
+inline constexpr std::uint32_t kMaxReadRetries = 3;
+inline constexpr SimDuration kReadRetryPenalty = 100 * kMicrosecond;
 
 // Per-block NAND state tracked by the array: pages within a block must be
 // programmed in order, and a block must be erased before reuse.
@@ -45,8 +51,7 @@ struct BlockState {
 // paper calls out in Section 4.2.
 class FlashArray {
  public:
-  FlashArray(const Geometry& geometry, const Timings& timings,
-             const Reliability& reliability = Reliability{});
+  FlashArray(const Geometry& geometry, const Timings& timings);
   SMARTSSD_DISALLOW_COPY_AND_ASSIGN(FlashArray);
 
   const Geometry& geometry() const { return geometry_; }
@@ -70,9 +75,8 @@ class FlashArray {
   // signal and per-chip lanes would drown the trace. nullptr detaches.
   void AttachTracer(obs::Tracer* tracer, std::string_view process);
 
-  // Registers flash counters (reads, ECC corrections/retries,
-  // uncorrectables) and the page read-latency histogram. nullptr
-  // detaches.
+  // Registers flash counters (reads, ECC retries, uncorrectables) and
+  // the page read-latency histogram. nullptr detaches.
   void AttachMetrics(obs::MetricsRegistry* metrics);
 
   // Reads one page: data lands in `out` (if non-empty) and the returned
@@ -109,8 +113,7 @@ class FlashArray {
   std::uint64_t programs() const { return programs_; }
   std::uint64_t erases() const { return erases_; }
 
-  // Reliability counters (see Reliability in geometry.h).
-  std::uint64_t reads_corrected() const { return reads_corrected_; }
+  // Retry-ladder counters of injected uncorrectable reads.
   std::uint64_t read_retries() const { return read_retries_; }
   std::uint64_t uncorrectable_reads() const {
     return uncorrectable_reads_;
@@ -120,15 +123,10 @@ class FlashArray {
 
  private:
   Status CheckAddress(const PageAddress& addr) const;
-  // Samples the raw bit-error count for one page read attempt; `attempt`
-  // scales the rate down for threshold-adjusted retries.
-  std::uint32_t SampleBitErrors(std::uint32_t attempt);
 
   Geometry geometry_;
   Timings timings_;
-  Reliability reliability_;
   sim::FaultInjector* fault_injector_ = nullptr;
-  Random error_rng_;
   BackingStore store_;
   std::vector<BlockState> blocks_;
   // One server per chip (tR serialization) and per channel (bus).
@@ -138,11 +136,9 @@ class FlashArray {
   std::uint64_t reads_ = 0;
   std::uint64_t programs_ = 0;
   std::uint64_t erases_ = 0;
-  std::uint64_t reads_corrected_ = 0;
   std::uint64_t read_retries_ = 0;
   std::uint64_t uncorrectable_reads_ = 0;
   obs::Counter* m_reads_ = nullptr;
-  obs::Counter* m_corrected_ = nullptr;
   obs::Counter* m_retries_ = nullptr;
   obs::Counter* m_uncorrectable_ = nullptr;
   obs::Histogram* m_read_latency_ = nullptr;

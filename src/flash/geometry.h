@@ -54,22 +54,6 @@ struct Timings {
   SimDuration ecc_per_page = 6 * kMicrosecond;
 };
 
-// NAND reliability model: raw bit errors per read, corrected by the
-// flash controller's ECC (Section 2 names ECC as a key controller
-// function). Reads whose raw error count exceeds the correction
-// strength are retried with adjusted read thresholds (each retry pays a
-// latency penalty and roughly halves the error count); a page that
-// still fails after the retry budget is an uncorrectable read. The
-// default rate is zero, so performance experiments are unaffected;
-// reliability tests and failure-injection runs turn it up.
-struct Reliability {
-  double raw_bit_error_rate = 0.0;  // per bit, per read
-  std::uint32_t ecc_correctable_bits = 40;  // BCH-class, per page
-  std::uint32_t max_read_retries = 3;
-  SimDuration retry_penalty = 100 * kMicrosecond;
-  std::uint64_t seed = 0x5eed;
-};
-
 // Physical page address.
 struct PageAddress {
   int channel = 0;

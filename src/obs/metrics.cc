@@ -30,45 +30,6 @@ void AtomicMax(std::atomic<std::uint64_t>& slot, std::uint64_t value) {
   }
 }
 
-void AppendJsonString(std::string& out, std::string_view s) {
-  out.push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
-// Percentiles are virtual-time quantities; print them as integral
-// nanoseconds (they are derived from uint64 inputs) so exports stay
-// byte-deterministic across libm variations.
-void AppendJsonQuantile(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64,
-                static_cast<std::uint64_t>(std::llround(v)));
-  out += buf;
-}
-
 }  // namespace
 
 void Histogram::Record(std::uint64_t value) {
@@ -85,11 +46,6 @@ std::uint64_t Histogram::min() const {
 
 std::uint64_t Histogram::max() const {
   return max_.load(std::memory_order_relaxed);
-}
-
-double Histogram::mean() const {
-  const std::uint64_t n = count();
-  return n == 0 ? 0.0 : static_cast<double>(sum()) / static_cast<double>(n);
 }
 
 double Histogram::Percentile(double p) const {
@@ -170,21 +126,10 @@ const Counter* MetricsRegistry::FindCounter(std::string_view name) const {
   return it == counters_.end() ? nullptr : it->second.get();
 }
 
-const Gauge* MetricsRegistry::FindGauge(std::string_view name) const {
-  const auto it = gauges_.find(name);
-  return it == gauges_.end() ? nullptr : it->second.get();
-}
-
 const Histogram* MetricsRegistry::FindHistogram(
     std::string_view name) const {
   const auto it = histograms_.find(name);
   return it == histograms_.end() ? nullptr : it->second.get();
-}
-
-std::int64_t MetricsRegistry::GaugeValue(std::string_view name,
-                                         std::int64_t fallback) const {
-  const Gauge* g = FindGauge(name);
-  return g == nullptr ? fallback : g->value();
 }
 
 std::uint64_t MetricsRegistry::CounterValue(std::string_view name) const {
@@ -224,50 +169,6 @@ void MetricsRegistry::PrintText(std::FILE* out) const {
                  static_cast<std::uint64_t>(std::llround(h->p95())),
                  static_cast<std::uint64_t>(std::llround(h->p99())));
   }
-}
-
-std::string MetricsRegistry::ToJson() const {
-  std::string out = "{\"counters\":{";
-  bool first = true;
-  char buf[32];
-  for (const auto& [name, c] : counters_) {
-    if (!first) out.push_back(',');
-    first = false;
-    AppendJsonString(out, name);
-    std::snprintf(buf, sizeof(buf), ":%" PRIu64, c->value());
-    out += buf;
-  }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, g] : gauges_) {
-    if (!first) out.push_back(',');
-    first = false;
-    AppendJsonString(out, name);
-    std::snprintf(buf, sizeof(buf), ":%" PRId64, g->value());
-    out += buf;
-  }
-  out += "},\"histograms\":{";
-  first = true;
-  char hbuf[160];
-  for (const auto& [name, h] : histograms_) {
-    if (!first) out.push_back(',');
-    first = false;
-    AppendJsonString(out, name);
-    std::snprintf(hbuf, sizeof(hbuf),
-                  ":{\"count\":%" PRIu64 ",\"sum\":%" PRIu64
-                  ",\"min\":%" PRIu64 ",\"max\":%" PRIu64,
-                  h->count(), h->sum(), h->min(), h->max());
-    out += hbuf;
-    out += ",\"p50\":";
-    AppendJsonQuantile(out, h->p50());
-    out += ",\"p95\":";
-    AppendJsonQuantile(out, h->p95());
-    out += ",\"p99\":";
-    AppendJsonQuantile(out, h->p99());
-    out.push_back('}');
-  }
-  out += "}}";
-  return out;
 }
 
 void MetricsRegistry::ResetAll() {

@@ -80,7 +80,6 @@ class Histogram {
   std::uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
   std::uint64_t min() const;  // 0 when empty
   std::uint64_t max() const;
-  double mean() const;
 
   // p in [0, 1]; returns 0 for an empty histogram.
   double Percentile(double p) const;
@@ -101,9 +100,9 @@ class Histogram {
 };
 
 // Point-in-time summary of a histogram, cheap to copy and safe to hand
-// to code (placement policies, schedulers) that must not mutate or even
-// register instruments. All fields are zero for an absent or empty
-// histogram.
+// to code (a benchmark harness reading a finished run) that must not
+// mutate or even register instruments. All fields are zero for an absent
+// or empty histogram.
 struct HistogramSnapshot {
   std::uint64_t count = 0;
   std::uint64_t sum = 0;
@@ -127,27 +126,22 @@ class MetricsRegistry {
   Gauge* gauge(std::string_view name);
   Histogram* histogram(std::string_view name);
 
-  // Read-side lookups: never register, so a policy consulting a signal
+  // Read-side lookups: never register, so a reader asking for a signal
   // that no module has emitted yet sees "absent" instead of minting an
   // empty instrument (which would perturb exports). Return nullptr when
   // the name is unknown.
   const Counter* FindCounter(std::string_view name) const;
-  const Gauge* FindGauge(std::string_view name) const;
   const Histogram* FindHistogram(std::string_view name) const;
 
-  // Value-level conveniences over the Find* lookups. GaugeValue returns
-  // `fallback` when the gauge is absent; SnapshotHistogram returns an
+  // Value-level conveniences over the Find* lookups. CounterValue
+  // returns 0 when the counter is absent; SnapshotHistogram returns an
   // all-zero snapshot when the histogram is absent or empty.
-  std::int64_t GaugeValue(std::string_view name,
-                          std::int64_t fallback = 0) const;
   std::uint64_t CounterValue(std::string_view name) const;
   HistogramSnapshot SnapshotHistogram(std::string_view name) const;
 
-  // Flat exports: one line ("name value" / histogram summary) per
-  // instrument, and a single JSON object with "counters" / "gauges" /
-  // "histograms" sections.
+  // Flat export: one line ("name value" / histogram summary) per
+  // instrument.
   void PrintText(std::FILE* out) const;
-  std::string ToJson() const;
 
   // Zeroes every instrument (pointers stay valid).
   void ResetAll();

@@ -23,8 +23,6 @@ class Clock {
     now_ = t;
   }
 
-  void Advance(SimDuration d) { now_ += d; }
-
   void Reset() { now_ = 0; }
 
  private:

@@ -58,7 +58,6 @@ struct EmbeddedCpuConfig {
 struct SsdConfig {
   flash::Geometry geometry;
   flash::Timings timings;
-  flash::Reliability reliability;
   ftl::FtlConfig ftl;
   HostInterfaceConfig host_interface;
   DramConfig dram;

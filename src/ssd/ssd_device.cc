@@ -5,8 +5,8 @@
 namespace smartssd::ssd {
 
 SsdDevice::SsdDevice(const SsdConfig& config) : config_(config) {
-  array_ = std::make_unique<flash::FlashArray>(
-      config.geometry, config.timings, config.reliability);
+  array_ =
+      std::make_unique<flash::FlashArray>(config.geometry, config.timings);
   array_->set_fault_injector(&fault_injector_);
   ftl_ = std::make_unique<ftl::Ftl>(array_.get(), config.ftl);
   dma_ = std::make_unique<sim::ParallelServer>("dram_bus",

@@ -45,6 +45,28 @@ class ExecutorTest : public ::testing::Test {
   Database db_;
 };
 
+// Run alone, a pushdown that finds every session grant held has no
+// co-running query to free one. It returns RESOURCE_EXHAUSTED at once,
+// issues no device traffic, and leaves the breaker untouched.
+TEST_F(ExecutorTest, HeldSessionGrantsReturnResourceExhausted) {
+  int held = 0;
+  while (db_.ssd()->AcquireSessionThread().ok()) ++held;
+  ASSERT_GT(held, 0);
+  const std::uint64_t reads_before = db_.ssd()->flash_array().reads();
+  QueryExecutor executor(&db_);
+  auto parked = executor.Execute(tpch::Q6Spec("lineitem"),
+                                 ExecutionTarget::kSmartSsd);
+  ASSERT_FALSE(parked.ok());
+  EXPECT_EQ(parked.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(db_.ssd()->flash_array().reads(), reads_before);
+  EXPECT_EQ(db_.circuit_breaker().total_failures(), 0u);
+
+  for (int i = 0; i < held; ++i) db_.ssd()->ReleaseSessionThread();
+  const auto smart =
+      Run(tpch::Q6Spec("lineitem"), ExecutionTarget::kSmartSsd);
+  EXPECT_EQ(smart.stats.target, ExecutionTarget::kSmartSsd);
+}
+
 // The fundamental correctness property: host execution and in-SSD
 // pushdown produce byte-identical results (same kernel, same bytes).
 TEST_F(ExecutorTest, HostAndDeviceAgreeOnQ6) {

@@ -540,7 +540,7 @@ TEST_F(DegradedExecutionTest, BreakerOpensThenPlannerRoutesAround) {
   engine::PushdownPlanner planner(&db_);
 
   // During cool-down the planner refuses the device outright.
-  auto during = planner.Decide(*bound, {}, /*now=*/0);
+  auto during = planner.Decide(*bound, /*now=*/0);
   ASSERT_TRUE(during.ok());
   EXPECT_EQ(during->target, engine::ExecutionTarget::kHost);
   EXPECT_NE(during->reason.find("circuit breaker"), std::string::npos);
@@ -549,7 +549,7 @@ TEST_F(DegradedExecutionTest, BreakerOpensThenPlannerRoutesAround) {
   // the probe succeeds and the breaker closes.
   db_.ssd()->fault_injector().Clear();
   const SimTime later = 1000 * kSecond;
-  auto after = planner.Decide(*bound, {}, later);
+  auto after = planner.Decide(*bound, later);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->target, engine::ExecutionTarget::kSmartSsd);
   auto probe = RunSmart(spec);

@@ -4,7 +4,8 @@
 // replicated inner, TPC-H scale-out), per-device fault-seed purity,
 // breaker-open re-dispatch, the half-open probe closing the breaker,
 // deterministic replay with a straggling device, and strict failure
-// when a partition is unavailable on every path.
+// when a partition is unavailable on every path or finds every session
+// grant held.
 
 #include <gtest/gtest.h>
 
@@ -489,6 +490,35 @@ TEST_F(FleetTest, StrictPolicyFailsWhenPartitionIsUnavailable) {
   const Status trace_ok = check::CheckTraceInvariants(tracer);
   EXPECT_TRUE(trace_ok.ok()) << trace_ok.message();
   fleet.ClearFaults();
+}
+
+// A device whose every session grant is held fails its partition
+// without a device attempt: the run-alone loop's RESOURCE_EXHAUSTED
+// surfaces as the partition's ABORTED, and no breaker learns a failure.
+TEST_F(FleetTest, HeldSessionGrantsFailThePartitionWithoutBreakerFailure) {
+  Fleet fleet(2, DatabaseOptions::PaperSmartSsd());
+  SMARTSSD_CHECK(
+      check::LoadTablesFleet(fleet, gen_, storage::PageLayout::kNsm).ok());
+  ssd::SsdDevice& ssd = *fleet.device(1).ssd();
+  int held = 0;
+  while (ssd.AcquireSessionThread().ok()) ++held;
+  ASSERT_GT(held, 0);
+
+  auto result = ExecuteOnFleet(fleet, SumSpec(), ExecutionTarget::kSmartSsd);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kAborted);
+  EXPECT_NE(std::string(result.status().message())
+                .find("partition 1 unavailable"),
+            std::string::npos);
+  EXPECT_EQ(
+      fleet.metrics().counter("fleet.unavailable_partitions")->value(), 1u);
+  for (int d = 0; d < fleet.devices(); ++d) {
+    EXPECT_EQ(fleet.device(d).circuit_breaker().total_failures(), 0u) << d;
+  }
+
+  for (int i = 0; i < held; ++i) ssd.ReleaseSessionThread();
+  EXPECT_TRUE(
+      ExecuteOnFleet(fleet, SumSpec(), ExecutionTarget::kSmartSsd).ok());
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "common/random.h"
 #include "flash/flash_array.h"
 #include "ftl/ftl.h"
+#include "sim/fault_injector.h"
 
 namespace smartssd::ftl {
 namespace {
@@ -198,6 +199,32 @@ TEST_F(FtlTest, GcPreservesAllLiveData) {
     EXPECT_EQ(std::memcmp(out.data(), expected.data(), 256), 0)
         << "lpn " << lpn;
   }
+}
+
+// An injected uncorrectable read surfaces from Ftl::Read as CORRUPTION
+// after the full retry ladder; once disarmed, the page reads back intact.
+TEST_F(FtlTest, InjectedUncorrectableReadSurfacesAsCorruption) {
+  const auto data = Pattern(256, 7);
+  ASSERT_TRUE(ftl_.Write(3, data, 0).ok());
+  sim::FaultInjector injector;
+  array_.set_fault_injector(&injector);
+  sim::FaultSchedule schedule;
+  schedule.faults.push_back(sim::FaultSpec{
+      .kind = sim::FaultKind::kUncorrectableRead,
+      .trigger = {.unit = sim::TriggerUnit::kPagesRead, .at = 0}});
+  injector.Load(schedule);
+
+  std::vector<std::byte> out(256);
+  const auto failed = ftl_.Read(3, out, 0);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(array_.read_retries(), flash::kMaxReadRetries);
+  EXPECT_EQ(array_.uncorrectable_reads(), 1u);
+
+  injector.Clear();
+  ASSERT_TRUE(ftl_.Read(3, out, 0).ok());
+  EXPECT_EQ(out, data);
+  array_.set_fault_injector(nullptr);
 }
 
 // --- Chunked maps: every boundary of the two-level tables ---

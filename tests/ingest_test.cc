@@ -254,8 +254,7 @@ TEST_P(IngestTest, DeviceSessionKeepsItsZoneMapSnapshot) {
   auto run = [&](Writer writer) {
     Database db(DatabaseOptions::PaperSmartSsd());
     LoadInto(db, GetParam());
-    QueryTask task(&db, &spec, ExecutionTarget::kSmartSsd, PlanHints{},
-                   /*start=*/0, /*wait_for_grant=*/false);
+    QueryTask task(&db, &spec, ExecutionTarget::kSmartSsd, /*start=*/0);
     task.Step();  // bind and place
     task.Step();  // session start: the snapshot is taken here
     const storage::ZoneMap* live = db.zone_map("T");

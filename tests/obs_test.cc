@@ -126,7 +126,6 @@ TEST(HistogramTest, PercentilesAreOrderedAndBucketBounded) {
   EXPECT_EQ(h.count(), 1000u);
   EXPECT_EQ(h.min(), 1u);
   EXPECT_EQ(h.max(), 1000u);
-  EXPECT_DOUBLE_EQ(h.mean(), 500.5);
   // Log buckets: the p-th percentile must land in the bucket holding
   // the rank-p value, i.e. within 2x of the exact answer.
   const double p50 = h.p50();
@@ -160,27 +159,19 @@ TEST(MetricsRegistryTest, LookupIsRegistrationWithStablePointers) {
   registry.histogram("lat")->Record(8);
   EXPECT_EQ(registry.size(), 3u);
 
-  const std::string json = registry.ToJson();
-  EXPECT_NE(json.find("\"flash.reads\":3"), std::string::npos);
-  EXPECT_NE(json.find("\"pool.pages\":-5"), std::string::npos);
-  EXPECT_NE(json.find("\"lat\""), std::string::npos);
-  // Determinism: a second export is byte-identical.
-  EXPECT_EQ(registry.ToJson(), json);
-
   registry.ResetAll();
   EXPECT_EQ(c->value(), 0u);
   EXPECT_EQ(registry.histogram("lat")->count(), 0u);
 }
 
-// The read side never registers: placement policies (and any other
-// consumer) can probe instruments by name without minting empty ones.
+// The read side never registers: a reader (the benchmark harness reads
+// counters and histogram snapshots after a run) can probe instruments by
+// name without minting empty ones.
 TEST(MetricsRegistryTest, ReadSideLookupsNeverRegister) {
   obs::MetricsRegistry registry;
   EXPECT_EQ(registry.FindCounter("nope"), nullptr);
-  EXPECT_EQ(registry.FindGauge("nope"), nullptr);
   EXPECT_EQ(registry.FindHistogram("nope"), nullptr);
   EXPECT_EQ(registry.CounterValue("nope"), 0u);
-  EXPECT_EQ(registry.GaugeValue("nope", /*fallback=*/-7), -7);
   const obs::HistogramSnapshot absent = registry.SnapshotHistogram("nope");
   EXPECT_EQ(absent.count, 0u);
   EXPECT_EQ(absent.p95, 0.0);
@@ -189,7 +180,6 @@ TEST(MetricsRegistryTest, ReadSideLookupsNeverRegister) {
   registry.counter("hits")->Add(4);
   registry.gauge("depth")->Set(9);
   EXPECT_EQ(registry.CounterValue("hits"), 4u);
-  EXPECT_EQ(registry.GaugeValue("depth", -1), 9);
   EXPECT_EQ(registry.FindCounter("hits"), registry.counter("hits"));
   EXPECT_EQ(registry.size(), 2u);
 }

@@ -251,16 +251,17 @@ TEST(BreakerExclusion, HostOverflowLeavesTheProbeToTheDevice) {
   while (db.ssd()->AcquireSessionThread().ok()) ++held;
   ASSERT_GT(held, 0);
   auto overflow = engine::DecidePlacement(
-      &db, *bound, {}, PlacementPolicyKind::kAdaptive, past_cooldown);
+      &db, *bound, PlacementPolicyKind::kAdaptive, past_cooldown);
   ASSERT_TRUE(overflow.ok());
-  EXPECT_EQ(overflow->target, ExecutionTarget::kHost);
-  EXPECT_FALSE(overflow->split);
+  ASSERT_EQ(overflow->fragments.size(), 1u);
+  EXPECT_EQ(overflow->fragments[0].target, ExecutionTarget::kHost);
 
   for (int i = 0; i < held; ++i) db.ssd()->ReleaseSessionThread();
   auto probe = engine::DecidePlacement(
-      &db, *bound, {}, PlacementPolicyKind::kAdaptive, past_cooldown);
+      &db, *bound, PlacementPolicyKind::kAdaptive, past_cooldown);
   ASSERT_TRUE(probe.ok());
-  EXPECT_EQ(probe->target, ExecutionTarget::kSmartSsd) << probe->reason;
+  ASSERT_EQ(probe->fragments.size(), 2u) << probe->reason;
+  EXPECT_EQ(probe->fragments[1].target, ExecutionTarget::kSmartSsd);
   EXPECT_TRUE(db.circuit_breaker().probe_in_flight());
 }
 
@@ -275,11 +276,9 @@ TEST(AdaptivePlacement, GrantFreeSplitsIntoPageOrderFragments) {
   ASSERT_TRUE(bound.ok());
   ASSERT_GT(db.runtime()->session_slots_free(), 0);
 
-  auto split = engine::DecidePlacement(&db, *bound, {},
+  auto split = engine::DecidePlacement(&db, *bound,
                                        PlacementPolicyKind::kAdaptive, 0);
   ASSERT_TRUE(split.ok());
-  EXPECT_TRUE(split->split);
-  EXPECT_EQ(split->target, ExecutionTarget::kSmartSsd);
   ASSERT_EQ(split->fragments.size(), 2u);
   EXPECT_EQ(split->fragments[0].target, ExecutionTarget::kHost);
   EXPECT_EQ(split->fragments[1].target, ExecutionTarget::kSmartSsd);

@@ -36,8 +36,7 @@ TEST_F(PlannerTest, SelectiveAggregateGoesToDevice) {
   const auto spec = tpch::Q6Spec("lineitem");
   const auto bound = BindOrDie(spec);
   PushdownPlanner planner(&db_);
-  auto decision =
-      planner.Decide(bound, PlanHints{.predicate_selectivity = 0.006});
+  auto decision = planner.Decide(bound);
   ASSERT_TRUE(decision.ok());
   EXPECT_EQ(decision->target, ExecutionTarget::kSmartSsd);
   EXPECT_LT(decision->est_smart_seconds, decision->est_host_seconds);
@@ -52,7 +51,7 @@ TEST_F(PlannerTest, NonSmartDeviceAlwaysHost) {
   auto bound = exec::Bind(spec, plain.catalog());
   ASSERT_TRUE(bound.ok());
   PushdownPlanner planner(&plain);
-  auto decision = planner.Decide(*bound, PlanHints{});
+  auto decision = planner.Decide(*bound);
   ASSERT_TRUE(decision.ok());
   EXPECT_EQ(decision->target, ExecutionTarget::kHost);
   EXPECT_NE(decision->reason.find("runtime"), std::string::npos);
@@ -68,7 +67,7 @@ TEST_F(PlannerTest, DirtyPagesForceHost) {
       db_.buffer_pool().WritePage((*info)->first_lpn + 1, page, 0).ok());
 
   PushdownPlanner planner(&db_);
-  auto decision = planner.Decide(bound, PlanHints{});
+  auto decision = planner.Decide(bound);
   ASSERT_TRUE(decision.ok());
   EXPECT_EQ(decision->target, ExecutionTarget::kHost);
   EXPECT_NE(decision->reason.find("coherence"), std::string::npos);
@@ -88,14 +87,14 @@ TEST_F(PlannerTest, MostlyCachedTableStaysOnHost) {
   PushdownPlanner planner(&db_);
 
   // Cold: the planner would push down.
-  auto cold = planner.Decide(bound, PlanHints{.predicate_selectivity = 0.01});
+  auto cold = planner.Decide(bound);
   ASSERT_TRUE(cold.ok());
   EXPECT_EQ(cold->target, ExecutionTarget::kSmartSsd);
 
   // Warm the pool with a host run, then ask again.
   QueryExecutor executor(&db_);
   ASSERT_TRUE(executor.Execute(spec, ExecutionTarget::kHost).ok());
-  auto warm = planner.Decide(bound, PlanHints{.predicate_selectivity = 0.01});
+  auto warm = planner.Decide(bound);
   ASSERT_TRUE(warm.ok());
   EXPECT_EQ(warm->target, ExecutionTarget::kHost);
   EXPECT_NE(warm->reason.find("cached"), std::string::npos);
@@ -116,7 +115,7 @@ TEST_F(PlannerTest, OversizedHashTableForcesHost) {
   auto bound = exec::Bind(spec, small.catalog());
   ASSERT_TRUE(bound.ok());
   PushdownPlanner planner(&small);
-  auto decision = planner.Decide(*bound, PlanHints{});
+  auto decision = planner.Decide(*bound);
   ASSERT_TRUE(decision.ok());
   EXPECT_EQ(decision->target, ExecutionTarget::kHost);
   EXPECT_NE(decision->reason.find("DRAM"), std::string::npos);
@@ -127,13 +126,14 @@ TEST_F(PlannerTest, WideRowReturningScanStaysOnHost) {
                                       storage::PageLayout::kPax)
                      .ok());
   db_.ResetForColdRun();
-  // Returning ~all columns of ~all rows: result transfer dominates, the
-  // cost model must keep it on the host.
-  const auto spec = tpch::ScanQuerySpec("wide", 16, 1.0, false);
+  // Returning all columns of all rows (no predicate, so the cost model
+  // passes every tuple): result transfer dominates, the cost model must
+  // keep it on the host.
+  auto spec = tpch::ScanQuerySpec("wide", 16, 1.0, false);
+  spec.predicate = nullptr;
   const auto bound = BindOrDie(spec);
   PushdownPlanner planner(&db_);
-  auto decision =
-      planner.Decide(bound, PlanHints{.predicate_selectivity = 1.0});
+  auto decision = planner.Decide(bound);
   ASSERT_TRUE(decision.ok());
   EXPECT_EQ(decision->target, ExecutionTarget::kHost);
   EXPECT_NE(decision->reason.find("cost"), std::string::npos);
@@ -157,18 +157,15 @@ TEST_F(PlannerTest, HostRoutedScanLeavesTheBreakerProbeToTheDevice) {
   const SimTime past_cooldown = breaker.config().cooldown + 1;
   PushdownPlanner planner(&db_);
 
-  const auto wide_spec = tpch::ScanQuerySpec("wide", 16, 1.0, false);
-  auto host = planner.Decide(BindOrDie(wide_spec),
-                             PlanHints{.predicate_selectivity = 1.0},
-                             past_cooldown);
+  auto wide_spec = tpch::ScanQuerySpec("wide", 16, 1.0, false);
+  wide_spec.predicate = nullptr;  // every tuple passes
+  auto host = planner.Decide(BindOrDie(wide_spec), past_cooldown);
   ASSERT_TRUE(host.ok());
   EXPECT_EQ(host->target, ExecutionTarget::kHost);
   EXPECT_FALSE(breaker.probe_in_flight());
 
   const auto q6_spec = tpch::Q6Spec("lineitem");
-  auto probe = planner.Decide(BindOrDie(q6_spec),
-                              PlanHints{.predicate_selectivity = 0.006},
-                              past_cooldown);
+  auto probe = planner.Decide(BindOrDie(q6_spec), past_cooldown);
   ASSERT_TRUE(probe.ok());
   EXPECT_EQ(probe->target, ExecutionTarget::kSmartSsd) << probe->reason;
   EXPECT_TRUE(breaker.probe_in_flight());
@@ -178,8 +175,7 @@ TEST_F(PlannerTest, ExecuteAutoFollowsTheDecision) {
   QueryExecutor executor(&db_);
   db_.ResetForColdRun();
   // Q6 on cold PAX LINEITEM: the planner pushes down.
-  auto auto_run = executor.ExecuteAuto(
-      tpch::Q6Spec("lineitem"), PlanHints{.predicate_selectivity = 0.006});
+  auto auto_run = executor.ExecuteAuto(tpch::Q6Spec("lineitem"));
   ASSERT_TRUE(auto_run.ok());
   EXPECT_EQ(auto_run->stats.target, ExecutionTarget::kSmartSsd);
 
@@ -202,9 +198,8 @@ TEST_F(PlannerTest, EstimatesTrackMeasuredElapsed) {
   const auto spec = tpch::Q6Spec("lineitem");
   const auto bound = BindOrDie(spec);
   PushdownPlanner planner(&db_);
-  const PlanHints hints{.predicate_selectivity = 0.006};
-  const double est_host = planner.EstimateHostSeconds(bound, hints);
-  const double est_smart = planner.EstimateSmartSeconds(bound, hints);
+  const double est_host = planner.EstimateHostSeconds(bound);
+  const double est_smart = planner.EstimateSmartSeconds(bound);
 
   QueryExecutor executor(&db_);
   db_.ResetForColdRun();

@@ -128,14 +128,13 @@ TEST_P(UpdateTest, PlannerRefusesDirtyThenRecovers) {
   auto bound = exec::Bind(spec, db_.catalog());
   ASSERT_TRUE(bound.ok());
   PushdownPlanner planner(&db_);
-  auto dirty_decision = planner.Decide(*bound, PlanHints{});
+  auto dirty_decision = planner.Decide(*bound);
   ASSERT_TRUE(dirty_decision.ok());
   EXPECT_EQ(dirty_decision->target, ExecutionTarget::kHost);
 
   ASSERT_TRUE(db_.buffer_pool().FlushAll(0).ok());
   db_.ResetForColdRun();
-  auto clean_decision =
-      planner.Decide(*bound, PlanHints{.predicate_selectivity = 0.01});
+  auto clean_decision = planner.Decide(*bound);
   ASSERT_TRUE(clean_decision.ok());
   // Once flushed, the decision is back to cost-based (this narrow
   // 8-column table legitimately favors the host; what matters is that
