@@ -49,8 +49,7 @@
 #include "exec/query_spec.h"
 #include "expr/kernel_isa.h"
 #include "storage/catalog.h"
-#include "storage/nsm_page.h"
-#include "storage/pax_page.h"
+#include "storage/page_codec.h"
 #include "storage/tuple.h"
 #include "storage/zone_map.h"
 #include "tpch/dates.h"
@@ -90,32 +89,20 @@ MemTable BuildMemTable(std::string name, const storage::Schema& schema,
                        const storage::RowGenerator& gen) {
   MemTable table;
   std::vector<std::byte> tuple(schema.tuple_size());
-  storage::NsmPageBuilder nsm(&schema, kPageSize);
-  storage::PaxPageBuilder pax(&schema, kPageSize);
+  storage::PageBuilder builder(&schema, layout, kPageSize);
   auto seal = [&]() {
-    if (layout == PageLayout::kNsm) {
-      table.pages.emplace_back(nsm.image().begin(), nsm.image().end());
-      nsm.Reset();
-    } else {
-      table.pages.emplace_back(pax.image().begin(), pax.image().end());
-      pax.Reset();
-    }
+    table.pages.emplace_back(builder.image().begin(), builder.image().end());
+    builder.Reset();
   };
   for (int row = 0; row < rows; ++row) {
     storage::TupleWriter w(&schema, tuple);
     gen(static_cast<std::uint64_t>(row), w);
-    const bool ok = layout == PageLayout::kNsm ? nsm.Append(tuple)
-                                               : pax.Append(tuple);
-    if (!ok) {
+    if (!builder.Append(tuple)) {
       seal();
-      SMARTSSD_CHECK(layout == PageLayout::kNsm ? nsm.Append(tuple)
-                                                : pax.Append(tuple));
+      SMARTSSD_CHECK(builder.Append(tuple));
     }
   }
-  if ((layout == PageLayout::kNsm && nsm.tuple_count() > 0) ||
-      (layout == PageLayout::kPax && pax.tuple_count() > 0)) {
-    seal();
-  }
+  if (builder.tuple_count() > 0) seal();
   table.info = storage::TableInfo{
       .name = std::move(name),
       .schema = schema,

@@ -2,7 +2,7 @@
 
 #include <cstring>
 
-#include "storage/tuple.h"
+#include "expr/row_view.h"
 
 namespace smartssd::check {
 
@@ -25,21 +25,14 @@ ExecutionOutput FromFleet(std::string config,
 }
 
 std::string RenderRow(const storage::Schema& schema, const std::byte* row) {
-  storage::TupleReader reader(&schema, row);
+  const expr::NsmRowView view(&schema, row);
   std::string out = "(";
   for (int col = 0; col < schema.num_columns(); ++col) {
     if (col > 0) out += ", ";
-    switch (schema.column(col).type) {
-      case storage::ColumnType::kInt32:
-        out += std::to_string(reader.GetInt32(col));
-        break;
-      case storage::ColumnType::kInt64:
-        out += std::to_string(reader.GetInt64(col));
-        break;
-      case storage::ColumnType::kFixedChar:
-        out += "'" + std::string(reader.GetChar(col)) + "'";
-        break;
-    }
+    const expr::Value value = view.GetColumn(col);
+    out += value.type() == expr::Value::Type::kString
+               ? "'" + std::string(value.AsString()) + "'"
+               : std::to_string(value.AsInt());
   }
   out += ")";
   return out;

@@ -1,14 +1,13 @@
 #include "check/write_phase.h"
 
-#include <cstring>
 #include <iterator>
 #include <memory>
 #include <vector>
 
 #include "engine/update.h"
 #include "expr/expression.h"
-#include "storage/nsm_page.h"
-#include "storage/pax_page.h"
+#include "expr/row_view.h"
+#include "storage/page_codec.h"
 #include "storage/tuple.h"
 
 namespace smartssd::check {
@@ -115,46 +114,21 @@ Status TableOracle::Verify(engine::Database& db) const {
         db.device()
             .ReadPages(info->first_lpn + p, 1, buffer, /*ready=*/0)
             .status());
-    auto check_cell = [&](std::uint64_t r, int c,
-                          std::int64_t got) -> Status {
-      const std::int64_t want = rows_[r][static_cast<std::size_t>(c)];
-      if (got != want) {
-        return InternalError(
-            "oracle: F[" + std::to_string(r) + "][" + std::to_string(c) +
-            "] = " + std::to_string(got) + ", expected " +
-            std::to_string(want) + " (page " + std::to_string(p) + ")");
-      }
-      return Status::OK();
-    };
-    if (info->layout == storage::PageLayout::kNsm) {
-      SMARTSSD_ASSIGN_OR_RETURN(
-          const storage::NsmPageReader reader,
-          storage::NsmPageReader::Open(&schema, buffer));
-      for (std::uint16_t i = 0; i < reader.tuple_count(); ++i, ++row) {
-        const storage::TupleReader tuple(&schema, reader.tuple(i));
-        for (int c = 0; c < schema.num_columns(); ++c) {
-          const std::int64_t got =
-              schema.column(c).type == storage::ColumnType::kInt64
-                  ? tuple.GetInt64(c)
-                  : tuple.GetInt32(c);
-          SMARTSSD_RETURN_IF_ERROR(check_cell(row, c, got));
-        }
-      }
-    } else {
-      SMARTSSD_ASSIGN_OR_RETURN(
-          const storage::PaxPageReader reader,
-          storage::PaxPageReader::Open(&schema, buffer));
-      for (std::uint16_t i = 0; i < reader.tuple_count(); ++i, ++row) {
-        for (int c = 0; c < schema.num_columns(); ++c) {
-          std::int64_t got;
-          if (schema.column(c).type == storage::ColumnType::kInt64) {
-            std::memcpy(&got, reader.value(i, c), sizeof(got));
-          } else {
-            std::int32_t v32;
-            std::memcpy(&v32, reader.value(i, c), sizeof(v32));
-            got = v32;
-          }
-          SMARTSSD_RETURN_IF_ERROR(check_cell(row, c, got));
+    SMARTSSD_ASSIGN_OR_RETURN(
+        const storage::PageRows rows,
+        storage::PageRows::Open(&schema, info->layout, buffer));
+    expr::PageRowView view(&rows);
+    for (std::uint16_t i = 0; i < rows.tuple_count(); ++i, ++row) {
+      view.Reset(i);
+      for (int c = 0; c < schema.num_columns(); ++c) {
+        const std::int64_t got = view.GetColumn(c).AsInt();
+        const std::int64_t want = rows_[row][static_cast<std::size_t>(c)];
+        if (got != want) {
+          return InternalError(
+              "oracle: F[" + std::to_string(row) + "][" +
+              std::to_string(c) + "] = " + std::to_string(got) +
+              ", expected " + std::to_string(want) + " (page " +
+              std::to_string(p) + ")");
         }
       }
     }

@@ -2,7 +2,6 @@
 #define SMARTSSD_ENGINE_CIRCUIT_BREAKER_H_
 
 #include <cstdint>
-#include <string>
 #include <string_view>
 
 #include "common/units.h"
@@ -37,12 +36,11 @@ class DeviceCircuitBreaker {
   explicit DeviceCircuitBreaker(const CircuitBreakerConfig& config)
       : config_(config) {}
 
-  // `reason` is the stable failure token (see FallbackReasonToken);
-  // it is kept for introspection and attached to the trace instants.
+  // `reason` is the stable failure token (see FallbackReasonToken),
+  // attached to the trace instant.
   void RecordFailure(SimTime now, std::string_view reason = {}) {
     ++total_failures_;
     ++consecutive_failures_;
-    last_failure_reason_ = std::string(reason);
     if (tracer_ != nullptr) {
       tracer_->Instant(track_, "pushdown failure", "breaker", now,
                        {obs::Arg::Str("reason", reason),
@@ -112,9 +110,6 @@ class DeviceCircuitBreaker {
   }
   std::uint64_t total_failures() const { return total_failures_; }
   std::uint64_t trips() const { return trips_; }
-  const std::string& last_failure_reason() const {
-    return last_failure_reason_;
-  }
   const CircuitBreakerConfig& config() const { return config_; }
 
   void Reset() {
@@ -144,7 +139,6 @@ class DeviceCircuitBreaker {
   std::uint64_t trips_ = 0;
   SimTime retry_after_ = 0;
   SimTime probe_deadline_ = 0;
-  std::string last_failure_reason_;
   obs::Tracer* tracer_ = nullptr;
   obs::TrackId track_ = 0;
 };

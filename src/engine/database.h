@@ -70,7 +70,6 @@ class Database {
   explicit Database(const DatabaseOptions& options);
   SMARTSSD_DISALLOW_COPY_AND_ASSIGN(Database);
 
-  DeviceKind device_kind() const { return options_.device; }
   ssd::BlockDevice& device() { return *device_; }
   const ssd::BlockDevice& device() const { return *device_; }
 

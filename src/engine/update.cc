@@ -2,8 +2,8 @@
 
 #include <vector>
 
-#include "storage/nsm_page.h"
-#include "storage/pax_page.h"
+#include "expr/row_view.h"
+#include "storage/page_codec.h"
 
 namespace smartssd::engine {
 
@@ -11,26 +11,6 @@ namespace {
 // Host CPU cost of an update pass: decode + predicate + re-encode.
 constexpr std::uint64_t kCyclesPerTuple = 60;
 constexpr std::uint64_t kCyclesPerUpdatedTuple = 120;
-
-// Serializes the row a RowView exposes into `tuple`.
-void SerializeRow(const storage::Schema& schema, const expr::RowView& view,
-                  std::span<std::byte> tuple) {
-  storage::TupleWriter writer(&schema, tuple);
-  for (int c = 0; c < schema.num_columns(); ++c) {
-    switch (schema.column(c).type) {
-      case storage::ColumnType::kInt32:
-        writer.SetInt32(c,
-                        static_cast<std::int32_t>(view.GetColumn(c).AsInt()));
-        break;
-      case storage::ColumnType::kInt64:
-        writer.SetInt64(c, view.GetColumn(c).AsInt());
-        break;
-      case storage::ColumnType::kFixedChar:
-        writer.SetChar(c, view.GetColumn(c).AsString());
-        break;
-    }
-  }
-}
 }  // namespace
 
 TableUpdater::TableUpdater(Database* db) : db_(db) {
@@ -85,53 +65,28 @@ Result<SimTime> UpdateCursor::StepPage(SimTime ready) {
   std::span<const std::byte> page = page_and_time.first;
 
   // Decode every tuple, apply the mutation to matches, re-encode.
-  bool page_changed = false;
-  std::uint64_t page_tuples = 0;
+  SMARTSSD_ASSIGN_OR_RETURN(
+      const storage::PageRows rows,
+      storage::PageRows::Open(&schema, info->layout, page));
+  storage::PageBuilder builder(&schema, info->layout, page_size);
   std::vector<std::byte> tuple(schema.tuple_size());
-  storage::NsmPageBuilder nsm(&schema, page_size);
-  storage::PaxPageBuilder pax(&schema, page_size);
   expr::EvalStats eval;  // predicate work folded into the cycle charge
-  auto rewrite_tuple = [&](const expr::RowView& view,
-                           const std::byte* raw_bytes_nsm) -> Status {
-    ++page_tuples;
-    // Serialize the current row.
-    if (raw_bytes_nsm != nullptr) {
-      std::copy_n(raw_bytes_nsm, schema.tuple_size(), tuple.begin());
-    } else {
-      SerializeRow(schema, view, tuple);
-    }
-    if (predicate_ == nullptr ||
-        predicate_->Evaluate(view, &eval).AsBool()) {
+  bool page_changed = false;
+  expr::PageRowView row(&rows);
+  for (std::uint16_t i = 0; i < rows.tuple_count(); ++i) {
+    row.Reset(i);
+    row.CopyRecord(tuple.data());
+    if (predicate_ == nullptr || predicate_->Evaluate(row, &eval).AsBool()) {
       storage::TupleWriter writer(&schema, tuple);
-      mutate_(view, writer);
+      mutate_(row, writer);
       ++stats_.rows_matched;
       page_changed = true;
     }
-    const bool appended = info->layout == storage::PageLayout::kNsm
-                              ? nsm.Append(tuple)
-                              : pax.Append(tuple);
-    if (!appended) {
+    if (!builder.Append(tuple)) {
       return InternalError("update: rebuilt page overflowed");
     }
-    return Status::OK();
-  };
-
-  if (info->layout == storage::PageLayout::kNsm) {
-    SMARTSSD_ASSIGN_OR_RETURN(const storage::NsmPageReader reader,
-                              storage::NsmPageReader::Open(&schema, page));
-    for (std::uint16_t i = 0; i < reader.tuple_count(); ++i) {
-      const std::byte* raw = reader.tuple(i);
-      expr::NsmRowView view(&schema, raw);
-      SMARTSSD_RETURN_IF_ERROR(rewrite_tuple(view, raw));
-    }
-  } else {
-    SMARTSSD_ASSIGN_OR_RETURN(const storage::PaxPageReader reader,
-                              storage::PaxPageReader::Open(&schema, page));
-    for (std::uint16_t i = 0; i < reader.tuple_count(); ++i) {
-      expr::PaxRowView view(&schema, &reader, i);
-      SMARTSSD_RETURN_IF_ERROR(rewrite_tuple(view, nullptr));
-    }
   }
+  const std::uint64_t page_tuples = rows.tuple_count();
 
   const std::uint64_t cycles =
       page_tuples * kCyclesPerTuple +
@@ -139,10 +94,7 @@ Result<SimTime> UpdateCursor::StepPage(SimTime ready) {
   t = db_->host().Execute(cycles, t);
 
   if (page_changed) {
-    const auto image = info->layout == storage::PageLayout::kNsm
-                           ? nsm.image()
-                           : pax.image();
-    SMARTSSD_ASSIGN_OR_RETURN(t, pool.WritePage(lpn, image, t));
+    SMARTSSD_ASSIGN_OR_RETURN(t, pool.WritePage(lpn, builder.image(), t));
     ++stats_.pages_dirtied;
   }
 
@@ -215,14 +167,12 @@ Result<SimTime> AppendCursor::StepPage(SimTime ready) {
   }
   const std::uint64_t lpn = info->first_lpn + page_index;
 
-  storage::NsmPageBuilder nsm(&schema, page_size);
-  storage::PaxPageBuilder pax(&schema, page_size);
+  storage::PageBuilder builder(&schema, info->layout, page_size);
   std::vector<std::byte> tuple(schema.tuple_size());
   auto append_serialized = [&]() -> Status {
-    const bool ok = info->layout == storage::PageLayout::kNsm
-                        ? nsm.Append(tuple)
-                        : pax.Append(tuple);
-    if (!ok) return InternalError("append: page overflowed its capacity");
+    if (!builder.Append(tuple)) {
+      return InternalError("append: page overflowed its capacity");
+    }
     return Status::OK();
   };
 
@@ -233,24 +183,15 @@ Result<SimTime> AppendCursor::StepPage(SimTime ready) {
         auto page_and_time,
         pool.GetPage(lpn, t, info->first_lpn + info->page_count));
     t = page_and_time.second;
-    std::span<const std::byte> page = page_and_time.first;
-    if (info->layout == storage::PageLayout::kNsm) {
-      SMARTSSD_ASSIGN_OR_RETURN(const storage::NsmPageReader reader,
-                                storage::NsmPageReader::Open(&schema, page));
-      existing = reader.tuple_count();
-      for (std::uint16_t i = 0; i < reader.tuple_count(); ++i) {
-        std::copy_n(reader.tuple(i), schema.tuple_size(), tuple.begin());
-        SMARTSSD_RETURN_IF_ERROR(append_serialized());
-      }
-    } else {
-      SMARTSSD_ASSIGN_OR_RETURN(const storage::PaxPageReader reader,
-                                storage::PaxPageReader::Open(&schema, page));
-      existing = reader.tuple_count();
-      for (std::uint16_t i = 0; i < reader.tuple_count(); ++i) {
-        expr::PaxRowView view(&schema, &reader, i);
-        SerializeRow(schema, view, tuple);
-        SMARTSSD_RETURN_IF_ERROR(append_serialized());
-      }
+    SMARTSSD_ASSIGN_OR_RETURN(
+        const storage::PageRows rows,
+        storage::PageRows::Open(&schema, info->layout, page_and_time.first));
+    existing = rows.tuple_count();
+    expr::PageRowView row(&rows);
+    for (std::uint16_t i = 0; i < rows.tuple_count(); ++i) {
+      row.Reset(i);
+      row.CopyRecord(tuple.data());
+      SMARTSSD_RETURN_IF_ERROR(append_serialized());
     }
   }
 
@@ -270,9 +211,7 @@ Result<SimTime> AppendCursor::StepPage(SimTime ready) {
                                new_rows * kCyclesPerUpdatedTuple;
   t = db_->host().Execute(cycles, t);
 
-  const auto image = info->layout == storage::PageLayout::kNsm
-                         ? nsm.image()
-                         : pax.image();
+  const std::span<const std::byte> image = builder.image();
   SMARTSSD_ASSIGN_OR_RETURN(t, pool.WritePage(lpn, image, t));
   ++stats_.pages_dirtied;
   info->tuple_count += new_rows;

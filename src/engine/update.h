@@ -54,9 +54,11 @@ class TableUpdater {
 
 // Page-granular resumable update pass: one StepPage call decodes,
 // mutates, and re-encodes one page, so a workload scheduler can
-// interleave update work with queries at page granularity. When the
-// last page has been processed and any row matched, the table's zone
-// map is marked stale.
+// interleave update work with queries at page granularity. Rows are
+// read through storage::PageRows (the predicate and the mutation see
+// the page row) and re-encoded with storage::PageBuilder, so one loop
+// serves both layouts. When the last page has been processed and any
+// row matched, the table's zone map is marked stale.
 class UpdateCursor {
  public:
   static Result<UpdateCursor> Open(Database* db, std::string table,
@@ -90,7 +92,8 @@ class UpdateCursor {
 // Appends through the buffer pool into the table's reserved extent
 // headroom (TableInfo::reserved_pages). Appends are host-only for the
 // same transactional reason updates are. The partial last page is
-// rebuilt in place; fresh pages come from the reserved extent, and the
+// rebuilt in place (its rows copied out as records and re-encoded,
+// like an update's); fresh pages come from the reserved extent, and the
 // append fails with FAILED_PRECONDITION once the reservation is
 // exhausted.
 //

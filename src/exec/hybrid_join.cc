@@ -5,9 +5,7 @@
 #include <cstring>
 #include <utility>
 
-#include "expr/row_view.h"
-#include "storage/nsm_page.h"
-#include "storage/pax_page.h"
+#include "exec/page_processor.h"
 
 namespace smartssd::exec {
 
@@ -69,20 +67,6 @@ std::uint32_t HybridJoin::PartitionOf(std::int64_t key,
   // High bits: SlotFor() masks the low bits, so partition choice and
   // in-table placement stay independent.
   return static_cast<std::uint32_t>(h >> (64 - kFanoutShift));
-}
-
-std::int64_t HybridJoin::KeyFromOuterRow(const std::byte* row) const {
-  const storage::Schema& schema = bound_->outer->schema;
-  const int col = bound_->spec->join->outer_key_col;
-  const std::byte* p = row + schema.offset(col);
-  if (schema.column(col).type == storage::ColumnType::kInt32) {
-    std::int32_t v;
-    std::memcpy(&v, p, sizeof(v));
-    return v;
-  }
-  std::int64_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
 }
 
 void HybridJoin::NotePeak(std::uint64_t extra) {
@@ -226,48 +210,12 @@ Status HybridJoin::AddBuildRow(std::int64_t key,
 
 Status HybridJoin::AddBuildPage(std::span<const std::byte> page) {
   SMARTSSD_CHECK(!build_finished_);
-  const JoinSpec& join = *bound_->spec->join;
-  const storage::TableInfo& inner = *bound_->inner;
-  ++build_counts_.pages;
   std::vector<std::byte> payload(bound_->payload_width);
-  // Charge exactly what JoinHashTableBuilder::AddPage charges per tuple
-  // (tuples, key + payload column reads); hash_inserts wait until the
-  // row actually enters a table.
-  auto add_tuple = [&](const expr::RowView& view, auto col_bytes) {
-    ++build_counts_.tuples;
-    ++build_counts_.eval.column_reads;
-    const std::int64_t key = view.GetColumn(join.inner_key_col).AsInt();
-    std::size_t offset = 0;
-    for (const int col : join.inner_payload_cols) {
-      ++build_counts_.eval.column_reads;
-      const std::uint32_t width = inner.schema.column(col).width;
-      std::memcpy(payload.data() + offset, col_bytes(col), width);
-      offset += width;
-    }
-    return AddBuildRow(key, payload);
-  };
-  if (inner.layout == storage::PageLayout::kNsm) {
-    SMARTSSD_ASSIGN_OR_RETURN(
-        const storage::NsmPageReader reader,
-        storage::NsmPageReader::Open(&inner.schema, page));
-    for (std::uint16_t i = 0; i < reader.tuple_count(); ++i) {
-      const std::byte* tuple = reader.tuple(i);
-      expr::NsmRowView view(&inner.schema, tuple);
-      SMARTSSD_RETURN_IF_ERROR(add_tuple(view, [&](int col) {
-        return tuple + inner.schema.offset(col);
-      }));
-    }
-  } else {
-    SMARTSSD_ASSIGN_OR_RETURN(
-        const storage::PaxPageReader reader,
-        storage::PaxPageReader::Open(&inner.schema, page));
-    for (std::uint16_t i = 0; i < reader.tuple_count(); ++i) {
-      expr::PaxRowView view(&inner.schema, &reader, i);
-      SMARTSSD_RETURN_IF_ERROR(add_tuple(
-          view, [&](int col) { return reader.value(i, col); }));
-    }
-  }
-  return Status::OK();
+  return WalkBuildPage(
+      *bound_, page, payload, &build_counts_,
+      [this](std::int64_t key, std::span<const std::byte> row_payload) {
+        return AddBuildRow(key, row_payload);
+      });
 }
 
 Status HybridJoin::FinishBuild() {
@@ -346,9 +294,7 @@ Status HybridJoin::Promote(std::int64_t key, Partition& partition) {
 }
 
 Result<HybridJoin::ProbeResult> HybridJoin::Probe(
-    std::int64_t key,
-    const std::function<const std::byte*(int col)>& outer_col_bytes,
-    OpCounts* counts) {
+    std::int64_t key, const expr::RowView& outer, OpCounts* counts) {
   SMARTSSD_CHECK(build_finished_);
   ProbeResult result;
   result.seq = next_seq_++;
@@ -377,43 +323,18 @@ Result<HybridJoin::ProbeResult> HybridJoin::Probe(
   // probe file, tagged with its scan position.
   std::vector<std::byte> rec(probe_rec_width_);
   Store64(rec.data(), result.seq);
-  const storage::Schema& schema = bound_->outer->schema;
-  for (int c = 0; c < schema.num_columns(); ++c) {
-    std::memcpy(rec.data() + 8 + schema.offset(c), outer_col_bytes(c),
-                schema.column(c).width);
-  }
+  outer.CopyRecord(rec.data() + 8);
   SMARTSSD_RETURN_IF_ERROR(AppendRecord(&p.probe_file, rec));
   ++stats_.probe_rows_spilled;
   result.deferred = true;
   return result;
 }
 
-void HybridJoin::BufferMatchRaw(std::uint64_t seq,
-                                const std::byte* outer_row,
-                                const std::byte* payload) {
-  const std::uint64_t offset = match_arena_.size();
-  match_arena_.insert(match_arena_.end(), outer_row,
-                      outer_row + outer_row_width_);
-  if (bound_->payload_width > 0) {
-    match_arena_.insert(match_arena_.end(), payload,
-                        payload + bound_->payload_width);
-  }
-  matches_.push_back(Match{seq, offset});
-  overhead_cycles_ += (outer_row_width_ + bound_->payload_width) / 8 + 2;
-  NotePeak(0);
-}
-
-void HybridJoin::BufferMatch(
-    std::uint64_t seq,
-    const std::function<const std::byte*(int col)>& outer_col_bytes,
-    const std::byte* payload) {
-  const storage::Schema& schema = bound_->outer->schema;
+void HybridJoin::BufferMatch(std::uint64_t seq, const expr::RowView& outer,
+                             const std::byte* payload) {
   const std::uint64_t offset = match_arena_.size();
   match_arena_.resize(offset + outer_row_width_);
-  for (int c = 0; c < schema.num_columns(); ++c) {
-    std::memcpy(match_arena_.data() + offset + schema.offset(c),
-                outer_col_bytes(c), schema.column(c).width);
-  }
+  outer.CopyRecord(match_arena_.data() + offset);
   if (bound_->payload_width > 0) {
     match_arena_.insert(match_arena_.end(), payload,
                         payload + bound_->payload_width);
@@ -429,6 +350,9 @@ Status HybridJoin::ResolveFiles(PageFile build, PageFile probe,
                                 std::uint32_t level, OpCounts* counts,
                                 const Deliver& deliver) {
   stats_.passes = std::max(stats_.passes, level + 1);
+  // A probe record is its seq, then the outer row as an NSM record.
+  const storage::Schema& outer_schema = bound_->outer->schema;
+  const int key_col = bound_->spec->join->outer_key_col;
   if (JoinHashTable::EstimateBytes(build.records, bound_->payload_width) <=
       config_.budget_bytes) {
     JoinHashTable table(bound_->payload_width, build.records);
@@ -442,12 +366,12 @@ Status HybridJoin::ResolveFiles(PageFile build, PageFile probe,
     NotePeak(table.memory_bytes());
     return ForEachRecord(
         probe, probe_rec_width_, [&](const std::byte* rec) -> Status {
-          const std::uint64_t seq = Load64(rec);
-          const std::byte* row = rec + 8;
+          const expr::NsmRowView outer(&outer_schema, rec + 8);
           ++counts->probes;
-          const std::byte* payload = table.Probe(KeyFromOuterRow(row));
+          const std::byte* payload =
+              table.Probe(outer.GetColumn(key_col).AsInt());
           if (payload == nullptr) return Status::OK();
-          return deliver(seq, row, payload);
+          return deliver(Load64(rec), outer, payload);
         });
   }
   if (level >= kMaxDepth) {
@@ -469,7 +393,9 @@ Status HybridJoin::ResolveFiles(PageFile build, PageFile probe,
   for (PageFile& f : child_build) SMARTSSD_RETURN_IF_ERROR(SealFile(&f));
   SMARTSSD_RETURN_IF_ERROR(ForEachRecord(
       probe, probe_rec_width_, [&](const std::byte* rec) {
-        const std::int64_t key = KeyFromOuterRow(rec + 8);
+        const std::int64_t key = expr::NsmRowView(&outer_schema, rec + 8)
+                                     .GetColumn(key_col)
+                                     .AsInt();
         return AppendRecord(&child_probe[PartitionOf(key, level)],
                             std::span<const std::byte>(rec,
                                                        probe_rec_width_));
@@ -508,10 +434,11 @@ Status HybridJoin::ReplayOrdered(const Replay& replay) {
   static constexpr std::byte kEmptyPayload{};
   for (const Match& m : matches_) {
     const std::byte* row = match_arena_.data() + m.offset;
+    const expr::NsmRowView outer(&bound_->outer->schema, row);
     const std::byte* payload = bound_->payload_width > 0
                                    ? row + outer_row_width_
                                    : &kEmptyPayload;
-    SMARTSSD_RETURN_IF_ERROR(replay(row, payload));
+    SMARTSSD_RETURN_IF_ERROR(replay(outer, payload));
   }
   matches_.clear();
   match_arena_.clear();

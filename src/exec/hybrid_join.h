@@ -14,6 +14,7 @@
 #include "exec/cost_model.h"
 #include "exec/hash_table.h"
 #include "exec/query_spec.h"
+#include "expr/row_view.h"
 #include "smart/program.h"
 
 namespace smartssd::exec {
@@ -42,7 +43,8 @@ namespace smartssd::exec {
 // Count discipline: the differential harness holds OpCounts totals
 // byte-identical to the unconstrained join, so every logical operation
 // is charged exactly once no matter where it lands —
-//   * inner tuples + key/payload column reads: at the build scan;
+//   * inner pages, tuples + key/payload column reads: at the build
+//     scan, by WalkBuildPage (the simple join's build walk);
 //   * hash_inserts: when a row actually enters a hash table (resident at
 //     FinishBuild, spilled at its resolve level — re-splits recharge
 //     nothing);
@@ -89,9 +91,10 @@ class HybridJoin {
   SMARTSSD_DISALLOW_COPY_AND_ASSIGN(HybridJoin);
 
   // --- build phase (inner scan, during OPEN) -------------------------
-  // Charges the same per-tuple counts JoinHashTableBuilder charges
-  // (tuples, key + payload column reads) into build_counts();
-  // hash_inserts land when rows actually enter a table.
+  // Walks the page with WalkBuildPage, the walk JoinHashTableBuilder
+  // uses, so build_counts() gets the same pages, tuples and key +
+  // payload column reads; hash_inserts land when rows actually enter a
+  // table.
   Status AddBuildPage(std::span<const std::byte> page);
   // Seals the build side: spilled build files flush their tails, the
   // resident partitions' rows enter the resident hash table.
@@ -111,34 +114,28 @@ class HybridJoin {
     const std::byte* payload = nullptr;  // probe hit (when !deferred)
     std::uint64_t seq = 0;               // scan-order position
   };
-  // The caller has read (and charged) the FK. Resident/hot keys probe
-  // now (charging counts->probes); spilled partitions materialize the
-  // outer row via `outer_col_bytes` into the partition's probe file.
-  Result<ProbeResult> Probe(
-      std::int64_t key,
-      const std::function<const std::byte*(int col)>& outer_col_bytes,
-      OpCounts* counts);
+  // The caller has read (and charged) the FK of `outer`. Resident/hot
+  // keys probe now (charging counts->probes); spilled partitions copy
+  // the outer row, as an NSM record, into the partition's probe file.
+  Result<ProbeResult> Probe(std::int64_t key, const expr::RowView& outer,
+                            OpCounts* counts);
 
   // Stages a confirmed match for ordered replay (ordered() mode only).
   // The outer row and payload are copied into the staging arena.
-  void BufferMatch(
-      std::uint64_t seq,
-      const std::function<const std::byte*(int col)>& outer_col_bytes,
-      const std::byte* payload);
-  void BufferMatchRaw(std::uint64_t seq, const std::byte* outer_row,
-                      const std::byte* payload);
+  void BufferMatch(std::uint64_t seq, const expr::RowView& outer,
+                   const std::byte* payload);
 
   // --- resolve (multi-pass probing, during Finish) -------------------
   // Resolves every spilled partition, invoking `deliver` for each match
-  // (seq, materialized outer row in NSM layout, payload). Pointers are
-  // valid only for the duration of the callback.
+  // (seq, the materialized outer row, payload). The view and payload
+  // are valid only for the duration of the callback.
   using Deliver = std::function<Status(
-      std::uint64_t seq, const std::byte* outer_row,
+      std::uint64_t seq, const expr::RowView& outer,
       const std::byte* payload)>;
   Status Resolve(OpCounts* counts, const Deliver& deliver);
 
   // Replays the staged matches in scan order (after Resolve).
-  using Replay = std::function<Status(const std::byte* outer_row,
+  using Replay = std::function<Status(const expr::RowView& outer,
                                       const std::byte* payload)>;
   Status ReplayOrdered(const Replay& replay);
 
@@ -181,7 +178,6 @@ class HybridJoin {
   };
 
   std::uint32_t PartitionOf(std::int64_t key, std::uint32_t level) const;
-  std::int64_t KeyFromOuterRow(const std::byte* row) const;
   Status AddBuildRow(std::int64_t key,
                      std::span<const std::byte> payload);
   Status EvictLargestResident();

@@ -13,48 +13,6 @@ namespace smartssd::exec {
 
 namespace {
 
-// Row view over the combined row: outer columns come from the scanned
-// tuple, payload columns from the probe hit's payload blob.
-class CombinedRowView final : public expr::RowView {
- public:
-  CombinedRowView(const BoundQuery* bound, const expr::RowView* outer)
-      : bound_(bound), outer_(outer) {}
-
-  void SetPayload(const std::byte* payload) { payload_ = payload; }
-
-  expr::Value GetColumn(int col) const override {
-    const int outer_columns = bound_->outer_columns();
-    if (col < outer_columns) return outer_->GetColumn(col);
-    SMARTSSD_CHECK(payload_ != nullptr);
-    const int payload_index = col - outer_columns;
-    const std::byte* p =
-        payload_ +
-        bound_->payload_offsets[static_cast<std::size_t>(payload_index)];
-    const storage::Column& column = bound_->combined_schema.column(col);
-    switch (column.type) {
-      case storage::ColumnType::kInt32: {
-        std::int32_t v;
-        std::memcpy(&v, p, sizeof(v));
-        return expr::Value::Int(v);
-      }
-      case storage::ColumnType::kInt64: {
-        std::int64_t v;
-        std::memcpy(&v, p, sizeof(v));
-        return expr::Value::Int(v);
-      }
-      case storage::ColumnType::kFixedChar:
-        return expr::Value::String(
-            {reinterpret_cast<const char*>(p), column.width});
-    }
-    return expr::Value::Null();
-  }
-
- private:
-  const BoundQuery* bound_;
-  const expr::RowView* outer_;
-  const std::byte* payload_ = nullptr;
-};
-
 std::int64_t AggInit(AggSpec::Fn fn) {
   switch (fn) {
     case AggSpec::Fn::kSum:
@@ -233,8 +191,10 @@ PageProcessor::PageProcessor(const BoundQuery* bound,
     batch_columns_[static_cast<std::size_t>(c)].type = col.type;
     batch_columns_[static_cast<std::size_t>(c)].width = col.width;
     if (c >= outer_cols) {
+      // Payload columns sit in the payload at their combined offset
+      // less the outer record's size (see expr::CombinedRowView).
       batch_columns_[static_cast<std::size_t>(c)].offset =
-          bound->payload_offsets[static_cast<std::size_t>(c - outer_cols)];
+          bound->combined_schema.offset(c) - bound->outer->schema.tuple_size();
     }
   }
 
@@ -305,24 +265,16 @@ bool PageProcessor::CompileKernels() {
   return true;
 }
 
-void PageProcessor::AppendColumnBytes(
-    const std::vector<int>& columns,
-    const std::function<const std::byte*(int col)>& outer_col_bytes,
-    const std::byte* payload, OpCounts* counts,
-    std::vector<std::byte>* out) const {
+void PageProcessor::AppendColumnBytes(const std::vector<int>& columns,
+                                      const expr::RowView& row,
+                                      OpCounts* counts,
+                                      std::vector<std::byte>* out) const {
   const int outer_columns = bound_->outer_columns();
   for (const int col : columns) {
-    const std::uint32_t width = bound_->combined_schema.column(col).width;
-    const std::byte* src;
-    if (col < outer_columns) {
-      ++counts->eval.column_reads;
-      src = outer_col_bytes(col);
-    } else {
-      SMARTSSD_CHECK(payload != nullptr);
-      src = payload + bound_->payload_offsets[static_cast<std::size_t>(
-                          col - outer_columns)];
-    }
-    out->insert(out->end(), src, src + width);
+    if (col < outer_columns) ++counts->eval.column_reads;
+    const std::byte* src = row.ColumnBytes(col);
+    out->insert(out->end(), src,
+                src + bound_->combined_schema.column(col).width);
   }
 }
 
@@ -387,12 +339,11 @@ std::byte* PageProcessor::PushTopN(std::int64_t key, OpCounts* counts) {
          static_cast<std::size_t>(slot) * output_row_width_;
 }
 
-Status PageProcessor::HandleTuple(
-    const expr::RowView& outer_view,
-    const std::function<const std::byte*(int col)>& outer_col_bytes,
-    OpCounts* counts, std::vector<std::byte>* out) {
+Status PageProcessor::HandleTuple(const expr::RowView& outer_view,
+                                  OpCounts* counts,
+                                  std::vector<std::byte>* out) {
   const QuerySpec& spec = *bound_->spec;
-  CombinedRowView combined(bound_, &outer_view);
+  expr::CombinedRowView combined(&bound_->combined_schema, &outer_view);
   const std::byte* payload = nullptr;
   std::uint64_t seq = 0;
 
@@ -408,7 +359,7 @@ Status PageProcessor::HandleTuple(
     if (hybrid_ != nullptr) {
       SMARTSSD_ASSIGN_OR_RETURN(
           const HybridJoin::ProbeResult result,
-          hybrid_->Probe(key, outer_col_bytes, counts));
+          hybrid_->Probe(key, outer_view, counts));
       if (result.deferred) return false;
       seq = result.seq;
       payload = result.payload;
@@ -444,19 +395,18 @@ Status PageProcessor::HandleTuple(
   // resolved matches interleave exactly as the unconstrained join
   // emits them.
   if (hybrid_ != nullptr && hybrid_->ordered()) {
-    hybrid_->BufferMatch(seq, outer_col_bytes, payload);
+    hybrid_->BufferMatch(seq, outer_view, payload);
     return Status::OK();
   }
-  return SinkJoinedRow(outer_view, outer_col_bytes, payload, counts, out);
+  return SinkJoinedRow(outer_view, payload, counts, out);
 }
 
-Status PageProcessor::SinkJoinedRow(
-    const expr::RowView& outer_view,
-    const std::function<const std::byte*(int col)>& outer_col_bytes,
-    const std::byte* payload, OpCounts* counts,
-    std::vector<std::byte>* out) {
+Status PageProcessor::SinkJoinedRow(const expr::RowView& outer_view,
+                                    const std::byte* payload,
+                                    OpCounts* counts,
+                                    std::vector<std::byte>* out) {
   const QuerySpec& spec = *bound_->spec;
-  CombinedRowView combined(bound_, &outer_view);
+  expr::CombinedRowView combined(&bound_->combined_schema, &outer_view);
   combined.SetPayload(payload);
 
   if (!spec.aggregates.empty()) {
@@ -465,8 +415,7 @@ Status PageProcessor::SinkJoinedRow(
     }
     // Grouped aggregation: raw key bytes -> running states.
     row_scratch_.clear();
-    AppendColumnBytes(spec.group_by, outer_col_bytes, payload, counts,
-                      &row_scratch_);
+    AppendColumnBytes(spec.group_by, combined, counts, &row_scratch_);
     ++counts->group_updates;
     const std::uint32_t group =
         group_table_.FindOrInsert(row_scratch_.data(), agg_init_.data());
@@ -475,8 +424,7 @@ Status PageProcessor::SinkJoinedRow(
 
   // Projection path: serialize the output row.
   row_scratch_.clear();
-  AppendColumnBytes(spec.projection, outer_col_bytes, payload, counts,
-                    &row_scratch_);
+  AppendColumnBytes(spec.projection, combined, counts, &row_scratch_);
   if (spec.top_n.has_value()) {
     ++counts->eval.column_reads;
     const std::int64_t key =
@@ -514,41 +462,19 @@ Status PageProcessor::ProcessPageScalar(std::span<const std::byte> page,
                                         OpCounts* counts,
                                         std::vector<std::byte>* out) {
   const QuerySpec& spec = *bound_->spec;
-  const bool row_output =
-      spec.aggregates.empty() && !spec.top_n.has_value();
-  const storage::Schema& schema = bound_->outer->schema;
-  if (bound_->outer->layout == storage::PageLayout::kNsm) {
-    SMARTSSD_ASSIGN_OR_RETURN(const storage::NsmPageReader reader,
-                              storage::NsmPageReader::Open(&schema, page));
-    if (row_output) {
-      EnsureOutCapacity(out, static_cast<std::size_t>(
-                                 reader.tuple_count()) *
-                                 output_row_width_);
-    }
-    for (std::uint16_t i = 0; i < reader.tuple_count(); ++i) {
-      ++counts->tuples;
-      const std::byte* tuple = reader.tuple(i);
-      expr::NsmRowView view(&schema, tuple);
-      auto col_bytes = [&](int col) -> const std::byte* {
-        return tuple + schema.offset(col);
-      };
-      SMARTSSD_RETURN_IF_ERROR(HandleTuple(view, col_bytes, counts, out));
-    }
-    return Status::OK();
-  }
-  SMARTSSD_ASSIGN_OR_RETURN(const storage::PaxPageReader reader,
-                            storage::PaxPageReader::Open(&schema, page));
-  if (row_output) {
-    EnsureOutCapacity(out, static_cast<std::size_t>(reader.tuple_count()) *
+  SMARTSSD_ASSIGN_OR_RETURN(
+      const storage::PageRows rows,
+      storage::PageRows::Open(&bound_->outer->schema, bound_->outer->layout,
+                              page));
+  if (spec.aggregates.empty() && !spec.top_n.has_value()) {
+    EnsureOutCapacity(out, static_cast<std::size_t>(rows.tuple_count()) *
                                output_row_width_);
   }
-  for (std::uint16_t i = 0; i < reader.tuple_count(); ++i) {
+  expr::PageRowView row(&rows);
+  for (std::uint16_t i = 0; i < rows.tuple_count(); ++i) {
     ++counts->tuples;
-    expr::PaxRowView view(&schema, &reader, i);
-    auto col_bytes = [&](int col) -> const std::byte* {
-      return reader.value(i, col);
-    };
-    SMARTSSD_RETURN_IF_ERROR(HandleTuple(view, col_bytes, counts, out));
+    row.Reset(i);
+    SMARTSSD_RETURN_IF_ERROR(HandleTuple(row, counts, out));
   }
   return Status::OK();
 }
@@ -811,40 +737,31 @@ Status PageProcessor::SinkBatch(const expr::BatchInput& in,
 Status PageProcessor::FinishHybrid(OpCounts* counts,
                                    std::vector<std::byte>* out) {
   const QuerySpec& spec = *bound_->spec;
-  const storage::Schema& schema = bound_->outer->schema;
   // Resolve spilled partitions: each deferred tuple arrives back as a
-  // materialized NSM outer row plus its matched payload.
-  auto deliver = [&](std::uint64_t seq, const std::byte* row,
+  // materialized outer row plus its matched payload.
+  auto deliver = [&](std::uint64_t seq, const expr::RowView& outer,
                      const std::byte* payload) -> Status {
-    expr::NsmRowView view(&schema, row);
-    auto col_bytes = [&](int col) -> const std::byte* {
-      return row + schema.offset(col);
-    };
     // Probe-first deferred tuples still owe the predicate (it needs the
     // payload); filter-first tuples passed it before they spilled.
     if (spec.order == PipelineOrder::kProbeFirst &&
         spec.predicate != nullptr) {
-      CombinedRowView combined(bound_, &view);
+      expr::CombinedRowView combined(&bound_->combined_schema, &outer);
       combined.SetPayload(payload);
       if (!spec.predicate->Evaluate(combined, &counts->eval).AsBool()) {
         return Status::OK();
       }
     }
     if (hybrid_->ordered()) {
-      hybrid_->BufferMatchRaw(seq, row, payload);
+      hybrid_->BufferMatch(seq, outer, payload);
       return Status::OK();
     }
-    return SinkJoinedRow(view, col_bytes, payload, counts, out);
+    return SinkJoinedRow(outer, payload, counts, out);
   };
   SMARTSSD_RETURN_IF_ERROR(hybrid_->Resolve(counts, deliver));
   if (hybrid_->ordered()) {
     SMARTSSD_RETURN_IF_ERROR(hybrid_->ReplayOrdered(
-        [&](const std::byte* row, const std::byte* payload) -> Status {
-          expr::NsmRowView view(&schema, row);
-          auto col_bytes = [&](int col) -> const std::byte* {
-            return row + schema.offset(col);
-          };
-          return SinkJoinedRow(view, col_bytes, payload, counts, out);
+        [&](const expr::RowView& outer, const std::byte* payload) {
+          return SinkJoinedRow(outer, payload, counts, out);
         }));
   }
   return Status::OK();
@@ -913,47 +830,13 @@ JoinHashTableBuilder::JoinHashTableBuilder(const BoundQuery* bound)
 }
 
 Status JoinHashTableBuilder::AddPage(std::span<const std::byte> page) {
-  const JoinSpec& join = *bound_->spec->join;
-  const storage::TableInfo& inner = *bound_->inner;
-  ++counts_.pages;
   ++pages_added_;
-  auto insert_tuple = [&](const expr::RowView& view,
-                          auto col_bytes) -> Status {
-    ++counts_.tuples;
-    ++counts_.eval.column_reads;
-    const std::int64_t key = view.GetColumn(join.inner_key_col).AsInt();
-    std::size_t offset = 0;
-    for (const int col : join.inner_payload_cols) {
-      ++counts_.eval.column_reads;
-      const std::uint32_t width = inner.schema.column(col).width;
-      std::memcpy(payload_.data() + offset, col_bytes(col), width);
-      offset += width;
-    }
-    ++counts_.hash_inserts;
-    return table_.Insert(key, payload_);
-  };
-  if (inner.layout == storage::PageLayout::kNsm) {
-    SMARTSSD_ASSIGN_OR_RETURN(
-        const storage::NsmPageReader reader,
-        storage::NsmPageReader::Open(&inner.schema, page));
-    for (std::uint16_t i = 0; i < reader.tuple_count(); ++i) {
-      const std::byte* tuple = reader.tuple(i);
-      expr::NsmRowView view(&inner.schema, tuple);
-      SMARTSSD_RETURN_IF_ERROR(insert_tuple(view, [&](int col) {
-        return tuple + inner.schema.offset(col);
-      }));
-    }
-  } else {
-    SMARTSSD_ASSIGN_OR_RETURN(
-        const storage::PaxPageReader reader,
-        storage::PaxPageReader::Open(&inner.schema, page));
-    for (std::uint16_t i = 0; i < reader.tuple_count(); ++i) {
-      expr::PaxRowView view(&inner.schema, &reader, i);
-      SMARTSSD_RETURN_IF_ERROR(insert_tuple(
-          view, [&](int col) { return reader.value(i, col); }));
-    }
-  }
-  return Status::OK();
+  return WalkBuildPage(*bound_, page, payload_, &counts_,
+                       [this](std::int64_t key,
+                              std::span<const std::byte> payload) {
+                         ++counts_.hash_inserts;
+                         return table_.Insert(key, payload);
+                       });
 }
 
 JoinHashTable JoinHashTableBuilder::TakeTable() {

@@ -2,6 +2,7 @@
 #define SMARTSSD_EXEC_PAGE_PROCESSOR_H_
 
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <optional>
 #include <span>
@@ -17,6 +18,7 @@
 #include "exec/kernel_mode.h"
 #include "exec/query_spec.h"
 #include "expr/batch.h"
+#include "expr/row_view.h"
 
 namespace smartssd::exec {
 
@@ -33,8 +35,11 @@ class HybridJoin;
 // logic compiled for the host and for the device firmware.
 //
 // Two kernels implement the pipeline:
-//  * kScalar — interpreted row-at-a-time (virtual RowView access, tree-
-//    walked predicates); the semantic reference.
+//  * kScalar — interpreted row-at-a-time, tree-walked predicates; the
+//    semantic reference. It reads every page through one row view
+//    (expr::PageRowView over storage::PageRows), so it has no per-layout
+//    code: the layout matters only to the vectorized kernel's column
+//    accessors and to the cost model.
 //  * kVectorized — the page is exposed as column accessors (PAX
 //    minipages directly, NSM via one gather of tuple pointers), the
 //    predicate/aggregate expressions are compiled once into flat batch
@@ -102,18 +107,14 @@ class PageProcessor {
   // --- scalar kernel ---
   Status ProcessPageScalar(std::span<const std::byte> page,
                            OpCounts* counts, std::vector<std::byte>* out);
-  Status HandleTuple(
-      const expr::RowView& outer_view,
-      const std::function<const std::byte*(int col)>& outer_col_bytes,
-      OpCounts* counts, std::vector<std::byte>* out);
+  Status HandleTuple(const expr::RowView& outer_view, OpCounts* counts,
+                     std::vector<std::byte>* out);
 
-  // Copies the raw bytes of combined-row columns (outer or payload) to
+  // Copies the bytes of combined-row columns (outer or payload) to
   // `out`, counting the outer column reads.
-  void AppendColumnBytes(
-      const std::vector<int>& columns,
-      const std::function<const std::byte*(int col)>& outer_col_bytes,
-      const std::byte* payload, OpCounts* counts,
-      std::vector<std::byte>* out) const;
+  void AppendColumnBytes(const std::vector<int>& columns,
+                         const expr::RowView& row, OpCounts* counts,
+                         std::vector<std::byte>* out) const;
 
   Status UpdateAggregates(const expr::RowView& combined_view,
                           std::int64_t* states, OpCounts* counts);
@@ -122,11 +123,9 @@ class PageProcessor {
   // aggregate / group / projection / top-N stage. Shared between the
   // scan path and the hybrid join's deferred-match replay, so both
   // charge identical counts.
-  Status SinkJoinedRow(
-      const expr::RowView& outer_view,
-      const std::function<const std::byte*(int col)>& outer_col_bytes,
-      const std::byte* payload, OpCounts* counts,
-      std::vector<std::byte>* out);
+  Status SinkJoinedRow(const expr::RowView& outer_view,
+                       const std::byte* payload, OpCounts* counts,
+                       std::vector<std::byte>* out);
 
   // Resolves the hybrid join's spilled partitions (multi-pass probing)
   // and, for order-sensitive queries, replays all staged matches in
@@ -194,6 +193,41 @@ class PageProcessor {
   std::vector<std::byte> group_keys_;           // key_stride() per lane
   std::vector<std::uint32_t> group_idx_;        // per-lane group index
 };
+
+// The build side's one walk over an inner page, shared by
+// JoinHashTableBuilder and HybridJoin so both charge the same counts:
+// the page, and per row its tuple and its key and payload column reads.
+// Packs each row's payload columns into `payload` (payload_width bytes)
+// and calls add(key, payload), which charges hash_inserts when the row
+// enters a table.
+template <typename AddRow>
+Status WalkBuildPage(const BoundQuery& bound,
+                     std::span<const std::byte> page,
+                     std::span<std::byte> payload, OpCounts* counts,
+                     AddRow&& add) {
+  const JoinSpec& join = *bound.spec->join;
+  const storage::Schema& schema = bound.inner->schema;
+  ++counts->pages;
+  SMARTSSD_ASSIGN_OR_RETURN(
+      const storage::PageRows rows,
+      storage::PageRows::Open(&schema, bound.inner->layout, page));
+  expr::PageRowView row(&rows);
+  for (std::uint16_t i = 0; i < rows.tuple_count(); ++i) {
+    row.Reset(i);
+    ++counts->tuples;
+    ++counts->eval.column_reads;
+    const std::int64_t key = row.GetColumn(join.inner_key_col).AsInt();
+    std::size_t offset = 0;
+    for (const int col : join.inner_payload_cols) {
+      ++counts->eval.column_reads;
+      const std::uint32_t width = schema.column(col).width;
+      std::memcpy(payload.data() + offset, row.ColumnBytes(col), width);
+      offset += width;
+    }
+    SMARTSSD_RETURN_IF_ERROR(add(key, std::span<const std::byte>(payload)));
+  }
+  return Status::OK();
+}
 
 // Incremental join-table construction: the caller feeds inner-table
 // pages one at a time (in page order) and takes the finished table when

@@ -71,14 +71,12 @@ class PushdownProgram final : public smart::InSsdProgram {
 
   // Total counts, for inspection/EXPERIMENTS reporting.
   const OpCounts& counts() const { return counts_; }
-  // The portion of counts() charged by Finish()'s output emission.
-  // Fragment (partial) runs report counts() minus this, so the split
-  // coordinator can synthesize the canonical monolithic finish charge
-  // over the merged result exactly once.
-  const OpCounts& finish_counts() const { return finish_counts_; }
-  // counts() with the Finish() emission charge removed. Only valid for
-  // non-hybrid-join programs (split scans never run joins): plain
-  // Finish() touches the scalar OpCounts fields, not EvalStats.
+  // counts() with the Finish() emission charge removed: fragment
+  // (partial) runs report it, so the split coordinator can synthesize
+  // the canonical monolithic finish charge over the merged result
+  // exactly once. Only valid for non-hybrid-join programs (split scans
+  // never run joins): plain Finish() touches the scalar OpCounts
+  // fields, not EvalStats.
   OpCounts CountsExcludingFinish() const;
   const std::vector<std::int64_t>& agg_state() const {
     return processor_->agg_state();

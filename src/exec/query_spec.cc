@@ -21,7 +21,6 @@ Result<BoundQuery> Bind(const QuerySpec& spec,
   const storage::TableInfo* inner = nullptr;
   std::vector<storage::Column> combined_columns =
       outer->schema.columns();
-  std::vector<std::uint32_t> payload_offsets;
   std::uint32_t payload_width = 0;
 
   if (spec.join.has_value()) {
@@ -45,7 +44,6 @@ Result<BoundQuery> Bind(const QuerySpec& spec,
       }
       storage::Column payload_column = inner->schema.column(col);
       payload_column.name = join.inner_table + "." + payload_column.name;
-      payload_offsets.push_back(payload_width);
       payload_width += payload_column.width;
       combined_columns.push_back(std::move(payload_column));
     }
@@ -118,7 +116,6 @@ Result<BoundQuery> Bind(const QuerySpec& spec,
                     .outer = outer,
                     .inner = inner,
                     .combined_schema = std::move(combined_schema),
-                    .payload_offsets = std::move(payload_offsets),
                     .payload_width = payload_width};
 }
 

@@ -69,13 +69,14 @@ struct QuerySpec {
 
 // A spec resolved against a catalog: table metadata, the combined-row
 // schema (outer columns followed by inner payload columns), and the
-// payload blob layout carried from probe hits.
+// width of the payload blob carried from probe hits. The blob packs the
+// payload columns in order, so each sits at its combined offset less
+// the outer record's size.
 struct BoundQuery {
   const QuerySpec* spec = nullptr;
   const storage::TableInfo* outer = nullptr;
   const storage::TableInfo* inner = nullptr;  // null without a join
   storage::Schema combined_schema;
-  std::vector<std::uint32_t> payload_offsets;  // within the payload blob
   std::uint32_t payload_width = 0;
 
   int outer_columns() const { return outer->schema.num_columns(); }

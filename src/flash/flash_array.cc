@@ -37,13 +37,11 @@ void FlashArray::AttachMetrics(obs::MetricsRegistry* metrics) {
     m_reads_ = nullptr;
     m_retries_ = nullptr;
     m_uncorrectable_ = nullptr;
-    m_read_latency_ = nullptr;
     return;
   }
   m_reads_ = metrics->counter("flash.page_reads");
   m_retries_ = metrics->counter("flash.ecc_retries");
   m_uncorrectable_ = metrics->counter("flash.uncorrectable_reads");
-  m_read_latency_ = metrics->histogram("flash.page_read_ns");
 }
 
 Status FlashArray::CheckAddress(const PageAddress& addr) const {
@@ -89,7 +87,6 @@ Result<SimTime> FlashArray::ReadPageTiming(const PageAddress& addr,
         "uncorrectable flash read (injected fault, ECC exhausted retries)");
   }
 
-  obs::RecordHistogram(m_read_latency_, at_controller - ready);
   return at_controller;
 }
 

@@ -55,7 +55,6 @@ class FlashArray {
   SMARTSSD_DISALLOW_COPY_AND_ASSIGN(FlashArray);
 
   const Geometry& geometry() const { return geometry_; }
-  const Timings& timings() const { return timings_; }
   BackingStore& store() { return store_; }
   const BackingStore& store() const { return store_; }
 
@@ -75,8 +74,8 @@ class FlashArray {
   // signal and per-chip lanes would drown the trace. nullptr detaches.
   void AttachTracer(obs::Tracer* tracer, std::string_view process);
 
-  // Registers flash counters (reads, ECC retries, uncorrectables) and
-  // the page read-latency histogram. nullptr detaches.
+  // Registers flash counters (reads, ECC retries, uncorrectables).
+  // nullptr detaches.
   void AttachMetrics(obs::MetricsRegistry* metrics);
 
   // Reads one page: data lands in `out` (if non-empty) and the returned
@@ -141,7 +140,6 @@ class FlashArray {
   obs::Counter* m_reads_ = nullptr;
   obs::Counter* m_retries_ = nullptr;
   obs::Counter* m_uncorrectable_ = nullptr;
-  obs::Histogram* m_read_latency_ = nullptr;
 };
 
 }  // namespace smartssd::flash

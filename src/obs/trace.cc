@@ -160,32 +160,7 @@ void Tracer::Clear() {
   scopes_.clear();
   open_spans_ = 0;
   next_span_id_ = 1;
-  latest_time_ = 0;
   for (Track& track : tracks_) track.latest = 0;
-}
-
-ScopedSpan::ScopedSpan(Tracer* tracer, TrackId track, std::string_view name,
-                       std::string_view category, SimTime start,
-                       std::vector<Arg> args)
-    : tracer_(tracer), start_(start) {
-  if (tracer_ == nullptr) return;
-  id_ = tracer_->Begin(track, name, category, start, std::move(args));
-  tracer_->PushScope(id_);
-  ended_ = false;
-}
-
-void ScopedSpan::End(SimTime end, std::vector<Arg> args) {
-  if (tracer_ == nullptr || ended_) return;
-  tracer_->PopScope();
-  tracer_->End(id_, end, std::move(args));
-  ended_ = true;
-}
-
-ScopedSpan::~ScopedSpan() {
-  if (tracer_ == nullptr || ended_) return;
-  // Error-path close: the best known end time is the tracer's high-water
-  // mark (some resource recorded work at or past the failure point).
-  End(std::max(start_, tracer_->latest_time()));
 }
 
 }  // namespace smartssd::obs

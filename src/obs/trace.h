@@ -126,11 +126,10 @@ class Tracer {
   const std::vector<TraceEvent>& events() const { return events_; }
   std::size_t open_spans() const { return open_spans_; }
 
-  // Latest virtual time seen by any record call. Used to close spans
-  // that die on an error path with no better end time.
-  SimTime latest_time() const { return latest_time_; }
-  // The same, over the lanes of `process` only: one simulated machine's
-  // high-water mark, which machines sharing the tracer do not move.
+  // Latest virtual time any record call saw on the lanes of `process`:
+  // one simulated machine's high-water mark, which machines sharing the
+  // tracer do not move. Used to close spans that die on an error path
+  // with no better end time.
   SimTime latest_time(std::string_view process) const;
 
   // Sum of closed span durations on `track` — the span-derived
@@ -144,7 +143,6 @@ class Tracer {
  private:
   void Observe(TrackId track, SimTime t) {
     if (t == TraceEvent::kOpen) return;
-    if (t > latest_time_) latest_time_ = t;
     if (t > tracks_[track].latest) tracks_[track].latest = t;
   }
 
@@ -153,37 +151,13 @@ class Tracer {
   std::vector<SpanId> scopes_;
   SpanId next_span_id_ = 1;
   std::size_t open_spans_ = 0;
-  SimTime latest_time_ = 0;
 };
 
-// RAII span for code with early error returns: opens the span, pushes
-// it as the current scope, and — unless End() was called with a proper
-// end time first — ends it at destruction (at `tracer->latest_time()`),
-// so error paths cannot leak open spans or unbalance the scope stack.
-// Safe to construct with a null tracer — every member is then a no-op.
-class ScopedSpan {
- public:
-  ScopedSpan(Tracer* tracer, TrackId track, std::string_view name,
-             std::string_view category, SimTime start,
-             std::vector<Arg> args = {});
-  ~ScopedSpan();
-  SMARTSSD_DISALLOW_COPY_AND_ASSIGN(ScopedSpan);
-
-  void End(SimTime end, std::vector<Arg> args = {});
-  SpanId id() const { return id_; }
-
- private:
-  Tracer* tracer_;
-  SpanId id_ = kNoSpan;
-  SimTime start_ = 0;
-  bool ended_ = true;
-};
-
-// Scope attribution for resumable tasks. A ScopedSpan keeps its span on
-// the scope stack for its whole lifetime, which only works for strictly
-// nested (run-to-completion) execution: two interleaved query tasks
-// would pop each other's scopes. A task instead opens its span with
-// Begin(), holds the id across steps, and brackets *each step* with a
+// Scope attribution for resumable tasks. A span kept on the scope stack
+// for its whole lifetime only works for strictly nested
+// (run-to-completion) execution: two interleaved query tasks would pop
+// each other's scopes. A task instead opens its span with Begin(),
+// holds the id across steps, and brackets *each step* with a
 // ScopeGuard — events recorded during the step are attributed to the
 // task's span, the stack is balanced at every step boundary, and
 // interleaved tasks never see each other's scopes. Null-tracer and

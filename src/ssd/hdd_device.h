@@ -51,7 +51,6 @@ class HddDevice : public BlockDevice {
                              std::span<const std::byte> data,
                              SimTime ready) override;
 
-  SimDuration head_busy() const { return head_->busy_time(); }
   std::uint64_t seeks() const { return seeks_; }
   void ResetTiming();
 

@@ -43,16 +43,4 @@ SsdConfig SsdConfig::PaperSmartSsd() {
   return config;
 }
 
-SsdConfig SsdConfig::Tiny() {
-  SsdConfig config;
-  config.geometry.channels = 2;
-  config.geometry.chips_per_channel = 2;
-  config.geometry.blocks_per_chip = 16;
-  config.geometry.pages_per_block = 8;
-  config.geometry.page_size_bytes = 2 * kKiB;
-  config.dram.capacity_bytes = 4 * kMiB;
-  config.ftl.gc_low_watermark_blocks = 2;
-  return config;
-}
-
 }  // namespace smartssd::ssd

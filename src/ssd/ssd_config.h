@@ -68,9 +68,6 @@ struct SsdConfig {
   // enabled runtime and a slightly higher active power).
   static SsdConfig PaperSsd();
   static SsdConfig PaperSmartSsd();
-
-  // Small geometry for unit tests (fast to fill and GC).
-  static SsdConfig Tiny();
 };
 
 }  // namespace smartssd::ssd

@@ -54,10 +54,6 @@ class Catalog {
   std::uint64_t pages_allocated() const { return next_lpn_; }
   std::uint64_t device_pages() const { return device_pages_; }
 
-  const std::map<std::string, TableInfo, std::less<>>& tables() const {
-    return tables_;
-  }
-
  private:
   std::uint64_t device_pages_;
   std::uint64_t next_lpn_ = 0;

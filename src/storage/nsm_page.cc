@@ -27,8 +27,9 @@ NsmPageBuilder::NsmPageBuilder(const Schema* schema, std::uint32_t page_size)
   Reset();
 }
 
-std::uint32_t NsmPageBuilder::capacity() const {
-  return (page_size_ - 8) / (schema_->tuple_size() + 2);
+std::uint32_t NsmCapacity(const Schema& schema, std::uint32_t page_size) {
+  if (page_size <= 8) return 0;
+  return (page_size - 8) / (schema.tuple_size() + 2);
 }
 
 bool NsmPageBuilder::Append(std::span<const std::byte> tuple) {
@@ -86,13 +87,6 @@ Result<NsmPageReader> NsmPageReader::Open(const Schema* schema,
     }
   }
   return NsmPageReader(schema, page, count);
-}
-
-const std::byte* NsmPageReader::tuple(std::uint16_t i) const {
-  SMARTSSD_CHECK_LT(i, count_);
-  const std::uint16_t offset =
-      LoadU16(page_.data() + page_.size() - 2 * (i + 1));
-  return page_.data() + offset;
 }
 
 void NsmPageReader::TuplePointers(const std::byte** out) const {

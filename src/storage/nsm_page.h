@@ -2,6 +2,7 @@
 #define SMARTSSD_STORAGE_NSM_PAGE_H_
 
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -28,6 +29,9 @@ namespace smartssd::storage {
 // overhead is part of the NSM-vs-PAX capacity difference.
 inline constexpr std::uint16_t kNsmMagic = 0x4E53;
 
+// Max tuples an NSM page of `page_size` can hold for `schema`.
+std::uint32_t NsmCapacity(const Schema& schema, std::uint32_t page_size);
+
 class NsmPageBuilder {
  public:
   NsmPageBuilder(const Schema* schema, std::uint32_t page_size);
@@ -36,9 +40,6 @@ class NsmPageBuilder {
   bool Append(std::span<const std::byte> tuple);
 
   std::uint16_t tuple_count() const { return count_; }
-
-  // Max tuples this page can hold.
-  std::uint32_t capacity() const;
 
   // Finalized page image (always exactly page_size bytes).
   std::span<const std::byte> image() const { return buffer_; }
@@ -62,7 +63,13 @@ class NsmPageReader {
   std::uint16_t tuple_count() const { return count_; }
 
   // Pointer to tuple i's record (fixed schema->tuple_size() bytes).
-  const std::byte* tuple(std::uint16_t i) const;
+  const std::byte* tuple(std::uint16_t i) const {
+    SMARTSSD_CHECK_LT(i, count_);
+    std::uint16_t offset;
+    std::memcpy(&offset, page_.data() + page_.size() - 2 * (i + 1),
+                sizeof(offset));
+    return page_.data() + offset;
+  }
 
   // Fills `out` (tuple_count() entries) with every tuple's record
   // pointer in one slot-directory walk — the gather step of the batch

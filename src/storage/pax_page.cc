@@ -105,10 +105,4 @@ Result<PaxPageReader> PaxPageReader::Open(const Schema* schema,
   return PaxPageReader(schema, page.data(), count);
 }
 
-const std::byte* PaxPageReader::column_data(int col) const {
-  SMARTSSD_CHECK_GE(col, 0);
-  SMARTSSD_CHECK_LT(col, schema_->num_columns());
-  return page_ + LoadU16(page_ + 8 + 2 * col);
-}
-
 }  // namespace smartssd::storage

@@ -2,6 +2,7 @@
 #define SMARTSSD_STORAGE_PAX_PAGE_H_
 
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -65,7 +66,13 @@ class PaxPageReader {
   std::uint16_t tuple_count() const { return count_; }
 
   // Start of column `col`'s minipage (values packed at column width).
-  const std::byte* column_data(int col) const;
+  const std::byte* column_data(int col) const {
+    SMARTSSD_CHECK_GE(col, 0);
+    SMARTSSD_CHECK_LT(col, schema_->num_columns());
+    std::uint16_t offset;
+    std::memcpy(&offset, page_ + 8 + 2 * col, sizeof(offset));
+    return page_ + offset;
+  }
 
   // Pointer to the value of column `col` in row `row`.
   const std::byte* value(std::uint16_t row, int col) const {

@@ -2,8 +2,7 @@
 
 #include <vector>
 
-#include "storage/nsm_page.h"
-#include "storage/pax_page.h"
+#include "storage/page_codec.h"
 
 namespace smartssd::storage {
 
@@ -28,10 +27,7 @@ Result<TableInfo> TableLoader::Load(std::string name, const Schema& schema,
     return AlreadyExistsError("table already exists: " + name);
   }
   const std::uint32_t page_size = device_->page_size();
-  const std::uint32_t capacity =
-      layout == PageLayout::kNsm
-          ? NsmPageBuilder(&schema, page_size).capacity()
-          : PaxCapacity(schema, page_size);
+  const std::uint32_t capacity = PageCapacity(schema, layout, page_size);
   if (capacity == 0) {
     return InvalidArgumentError("tuple does not fit in a page: " + name);
   }
@@ -41,8 +37,7 @@ Result<TableInfo> TableLoader::Load(std::string name, const Schema& schema,
   SMARTSSD_ASSIGN_OR_RETURN(const std::uint64_t first_lpn,
                             catalog_->AllocateExtent(extent_pages));
 
-  NsmPageBuilder nsm(&schema, page_size);
-  PaxPageBuilder pax(&schema, page_size);
+  PageBuilder builder(&schema, layout, page_size);
   std::vector<std::byte> tuple(schema.tuple_size());
   std::vector<std::byte> batch(
       static_cast<std::size_t>(kLoadBatchPages) * page_size);
@@ -77,25 +72,14 @@ Result<TableInfo> TableLoader::Load(std::string name, const Schema& schema,
   for (std::uint64_t row = 0; row < row_count; ++row) {
     TupleWriter writer(&schema, tuple);
     generator(row, writer);
-    const bool appended = layout == PageLayout::kNsm
-                              ? nsm.Append(tuple)
-                              : pax.Append(tuple);
-    if (!appended) {
-      if (layout == PageLayout::kNsm) {
-        SMARTSSD_RETURN_IF_ERROR(seal_page(nsm.image()));
-        nsm.Reset();
-        SMARTSSD_CHECK(nsm.Append(tuple));
-      } else {
-        SMARTSSD_RETURN_IF_ERROR(seal_page(pax.image()));
-        pax.Reset();
-        SMARTSSD_CHECK(pax.Append(tuple));
-      }
+    if (!builder.Append(tuple)) {
+      SMARTSSD_RETURN_IF_ERROR(seal_page(builder.image()));
+      builder.Reset();
+      SMARTSSD_CHECK(builder.Append(tuple));
     }
   }
-  if (layout == PageLayout::kNsm && nsm.tuple_count() > 0) {
-    SMARTSSD_RETURN_IF_ERROR(seal_page(nsm.image()));
-  } else if (layout == PageLayout::kPax && pax.tuple_count() > 0) {
-    SMARTSSD_RETURN_IF_ERROR(seal_page(pax.image()));
+  if (builder.tuple_count() > 0) {
+    SMARTSSD_RETURN_IF_ERROR(seal_page(builder.image()));
   }
   SMARTSSD_RETURN_IF_ERROR(flush_batch());
 

@@ -11,6 +11,19 @@
 
 namespace smartssd::storage {
 
+// The value of an integer column (INT32 or INT64) from its bytes: the
+// one integer decode every row reader shares.
+inline std::int64_t DecodeInt(const Column& column, const std::byte* bytes) {
+  if (column.type == ColumnType::kInt32) {
+    std::int32_t v;
+    std::memcpy(&v, bytes, sizeof(v));
+    return v;
+  }
+  std::int64_t v;
+  std::memcpy(&v, bytes, sizeof(v));
+  return v;
+}
+
 // Reads typed fields from a serialized fixed-length tuple. Values are
 // little-endian in page images (we memcpy, so the in-memory and on-page
 // representations match on every platform this builds for).
@@ -35,8 +48,6 @@ class TupleReader {
     return {reinterpret_cast<const char*>(tuple_ + schema_->offset(col)),
             schema_->column(col).width};
   }
-
-  const std::byte* raw() const { return tuple_; }
 
  private:
   const Schema* schema_;

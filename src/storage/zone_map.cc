@@ -1,28 +1,12 @@
 #include "storage/zone_map.h"
 
-#include <cstring>
+#include <algorithm>
 #include <limits>
 
-#include "storage/nsm_page.h"
-#include "storage/pax_page.h"
+#include "storage/page_codec.h"
+#include "storage/tuple.h"
 
 namespace smartssd::storage {
-
-namespace {
-
-std::int64_t ReadIntColumn(const Schema& schema, int col,
-                           const std::byte* p) {
-  if (schema.column(col).type == ColumnType::kInt32) {
-    std::int32_t v;
-    std::memcpy(&v, p, sizeof(v));
-    return v;
-  }
-  std::int64_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-}  // namespace
 
 Result<ZoneMap> ZoneMap::Build(
     const TableInfo& info,
@@ -57,34 +41,24 @@ Result<ZoneMap> ZoneMap::Build(
 Status ZoneMap::FoldPage(const TableInfo& info, std::uint64_t page_index,
                          std::span<const std::byte> page) {
   const Schema& schema = info.schema;
+  SMARTSSD_ASSIGN_OR_RETURN(const PageRows rows,
+                            PageRows::Open(&schema, info.layout, page));
   Range* page_ranges =
       ranges_.data() +
       page_index * static_cast<std::uint64_t>(tracked_columns_);
-  auto fold = [&](int col, const std::byte* value_bytes) {
-    const int slot = column_slots_[static_cast<std::size_t>(col)];
-    if (slot < 0) return;
-    const std::int64_t v = ReadIntColumn(schema, col, value_bytes);
-    Range& range = page_ranges[slot];
-    range.min = std::min(range.min, v);
-    range.max = std::max(range.max, v);
-  };
-  if (info.layout == PageLayout::kNsm) {
-    SMARTSSD_ASSIGN_OR_RETURN(const NsmPageReader reader,
-                              NsmPageReader::Open(&schema, page));
-    for (std::uint16_t i = 0; i < reader.tuple_count(); ++i) {
-      const std::byte* tuple = reader.tuple(i);
-      for (int c = 0; c < schema.num_columns(); ++c) {
-        fold(c, tuple + schema.offset(c));
-      }
+  // Column at a time, so a tracked column's type is looked up once per
+  // page and its running range stays in registers.
+  for (int c = 0; c < schema.num_columns(); ++c) {
+    const int slot = column_slots_[static_cast<std::size_t>(c)];
+    if (slot < 0) continue;
+    const Column& column = schema.column(c);
+    Range range = page_ranges[slot];
+    for (std::uint16_t i = 0; i < rows.tuple_count(); ++i) {
+      const std::int64_t v = DecodeInt(column, rows.column(rows.row(i), c));
+      range.min = std::min(range.min, v);
+      range.max = std::max(range.max, v);
     }
-  } else {
-    SMARTSSD_ASSIGN_OR_RETURN(const PaxPageReader reader,
-                              PaxPageReader::Open(&schema, page));
-    for (std::uint16_t i = 0; i < reader.tuple_count(); ++i) {
-      for (int c = 0; c < schema.num_columns(); ++c) {
-        fold(c, reader.value(i, c));
-      }
-    }
+    page_ranges[slot] = range;
   }
   return Status::OK();
 }

@@ -72,7 +72,8 @@ class ZoneMap {
  private:
   ZoneMap() = default;
 
-  // Folds every row of `page` into the page's ranges (min/max widen).
+  // Folds every row of `page` into the page's ranges (min/max widen),
+  // reading the rows through PageRows, so one loop serves both layouts.
   Status FoldPage(const TableInfo& info, std::uint64_t page_index,
                   std::span<const std::byte> page);
 

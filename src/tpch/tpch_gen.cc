@@ -1,11 +1,11 @@
 #include "tpch/tpch_gen.h"
 
-#include <cstring>
 #include <memory>
 #include <vector>
 
 #include "common/random.h"
-#include "storage/nsm_page.h"
+#include "expr/row_view.h"
+#include "storage/page_codec.h"
 #include "tpch/dates.h"
 
 namespace smartssd::tpch {
@@ -181,11 +181,12 @@ Status LoadLineitemFleet(engine::Fleet& fleet, const std::string& name,
           scratch.device().ReadPages(info.first_lpn + p, 1, page, 0)
               .status());
       SMARTSSD_ASSIGN_OR_RETURN(
-          storage::NsmPageReader reader,
-          storage::NsmPageReader::Open(&schema, page));
-      for (std::uint16_t i = 0; i < reader.tuple_count(); ++i, ++row) {
-        std::memcpy(buffer->data() + row * tuple_size, reader.tuple(i),
-                    tuple_size);
+          const storage::PageRows page_rows,
+          storage::PageRows::Open(&schema, info.layout, page));
+      expr::PageRowView view(&page_rows);
+      for (std::uint16_t i = 0; i < page_rows.tuple_count(); ++i, ++row) {
+        view.Reset(i);
+        view.CopyRecord(buffer->data() + row * tuple_size);
       }
     }
     if (row != rows) {

@@ -19,7 +19,7 @@
 #include "exec/query_spec.h"
 #include "expr/batch.h"
 #include "storage/catalog.h"
-#include "storage/nsm_page.h"
+#include "storage/page_codec.h"
 #include "storage/pax_page.h"
 #include "storage/tuple.h"
 
@@ -56,16 +56,10 @@ MemTable BuildOuter(PageLayout layout, int rows) {
   const Schema schema = OuterSchema();
   MemTable table;
   std::vector<std::byte> tuple(schema.tuple_size());
-  storage::NsmPageBuilder nsm(&schema, 512);
-  storage::PaxPageBuilder pax(&schema, 512);
+  storage::PageBuilder builder(&schema, layout, 512);
   auto seal = [&]() {
-    if (layout == PageLayout::kNsm) {
-      table.pages.emplace_back(nsm.image().begin(), nsm.image().end());
-      nsm.Reset();
-    } else {
-      table.pages.emplace_back(pax.image().begin(), pax.image().end());
-      pax.Reset();
-    }
+    table.pages.emplace_back(builder.image().begin(), builder.image().end());
+    builder.Reset();
   };
   for (int row = 0; row < rows; ++row) {
     storage::TupleWriter w(&schema, tuple);
@@ -73,18 +67,12 @@ MemTable BuildOuter(PageLayout layout, int rows) {
     w.SetInt32(1, row % 10);  // FK into inner keys 0..9
     w.SetInt32(2, row * 2);
     w.SetChar(3, row % 3 == 0 ? "abXX" : "cdXX");
-    const bool ok = layout == PageLayout::kNsm ? nsm.Append(tuple)
-                                               : pax.Append(tuple);
-    if (!ok) {
+    if (!builder.Append(tuple)) {
       seal();
-      SMARTSSD_CHECK(layout == PageLayout::kNsm ? nsm.Append(tuple)
-                                                : pax.Append(tuple));
+      SMARTSSD_CHECK(builder.Append(tuple));
     }
   }
-  if ((layout == PageLayout::kNsm && nsm.tuple_count() > 0) ||
-      (layout == PageLayout::kPax && pax.tuple_count() > 0)) {
-    seal();
-  }
+  if (builder.tuple_count() > 0) seal();
   table.info = storage::TableInfo{
       .name = "outer",
       .schema = schema,
@@ -100,20 +88,14 @@ MemTable BuildInner(PageLayout layout) {
   const Schema schema = InnerSchema();
   MemTable table;
   std::vector<std::byte> tuple(schema.tuple_size());
-  storage::NsmPageBuilder nsm(&schema, 512);
-  storage::PaxPageBuilder pax(&schema, 512);
+  storage::PageBuilder builder(&schema, layout, 512);
   for (int row = 0; row < 10; ++row) {
     storage::TupleWriter w(&schema, tuple);
     w.SetInt32(0, row);
     w.SetInt64(1, 1000 + row);
-    SMARTSSD_CHECK(layout == PageLayout::kNsm ? nsm.Append(tuple)
-                                              : pax.Append(tuple));
+    SMARTSSD_CHECK(builder.Append(tuple));
   }
-  if (layout == PageLayout::kNsm) {
-    table.pages.emplace_back(nsm.image().begin(), nsm.image().end());
-  } else {
-    table.pages.emplace_back(pax.image().begin(), pax.image().end());
-  }
+  table.pages.emplace_back(builder.image().begin(), builder.image().end());
   table.info = storage::TableInfo{.name = "inner",
                                   .schema = schema,
                                   .layout = layout,

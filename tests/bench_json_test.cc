@@ -1,10 +1,14 @@
 // JsonReporter must emit well-formed JSON even when bench ids or config
-// strings contain quotes, backslashes, or control characters.
+// strings contain quotes, backslashes, or control characters; and every
+// committed baseline row that states the paper's ratio must reproduce
+// it.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -19,6 +23,17 @@ std::string ReadFile(const std::string& path) {
   std::ostringstream out;
   out << in.rdbuf();
   return out.str();
+}
+
+// The number after `"key":` in one JsonReporter row, or NaN when the
+// key is absent or null.
+double RowNumber(const std::string& row, const std::string& key) {
+  const std::size_t at = row.find("\"" + key + "\":");
+  if (at == std::string::npos) return NAN;
+  const char* begin = row.c_str() + at + key.size() + 3;
+  char* end = nullptr;
+  const double v = std::strtod(begin, &end);
+  return end == begin ? NAN : v;
 }
 
 TEST(JsonEscapeTest, PassesThroughPlainStrings) {
@@ -122,6 +137,30 @@ TEST(JsonReporterTest, MetadataHeaderRowIsEscapedAndFirst) {
   // A wall-clock row reports wall seconds, never virtual ones.
   EXPECT_NE(written.find("\"wall_seconds\":0.25"), std::string::npos);
   EXPECT_EQ(written.find("virtual_seconds"), std::string::npos);
+}
+
+// The paper's ratios, gated: every row of a committed BENCH_*.json that
+// names a paper_ratio measures within 5 % of it. JsonReporter writes one
+// row per line.
+TEST(BenchBaselineTest, PaperRatiosWithinFivePercent) {
+  int gated = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(SMARTSSD_SOURCE_DIR)) {
+    const std::string name = entry.path().filename().string();
+    if (!name.starts_with("BENCH_") || !name.ends_with(".json")) continue;
+    std::istringstream rows(ReadFile(entry.path().string()));
+    for (std::string row; std::getline(rows, row);) {
+      const double paper = RowNumber(row, "paper_ratio");
+      if (std::isnan(paper)) continue;
+      ++gated;
+      EXPECT_LE(std::abs(RowNumber(row, "measured_ratio") / paper - 1),
+                0.05)
+          << name << ": " << row;
+    }
+  }
+  // Four rows qualify today (Fig. 3 and Table 2); none would mean the
+  // gate checks nothing.
+  EXPECT_GT(gated, 0);
 }
 
 }  // namespace

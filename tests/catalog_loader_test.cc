@@ -1,12 +1,10 @@
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <vector>
 
 #include "ssd/ssd_device.h"
 #include "storage/catalog.h"
-#include "storage/nsm_page.h"
-#include "storage/pax_page.h"
+#include "storage/page_codec.h"
 #include "storage/table_loader.h"
 #include "storage/tuple.h"
 
@@ -104,23 +102,14 @@ TEST_P(TableLoaderTest, LoadsAndReadsBackEveryRow) {
   std::uint64_t row = 0;
   for (std::uint64_t p = 0; p < info->page_count; ++p) {
     ASSERT_TRUE(device_.ReadPages(info->first_lpn + p, 1, page, 0).ok());
-    if (GetParam() == PageLayout::kNsm) {
-      auto reader = NsmPageReader::Open(&schema, page);
-      ASSERT_TRUE(reader.ok());
-      for (std::uint16_t i = 0; i < reader->tuple_count(); ++i, ++row) {
-        const TupleReader tuple(&schema, reader->tuple(i));
-        EXPECT_EQ(tuple.GetInt32(0), static_cast<std::int32_t>(row));
-        EXPECT_EQ(tuple.GetInt64(1),
-                  static_cast<std::int64_t>(row) * row);
-      }
-    } else {
-      auto reader = PaxPageReader::Open(&schema, page);
-      ASSERT_TRUE(reader.ok());
-      for (std::uint16_t i = 0; i < reader->tuple_count(); ++i, ++row) {
-        std::int32_t k;
-        std::memcpy(&k, reader->value(i, 0), 4);
-        EXPECT_EQ(k, static_cast<std::int32_t>(row));
-      }
+    auto rows = PageRows::Open(&schema, GetParam(), page);
+    ASSERT_TRUE(rows.ok());
+    for (std::uint16_t i = 0; i < rows->tuple_count(); ++i, ++row) {
+      const PageRows::Row r = rows->row(i);
+      EXPECT_EQ(DecodeInt(schema.column(0), rows->column(r, 0)),
+                static_cast<std::int64_t>(row));
+      EXPECT_EQ(DecodeInt(schema.column(1), rows->column(r, 1)),
+                static_cast<std::int64_t>(row * row));
     }
   }
   EXPECT_EQ(row, kRows);

@@ -11,7 +11,7 @@
 #include "common/random.h"
 #include "expr/expression.h"
 #include "expr/row_view.h"
-#include "storage/pax_page.h"
+#include "storage/page_codec.h"
 #include "storage/schema.h"
 #include "storage/tuple.h"
 
@@ -213,12 +213,14 @@ TEST_P(ExprPropertyTest, InterpreterMatchesReferenceEvaluator) {
           << "seed " << GetParam() << " trial " << trial << ": "
           << pair.expr->ToString();
 
-      // PAX view of the same row.
-      storage::PaxPageBuilder builder(&schema, 512);
+      // PAX page row of the same row.
+      storage::PageBuilder builder(&schema, storage::PageLayout::kPax, 512);
       ASSERT_TRUE(builder.Append(tuple));
-      auto reader = storage::PaxPageReader::Open(&schema, builder.image());
-      ASSERT_TRUE(reader.ok());
-      const PaxRowView pax(&schema, &*reader, 0);
+      auto rows = storage::PageRows::Open(&schema, storage::PageLayout::kPax,
+                                          builder.image());
+      ASSERT_TRUE(rows.ok());
+      PageRowView pax(&*rows);
+      pax.Reset(0);
       EXPECT_EQ(pair.expr->Evaluate(pax, &stats).AsBool(), expected);
     }
   }

@@ -1,10 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "expr/expression.h"
 #include "expr/row_view.h"
-#include "storage/pax_page.h"
+#include "storage/page_codec.h"
 #include "storage/schema.h"
 #include "storage/tuple.h"
 
@@ -182,20 +183,54 @@ TEST_F(ExprTest, ToStringRendersSql) {
             "(($0 > 1) AND ($0 < 9))");
 }
 
-// PAX and NSM views must agree on every column of the same logical row.
+// Every view of the same logical row agrees on every column: a
+// materialized NSM record, and a page row in each layout — and so does
+// the combined outer-plus-payload view over each of them.
 TEST(RowViewTest, PaxAndNsmViewsAgree) {
   const Schema schema = TestSchema();
   const auto tuple = MakeTuple(schema, -7, 1LL << 40, "hello");
-  storage::PaxPageBuilder builder(&schema, 1024);
-  ASSERT_TRUE(builder.Append(tuple));
-  auto reader = storage::PaxPageReader::Open(&schema, builder.image());
-  ASSERT_TRUE(reader.ok());
+  const NsmRowView record(&schema, tuple.data());
 
-  const NsmRowView nsm(&schema, tuple.data());
-  const PaxRowView pax(&schema, &*reader, 0);
-  EXPECT_EQ(nsm.GetColumn(0).AsInt(), pax.GetColumn(0).AsInt());
-  EXPECT_EQ(nsm.GetColumn(1).AsInt(), pax.GetColumn(1).AsInt());
-  EXPECT_EQ(nsm.GetColumn(2).AsString(), pax.GetColumn(2).AsString());
+  auto combined_schema = Schema::Create({
+      Column::Int32("a"), Column::Int64("b"), Column::FixedChar("s", 10),
+      Column::Int64("part.key"), Column::FixedChar("part.type", 3)});
+  ASSERT_TRUE(combined_schema.ok());
+  std::vector<std::byte> payload(11);
+  const std::int64_t key = 42;
+  std::memcpy(payload.data(), &key, sizeof(key));
+  std::memcpy(payload.data() + 8, "PRO", 3);
+
+  for (const auto layout :
+       {storage::PageLayout::kNsm, storage::PageLayout::kPax}) {
+    storage::PageBuilder builder(&schema, layout, 1024);
+    ASSERT_TRUE(builder.Append(tuple));
+    auto rows = storage::PageRows::Open(&schema, layout, builder.image());
+    ASSERT_TRUE(rows.ok());
+    PageRowView page_row(&*rows);
+    page_row.Reset(0);
+    EXPECT_EQ(page_row.GetColumn(0).AsInt(), record.GetColumn(0).AsInt());
+    EXPECT_EQ(page_row.GetColumn(1).AsInt(), record.GetColumn(1).AsInt());
+    EXPECT_EQ(page_row.GetColumn(2).AsString(),
+              record.GetColumn(2).AsString());
+    for (int c = 0; c < schema.num_columns(); ++c) {
+      EXPECT_EQ(std::memcmp(page_row.ColumnBytes(c), record.ColumnBytes(c),
+                            schema.column(c).width),
+                0)
+          << storage::PageLayoutName(layout) << " column " << c;
+    }
+    std::vector<std::byte> copy(schema.tuple_size());
+    page_row.CopyRecord(copy.data());
+    EXPECT_EQ(copy, tuple);
+
+    CombinedRowView combined(&*combined_schema, &page_row);
+    combined.SetPayload(payload.data());
+    EXPECT_EQ(combined.ColumnBytes(1), page_row.ColumnBytes(1));
+    EXPECT_EQ(combined.GetColumn(2).AsString(), "hello     ");
+    EXPECT_EQ(combined.ColumnBytes(3), payload.data());
+    EXPECT_EQ(combined.GetColumn(3).AsInt(), 42);
+    EXPECT_EQ(combined.ColumnBytes(4), payload.data() + 8);
+    EXPECT_EQ(combined.GetColumn(4).AsString(), "PRO");
+  }
 }
 
 TEST(ValueTest, TypeChecksAndConversions) {

@@ -11,7 +11,7 @@
 #include "engine/database.h"
 #include "engine/executor.h"
 #include "exec/group_table.h"
-#include "storage/nsm_page.h"
+#include "expr/row_view.h"
 #include "storage/tuple.h"
 #include "tpch/dates.h"
 #include "tpch/queries.h"
@@ -68,10 +68,11 @@ std::map<std::string, Q1Group> ReferenceQ1(Database& db) {
   for (std::uint64_t p = 0; p < (*info)->page_count; ++p) {
     SMARTSSD_CHECK(
         db.device().ReadPages((*info)->first_lpn + p, 1, page, 0).ok());
-    auto reader = storage::PaxPageReader::Open(&schema, page);
-    SMARTSSD_CHECK(reader.ok());
-    for (std::uint16_t i = 0; i < reader->tuple_count(); ++i) {
-      expr::PaxRowView view(&schema, &*reader, i);
+    auto rows = storage::PageRows::Open(&schema, (*info)->layout, page);
+    SMARTSSD_CHECK(rows.ok());
+    expr::PageRowView view(&*rows);
+    for (std::uint16_t i = 0; i < rows->tuple_count(); ++i) {
+      view.Reset(i);
       const std::int32_t shipdate =
           static_cast<std::int32_t>(
               view.GetColumn(tpch::kLShipDate).AsInt());

@@ -15,8 +15,7 @@
 #include "engine/query_task.h"
 #include "engine/update.h"
 #include "engine/workload.h"
-#include "storage/nsm_page.h"
-#include "storage/pax_page.h"
+#include "storage/page_codec.h"
 #include "tpch/synthetic.h"
 
 namespace smartssd::engine {
@@ -265,17 +264,10 @@ TEST_P(IngestTest, DeviceSessionKeepsItsZoneMapSnapshot) {
       std::vector<std::byte> tuple(schema.tuple_size());
       storage::TupleWriter w(&schema, tuple);
       FillRow(2200, w);
-      std::vector<std::byte> image;
-      if (GetParam() == storage::PageLayout::kNsm) {
-        storage::NsmPageBuilder builder(&schema, db.device().page_size());
-        SMARTSSD_CHECK(builder.Append(tuple));
-        image.assign(builder.image().begin(), builder.image().end());
-      } else {
-        storage::PaxPageBuilder builder(&schema, db.device().page_size());
-        SMARTSSD_CHECK(builder.Append(tuple));
-        image.assign(builder.image().begin(), builder.image().end());
-      }
-      EXPECT_TRUE(db.WidenZoneMap("T", 0, image).ok());
+      storage::PageBuilder builder(&schema, GetParam(),
+                                   db.device().page_size());
+      SMARTSSD_CHECK(builder.Append(tuple));
+      EXPECT_TRUE(db.WidenZoneMap("T", 0, builder.image()).ok());
       EXPECT_NE(db.zone_map("T"), live);  // widened a copy
       EXPECT_TRUE(db.zone_map("T")->PageMayMatch(0, 0, 2000, 2500));
     } else if (writer == Writer::kStale) {

@@ -21,8 +21,7 @@
 #include "exec/page_processor.h"
 #include "exec/query_spec.h"
 #include "storage/catalog.h"
-#include "storage/nsm_page.h"
-#include "storage/pax_page.h"
+#include "storage/page_codec.h"
 #include "storage/tuple.h"
 #include "tpch/dates.h"
 #include "tpch/queries.h"
@@ -71,27 +70,18 @@ MemTable BuildTable(std::string name, const Schema& schema,
                     PageLayout layout, int rows, const RowFill& gen) {
   MemTable table;
   std::vector<std::byte> tuple(schema.tuple_size());
-  storage::NsmPageBuilder nsm(&schema, kPageSize);
-  storage::PaxPageBuilder pax(&schema, kPageSize);
+  storage::PageBuilder builder(&schema, layout, kPageSize);
   auto seal = [&]() {
-    if (layout == PageLayout::kNsm) {
-      table.pages.emplace_back(nsm.image().begin(), nsm.image().end());
-      nsm.Reset();
-    } else {
-      table.pages.emplace_back(pax.image().begin(), pax.image().end());
-      pax.Reset();
-    }
+    table.pages.emplace_back(builder.image().begin(), builder.image().end());
+    builder.Reset();
   };
   for (int row = 0; row < rows; ++row) {
     std::fill(tuple.begin(), tuple.end(), std::byte{0});
     storage::TupleWriter w(&schema, tuple);
     gen(row, w);
-    const bool ok = layout == PageLayout::kNsm ? nsm.Append(tuple)
-                                               : pax.Append(tuple);
-    if (!ok) {
+    if (!builder.Append(tuple)) {
       seal();
-      SMARTSSD_CHECK(layout == PageLayout::kNsm ? nsm.Append(tuple)
-                                                : pax.Append(tuple));
+      SMARTSSD_CHECK(builder.Append(tuple));
     }
   }
   seal();

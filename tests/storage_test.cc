@@ -5,6 +5,7 @@
 
 #include "common/random.h"
 #include "storage/nsm_page.h"
+#include "storage/page_codec.h"
 #include "storage/pax_page.h"
 #include "storage/schema.h"
 #include "storage/tuple.h"
@@ -90,91 +91,70 @@ TEST(TupleTest, CharTruncatesToWidth) {
   EXPECT_EQ(reader.GetChar(3), "abcdefghijk");
 }
 
-// --- Page codecs: shared parameterized behaviour ---
+// --- Page codec: PageBuilder and PageRows over both layouts ---
 
 class PageCodecTest : public ::testing::TestWithParam<PageLayout> {};
 
 TEST_P(PageCodecTest, RoundTripAllTuples) {
   const Schema schema = TestSchema();
   const std::uint32_t page_size = 1024;
+  PageBuilder builder(&schema, GetParam(), page_size);
   std::vector<std::vector<std::byte>> tuples;
-
-  std::vector<std::byte> image;
-  std::uint32_t count = 0;
-  if (GetParam() == PageLayout::kNsm) {
-    NsmPageBuilder builder(&schema, page_size);
-    while (builder.Append(MakeTuple(schema, count))) {
-      tuples.push_back(MakeTuple(schema, count));
-      ++count;
-    }
-    image.assign(builder.image().begin(), builder.image().end());
-  } else {
-    PaxPageBuilder builder(&schema, page_size);
-    while (builder.Append(MakeTuple(schema, count))) {
-      tuples.push_back(MakeTuple(schema, count));
-      ++count;
-    }
-    image.assign(builder.image().begin(), builder.image().end());
+  while (builder.Append(MakeTuple(schema, std::ssize(tuples)))) {
+    tuples.push_back(MakeTuple(schema, std::ssize(tuples)));
   }
-  ASSERT_GT(count, 10u);  // a 1 KiB page holds >10 28-byte tuples
-  EXPECT_EQ(image.size(), page_size);
+  ASSERT_GT(tuples.size(), 10u);  // a 1 KiB page holds >10 28-byte tuples
+  EXPECT_EQ(tuples.size(), PageCapacity(schema, GetParam(), page_size));
+  EXPECT_EQ(builder.tuple_count(), tuples.size());
+  EXPECT_EQ(builder.image().size(), page_size);
 
-  if (GetParam() == PageLayout::kNsm) {
-    auto reader = NsmPageReader::Open(&schema, image);
-    ASSERT_TRUE(reader.ok());
-    ASSERT_EQ(reader->tuple_count(), count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      EXPECT_EQ(std::memcmp(reader->tuple(static_cast<std::uint16_t>(i)),
-                            tuples[i].data(), schema.tuple_size()),
+  auto rows = PageRows::Open(&schema, GetParam(), builder.image());
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows->tuple_count(), tuples.size());
+  for (std::uint16_t i = 0; i < rows->tuple_count(); ++i) {
+    const PageRows::Row row = rows->row(i);
+    // Every column's bytes are the NSM record's, in either layout.
+    for (int c = 0; c < schema.num_columns(); ++c) {
+      EXPECT_EQ(std::memcmp(rows->column(row, c),
+                            tuples[i].data() + schema.offset(c),
+                            schema.column(c).width),
                 0)
-          << "tuple " << i;
+          << "row " << i << " column " << c;
     }
-  } else {
-    auto reader = PaxPageReader::Open(&schema, image);
-    ASSERT_TRUE(reader.ok());
-    ASSERT_EQ(reader->tuple_count(), count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      const TupleReader expected(&schema, tuples[i].data());
-      const std::uint16_t row = static_cast<std::uint16_t>(i);
-      std::int64_t id;
-      std::memcpy(&id, reader->value(row, 0), 8);
-      EXPECT_EQ(id, expected.GetInt64(0));
-      std::int32_t qty;
-      std::memcpy(&qty, reader->value(row, 1), 4);
-      EXPECT_EQ(qty, expected.GetInt32(1));
-      EXPECT_EQ(std::memcmp(reader->value(row, 3),
-                            tuples[i].data() + schema.offset(3), 11),
-                0);
-    }
+    EXPECT_EQ(DecodeInt(schema.column(0), rows->column(row, 0)), i);
+    EXPECT_EQ(DecodeInt(schema.column(1), rows->column(row, 1)), 3 * i);
   }
+
+  builder.Reset();
+  EXPECT_EQ(builder.tuple_count(), 0);
+  auto empty = PageRows::Open(&schema, GetParam(), builder.image());
+  ASSERT_TRUE(empty.ok());
+  EXPECT_EQ(empty->tuple_count(), 0);
 }
 
 TEST_P(PageCodecTest, ZeroPageReadsAsEmpty) {
   const Schema schema = TestSchema();
   const std::vector<std::byte> zeros(1024, std::byte{0});
-  if (GetParam() == PageLayout::kNsm) {
-    auto reader = NsmPageReader::Open(&schema, zeros);
-    ASSERT_TRUE(reader.ok());
-    EXPECT_EQ(reader->tuple_count(), 0);
-  } else {
-    auto reader = PaxPageReader::Open(&schema, zeros);
-    ASSERT_TRUE(reader.ok());
-    EXPECT_EQ(reader->tuple_count(), 0);
-  }
+  auto rows = PageRows::Open(&schema, GetParam(), zeros);
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(rows->tuple_count(), 0);
 }
 
 TEST_P(PageCodecTest, BadMagicIsCorruption) {
   const Schema schema = TestSchema();
-  std::vector<std::byte> garbage(1024, std::byte{0xEE});
-  if (GetParam() == PageLayout::kNsm) {
-    auto reader = NsmPageReader::Open(&schema, garbage);
-    ASSERT_FALSE(reader.ok());
-    EXPECT_EQ(reader.status().code(), StatusCode::kCorruption);
-  } else {
-    auto reader = PaxPageReader::Open(&schema, garbage);
-    ASSERT_FALSE(reader.ok());
-    EXPECT_EQ(reader.status().code(), StatusCode::kCorruption);
-  }
+  const std::vector<std::byte> garbage(1024, std::byte{0xEE});
+  auto rows = PageRows::Open(&schema, GetParam(), garbage);
+  ASSERT_FALSE(rows.ok());
+  EXPECT_EQ(rows.status().code(), StatusCode::kCorruption);
+
+  // A page of the other layout carries the other magic.
+  const PageLayout other =
+      GetParam() == PageLayout::kNsm ? PageLayout::kPax : PageLayout::kNsm;
+  PageBuilder builder(&schema, other, 1024);
+  ASSERT_TRUE(builder.Append(MakeTuple(schema, 1)));
+  auto wrong = PageRows::Open(&schema, GetParam(), builder.image());
+  ASSERT_FALSE(wrong.ok());
+  EXPECT_EQ(wrong.status().code(), StatusCode::kCorruption);
 }
 
 INSTANTIATE_TEST_SUITE_P(Layouts, PageCodecTest,
@@ -213,12 +193,12 @@ TEST(NsmPageTest, CorruptSlotOffsetDetected) {
 
 TEST(NsmPageTest, CapacityAccountsForSlots) {
   const Schema schema = TestSchema();  // 28-byte tuples
-  NsmPageBuilder builder(&schema, 1024);
   // (1024 - 8) / (28 + 2) = 33.
-  EXPECT_EQ(builder.capacity(), 33u);
+  EXPECT_EQ(NsmCapacity(schema, 1024), 33u);
+  NsmPageBuilder builder(&schema, 1024);
   std::uint32_t appended = 0;
   while (builder.Append(MakeTuple(schema, appended))) ++appended;
-  EXPECT_EQ(appended, builder.capacity());
+  EXPECT_EQ(appended, 33u);
 }
 
 TEST(PaxPageTest, CapacityAccountsForDirectory) {
@@ -307,7 +287,7 @@ TEST(PaxPageTest, MinipageOutsideThePageIsCorruption) {
   }
 }
 
-// Property: random schemas and tuples round-trip through both codecs.
+// Property: random schemas and tuples round-trip through both layouts.
 TEST(PageCodecPropertyTest, RandomSchemasRoundTrip) {
   Random rng(2024);
   for (int trial = 0; trial < 20; ++trial) {
@@ -336,24 +316,18 @@ TEST(PageCodecPropertyTest, RandomSchemasRoundTrip) {
       b = static_cast<std::byte>(rng.Uniform(256));
     }
 
-    NsmPageBuilder nsm(&schema, 4096);
-    PaxPageBuilder pax(&schema, 4096);
-    ASSERT_TRUE(nsm.Append(tuple));
-    ASSERT_TRUE(pax.Append(tuple));
-
-    auto nsm_reader = NsmPageReader::Open(&schema, nsm.image());
-    ASSERT_TRUE(nsm_reader.ok());
-    EXPECT_EQ(std::memcmp(nsm_reader->tuple(0), tuple.data(),
-                          schema.tuple_size()),
-              0);
-
-    auto pax_reader = PaxPageReader::Open(&schema, pax.image());
-    ASSERT_TRUE(pax_reader.ok());
-    for (int c = 0; c < schema.num_columns(); ++c) {
-      EXPECT_EQ(std::memcmp(pax_reader->value(0, c),
-                            tuple.data() + schema.offset(c),
-                            schema.column(c).width),
-                0);
+    for (const PageLayout layout : {PageLayout::kNsm, PageLayout::kPax}) {
+      PageBuilder builder(&schema, layout, 4096);
+      ASSERT_TRUE(builder.Append(tuple));
+      auto rows = PageRows::Open(&schema, layout, builder.image());
+      ASSERT_TRUE(rows.ok());
+      for (int c = 0; c < schema.num_columns(); ++c) {
+        EXPECT_EQ(std::memcmp(rows->column(rows->row(0), c),
+                              tuple.data() + schema.offset(c),
+                              schema.column(c).width),
+                  0)
+            << PageLayoutName(layout) << " column " << c;
+      }
     }
   }
 }
