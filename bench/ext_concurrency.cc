@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -108,6 +109,7 @@ int main(int argc, char** argv) {
                   ToSeconds(r.latency()));
       if (r.result.value().agg_values != solo.agg_values) {
         std::printf("!! RESULT MISMATCH (%s)\n", r.client.c_str());
+        std::exit(1);
       }
     }
     reporter.Add(std::string(label) + " interleaved", span, NAN,
@@ -136,6 +138,7 @@ int main(int argc, char** argv) {
   std::printf("%-20s interleaved span %7.4f s\n", "pushdown + host",
               SpanSeconds(mixed));
   for (const auto& r : mixed) {
+    bench::Check(r.result.status(), "mixed record");
     std::printf("%-20s     %-9s latency %7.4f s\n", "", r.client.c_str(),
                 ToSeconds(r.latency()));
   }

@@ -467,11 +467,9 @@ StepOutcome DeviceQueryTask::StepSession() {
   stats.session = session;
   stats.end = session.close_done;
   stats.embedded_cycles = session.embedded_cycles;
-  // Partial fragments report body-only counts (see HostQueryTask):
-  // QueryTask's merge synthesizes the canonical finish charge over the
-  // merged result.
-  stats.counts =
-      partial_ ? program_->CountsExcludingFinish() : program_->counts();
+  // A partial fragment's program leaves its finish emission out, as
+  // HostQueryTask does: QueryTask's merge charges it once.
+  stats.counts = program_->counts();
   stats.join_spill = program_->hybrid_stats();
   stats.pages_read = session.pages_processed;
   stats.pages_skipped = program_->pages_skipped();

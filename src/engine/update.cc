@@ -1,5 +1,6 @@
 #include "engine/update.h"
 
+#include <optional>
 #include <vector>
 
 #include "expr/row_view.h"
@@ -64,29 +65,41 @@ Result<SimTime> UpdateCursor::StepPage(SimTime ready) {
   t = page_and_time.second;
   std::span<const std::byte> page = page_and_time.first;
 
-  // Decode every tuple, apply the mutation to matches, re-encode.
+  // Find the first matching row: a page with none is neither re-encoded
+  // nor written.
   SMARTSSD_ASSIGN_OR_RETURN(
       const storage::PageRows rows,
       storage::PageRows::Open(&schema, info->layout, page));
-  storage::PageBuilder builder(&schema, info->layout, page_size);
-  std::vector<std::byte> tuple(schema.tuple_size());
   expr::EvalStats eval;  // predicate work folded into the cycle charge
-  bool page_changed = false;
   expr::PageRowView row(&rows);
-  for (std::uint16_t i = 0; i < rows.tuple_count(); ++i) {
+  const auto matches = [&](std::uint16_t i) {
     row.Reset(i);
-    row.CopyRecord(tuple.data());
-    if (predicate_ == nullptr || predicate_->Evaluate(row, &eval).AsBool()) {
-      storage::TupleWriter writer(&schema, tuple);
-      mutate_(row, writer);
-      ++stats_.rows_matched;
-      page_changed = true;
-    }
-    if (!builder.Append(tuple)) {
-      return InternalError("update: rebuilt page overflowed");
+    return predicate_ == nullptr || predicate_->Evaluate(row, &eval).AsBool();
+  };
+  const std::uint16_t page_tuples = rows.tuple_count();
+  std::uint16_t first = 0;
+  while (first < page_tuples && !matches(first)) ++first;
+  const bool page_changed = first < page_tuples;
+
+  // Re-encode the page, applying the mutation to every match.
+  std::optional<storage::PageBuilder> builder;
+  if (page_changed) {
+    builder.emplace(&schema, info->layout, page_size);
+    std::vector<std::byte> tuple(schema.tuple_size());
+    for (std::uint16_t i = 0; i < page_tuples; ++i) {
+      const bool match = i >= first && matches(i);
+      row.Reset(i);
+      row.CopyRecord(tuple.data());
+      if (match) {
+        storage::TupleWriter writer(&schema, tuple);
+        mutate_(row, writer);
+        ++stats_.rows_matched;
+      }
+      if (!builder->Append(tuple)) {
+        return InternalError("update: rebuilt page overflowed");
+      }
     }
   }
-  const std::uint64_t page_tuples = rows.tuple_count();
 
   const std::uint64_t cycles =
       page_tuples * kCyclesPerTuple +
@@ -94,7 +107,7 @@ Result<SimTime> UpdateCursor::StepPage(SimTime ready) {
   t = db_->host().Execute(cycles, t);
 
   if (page_changed) {
-    SMARTSSD_ASSIGN_OR_RETURN(t, pool.WritePage(lpn, builder.image(), t));
+    SMARTSSD_ASSIGN_OR_RETURN(t, pool.WritePage(lpn, builder->image(), t));
     ++stats_.pages_dirtied;
   }
 

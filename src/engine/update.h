@@ -56,9 +56,11 @@ class TableUpdater {
 // mutates, and re-encodes one page, so a workload scheduler can
 // interleave update work with queries at page granularity. Rows are
 // read through storage::PageRows (the predicate and the mutation see
-// the page row) and re-encoded with storage::PageBuilder, so one loop
-// serves both layouts. When the last page has been processed and any
-// row matched, the table's zone map is marked stale.
+// the page row) and, once a row on the page matches, re-encoded with
+// storage::PageBuilder, so one loop serves both layouts; a page with
+// no match is neither re-encoded nor written. When the last page has
+// been processed and any row matched, the table's zone map is marked
+// stale.
 class UpdateCursor {
  public:
   static Result<UpdateCursor> Open(Database* db, std::string table,

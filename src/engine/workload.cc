@@ -1,49 +1,62 @@
 #include "engine/workload.h"
 
 #include <algorithm>
+#include <functional>
 #include <utility>
 
 namespace smartssd::engine {
 
 WorkloadScheduler::WorkloadScheduler(Database* db)
-    : db_(db), events_(&clock_), tracer_(db->tracer()) {
+    : db_(db), tracer_(db->tracer()) {
   SMARTSSD_CHECK(db != nullptr);
 }
 
-std::size_t WorkloadScheduler::AddSource(WorkloadQueryConfig config) {
-  sources_.push_back(Source{.config = std::move(config)});
+WorkloadScheduler::Client* WorkloadScheduler::AddClient(
+    ClientConfig config, int remaining, SimDuration think_time) {
+  clients_.push_back(Client{.config = std::move(config),
+                            .remaining = remaining,
+                            .think_time = think_time});
+  Client& client = clients_.back();
   if (tracer_ != nullptr) {
     // Idempotent per (process, thread): clients sharing a name share a
     // lane.
-    sources_.back().track =
-        tracer_->RegisterTrack("workload", sources_.back().config.client);
+    const std::string& name = std::visit(
+        [](const auto& c) -> const std::string& { return c.client; },
+        client.config);
+    client.track = tracer_->RegisterTrack("workload", name);
   }
-  return sources_.size() - 1;
+  return &client;
 }
 
 std::uint64_t WorkloadScheduler::Submit(WorkloadQueryConfig config,
                                         SimTime at) {
   SMARTSSD_CHECK(!ran_);
-  const std::size_t source = AddSource(std::move(config));
-  const std::uint64_t id = next_id_++;
+  Client* client = AddClient(std::move(config), 0, 0);
   ++expected_;
-  ScheduleArrival(source, at, id);
-  return id;
+  return ScheduleArrival(client, at);
 }
 
 void WorkloadScheduler::AddClosedLoopClient(WorkloadQueryConfig config,
                                             int count,
                                             SimDuration think_time,
                                             SimTime first_arrival) {
+  AddClosedLoop(std::move(config), count, think_time, first_arrival);
+}
+
+void WorkloadScheduler::AddIngestClient(IngestClientConfig config,
+                                        int count, SimDuration think_time,
+                                        SimTime first_arrival) {
+  AddClosedLoop(std::move(config), count, think_time, first_arrival);
+}
+
+void WorkloadScheduler::AddClosedLoop(ClientConfig config, int count,
+                                      SimDuration think_time,
+                                      SimTime first_arrival) {
   SMARTSSD_CHECK(!ran_);
   if (count <= 0) return;
-  const std::size_t source = AddSource(std::move(config));
-  Source& src = sources_[source];
-  src.closed_loop = true;
-  src.remaining = count - 1;
-  src.think_time = think_time;
+  Client* client = AddClient(std::move(config), count - 1, think_time);
   expected_ += static_cast<std::uint64_t>(count);
-  ScheduleArrival(source, first_arrival, next_id_++);
+  ScheduleArrival(client, first_arrival);
 }
 
 void WorkloadScheduler::AddOpenLoopClient(WorkloadQueryConfig config,
@@ -52,178 +65,112 @@ void WorkloadScheduler::AddOpenLoopClient(WorkloadQueryConfig config,
                                           SimTime first_arrival) {
   SMARTSSD_CHECK(!ran_);
   if (count <= 0) return;
-  const std::size_t source = AddSource(std::move(config));
+  Client* client = AddClient(std::move(config), 0, 0);
   expected_ += static_cast<std::uint64_t>(count);
   for (int i = 0; i < count; ++i) {
-    ScheduleArrival(source,
-                    first_arrival + static_cast<SimDuration>(i) *
-                                        inter_arrival,
-                    next_id_++);
+    ScheduleArrival(client, first_arrival + static_cast<SimDuration>(i) *
+                                                inter_arrival);
   }
 }
 
-void WorkloadScheduler::AddIngestClient(IngestClientConfig config,
-                                        int count, SimDuration think_time,
-                                        SimTime first_arrival) {
-  SMARTSSD_CHECK(!ran_);
-  if (count <= 0) return;
-  ingest_sources_.push_back(IngestSource{.config = std::move(config)});
-  IngestSource& src = ingest_sources_.back();
-  if (tracer_ != nullptr) {
-    src.track = tracer_->RegisterTrack("workload", src.config.client);
-  }
-  src.remaining = count - 1;
-  src.think_time = think_time;
-  expected_ingests_ += static_cast<std::uint64_t>(count);
-  ScheduleIngestArrival(ingest_sources_.size() - 1, first_arrival,
-                        next_id_++);
+std::uint64_t WorkloadScheduler::ScheduleArrival(Client* client,
+                                                 SimTime at) {
+  auto task = std::make_unique<Task>();
+  task->id = next_id_++;
+  task->client = client;
+  const std::uint64_t id = task->id;
+  Schedule(Event::Kind::kArrival, std::move(task), at);
+  return id;
 }
 
-void WorkloadScheduler::ScheduleIngestArrival(std::size_t source,
-                                              SimTime at, std::uint64_t id) {
-  events_.ScheduleAt(std::max(clock_.now(), at),
-                     [this, source, id](SimTime now) {
-                       const IngestSource& src = ingest_sources_[source];
-                       auto b = std::make_shared<RunningIngest>();
-                       b->id = id;
-                       b->source = source;
-                       b->arrival = now;
-                       b->task = std::make_unique<IngestTask>(
-                           db_, &src.config.spec, now);
-                       ++ingest_in_flight_;
-                       ScheduleIngestStep(std::move(b), now);
-                     });
-}
-
-void WorkloadScheduler::ScheduleIngestStep(std::shared_ptr<RunningIngest> b,
-                                           SimTime at) {
-  events_.ScheduleAt(std::max(clock_.now(), at),
-                     [this, b = std::move(b)](SimTime) { OnIngestStep(b); });
-}
-
-void WorkloadScheduler::OnIngestStep(
-    const std::shared_ptr<RunningIngest>& b) {
-  const StepOutcome outcome = b->task->Step();
-  if (outcome.finished) {
-    OnIngestComplete(b, outcome.at);
-  } else {
-    ScheduleIngestStep(b, outcome.at);
-  }
-}
-
-void WorkloadScheduler::OnIngestComplete(
-    const std::shared_ptr<RunningIngest>& b, SimTime end) {
-  IngestSource& src = ingest_sources_[b->source];
-  CompletedIngest record;
-  record.id = b->id;
-  record.client = src.config.client;
-  record.arrival = b->arrival;
-  record.end = end;
-  record.result = b->task->TakeResult();
-
-  obs::MetricsRegistry& metrics = db_->metrics();
-  metrics.histogram("workload.ingest_latency_ns")->Record(record.latency());
-  std::vector<obs::Arg> span_args{obs::Arg::Uint("id", record.id)};
-  if (record.result.ok()) {
-    const IngestStats& stats = record.result.value();
-    metrics.counter("workload.ingest_completed")->Add();
-    metrics.counter("workload.rows_updated")->Add(stats.rows_updated);
-    metrics.counter("workload.rows_appended")->Add(stats.rows_appended);
-    span_args.push_back(obs::Arg::Uint("rows_updated", stats.rows_updated));
-    span_args.push_back(
-        obs::Arg::Uint("rows_appended", stats.rows_appended));
-    span_args.push_back(
-        obs::Arg::Uint("pages_flushed", stats.pages_flushed));
-  } else {
-    metrics.counter("workload.ingest_failed")->Add();
-    span_args.push_back(
-        obs::Arg::Str("error", record.result.status().message()));
-  }
-  if (tracer_ != nullptr) {
-    tracer_->Complete(src.track, "ingest:" + src.config.spec.table,
-                      "workload", record.arrival, record.end,
-                      std::move(span_args));
-  }
-  completed_ingests_.push_back(std::move(record));
-  --ingest_in_flight_;
-
-  if (src.remaining > 0) {
-    --src.remaining;
-    ScheduleIngestArrival(b->source, end + src.think_time, next_id_++);
-  }
-}
-
-void WorkloadScheduler::ScheduleArrival(std::size_t source, SimTime at,
-                                        std::uint64_t id) {
-  events_.ScheduleAt(std::max(clock_.now(), at),
-                     [this, source, id](SimTime now) {
-                       OnArrival(source, now, id);
-                     });
-}
-
-void WorkloadScheduler::OnArrival(std::size_t source, SimTime arrival,
-                                  std::uint64_t id) {
-  if (in_flight_ < kMaxQueriesInFlight) {
-    StartQuery(source, arrival, /*admitted=*/arrival, id);
-    return;
-  }
-  admission_queue_.push_back(
-      PendingArrival{.source = source, .arrival = arrival, .id = id});
-}
-
-void WorkloadScheduler::StartQuery(std::size_t source, SimTime arrival,
-                                   SimTime admitted, std::uint64_t id) {
-  const Source& src = sources_[source];
-  auto q = std::make_shared<Running>();
-  q->id = id;
-  q->source = source;
-  q->arrival = arrival;
-  q->admitted = admitted;
-  q->task = std::make_unique<QueryTask>(db_, &src.config.spec,
-                                        src.config.target, admitted);
-  ++in_flight_;
-  peak_in_flight_ = std::max(peak_in_flight_, in_flight_);
-  ScheduleStep(std::move(q), admitted);
-}
-
-void WorkloadScheduler::ScheduleStep(std::shared_ptr<Running> q,
-                                     SimTime at) {
+void WorkloadScheduler::Schedule(Event::Kind kind,
+                                 std::unique_ptr<Task> task, SimTime at) {
   // Some steps retire in the virtual past (cached pages, pruned pages,
   // polls overlapped with processing): clamp to the scheduler's now.
-  events_.ScheduleAt(std::max(clock_.now(), at),
-                     [this, q = std::move(q)](SimTime) { OnStep(q); });
+  events_.push_back(Event{.at = std::max(now_, at),
+                          .seq = next_seq_++,
+                          .kind = kind,
+                          .task = std::move(task)});
+  std::ranges::push_heap(events_, std::greater<>{});
 }
 
-void WorkloadScheduler::OnStep(const std::shared_ptr<Running>& q) {
-  const StepOutcome outcome = q->task->Step();
+void WorkloadScheduler::OnArrival(std::unique_ptr<Task> task) {
+  task->arrival = now_;
+  if (const auto* batch =
+          std::get_if<IngestClientConfig>(&task->client->config)) {
+    // Ingest batches never hold a query slot: they start on arrival.
+    task->ingest = std::make_unique<IngestTask>(db_, &batch->spec, now_);
+    Schedule(Event::Kind::kStep, std::move(task), now_);
+  } else if (in_flight_ < kMaxQueriesInFlight) {
+    StartQuery(std::move(task), /*admitted=*/now_);
+  } else {
+    admission_queue_.push_back(std::move(task));
+  }
+}
+
+void WorkloadScheduler::StartQuery(std::unique_ptr<Task> task,
+                                   SimTime admitted) {
+  const auto& config = std::get<WorkloadQueryConfig>(task->client->config);
+  task->admitted = admitted;
+  task->query = std::make_unique<QueryTask>(db_, &config.spec,
+                                            config.target, admitted);
+  ++in_flight_;
+  peak_in_flight_ = std::max(peak_in_flight_, in_flight_);
+  Schedule(Event::Kind::kStep, std::move(task), admitted);
+}
+
+void WorkloadScheduler::OnStep(std::unique_ptr<Task> task) {
+  const bool query = task->query != nullptr;
+  const StepOutcome outcome =
+      query ? task->query->Step() : task->ingest->Step();
   if (outcome.waiting_for_grant) {
-    // No device traffic was issued; the task sleeps until a session
-    // grant frees (TryUnpark after some other query's step releases
-    // one).
-    parked_.push_back(q);
+    // Only a query step parks. No device traffic was issued; the task
+    // sleeps until a session grant frees (TryUnpark after some other
+    // query's step releases one).
+    parked_.push_back(std::move(task));
     return;
   }
-  if (outcome.finished) {
-    OnComplete(q, outcome.at);
+  if (!outcome.finished) {
+    Schedule(Event::Kind::kStep, std::move(task), outcome.at);
   } else {
-    ScheduleStep(q, outcome.at);
+    const SimTime end = outcome.at;
+    if (query) {
+      RecordQuery(*task, end);
+      --in_flight_;
+    } else {
+      RecordIngest(*task, end);
+    }
+    // Closed-loop clients think, then send the next arrival.
+    Client& client = *task->client;
+    if (client.remaining > 0) {
+      --client.remaining;
+      ScheduleArrival(&client, end + client.think_time);
+    }
+    // The freed admission slot goes to the longest-waiting arrival; its
+    // query starts when the finishing query's result was delivered.
+    if (query && !admission_queue_.empty() &&
+        in_flight_ < kMaxQueriesInFlight) {
+      std::unique_ptr<Task> next = std::move(admission_queue_.front());
+      admission_queue_.pop_front();
+      StartQuery(std::move(next), /*admitted=*/end);
+    }
   }
   // This step may have released a session grant (CLOSE, session failure,
   // completion); wake parked tasks while grants are free.
-  TryUnpark();
+  if (query) TryUnpark();
 }
 
-void WorkloadScheduler::OnComplete(const std::shared_ptr<Running>& q,
-                                   SimTime end) {
-  const Source& src = sources_[q->source];
+void WorkloadScheduler::RecordQuery(const Task& task, SimTime end) {
+  const Client& client = *task.client;
+  const auto& config = std::get<WorkloadQueryConfig>(client.config);
   CompletedQuery record;
-  record.id = q->id;
-  record.client = src.config.client;
-  record.query_name = src.config.spec.name;
-  record.arrival = q->arrival;
-  record.admitted = q->admitted;
+  record.id = task.id;
+  record.client = config.client;
+  record.query_name = config.spec.name;
+  record.arrival = task.arrival;
+  record.admitted = task.admitted;
   record.end = end;
-  record.result = q->task->TakeResult();
+  record.result = task.query->TakeResult();
 
   obs::MetricsRegistry& metrics = db_->metrics();
   metrics.histogram("workload.latency_ns")->Record(record.latency());
@@ -248,60 +195,85 @@ void WorkloadScheduler::OnComplete(const std::shared_ptr<Running>& q,
         obs::Arg::Str("error", record.result.status().message()));
   }
   if (tracer_ != nullptr) {
-    tracer_->Complete(src.track, record.query_name, "workload",
+    tracer_->Complete(client.track, record.query_name, "workload",
                       record.arrival, record.end, std::move(span_args));
   }
   completed_.push_back(std::move(record));
-  --in_flight_;
+}
 
-  // Closed-loop clients think, then send the next query.
-  Source& mutable_src = sources_[q->source];
-  if (mutable_src.closed_loop && mutable_src.remaining > 0) {
-    --mutable_src.remaining;
-    ScheduleArrival(q->source, end + mutable_src.think_time, next_id_++);
+void WorkloadScheduler::RecordIngest(const Task& task, SimTime end) {
+  const Client& client = *task.client;
+  const auto& config = std::get<IngestClientConfig>(client.config);
+  CompletedIngest record;
+  record.id = task.id;
+  record.client = config.client;
+  record.arrival = task.arrival;
+  record.end = end;
+  record.result = task.ingest->TakeResult();
+
+  obs::MetricsRegistry& metrics = db_->metrics();
+  metrics.histogram("workload.ingest_latency_ns")->Record(record.latency());
+  std::vector<obs::Arg> span_args{obs::Arg::Uint("id", record.id)};
+  if (record.result.ok()) {
+    const IngestStats& stats = record.result.value();
+    metrics.counter("workload.ingest_completed")->Add();
+    metrics.counter("workload.rows_updated")->Add(stats.rows_updated);
+    metrics.counter("workload.rows_appended")->Add(stats.rows_appended);
+    span_args.push_back(obs::Arg::Uint("rows_updated", stats.rows_updated));
+    span_args.push_back(
+        obs::Arg::Uint("rows_appended", stats.rows_appended));
+    span_args.push_back(
+        obs::Arg::Uint("pages_flushed", stats.pages_flushed));
+  } else {
+    metrics.counter("workload.ingest_failed")->Add();
+    span_args.push_back(
+        obs::Arg::Str("error", record.result.status().message()));
   }
-  // The freed admission slot goes to the longest-waiting arrival; its
-  // query starts when the finishing query's result was delivered.
-  if (!admission_queue_.empty() && in_flight_ < kMaxQueriesInFlight) {
-    const PendingArrival next = admission_queue_.front();
-    admission_queue_.pop_front();
-    StartQuery(next.source, next.arrival, /*admitted=*/end, next.id);
+  if (tracer_ != nullptr) {
+    tracer_->Complete(client.track, "ingest:" + config.spec.table,
+                      "workload", record.arrival, record.end,
+                      std::move(span_args));
   }
+  completed_ingests_.push_back(std::move(record));
 }
 
 void WorkloadScheduler::TryUnpark() {
   if (parked_.empty() || db_->runtime() == nullptr) return;
-  if (db_->circuit_breaker().open()) {
-    // The device is failing: no healthy session is coming to free a
-    // grant, so waiting on slot counts can strand every parked task
-    // until the scheduler drains and reports a deadlock. Wake them all;
-    // each task sees the open breaker on its next step and redispatches
-    // itself to the host (DeviceQueryTask::StepSession).
-    while (!parked_.empty()) {
-      std::shared_ptr<Running> q = parked_.front();
-      parked_.pop_front();
-      ScheduleStep(std::move(q), clock_.now());
-    }
-    return;
-  }
-  int free = db_->runtime()->session_slots_free();
-  while (free-- > 0 && !parked_.empty()) {
-    std::shared_ptr<Running> q = parked_.front();
+  // While the breaker is open the device is failing: no healthy session
+  // is coming to free a grant, so waiting on slot counts could strand
+  // every parked task until the scheduler drains and reports a
+  // deadlock. Wake them all; each task sees the open breaker on its next
+  // step and redispatches itself to the host
+  // (DeviceQueryTask::StepSession). Otherwise wake one task per free
+  // grant: each re-checks grant availability on its next step, and if
+  // another task takes the slot first it simply parks again.
+  std::size_t wake =
+      db_->circuit_breaker().open()
+          ? parked_.size()
+          : static_cast<std::size_t>(
+                std::max(0, db_->runtime()->session_slots_free()));
+  for (; wake > 0 && !parked_.empty(); --wake) {
+    Schedule(Event::Kind::kStep, std::move(parked_.front()), now_);
     parked_.pop_front();
-    // The task re-checks grant availability on its next step; if another
-    // task takes the slot first it simply parks again.
-    ScheduleStep(std::move(q), clock_.now());
   }
 }
 
 Result<std::vector<CompletedQuery>> WorkloadScheduler::Run() {
   SMARTSSD_CHECK(!ran_);
   ran_ = true;
-  events_.RunUntilEmpty();
-  if (completed_.size() != expected_ || in_flight_ != 0 ||
-      completed_ingests_.size() != expected_ingests_ ||
-      ingest_in_flight_ != 0 || !parked_.empty() ||
-      !admission_queue_.empty()) {
+  while (!events_.empty()) {
+    std::ranges::pop_heap(events_, std::greater<>{});
+    Event event = std::move(events_.back());
+    events_.pop_back();
+    now_ = event.at;
+    if (event.kind == Event::Kind::kArrival) {
+      OnArrival(std::move(event.task));
+    } else {
+      OnStep(std::move(event.task));
+    }
+  }
+  // Every event has run, so any task left is parked or queued.
+  if (completed_.size() + completed_ingests_.size() != expected_) {
     return InternalError(
         "workload scheduler deadlocked: queries stuck parked or queued "
         "with no runnable events");

@@ -6,6 +6,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "common/macros.h"
@@ -14,8 +15,6 @@
 #include "engine/ingest.h"
 #include "engine/query_task.h"
 #include "exec/query_spec.h"
-#include "sim/clock.h"
-#include "sim/event_queue.h"
 
 namespace smartssd::engine {
 
@@ -70,21 +69,24 @@ struct CompletedIngest {
 // the backpressure signal (workload.queue_wait_ns).
 inline constexpr int kMaxQueriesInFlight = 8;
 
-// Drives N concurrent queries over one Database on a shared virtual
-// clock. Each query is a resumable QueryTask; the scheduler owns a
-// sim::EventQueue and advances whichever task has the earliest ready
-// time, so in-flight queries interleave page-by-page (host path) and
-// protocol-unit-by-protocol-unit (pushdown path) on the simulated
-// resources — the concurrent-workload story the run-to-completion
-// executor could not tell (its "co-running" queries serialized behind
-// each other in every FIFO server).
+// Drives concurrent queries and ingest batches over one Database on a
+// shared virtual clock. Each query is a resumable QueryTask and each
+// batch an IngestTask; the scheduler keeps one heap of typed events (a
+// client's arrival, or a task's next step) and runs the earliest, so
+// in-flight work interleaves page by page (host path) and protocol unit
+// by protocol unit (pushdown path) on the simulated resources — the
+// concurrent-workload story the run-to-completion executor could not
+// tell (its "co-running" queries serialized behind each other in every
+// FIFO server).
 //
-// Determinism: same submissions -> same event order (the event queue
-// breaks time ties FIFO) -> byte-identical completion records.
+// Determinism: events run in (virtual time, scheduling sequence) order,
+// so same-time events run in the order they were scheduled, and the
+// same submissions give byte-identical completion records.
 //
 // Per-query latency lands in workload.latency_ns (plus a per-target
 // breakdown) and queue wait in workload.queue_wait_ns; each client gets
-// a tracer lane under the "workload" process with one span per query.
+// a tracer lane under the "workload" process with one span per query or
+// batch.
 //
 // A query without a pinned target is placed by the database's policy
 // when its task first steps, at its admission time; the adaptive
@@ -135,74 +137,69 @@ class WorkloadScheduler {
   int peak_in_flight() const { return peak_in_flight_; }
 
  private:
-  struct Source {
-    WorkloadQueryConfig config;
+  using ClientConfig = std::variant<WorkloadQueryConfig, IngestClientConfig>;
+
+  // One source of arrivals: a query or an ingest batch template, the
+  // closed-loop arrivals it has still to generate, and the think time
+  // before each of them.
+  struct Client {
+    ClientConfig config;
     obs::TrackId track = 0;
-    bool closed_loop = false;
-    int remaining = 0;        // closed-loop arrivals still to generate
+    int remaining = 0;
     SimDuration think_time = 0;
   };
 
-  struct Running {
+  // One arrival, from its event to its completion record. A query gets
+  // its task when admitted, an ingest batch when it arrives.
+  struct Task {
     std::uint64_t id = 0;
-    std::size_t source = 0;
+    Client* client = nullptr;
     SimTime arrival = 0;
     SimTime admitted = 0;
-    std::unique_ptr<QueryTask> task;
+    std::unique_ptr<QueryTask> query;
+    std::unique_ptr<IngestTask> ingest;
   };
 
-  struct PendingArrival {
-    std::size_t source = 0;
-    SimTime arrival = 0;
-    std::uint64_t id = 0;
+  // A client's arrival or a task's next step, at virtual time `at`.
+  struct Event {
+    enum class Kind { kArrival, kStep };
+    SimTime at = 0;
+    std::uint64_t seq = 0;  // scheduling order: breaks time ties FIFO
+    Kind kind = Kind::kArrival;
+    std::unique_ptr<Task> task;
+
+    bool operator>(const Event& other) const {
+      if (at != other.at) return at > other.at;
+      return seq > other.seq;
+    }
   };
 
-  struct IngestSource {
-    IngestClientConfig config;
-    obs::TrackId track = 0;
-    int remaining = 0;  // arrivals still to generate
-    SimDuration think_time = 0;
-  };
-
-  struct RunningIngest {
-    std::uint64_t id = 0;
-    std::size_t source = 0;
-    SimTime arrival = 0;
-    std::unique_ptr<IngestTask> task;
-  };
-
-  std::size_t AddSource(WorkloadQueryConfig config);
-  void ScheduleArrival(std::size_t source, SimTime at, std::uint64_t id);
-  void OnArrival(std::size_t source, SimTime arrival, std::uint64_t id);
-  void StartQuery(std::size_t source, SimTime arrival, SimTime admitted,
-                  std::uint64_t id);
-  void ScheduleStep(std::shared_ptr<Running> q, SimTime at);
-  void OnStep(const std::shared_ptr<Running>& q);
-  void OnComplete(const std::shared_ptr<Running>& q, SimTime end);
+  Client* AddClient(ClientConfig config, int remaining,
+                    SimDuration think_time);
+  void AddClosedLoop(ClientConfig config, int count, SimDuration think_time,
+                     SimTime first_arrival);
+  std::uint64_t ScheduleArrival(Client* client, SimTime at);
+  void Schedule(Event::Kind kind, std::unique_ptr<Task> task, SimTime at);
+  void OnArrival(std::unique_ptr<Task> task);
+  void StartQuery(std::unique_ptr<Task> task, SimTime admitted);
+  void OnStep(std::unique_ptr<Task> task);
+  void RecordQuery(const Task& task, SimTime end);
+  void RecordIngest(const Task& task, SimTime end);
   void TryUnpark();
 
-  void ScheduleIngestArrival(std::size_t source, SimTime at,
-                             std::uint64_t id);
-  void ScheduleIngestStep(std::shared_ptr<RunningIngest> b, SimTime at);
-  void OnIngestStep(const std::shared_ptr<RunningIngest>& b);
-  void OnIngestComplete(const std::shared_ptr<RunningIngest>& b,
-                        SimTime end);
-
   Database* db_;
-  sim::Clock clock_;
-  sim::EventQueue events_;
   obs::Tracer* tracer_ = nullptr;
 
-  std::deque<Source> sources_;  // stable addresses for bound specs
-  std::deque<IngestSource> ingest_sources_;  // stable batch-spec addresses
-  std::deque<PendingArrival> admission_queue_;
-  std::deque<std::shared_ptr<Running>> parked_;  // waiting for a grant
+  std::deque<Client> clients_;  // stable addresses for bound specs
+  std::vector<Event> events_;   // a min-heap: std::greater on Event
+  std::deque<std::unique_ptr<Task>> admission_queue_;
+  std::deque<std::unique_ptr<Task>> parked_;  // waiting for a grant
   std::vector<CompletedQuery> completed_;
   std::vector<CompletedIngest> completed_ingests_;
+  SimTime now_ = 0;
+  std::uint64_t next_seq_ = 0;
   std::uint64_t next_id_ = 1;
-  std::uint64_t expected_ = 0;  // total queries this workload will run
-  std::uint64_t expected_ingests_ = 0;
-  int ingest_in_flight_ = 0;
+  std::uint64_t expected_ = 0;  // queries and batches this workload runs
   int in_flight_ = 0;
   int peak_in_flight_ = 0;
   bool ran_ = false;

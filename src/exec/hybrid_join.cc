@@ -56,6 +56,7 @@ HybridJoin::HybridJoin(const BoundQuery* bound,
   SMARTSSD_CHECK_LE(build_rec_width_, page_size_);
   SMARTSSD_CHECK_LE(probe_rec_width_, page_size_);
   partitions_.resize(kFanout);
+  record_.resize(std::max(build_rec_width_, probe_rec_width_));
 }
 
 std::uint32_t HybridJoin::PartitionOf(std::int64_t key,
@@ -184,11 +185,11 @@ Status HybridJoin::AddBuildRow(std::int64_t key,
   Partition& p = partitions_[PartitionOf(key, 0)];
   ++p.build_rows;
   if (!p.resident) {
-    std::vector<std::byte> rec(build_rec_width_);
-    Store64(rec.data(), static_cast<std::uint64_t>(key));
-    std::copy(payload.begin(), payload.end(), rec.begin() + 8);
+    Store64(record_.data(), static_cast<std::uint64_t>(key));
+    std::copy(payload.begin(), payload.end(), record_.begin() + 8);
     ++stats_.build_rows_spilled;
-    return AppendRecord(&p.build_file, rec);
+    return AppendRecord(&p.build_file,
+                        std::span(record_).first(build_rec_width_));
   }
   const std::size_t off = p.rows.size();
   p.rows.resize(off + build_rec_width_);
@@ -245,23 +246,24 @@ Status HybridJoin::FinishBuild() {
 // --- probe phase -----------------------------------------------------
 
 std::uint64_t HybridJoin::SketchBump(std::int64_t key) {
-  auto it = sketch_.find(key);
-  if (it != sketch_.end()) return ++it->second;
-  // Space-saving: at capacity, the newcomer inherits (and increments)
-  // the smallest tracked count, so a genuine heavy hitter climbs fast
-  // even if it arrived late.
-  if (sketch_.size() < kHotKeyCapacity) {
-    sketch_.emplace(key, 1);
+  for (std::uint32_t i = 0; i < sketch_size_; ++i) {
+    if (sketch_[i].key == key) return ++sketch_[i].count;
+  }
+  if (sketch_size_ < kHotKeyCapacity) {
+    sketch_[sketch_size_++] = SketchEntry{key, 1};
     return 1;
   }
-  auto min_it = sketch_.begin();
-  for (auto i = sketch_.begin(); i != sketch_.end(); ++i) {
-    if (i->second < min_it->second) min_it = i;
+  // Space-saving: at capacity, the newcomer replaces the smallest
+  // tracked count (ties go to the smallest key) and inherits it plus
+  // one, so a genuine heavy hitter climbs fast even if it arrived late.
+  SketchEntry* min = &sketch_[0];
+  for (SketchEntry& e : sketch_) {
+    if (e.count < min->count || (e.count == min->count && e.key < min->key)) {
+      min = &e;
+    }
   }
-  const std::uint64_t count = min_it->second + 1;
-  sketch_.erase(min_it);
-  sketch_.emplace(key, count);
-  return count;
+  *min = SketchEntry{key, min->count + 1};
+  return min->count;
 }
 
 const std::byte* HybridJoin::HotPayload(
@@ -321,10 +323,10 @@ Result<HybridJoin::ProbeResult> HybridJoin::Probe(
   }
   // Defer: materialize the outer row (NSM layout) into the partition's
   // probe file, tagged with its scan position.
-  std::vector<std::byte> rec(probe_rec_width_);
-  Store64(rec.data(), result.seq);
-  outer.CopyRecord(rec.data() + 8);
-  SMARTSSD_RETURN_IF_ERROR(AppendRecord(&p.probe_file, rec));
+  Store64(record_.data(), result.seq);
+  outer.CopyRecord(record_.data() + 8);
+  SMARTSSD_RETURN_IF_ERROR(AppendRecord(
+      &p.probe_file, std::span(record_).first(probe_rec_width_)));
   ++stats_.probe_rows_spilled;
   result.deferred = true;
   return result;

@@ -1,6 +1,7 @@
 #ifndef SMARTSSD_EXEC_HYBRID_JOIN_H_
 #define SMARTSSD_EXEC_HYBRID_JOIN_H_
 
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <functional>
@@ -214,15 +215,22 @@ class HybridJoin {
 
   std::uint64_t next_seq_ = 0;
 
-  // Skew handling: space-saving sketch over probe keys; pinned heavy
-  // hitters carry their build payload (or confirmed absence) resident.
-  std::map<std::int64_t, std::uint64_t> sketch_;
+  // Skew handling: a space-saving sketch over probe keys, up to
+  // kHotKeyCapacity (key, count) pairs; pinned heavy hitters carry their
+  // build payload (or confirmed absence) resident.
+  struct SketchEntry {
+    std::int64_t key = 0;
+    std::uint64_t count = 0;
+  };
+  std::array<SketchEntry, kHotKeyCapacity> sketch_{};
+  std::uint32_t sketch_size_ = 0;
   std::map<std::int64_t, std::optional<std::vector<std::byte>>> hot_;
 
   // Ordered staging: (seq, outer row bytes ++ payload bytes).
   std::vector<Match> matches_;
   std::vector<std::byte> match_arena_;
 
+  std::vector<std::byte> record_;    // one spilled build or probe record
   std::vector<std::byte> read_buf_;  // stable copy of one spill page
   std::uint64_t overhead_cycles_ = 0;
   std::uint64_t dram_peak_ = 0;

@@ -437,7 +437,6 @@ Status PageProcessor::SinkJoinedRow(const expr::RowView& outer_view,
   out->insert(out->end(), row_scratch_.begin(), row_scratch_.end());
   ++counts->output_tuples;
   counts->output_bytes += output_row_width_;
-  ++rows_output_;
   return Status::OK();
 }
 
@@ -730,7 +729,6 @@ Status PageProcessor::SinkBatch(const expr::BatchInput& in,
   }
   counts->output_tuples += n;
   counts->output_bytes += static_cast<std::uint64_t>(n) * output_row_width_;
-  rows_output_ += n;
   return Status::OK();
 }
 
@@ -780,7 +778,6 @@ Status PageProcessor::Finish(OpCounts* counts, std::vector<std::byte>* out) {
       }
       ++counts->output_tuples;
       counts->output_bytes += output_row_width_;
-      ++rows_output_;
       return Status::OK();
     }
     // One row per group, in key-byte order (what the former
@@ -798,7 +795,6 @@ Status PageProcessor::Finish(OpCounts* counts, std::vector<std::byte>* out) {
       }
       ++counts->output_tuples;
       counts->output_bytes += output_row_width_;
-      ++rows_output_;
     }
     return Status::OK();
   }
@@ -816,7 +812,6 @@ Status PageProcessor::Finish(OpCounts* counts, std::vector<std::byte>* out) {
       out->insert(out->end(), row, row + output_row_width_);
       ++counts->output_tuples;
       counts->output_bytes += output_row_width_;
-      ++rows_output_;
     }
   }
   return Status::OK();
@@ -830,7 +825,6 @@ JoinHashTableBuilder::JoinHashTableBuilder(const BoundQuery* bound)
 }
 
 Status JoinHashTableBuilder::AddPage(std::span<const std::byte> page) {
-  ++pages_added_;
   return WalkBuildPage(*bound_, page, payload_, &counts_,
                        [this](std::int64_t key,
                               std::span<const std::byte> payload) {

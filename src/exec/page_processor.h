@@ -97,8 +97,6 @@ class PageProcessor {
   Status Finish(OpCounts* counts, std::vector<std::byte>* out);
 
   const std::vector<std::int64_t>& agg_state() const { return agg_state_; }
-  std::uint32_t output_row_width() const { return output_row_width_; }
-  std::uint64_t rows_output() const { return rows_output_; }
   // The kernel actually running: the requested mode, degraded to
   // kScalar if any of the query's expressions failed to batch-compile.
   KernelMode kernel_mode() const { return mode_; }
@@ -151,7 +149,7 @@ class PageProcessor {
                    std::vector<std::byte>* out);
 
   // Offers a row with order key `key` to the top-N stage. Returns where
-  // to write the row's output_row_width() bytes if it is kept, or
+  // to write the row's output_row_width_ bytes if it is kept, or
   // nullptr if it is not.
   std::byte* PushTopN(std::int64_t key, OpCounts* counts);
 
@@ -169,7 +167,6 @@ class PageProcessor {
   std::vector<std::byte> top_n_rows_;
   std::vector<std::byte> row_scratch_;
   std::uint32_t output_row_width_ = 0;
-  std::uint64_t rows_output_ = 0;
 
   // Zone-map batch skipping (vectorized kernel only).
   BatchSkipAnalysis skip_analysis_;
@@ -243,7 +240,6 @@ class JoinHashTableBuilder {
   // Hashes one inner page's tuples into the table.
   Status AddPage(std::span<const std::byte> page);
 
-  std::uint64_t pages_added() const { return pages_added_; }
   const OpCounts& counts() const { return counts_; }
 
   // Moves the finished table out; the builder is then spent.
@@ -254,7 +250,6 @@ class JoinHashTableBuilder {
   JoinHashTable table_;
   std::vector<std::byte> payload_;
   OpCounts counts_;
-  std::uint64_t pages_added_ = 0;
 };
 
 // Builds the join hash table by scanning the inner table's pages through

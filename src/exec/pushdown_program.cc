@@ -22,6 +22,7 @@ PushdownProgram::PushdownProgram(const BoundQuery* bound,
   scan_end_ = page_count >= table_pages - scan_begin_
                   ? table_pages
                   : scan_begin_ + page_count;
+  partial_ = first_page > 0 || page_count < table_pages;
   prune_ranges_ = PruneRanges(bound->spec->predicate.get(),
                               bound->outer_columns(), zone_map_);
   for (std::uint64_t p = scan_begin_; p < scan_end_; ++p) {
@@ -212,23 +213,6 @@ Result<smart::ProgramCharge> PushdownProgram::ProcessPage(
                 SpillOverheadCycles()};
 }
 
-OpCounts PushdownProgram::CountsExcludingFinish() const {
-  // OpCounts has no operator-: subtract the scalar fields directly.
-  // Finish() of the non-hybrid pipelines (the only ones fragments run)
-  // never records EvalStats, so `eval` carries over untouched.
-  OpCounts body = counts_;
-  body.pages -= finish_counts_.pages;
-  body.tuples -= finish_counts_.tuples;
-  body.probes -= finish_counts_.probes;
-  body.hash_inserts -= finish_counts_.hash_inserts;
-  body.output_tuples -= finish_counts_.output_tuples;
-  body.output_bytes -= finish_counts_.output_bytes;
-  body.agg_updates -= finish_counts_.agg_updates;
-  body.group_updates -= finish_counts_.group_updates;
-  body.topn_updates -= finish_counts_.topn_updates;
-  return body;
-}
-
 Result<smart::ProgramCharge> PushdownProgram::Finish(
     smart::ResultSink& sink) {
   SMARTSSD_CHECK(processor_ != nullptr);
@@ -236,8 +220,7 @@ Result<smart::ProgramCharge> PushdownProgram::Finish(
   scratch_.clear();
   SMARTSSD_RETURN_IF_ERROR(processor_->Finish(&final_counts, &scratch_));
   if (!scratch_.empty()) sink.Emit(scratch_);
-  counts_ += final_counts;
-  finish_counts_ += final_counts;
+  if (!partial_) counts_ += final_counts;
   NotePeak();
   return smart::ProgramCharge{
       .cycles = Cycles(final_counts, outer_params_,

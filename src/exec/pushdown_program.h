@@ -46,7 +46,11 @@ class PushdownProgram final : public smart::InSsdProgram {
   // the outer table's pages — the device half of a split scan. The
   // defaults cover the whole table, which is the monolithic behaviour:
   // extent announcement, pruning walk, and zone-check charge all stay
-  // byte-identical to a program built without a fragment range.
+  // byte-identical to a program built without a fragment range. A
+  // proper sub-range of the table is one of several fragments and, like
+  // HostQueryTask, leaves its Finish() emission counts out of counts():
+  // the fragments' merge charges the canonical finish once over the
+  // merged result.
   explicit PushdownProgram(const BoundQuery* bound,
                            const storage::ZoneMap* zone_map = nullptr,
                            KernelMode kernel = KernelMode::kVectorized,
@@ -69,15 +73,8 @@ class PushdownProgram final : public smart::InSsdProgram {
 
   std::uint64_t DramBytesRequired() const override;
 
-  // Total counts, for inspection/EXPERIMENTS reporting.
+  // Total counts (without the Finish() emission on a proper sub-range).
   const OpCounts& counts() const { return counts_; }
-  // counts() with the Finish() emission charge removed: fragment
-  // (partial) runs report it, so the split coordinator can synthesize
-  // the canonical monolithic finish charge over the merged result
-  // exactly once. Only valid for non-hybrid-join programs (split scans
-  // never run joins): plain Finish() touches the scalar OpCounts
-  // fields, not EvalStats.
-  OpCounts CountsExcludingFinish() const;
   const std::vector<std::int64_t>& agg_state() const {
     return processor_->agg_state();
   }
@@ -120,6 +117,7 @@ class PushdownProgram final : public smart::InSsdProgram {
   // table in the constructor. Monolithic programs cover [0, page_count).
   std::uint64_t scan_begin_ = 0;
   std::uint64_t scan_end_ = 0;
+  bool partial_ = false;  // a proper sub-range of the table
   // The pages of [scan_begin_, scan_end_) the zone map cannot rule out,
   // in page order: what InputExtents() announces, so the session
   // protocol delivers exactly these — one ProcessPage() call per page.
@@ -131,7 +129,6 @@ class PushdownProgram final : public smart::InSsdProgram {
   std::unique_ptr<HybridJoin> hybrid_;
   std::unique_ptr<PageProcessor> processor_;
   OpCounts counts_;
-  OpCounts finish_counts_;
   std::vector<std::byte> scratch_;
   std::uint64_t dram_peak_ = 0;
 };

@@ -4,8 +4,6 @@
 #include <limits>
 #include <tuple>
 
-#include "common/logging.h"
-
 namespace smartssd::ftl {
 
 namespace {

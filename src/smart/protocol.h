@@ -7,31 +7,22 @@
 
 namespace smartssd::smart {
 
-// The three-command session protocol of Section 3. The protocol rides the
-// standard SATA/SAS transport: every command costs one host-interface
-// command round, and all result data flows back through GET responses
-// (the device is a passive entity — it never initiates a transfer).
-enum class CommandType {
-  kOpen,   // start session: grant threads + memory, return session id
-  kGet,    // poll status, drain available result data
-  kClose,  // tear down session, free resources
-};
-
+// The three-command session protocol of Section 3: OPEN starts a
+// session (grants threads and memory, returns its id), GET polls status
+// and drains available result data, CLOSE tears the session down. It
+// rides the standard SATA/SAS transport: every command costs one
+// host-interface command round, and all result data flows back through
+// GET responses (the device is a passive entity — it never initiates a
+// transfer).
 using SessionId = std::uint64_t;
-
-enum class SessionState {
-  kIdle,       // no session
-  kRunning,    // program still processing
-  kDrained,    // program finished, all results delivered
-  kClosed,
-};
 
 // Virtual time a device needs to come back after a (injected) controller
 // reset before the host can reach it again.
 inline constexpr SimDuration kDeviceResetRecovery = 10 * kMillisecond;
 
-// Host-side GET polling. While the device reports kRunning with no data
-// ready, the host sleeps a fixed kPollInterval before the next GET.
+// Host-side GET polling. While the device reports its program still
+// running with no data ready, the host sleeps a fixed kPollInterval
+// before the next GET.
 //
 // A GET whose response does not arrive within kGetTimeout is treated as
 // lost: the host re-issues it, spending one unit of the per-session

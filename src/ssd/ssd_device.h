@@ -154,9 +154,6 @@ class SsdDevice : public BlockDevice {
   std::uint64_t embedded_cores() const {
     return static_cast<std::uint64_t>(config_.embedded_cpu.cores);
   }
-  std::uint64_t embedded_clock_hz() const {
-    return config_.embedded_cpu.clock_hz;
-  }
 
   // Drops all timing state (not data). Used between benchmark phases so
   // load-time queueing does not bleed into measured queries.

@@ -1,22 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <vector>
+#include <algorithm>
 
-#include "sim/clock.h"
-#include "sim/event_queue.h"
 #include "sim/rate_server.h"
 
 namespace smartssd::sim {
 namespace {
-
-TEST(ClockTest, StartsAtZeroAndAdvances) {
-  Clock clock;
-  EXPECT_EQ(clock.now(), 0u);
-  clock.AdvanceTo(10);
-  EXPECT_EQ(clock.now(), 10u);
-  clock.Reset();
-  EXPECT_EQ(clock.now(), 0u);
-}
 
 TEST(RateServerTest, ServesImmediatelyWhenIdle) {
   RateServer server("s");
@@ -88,42 +77,6 @@ TEST(ParallelServerTest, SingleServerMatchesRateServer) {
   for (int i = 0; i < 20; ++i) {
     EXPECT_EQ(pool.Serve(i * 3, 7), server.Serve(i * 3, 7));
   }
-}
-
-TEST(EventQueueTest, RunsEventsInTimeOrder) {
-  Clock clock;
-  EventQueue queue(&clock);
-  std::vector<int> order;
-  queue.ScheduleAt(30, [&](SimTime) { order.push_back(3); });
-  queue.ScheduleAt(10, [&](SimTime) { order.push_back(1); });
-  queue.ScheduleAt(20, [&](SimTime) { order.push_back(2); });
-  queue.RunUntilEmpty();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(clock.now(), 30u);
-}
-
-TEST(EventQueueTest, SameTimeEventsRunFifo) {
-  Clock clock;
-  EventQueue queue(&clock);
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    queue.ScheduleAt(7, [&order, i](SimTime) { order.push_back(i); });
-  }
-  queue.RunUntilEmpty();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueueTest, EventsCanScheduleEvents) {
-  Clock clock;
-  EventQueue queue(&clock);
-  int fired = 0;
-  queue.ScheduleAt(5, [&](SimTime now) {
-    ++fired;
-    queue.ScheduleAt(now + 5, [&](SimTime) { ++fired; });
-  });
-  queue.RunUntilEmpty();
-  EXPECT_EQ(fired, 2);
-  EXPECT_EQ(clock.now(), 10u);
 }
 
 }  // namespace

@@ -380,32 +380,41 @@ TEST_F(WorkloadSchedulerTest, ParkedTasksRecheckBreakerOnResume) {
   db_.circuit_breaker().Reset();
 }
 
-// One arrival more than kMaxQueriesInFlight: the extra query waits in
-// the admission queue, its wait shows up as queue_wait, and it starts
-// when the first query delivers.
+// Three arrivals more than kMaxQueriesInFlight, all at t = 0. Same-time
+// arrivals run in scheduling order, so the first kMaxQueriesInFlight ids
+// start at once and the last three wait in the admission queue; their
+// wait shows up as queue_wait, and they are admitted in id order, the
+// j-th of them when the j-th query delivers.
 TEST_F(WorkloadSchedulerTest, AdmissionControlQueuesBeyondMaxInFlight) {
+  constexpr int kQueued = 3;
   db_.ResetForColdRun();
   WorkloadScheduler sched(&db_);
-  std::uint64_t last_id = 0;
-  for (int i = 0; i <= kMaxQueriesInFlight; ++i) {
-    last_id = sched.Submit(
-        Q6On("lineitem_a", ExecutionTarget::kSmartSsd, "c"), 0);
+  std::vector<std::uint64_t> ids;
+  for (int i = 0; i < kMaxQueriesInFlight + kQueued; ++i) {
+    ids.push_back(sched.Submit(
+        Q6On("lineitem_a", ExecutionTarget::kSmartSsd, "c"), 0));
   }
   auto records = sched.Run();
   ASSERT_TRUE(records.ok());
-  ASSERT_EQ(records->size(),
-            static_cast<std::size_t>(kMaxQueriesInFlight) + 1);
+  ASSERT_EQ(records->size(), ids.size());
   const CompletedQuery& first = records->front();
-  for (const CompletedQuery& r : *records) {
-    SCOPED_TRACE(r.id);
-    ASSERT_TRUE(r.result.ok()) << r.result.status().ToString();
-    EXPECT_EQ(r.result.value().agg_values, first.result.value().agg_values);
-    if (r.id == last_id) {
-      EXPECT_EQ(r.admitted, first.end);
-      EXPECT_GT(r.queue_wait(), 0);
-    } else {
-      EXPECT_EQ(r.queue_wait(), 0);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const auto r = std::find_if(
+        records->begin(), records->end(),
+        [&](const CompletedQuery& c) { return c.id == ids[i]; });
+    ASSERT_NE(r, records->end());
+    SCOPED_TRACE(r->id);
+    ASSERT_TRUE(r->result.ok()) << r->result.status().ToString();
+    EXPECT_EQ(r->result.value().agg_values, first.result.value().agg_values);
+    if (i < static_cast<std::size_t>(kMaxQueriesInFlight)) {
+      EXPECT_EQ(r->queue_wait(), 0);
+      continue;
     }
+    // Records are in completion order.
+    const CompletedQuery& freed_by = (*records)[i - kMaxQueriesInFlight];
+    EXPECT_NE(freed_by.id, r->id);
+    EXPECT_EQ(r->admitted, freed_by.end);
+    EXPECT_GT(r->queue_wait(), 0);
   }
 }
 
