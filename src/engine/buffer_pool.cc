@@ -1,6 +1,7 @@
 #include "engine/buffer_pool.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace smartssd::engine {
 
@@ -9,21 +10,80 @@ BufferPool::BufferPool(ssd::BlockDevice* device,
     : device_(device) {
   SMARTSSD_CHECK(device != nullptr);
   SMARTSSD_CHECK_GE(capacity_pages, kReadAheadPages);
+  SMARTSSD_CHECK_LT(capacity_pages, std::uint64_t{kNoFrame});
   frames_.resize(static_cast<std::size_t>(capacity_pages));
   for (Frame& frame : frames_) {
     frame.data.resize(device->page_size());
   }
   io_buffer_.resize(static_cast<std::size_t>(kReadAheadPages) *
                     device->page_size());
+  std::size_t slots = 1;
+  int bits = 0;
+  while (slots < 2 * frames_.size()) {
+    slots *= 2;
+    ++bits;
+  }
+  index_.resize(slots);
+  index_shift_ = 64 - bits;
+}
+
+std::size_t BufferPool::HomeSlot(std::uint64_t lpn) const {
+  // Fibonacci hashing: the multiply spreads the pool's runs of
+  // consecutive lpns over the table; the top bits pick the slot (the
+  // table has at least 64 slots, so the shift is below 64).
+  return static_cast<std::size_t>((lpn * 0x9E3779B97F4A7C15ull) >>
+                                  index_shift_);
+}
+
+const BufferPool::Frame* BufferPool::FindFrame(std::uint64_t lpn) const {
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t i = HomeSlot(lpn);; i = (i + 1) & mask) {
+    const IndexSlot& slot = index_[i];
+    if (slot.frame == kNoFrame) return nullptr;
+    if (slot.lpn == lpn) return &frames_[slot.frame];
+  }
+}
+
+BufferPool::Frame* BufferPool::FindFrame(std::uint64_t lpn) {
+  return const_cast<Frame*>(std::as_const(*this).FindFrame(lpn));
+}
+
+void BufferPool::IndexInsert(std::uint64_t lpn, std::uint32_t frame) {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t i = HomeSlot(lpn);
+  while (index_[i].frame != kNoFrame) i = (i + 1) & mask;
+  index_[i] = IndexSlot{lpn, frame};
+}
+
+void BufferPool::IndexErase(std::uint64_t lpn) {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t hole = HomeSlot(lpn);
+  while (index_[hole].lpn != lpn || index_[hole].frame == kNoFrame) {
+    SMARTSSD_CHECK(index_[hole].frame != kNoFrame);
+    hole = (hole + 1) & mask;
+  }
+  // Backward shift: move each later entry of the run whose home slot
+  // does not lie cyclically in (hole, j] into the hole, so every entry
+  // stays reachable from its home slot without tombstones.
+  for (std::size_t j = (hole + 1) & mask; index_[j].frame != kNoFrame;
+       j = (j + 1) & mask) {
+    const std::size_t home = HomeSlot(index_[j].lpn);
+    const bool stays = hole <= j ? (hole < home && home <= j)
+                                 : (hole < home || home <= j);
+    if (stays) continue;
+    index_[hole] = index_[j];
+    hole = j;
+  }
+  index_[hole] = IndexSlot{};
 }
 
 bool BufferPool::IsCached(std::uint64_t lpn) const {
-  return map_.find(lpn) != map_.end();
+  return FindFrame(lpn) != nullptr;
 }
 
 bool BufferPool::IsDirty(std::uint64_t lpn) const {
-  auto it = map_.find(lpn);
-  return it != map_.end() && frames_[it->second].dirty;
+  const Frame* frame = FindFrame(lpn);
+  return frame != nullptr && frame->dirty;
 }
 
 bool BufferPool::HasDirtyInRange(std::uint64_t first_lpn,
@@ -66,7 +126,7 @@ Result<std::size_t> BufferPool::Evict(SimTime ready, SimTime* io_done) {
                                         std::max(ready, *io_done)));
       frame.dirty = false;
     }
-    map_.erase(frame.lpn);
+    IndexErase(frame.lpn);
     frame.valid = false;
     obs::BumpCounter(m_evictions_);
     return index;
@@ -87,7 +147,7 @@ Result<SimTime> BufferPool::InstallRange(std::uint64_t lpn,
                                static_cast<std::size_t>(count) * page_size),
           ready));
   for (std::uint32_t i = 0; i < count; ++i) {
-    if (map_.find(lpn + i) != map_.end()) continue;  // already resident
+    if (IsCached(lpn + i)) continue;  // already resident
     SimTime flush_done = io_done;
     SMARTSSD_ASSIGN_OR_RETURN(const std::size_t frame_index,
                               Evict(ready, &flush_done));
@@ -101,21 +161,19 @@ Result<SimTime> BufferPool::InstallRange(std::uint64_t lpn,
     std::copy_n(io_buffer_.begin() +
                     static_cast<std::size_t>(i) * page_size,
                 page_size, frame.data.begin());
-    map_[lpn + i] = frame_index;
+    IndexInsert(lpn + i, static_cast<std::uint32_t>(frame_index));
   }
   return io_done;
 }
 
 Result<std::pair<std::span<const std::byte>, SimTime>> BufferPool::GetPage(
     std::uint64_t lpn, SimTime ready, std::uint64_t limit_lpn) {
-  auto it = map_.find(lpn);
-  if (it != map_.end()) {
+  if (Frame* frame = FindFrame(lpn); frame != nullptr) {
     ++hits_;
     obs::BumpCounter(m_hits_);
-    Frame& frame = frames_[it->second];
-    frame.referenced = true;
-    return std::make_pair(std::span<const std::byte>(frame.data),
-                          std::max(ready, frame.available_at));
+    frame->referenced = true;
+    return std::make_pair(std::span<const std::byte>(frame->data),
+                          std::max(ready, frame->available_at));
   }
   ++misses_;
   obs::BumpCounter(m_misses_);
@@ -124,10 +182,9 @@ Result<std::pair<std::span<const std::byte>, SimTime>> BufferPool::GetPage(
       std::min<std::uint64_t>(kReadAheadPages, limit_lpn - lpn));
   SMARTSSD_ASSIGN_OR_RETURN(const SimTime io_done,
                             InstallRange(lpn, count, ready));
-  it = map_.find(lpn);
-  SMARTSSD_CHECK(it != map_.end());
-  Frame& frame = frames_[it->second];
-  return std::make_pair(std::span<const std::byte>(frame.data), io_done);
+  const Frame* frame = FindFrame(lpn);
+  SMARTSSD_CHECK(frame != nullptr);
+  return std::make_pair(std::span<const std::byte>(frame->data), io_done);
 }
 
 Result<SimTime> BufferPool::WritePage(std::uint64_t lpn,
@@ -140,24 +197,23 @@ Result<SimTime> BufferPool::WritePage(std::uint64_t lpn,
   if (!IsCached(lpn)) {
     SMARTSSD_ASSIGN_OR_RETURN(t, InstallRange(lpn, 1, ready));
   }
-  Frame& frame = frames_[map_.at(lpn)];
-  std::copy(data.begin(), data.end(), frame.data.begin());
-  frame.dirty = true;
-  frame.referenced = true;
-  frame.available_at = t;
+  Frame* frame = FindFrame(lpn);
+  SMARTSSD_CHECK(frame != nullptr);
+  std::copy(data.begin(), data.end(), frame->data.begin());
+  frame->dirty = true;
+  frame->referenced = true;
+  frame->available_at = t;
   return t;
 }
 
 Result<SimTime> BufferPool::FlushPage(std::uint64_t lpn, SimTime ready) {
-  auto it = map_.find(lpn);
-  if (it == map_.end()) return ready;
-  Frame& frame = frames_[it->second];
-  if (!frame.dirty) return ready;
+  Frame* frame = FindFrame(lpn);
+  if (frame == nullptr || !frame->dirty) return ready;
   SMARTSSD_ASSIGN_OR_RETURN(
       const SimTime t,
-      device_->WritePages(frame.lpn, 1, frame.data,
-                          std::max(ready, frame.available_at)));
-  frame.dirty = false;
+      device_->WritePages(frame->lpn, 1, frame->data,
+                          std::max(ready, frame->available_at)));
+  frame->dirty = false;
   return t;
 }
 
@@ -192,7 +248,7 @@ void BufferPool::Clear() {
     frame.valid = false;
     frame.referenced = false;
   }
-  map_.clear();
+  std::fill(index_.begin(), index_.end(), IndexSlot{});
   clock_hand_ = 0;
 }
 

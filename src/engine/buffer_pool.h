@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/macros.h"
@@ -86,14 +85,34 @@ class BufferPool {
     std::vector<std::byte> data;
   };
 
+  // One entry of the lpn -> frame index; frame == kNoFrame when empty.
+  static constexpr std::uint32_t kNoFrame = ~std::uint32_t{0};
+  struct IndexSlot {
+    std::uint64_t lpn = 0;
+    std::uint32_t frame = kNoFrame;
+  };
+
   // Picks a victim frame with the clock algorithm, flushing it if dirty.
   Result<std::size_t> Evict(SimTime ready, SimTime* io_done);
   Result<SimTime> InstallRange(std::uint64_t lpn, std::uint32_t count,
                                SimTime ready);
 
+  // The lpn -> frame index: open addressing with linear probing over a
+  // power-of-two table of at least twice the frames, sized once in the
+  // constructor, so a miss or an eviction allocates nothing. Erasing
+  // shifts the rest of the probe run back instead of leaving a
+  // tombstone.
+  std::size_t HomeSlot(std::uint64_t lpn) const;
+  // The frame caching `lpn`, or nullptr.
+  Frame* FindFrame(std::uint64_t lpn);
+  const Frame* FindFrame(std::uint64_t lpn) const;
+  void IndexInsert(std::uint64_t lpn, std::uint32_t frame);
+  void IndexErase(std::uint64_t lpn);
+
   ssd::BlockDevice* device_;
   std::vector<Frame> frames_;
-  std::unordered_map<std::uint64_t, std::size_t> map_;  // lpn -> frame
+  std::vector<IndexSlot> index_;
+  int index_shift_ = 0;  // 64 - log2(index_.size())
   std::size_t clock_hand_ = 0;
   std::vector<std::byte> io_buffer_;
   std::uint64_t hits_ = 0;

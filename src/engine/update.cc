@@ -1,10 +1,9 @@
 #include "engine/update.h"
 
-#include <optional>
-#include <vector>
+#include <algorithm>
+#include <numeric>
 
 #include "expr/row_view.h"
-#include "storage/page_codec.h"
 
 namespace smartssd::engine {
 
@@ -39,13 +38,71 @@ Result<UpdateCursor> UpdateCursor::Open(Database* db, std::string table,
   if (predicate != nullptr) {
     SMARTSSD_RETURN_IF_ERROR(predicate->Validate(info->schema));
   }
-  UpdateCursor cursor;
-  cursor.db_ = db;
-  cursor.table_ = std::move(table);
-  cursor.predicate_ = predicate;
-  cursor.mutate_ = std::move(mutate);
-  cursor.page_count_ = info->page_count;
-  return cursor;
+  return UpdateCursor(db, std::move(table), *info, predicate,
+                      std::move(mutate));
+}
+
+UpdateCursor::UpdateCursor(Database* db, std::string table,
+                           const storage::TableInfo& info,
+                           const expr::Expression* predicate,
+                           TableUpdater::MutateFn mutate)
+    : db_(db),
+      table_(std::move(table)),
+      predicate_(predicate),
+      mutate_(std::move(mutate)),
+      page_count_(info.page_count),
+      builder_(&info.schema, info.layout, db->device().page_size()),
+      record_(info.schema.tuple_size()) {
+  if (predicate == nullptr) return;
+  auto compiled = expr::CompiledExpr::Compile(*predicate, info.schema);
+  if (!compiled.ok() || compiled->result_type() != expr::SlotType::kBool) {
+    return;  // the interpreter decides the matches
+  }
+  filter_.emplace(std::move(compiled).value());
+  predicate->CollectColumns(&filter_columns_);
+  std::sort(filter_columns_.begin(), filter_columns_.end());
+  filter_columns_.erase(
+      std::unique(filter_columns_.begin(), filter_columns_.end()),
+      filter_columns_.end());
+  batch_columns_.resize(static_cast<std::size_t>(info.schema.num_columns()));
+  for (int c = 0; c < info.schema.num_columns(); ++c) {
+    expr::BatchColumn& column = batch_columns_[static_cast<std::size_t>(c)];
+    column.type = info.schema.column(c).type;
+    column.width = info.schema.column(c).width;
+  }
+}
+
+Result<std::uint16_t> UpdateCursor::MatchRows(
+    const storage::TableInfo& info, std::span<const std::byte> page) {
+  expr::EvalStats eval;  // predicate work folded into the cycle charge
+  matches_.clear();
+  if (predicate_ != nullptr && !filter_.has_value()) {
+    SMARTSSD_ASSIGN_OR_RETURN(
+        const storage::PageRows rows,
+        storage::PageRows::Open(&info.schema, info.layout, page));
+    expr::PageRowView row(&rows);
+    for (std::uint16_t i = 0; i < rows.tuple_count(); ++i) {
+      row.Reset(i);
+      if (predicate_->Evaluate(row, &eval).AsBool()) matches_.push_back(i);
+    }
+    return rows.tuple_count();
+  }
+  SMARTSSD_ASSIGN_OR_RETURN(
+      storage::PageColumns columns,
+      storage::PageColumns::Open(&info.schema, info.layout, page));
+  const std::uint16_t n = columns.tuple_count();
+  matches_.resize(n);
+  std::iota(matches_.begin(), matches_.end(), 0u);
+  if (n == 0 || !filter_.has_value()) return n;
+  columns.LocateRows(&records_);
+  for (const int c : filter_columns_) {
+    static_cast<storage::ColumnAddress&>(
+        batch_columns_[static_cast<std::size_t>(c)]) = columns.column(c);
+  }
+  const expr::BatchInput in{batch_columns_.data(),
+                            static_cast<int>(batch_columns_.size())};
+  filter_->Filter(in, &matches_, &scratch_, &eval);
+  return n;
 }
 
 Result<SimTime> UpdateCursor::StepPage(SimTime ready) {
@@ -53,7 +110,6 @@ Result<SimTime> UpdateCursor::StepPage(SimTime ready) {
   SMARTSSD_ASSIGN_OR_RETURN(const storage::TableInfo* info,
                             db_->catalog().GetTable(table_));
   const storage::Schema& schema = info->schema;
-  const std::uint32_t page_size = db_->device().page_size();
   BufferPool& pool = db_->buffer_pool();
 
   const std::uint64_t p = next_page_++;
@@ -65,37 +121,28 @@ Result<SimTime> UpdateCursor::StepPage(SimTime ready) {
   t = page_and_time.second;
   std::span<const std::byte> page = page_and_time.first;
 
-  // Find the first matching row: a page with none is neither re-encoded
-  // nor written.
-  SMARTSSD_ASSIGN_OR_RETURN(
-      const storage::PageRows rows,
-      storage::PageRows::Open(&schema, info->layout, page));
-  expr::EvalStats eval;  // predicate work folded into the cycle charge
-  expr::PageRowView row(&rows);
-  const auto matches = [&](std::uint16_t i) {
-    row.Reset(i);
-    return predicate_ == nullptr || predicate_->Evaluate(row, &eval).AsBool();
-  };
-  const std::uint16_t page_tuples = rows.tuple_count();
-  std::uint16_t first = 0;
-  while (first < page_tuples && !matches(first)) ++first;
-  const bool page_changed = first < page_tuples;
+  SMARTSSD_ASSIGN_OR_RETURN(const std::uint16_t page_tuples,
+                            MatchRows(*info, page));
+  const bool page_changed = !matches_.empty();
 
   // Re-encode the page, applying the mutation to every match.
-  std::optional<storage::PageBuilder> builder;
   if (page_changed) {
-    builder.emplace(&schema, info->layout, page_size);
-    std::vector<std::byte> tuple(schema.tuple_size());
+    SMARTSSD_ASSIGN_OR_RETURN(
+        const storage::PageRows rows,
+        storage::PageRows::Open(&schema, info->layout, page));
+    builder_.Reset();
+    expr::PageRowView row(&rows);
+    auto match = matches_.begin();
     for (std::uint16_t i = 0; i < page_tuples; ++i) {
-      const bool match = i >= first && matches(i);
       row.Reset(i);
-      row.CopyRecord(tuple.data());
-      if (match) {
-        storage::TupleWriter writer(&schema, tuple);
+      row.CopyRecord(record_.data());
+      if (match != matches_.end() && *match == i) {
+        ++match;
+        storage::TupleWriter writer(&schema, record_);
         mutate_(row, writer);
         ++stats_.rows_matched;
       }
-      if (!builder->Append(tuple)) {
+      if (!builder_.Append(record_)) {
         return InternalError("update: rebuilt page overflowed");
       }
     }
@@ -107,7 +154,7 @@ Result<SimTime> UpdateCursor::StepPage(SimTime ready) {
   t = db_->host().Execute(cycles, t);
 
   if (page_changed) {
-    SMARTSSD_ASSIGN_OR_RETURN(t, pool.WritePage(lpn, builder->image(), t));
+    SMARTSSD_ASSIGN_OR_RETURN(t, pool.WritePage(lpn, builder_.image(), t));
     ++stats_.pages_dirtied;
   }
 
@@ -139,14 +186,21 @@ Result<AppendCursor> AppendCursor::Open(Database* db, std::string table,
                                         std::uint64_t row_count,
                                         storage::RowGenerator gen) {
   SMARTSSD_CHECK(db != nullptr);
-  SMARTSSD_RETURN_IF_ERROR(db->catalog().GetTable(table).status());
-  AppendCursor cursor;
-  cursor.db_ = db;
-  cursor.table_ = std::move(table);
-  cursor.gen_ = std::move(gen);
-  cursor.target_rows_ = row_count;
-  return cursor;
+  SMARTSSD_ASSIGN_OR_RETURN(const storage::TableInfo* info,
+                            db->catalog().GetTable(table));
+  return AppendCursor(db, std::move(table), *info, row_count,
+                      std::move(gen));
 }
+
+AppendCursor::AppendCursor(Database* db, std::string table,
+                           const storage::TableInfo& info,
+                           std::uint64_t row_count, storage::RowGenerator gen)
+    : db_(db),
+      table_(std::move(table)),
+      gen_(std::move(gen)),
+      target_rows_(row_count),
+      builder_(&info.schema, info.layout, db->device().page_size()),
+      record_(info.schema.tuple_size()) {}
 
 Result<SimTime> AppendCursor::StepPage(SimTime ready) {
   if (done()) return ready;
@@ -154,7 +208,6 @@ Result<SimTime> AppendCursor::StepPage(SimTime ready) {
                             db_->catalog().GetMutableTable(table_));
   const storage::Schema& schema = info->schema;
   const std::uint32_t capacity = info->tuples_per_page;
-  const std::uint32_t page_size = db_->device().page_size();
   BufferPool& pool = db_->buffer_pool();
   SimTime t = ready;
 
@@ -180,10 +233,12 @@ Result<SimTime> AppendCursor::StepPage(SimTime ready) {
   }
   const std::uint64_t lpn = info->first_lpn + page_index;
 
-  storage::PageBuilder builder(&schema, info->layout, page_size);
-  std::vector<std::byte> tuple(schema.tuple_size());
+  // Each page starts from an empty image and a zeroed record: fields a
+  // generator leaves unwritten read zero on a page's first new row.
+  builder_.Reset();
+  std::fill(record_.begin(), record_.end(), std::byte{0});
   auto append_serialized = [&]() -> Status {
-    if (!builder.Append(tuple)) {
+    if (!builder_.Append(record_)) {
       return InternalError("append: page overflowed its capacity");
     }
     return Status::OK();
@@ -203,7 +258,7 @@ Result<SimTime> AppendCursor::StepPage(SimTime ready) {
     expr::PageRowView row(&rows);
     for (std::uint16_t i = 0; i < rows.tuple_count(); ++i) {
       row.Reset(i);
-      row.CopyRecord(tuple.data());
+      row.CopyRecord(record_.data());
       SMARTSSD_RETURN_IF_ERROR(append_serialized());
     }
   }
@@ -212,7 +267,7 @@ Result<SimTime> AppendCursor::StepPage(SimTime ready) {
   // sees the global row index, so whole-table generators stay pure.
   std::uint64_t new_rows = 0;
   while (existing + new_rows < capacity && !done()) {
-    storage::TupleWriter writer(&schema, tuple);
+    storage::TupleWriter writer(&schema, record_);
     gen_(info->tuple_count + new_rows, writer);
     SMARTSSD_RETURN_IF_ERROR(append_serialized());
     ++new_rows;
@@ -224,7 +279,7 @@ Result<SimTime> AppendCursor::StepPage(SimTime ready) {
                                new_rows * kCyclesPerUpdatedTuple;
   t = db_->host().Execute(cycles, t);
 
-  const std::span<const std::byte> image = builder.image();
+  const std::span<const std::byte> image = builder_.image();
   SMARTSSD_ASSIGN_OR_RETURN(t, pool.WritePage(lpn, image, t));
   ++stats_.pages_dirtied;
   info->tuple_count += new_rows;

@@ -2,12 +2,17 @@
 #define SMARTSSD_ENGINE_UPDATE_H_
 
 #include <functional>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "common/macros.h"
 #include "common/result.h"
 #include "engine/database.h"
+#include "exec/kernel_mode.h"
+#include "expr/batch.h"
 #include "expr/expression.h"
+#include "storage/page_codec.h"
 #include "storage/table_loader.h"
 #include "storage/tuple.h"
 
@@ -52,15 +57,26 @@ class TableUpdater {
   Database* db_;
 };
 
-// Page-granular resumable update pass: one StepPage call decodes,
+// Page-granular resumable update pass: one StepPage call filters,
 // mutates, and re-encodes one page, so a workload scheduler can
-// interleave update work with queries at page granularity. Rows are
-// read through storage::PageRows (the predicate and the mutation see
-// the page row) and, once a row on the page matches, re-encoded with
-// storage::PageBuilder, so one loop serves both layouts; a page with
-// no match is neither re-encoded nor written. When the last page has
-// been processed and any row matched, the table's zone map is marked
-// stale.
+// interleave update work with queries at page granularity.
+//
+// Open compiles the predicate once against the table schema
+// (expr::CompiledExpr), and StepPage runs it column-at-a-time over a
+// dense selection of the page's rows through storage::PageColumns, as
+// the scan kernel does. A predicate that does not batch-compile runs
+// through the interpreter row by row instead, the rule PageProcessor
+// follows when it degrades to kScalar; either way the surviving row ids
+// are exactly the rows the mutation sees. The update's cycle charge is
+// per tuple, so which of the two decides the matches moves no virtual
+// time.
+//
+// A page with no match is neither re-encoded nor written. A page with
+// one is read through storage::PageRows (the mutation sees the page
+// row) and re-encoded into the cursor's one storage::PageBuilder, so a
+// pass allocates no page buffer and no record per rewritten page. When
+// the last page has been processed and any row matched, the table's
+// zone map is marked stale.
 class UpdateCursor {
  public:
   static Result<UpdateCursor> Open(Database* db, std::string table,
@@ -78,9 +94,24 @@ class UpdateCursor {
   Result<SimTime> StepPage(SimTime ready);
 
   const TableUpdater::UpdateStats& stats() const { return stats_; }
+  // What decides the matches: kVectorized (the compiled batch filter),
+  // or kScalar when the predicate did not batch-compile.
+  exec::KernelMode kernel_mode() const {
+    return predicate_ != nullptr && !filter_.has_value()
+               ? exec::KernelMode::kScalar
+               : exec::KernelMode::kVectorized;
+  }
 
  private:
-  UpdateCursor() = default;
+  UpdateCursor(Database* db, std::string table,
+               const storage::TableInfo& info,
+               const expr::Expression* predicate,
+               TableUpdater::MutateFn mutate);
+
+  // Sets matches_ to the rows of `page` the predicate selects, in
+  // ascending order, and returns the page's row count.
+  Result<std::uint16_t> MatchRows(const storage::TableInfo& info,
+                                  std::span<const std::byte> page);
 
   Database* db_ = nullptr;
   std::string table_;
@@ -89,6 +120,20 @@ class UpdateCursor {
   std::uint64_t next_page_ = 0;
   std::uint64_t page_count_ = 0;
   TableUpdater::UpdateStats stats_;
+
+  // The batch filter: the compiled predicate (nullopt when there is
+  // none or it does not batch-compile), the columns it reads, and the
+  // buffers it reuses from page to page.
+  std::optional<expr::CompiledExpr> filter_;
+  std::vector<int> filter_columns_;
+  std::vector<expr::BatchColumn> batch_columns_;
+  expr::BatchScratch scratch_;
+  std::vector<const std::byte*> records_;  // NSM record gather
+  expr::SelVec matches_;
+
+  // The rewrite of a page with a match.
+  storage::PageBuilder builder_;
+  std::vector<std::byte> record_;
 };
 
 // Appends through the buffer pool into the table's reserved extent
@@ -125,7 +170,8 @@ class TableAppender {
   Database* db_;
 };
 
-// Resumable page-at-a-time append (see TableAppender).
+// Resumable page-at-a-time append (see TableAppender). Every page it
+// fills is encoded into the cursor's one storage::PageBuilder.
 class AppendCursor {
  public:
   static Result<AppendCursor> Open(Database* db, std::string table,
@@ -144,13 +190,17 @@ class AppendCursor {
   const TableAppender::AppendStats& stats() const { return stats_; }
 
  private:
-  AppendCursor() = default;
+  AppendCursor(Database* db, std::string table,
+               const storage::TableInfo& info, std::uint64_t row_count,
+               storage::RowGenerator gen);
 
   Database* db_ = nullptr;
   std::string table_;
   storage::RowGenerator gen_;
   std::uint64_t target_rows_ = 0;
   TableAppender::AppendStats stats_;
+  storage::PageBuilder builder_;
+  std::vector<std::byte> record_;
 };
 
 }  // namespace smartssd::engine

@@ -6,8 +6,7 @@
 #include <type_traits>
 
 #include "exec/hybrid_join.h"
-#include "storage/nsm_page.h"
-#include "storage/pax_page.h"
+#include "storage/page_codec.h"
 
 namespace smartssd::exec {
 
@@ -207,9 +206,8 @@ PageProcessor::PageProcessor(const BoundQuery* bound,
     return;
   }
 
-  // The outer columns the vectorized stages read. Their layout-fixed
-  // access fields are set here; ProcessPageVectorized only repoints
-  // them at each page.
+  // The outer columns the vectorized stages read: the only ones
+  // ProcessPageVectorized points at each page.
   std::vector<int> used;
   if (spec.predicate != nullptr) spec.predicate->CollectColumns(&used);
   for (const AggSpec& agg : spec.aggregates) {
@@ -221,19 +219,10 @@ PageProcessor::PageProcessor(const BoundQuery* bound,
   if (spec.join.has_value()) used.push_back(spec.join->outer_key_col);
   std::sort(used.begin(), used.end());
   used.erase(std::unique(used.begin(), used.end()), used.end());
-  const storage::Schema& outer_schema = bound->outer->schema;
-  const bool nsm = bound->outer->layout == storage::PageLayout::kNsm;
   for (const int c : used) {
     // Payload columns: EnsureLanes points their row_ptrs at
     // payload_ptrs_ whenever that buffer grows.
-    if (c >= outer_cols) continue;
-    outer_cols_used_.push_back(c);
-    expr::BatchColumn& col = batch_columns_[static_cast<std::size_t>(c)];
-    if (nsm) {
-      col.offset = outer_schema.offset(c);
-    } else {
-      col.stride = outer_schema.column(c).width;
-    }
+    if (c < outer_cols) outer_cols_used_.push_back(c);
   }
 }
 
@@ -486,8 +475,8 @@ Status PageProcessor::ProcessPageVectorized(std::span<const std::byte> page,
   const storage::Schema& schema = bound_->outer->schema;
 
   // Zone-map classification first: it needs only the page index, and an
-  // all-fail verdict on the filter-first path skips even the NSM tuple-
-  // pointer gather below. The per-row cost it reports is exactly what
+  // all-fail verdict on the filter-first path skips even the NSM record
+  // gather below. The per-row cost it reports is exactly what
   // the interpreter would charge the skipped rows (batch_skip.h), so
   // the fast paths leave OpCounts byte-identical.
   PageClass page_class = PageClass::kMixed;
@@ -497,47 +486,29 @@ Status PageProcessor::ProcessPageVectorized(std::span<const std::byte> page,
     page_class = skip_analysis_.Classify(page_index, &skip_per_row);
   }
 
-  std::uint16_t n = 0;
-  // The readers only validate and locate; the column pointers they hand
-  // out live in `page` and stay valid after the readers go out of scope.
-  if (bound_->outer->layout == storage::PageLayout::kNsm) {
-    SMARTSSD_ASSIGN_OR_RETURN(const storage::NsmPageReader reader,
-                              storage::NsmPageReader::Open(&schema, page));
-    n = reader.tuple_count();
-    counts->tuples += n;
-    // Empty (e.g. zero-initialized) pages have no slot directory or
-    // minipages to point into — bail before touching them.
-    if (n == 0) return Status::OK();
-    // All-fail before the probe stage: every row short-circuits inside
-    // the predicate, so no per-row work (not even the pointer gather)
-    // remains — charge the rows' evaluation cost and move on.
-    if (page_class == PageClass::kAllFail &&
-        spec.order == PipelineOrder::kFilterFirst) {
-      AddScaledEvalStats(&counts->eval, skip_per_row, n);
-      return Status::OK();
-    }
-    EnsureLanes(n);
-    reader.TuplePointers(tuple_ptrs_.data());
-    for (const int c : outer_cols_used_) {
-      batch_columns_[static_cast<std::size_t>(c)].row_ptrs =
-          tuple_ptrs_.data();
-    }
-  } else {
-    SMARTSSD_ASSIGN_OR_RETURN(const storage::PaxPageReader reader,
-                              storage::PaxPageReader::Open(&schema, page));
-    n = reader.tuple_count();
-    counts->tuples += n;
-    if (n == 0) return Status::OK();
-    if (page_class == PageClass::kAllFail &&
-        spec.order == PipelineOrder::kFilterFirst) {
-      AddScaledEvalStats(&counts->eval, skip_per_row, n);
-      return Status::OK();
-    }
-    EnsureLanes(n);
-    for (const int c : outer_cols_used_) {
-      batch_columns_[static_cast<std::size_t>(c)].base =
-          reader.column_data(c);
-    }
+  // The column addresses point into `page`; only the NSM record
+  // pointers live outside it, in tuple_ptrs_.
+  SMARTSSD_ASSIGN_OR_RETURN(
+      storage::PageColumns columns,
+      storage::PageColumns::Open(&schema, bound_->outer->layout, page));
+  const std::uint16_t n = columns.tuple_count();
+  counts->tuples += n;
+  // Empty (e.g. zero-initialized) pages have no slot directory or
+  // minipages to point into — bail before touching them.
+  if (n == 0) return Status::OK();
+  // All-fail before the probe stage: every row short-circuits inside
+  // the predicate, so no per-row work (not even the NSM record gather)
+  // remains — charge the rows' evaluation cost and move on.
+  if (page_class == PageClass::kAllFail &&
+      spec.order == PipelineOrder::kFilterFirst) {
+    AddScaledEvalStats(&counts->eval, skip_per_row, n);
+    return Status::OK();
+  }
+  EnsureLanes(n);
+  columns.LocateRows(&tuple_ptrs_);
+  for (const int c : outer_cols_used_) {
+    static_cast<storage::ColumnAddress&>(
+        batch_columns_[static_cast<std::size_t>(c)]) = columns.column(c);
   }
 
   sel_.resize(n);
@@ -583,9 +554,6 @@ void PageProcessor::EnsureLanes(std::size_t rows) {
   lanes_ = rows;
   const QuerySpec& spec = *bound_->spec;
   sel_.reserve(rows);
-  if (bound_->outer->layout == storage::PageLayout::kNsm) {
-    tuple_ptrs_.resize(rows);
-  }
   if (spec.join.has_value()) {
     probe_keys_.resize(rows);
     probe_hits_.resize(rows);

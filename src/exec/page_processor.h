@@ -37,14 +37,15 @@ class HybridJoin;
 // Two kernels implement the pipeline:
 //  * kScalar — interpreted row-at-a-time, tree-walked predicates; the
 //    semantic reference. It reads every page through one row view
-//    (expr::PageRowView over storage::PageRows), so it has no per-layout
-//    code: the layout matters only to the vectorized kernel's column
-//    accessors and to the cost model.
-//  * kVectorized — the page is exposed as column accessors (PAX
-//    minipages directly, NSM via one gather of tuple pointers), the
-//    predicate/aggregate expressions are compiled once into flat batch
-//    programs (expr/batch.h), and every stage runs column-at-a-time over
-//    a selection vector of surviving row ids.
+//    (expr::PageRowView over storage::PageRows).
+//  * kVectorized — the page's columns come from storage::PageColumns
+//    (PAX minipages in place, NSM records gathered once per page into
+//    the processor's own buffer), the predicate/aggregate expressions
+//    are compiled once into flat batch programs (expr/batch.h), and
+//    every stage runs column-at-a-time over a selection vector of
+//    surviving row ids.
+// Neither kernel has per-layout code: the layout matters only inside
+// storage/ and to the cost model.
 // Both produce byte-identical output and byte-identical OpCounts; a
 // query the batch compiler cannot express silently degrades to kScalar
 // (see kernel_mode()).
@@ -183,7 +184,7 @@ class PageProcessor {
   // Per-lane buffers, sized to the largest page seen (lanes_ rows).
   std::size_t lanes_ = 0;
   expr::SelVec sel_;
-  std::vector<const std::byte*> tuple_ptrs_;    // NSM gather
+  std::vector<const std::byte*> tuple_ptrs_;    // NSM record gather
   std::vector<std::int64_t> probe_keys_;        // FK per lane
   std::vector<const std::byte*> probe_hits_;    // payload per lane
   std::vector<const std::byte*> payload_ptrs_;  // probe hits, by row id

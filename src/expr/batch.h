@@ -31,28 +31,18 @@
 
 #include "common/result.h"
 #include "expr/expression.h"
+#include "storage/page_codec.h"
 #include "storage/schema.h"
 
 namespace smartssd::expr {
 
-// Physical access to one column of the current batch. Two shapes:
-//  * strided — value i at `base + row * stride` (PAX minipages, where
-//    the decode is nearly free),
-//  * indirect — value at `row_ptrs[row] + offset` (NSM tuples gathered
-//    once per page, and join-payload blobs resolved at probe time).
-struct BatchColumn {
+// Physical access to one column of the current batch: where its values
+// lie (storage::ColumnAddress — strided over a PAX minipage, or
+// indirect through NSM records gathered once per page or join-payload
+// blobs resolved at probe time), plus its type and width.
+struct BatchColumn : storage::ColumnAddress {
   storage::ColumnType type = storage::ColumnType::kInt32;
   std::uint32_t width = 0;
-  const std::byte* base = nullptr;
-  std::size_t stride = 0;
-  const std::byte* const* row_ptrs = nullptr;
-  std::uint32_t offset = 0;
-
-  const std::byte* at(std::uint32_t row) const {
-    return base != nullptr
-               ? base + static_cast<std::size_t>(row) * stride
-               : row_ptrs[row] + offset;
-  }
 };
 
 // The columns visible to one batch evaluation, indexed by the same

@@ -1,9 +1,11 @@
 #ifndef SMARTSSD_STORAGE_PAGE_CODEC_H_
 #define SMARTSSD_STORAGE_PAGE_CODEC_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <variant>
+#include <vector>
 
 #include "common/result.h"
 #include "storage/nsm_page.h"
@@ -13,11 +15,12 @@
 
 namespace smartssd::storage {
 
-// The one page codec for row-at-a-time code: PageRows reads the rows of
-// a page image and PageBuilder packs records into one, in either
-// layout. The formats themselves are NsmPage* and PaxPage*; outside
-// storage/, only the vectorized kernel's column setup reads them
-// directly (exec/page_processor.cc).
+// The one page codec: PageRows reads the rows of a page image one row
+// at a time, PageColumns hands out its columns for column-at-a-time
+// code, and PageBuilder packs records into a page, in either layout.
+// The formats themselves are NsmPage* and PaxPage*, and nothing outside
+// storage/ reads them directly: these three classes are where the page
+// layout still shows.
 
 // Rows a page of `page_size` bytes holds in `layout`; 0 when a record
 // does not fit.
@@ -61,6 +64,82 @@ class PageRows {
   const Schema* schema_;
   Reader reader_;
   std::uint16_t count_;
+};
+
+// Where one column's values lie on a page. Two shapes: strided, value i
+// at base + i * stride (a PAX minipage, read in place), or indirect,
+// value i at row_ptrs[i] + offset (NSM records located once per page,
+// or any other array of records).
+struct ColumnAddress {
+  const std::byte* base = nullptr;
+  std::size_t stride = 0;
+  const std::byte* const* row_ptrs = nullptr;
+  std::uint32_t offset = 0;
+
+  const std::byte* at(std::uint32_t row) const {
+    return base != nullptr
+               ? base + static_cast<std::size_t>(row) * stride
+               : row_ptrs[row] + offset;
+  }
+};
+
+// The columns of one page image, for code that reads a column at a
+// time: the batch kernel, the update filter and the zone-map fold. Open
+// validates the page as PageRows::Open does; LocateRows then makes
+// column() usable. A PAX page's columns are its minipages, used in
+// place; an NSM page's rows are located once, in one walk of the slot
+// directory, into a buffer the caller owns, so a caller that keeps its
+// buffer allocates nothing once the buffer has held its largest page.
+//
+// Defined here, since the batch kernel calls them once per page and
+// per column.
+class PageColumns {
+ public:
+  static Result<PageColumns> Open(const Schema* schema, PageLayout layout,
+                                  std::span<const std::byte> page) {
+    if (layout == PageLayout::kNsm) {
+      SMARTSSD_ASSIGN_OR_RETURN(const NsmPageReader reader,
+                                NsmPageReader::Open(schema, page));
+      return PageColumns(schema, reader, reader.tuple_count());
+    }
+    SMARTSSD_ASSIGN_OR_RETURN(const PaxPageReader reader,
+                              PaxPageReader::Open(schema, page));
+    return PageColumns(schema, reader, reader.tuple_count());
+  }
+
+  std::uint16_t tuple_count() const { return count_; }
+
+  // Locates the page's rows for column(). An NSM page writes every
+  // row's record pointer to `*records`, which grows to tuple_count()
+  // entries and never shrinks; a PAX page needs no gather and leaves it
+  // alone. `*records` must outlive the addresses column() returns.
+  void LocateRows(std::vector<const std::byte*>* records) {
+    const auto* nsm = std::get_if<NsmPageReader>(&reader_);
+    if (nsm == nullptr) return;
+    if (records->size() < count_) records->resize(count_);
+    nsm->TuplePointers(records->data());
+    records_ = records->data();
+  }
+
+  // Where column `col`'s values lie; only on a page with rows, after
+  // LocateRows.
+  ColumnAddress column(int col) const {
+    if (records_ != nullptr) {
+      return {.row_ptrs = records_, .offset = schema_->offset(col)};
+    }
+    return {.base = std::get<PaxPageReader>(reader_).column_data(col),
+            .stride = schema_->column(col).width};
+  }
+
+ private:
+  using Reader = std::variant<NsmPageReader, PaxPageReader>;
+  PageColumns(const Schema* schema, Reader reader, std::uint16_t count)
+      : schema_(schema), reader_(reader), count_(count) {}
+
+  const Schema* schema_;
+  Reader reader_;
+  std::uint16_t count_;
+  const std::byte* const* records_ = nullptr;  // NSM, set by LocateRows
 };
 
 // Packs records (NSM form, schema->tuple_size() bytes) into a page

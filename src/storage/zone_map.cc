@@ -1,12 +1,43 @@
 #include "storage/zone_map.h"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 
 #include "storage/page_codec.h"
-#include "storage/tuple.h"
 
 namespace smartssd::storage {
+
+namespace {
+
+// Widens `range` by the first `n` values of one column, read as T (the
+// column's INT32 or INT64 width), with the address shape (strided or
+// indirect) resolved once rather than per row.
+template <typename T>
+void FoldColumn(const ColumnAddress& column, std::uint16_t n,
+                ZoneMap::Range* range) {
+  std::int64_t lo = range->min;
+  std::int64_t hi = range->max;
+  auto fold = [&lo, &hi](const std::byte* bytes) {
+    T v;
+    std::memcpy(&v, bytes, sizeof(v));
+    lo = std::min<std::int64_t>(lo, v);
+    hi = std::max<std::int64_t>(hi, v);
+  };
+  if (column.base != nullptr) {
+    for (std::uint16_t i = 0; i < n; ++i) {
+      fold(column.base + static_cast<std::size_t>(i) * column.stride);
+    }
+  } else {
+    for (std::uint16_t i = 0; i < n; ++i) {
+      fold(column.row_ptrs[i] + column.offset);
+    }
+  }
+  range->min = lo;
+  range->max = hi;
+}
+
+}  // namespace
 
 Result<ZoneMap> ZoneMap::Build(
     const TableInfo& info,
@@ -30,35 +61,35 @@ Result<ZoneMap> ZoneMap::Build(
       Range{std::numeric_limits<std::int64_t>::max(),
             std::numeric_limits<std::int64_t>::min()});
 
+  std::vector<const std::byte*> records;
   for (std::uint64_t p = 0; p < info.page_count; ++p) {
     SMARTSSD_ASSIGN_OR_RETURN(std::span<const std::byte> page,
                               read_page(p));
-    SMARTSSD_RETURN_IF_ERROR(map.FoldPage(info, p, page));
+    SMARTSSD_RETURN_IF_ERROR(map.FoldPage(info, p, page, &records));
   }
   return map;
 }
 
 Status ZoneMap::FoldPage(const TableInfo& info, std::uint64_t page_index,
-                         std::span<const std::byte> page) {
+                         std::span<const std::byte> page,
+                         std::vector<const std::byte*>* records) {
   const Schema& schema = info.schema;
-  SMARTSSD_ASSIGN_OR_RETURN(const PageRows rows,
-                            PageRows::Open(&schema, info.layout, page));
+  SMARTSSD_ASSIGN_OR_RETURN(PageColumns columns,
+                            PageColumns::Open(&schema, info.layout, page));
+  const std::uint16_t n = columns.tuple_count();
+  if (n == 0) return Status::OK();
+  columns.LocateRows(records);
   Range* page_ranges =
       ranges_.data() +
       page_index * static_cast<std::uint64_t>(tracked_columns_);
-  // Column at a time, so a tracked column's type is looked up once per
-  // page and its running range stays in registers.
   for (int c = 0; c < schema.num_columns(); ++c) {
     const int slot = column_slots_[static_cast<std::size_t>(c)];
     if (slot < 0) continue;
-    const Column& column = schema.column(c);
-    Range range = page_ranges[slot];
-    for (std::uint16_t i = 0; i < rows.tuple_count(); ++i) {
-      const std::int64_t v = DecodeInt(column, rows.column(rows.row(i), c));
-      range.min = std::min(range.min, v);
-      range.max = std::max(range.max, v);
+    if (schema.column(c).type == ColumnType::kInt32) {
+      FoldColumn<std::int32_t>(columns.column(c), n, &page_ranges[slot]);
+    } else {
+      FoldColumn<std::int64_t>(columns.column(c), n, &page_ranges[slot]);
     }
-    page_ranges[slot] = range;
   }
   return Status::OK();
 }
@@ -74,7 +105,8 @@ Status ZoneMap::WidenFromPage(const TableInfo& info,
         Range{std::numeric_limits<std::int64_t>::max(),
               std::numeric_limits<std::int64_t>::min()});
   }
-  return FoldPage(info, page_index, page);
+  std::vector<const std::byte*> records;
+  return FoldPage(info, page_index, page, &records);
 }
 
 bool ZoneMap::TracksColumn(int col) const {

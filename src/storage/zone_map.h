@@ -21,6 +21,10 @@ namespace smartssd::storage {
 // in device DRAM: pushdown programs prune their input extents with it
 // (in-SSD indexing), and the host executor prunes its read requests —
 // the same statistics serve both sides.
+//
+// Building and widening fold a page one tracked column at a time over
+// storage::PageColumns, so the page layout stays inside storage's
+// codec and each column is one tight loop over its values.
 class ZoneMap {
  public:
   struct Range {
@@ -73,9 +77,13 @@ class ZoneMap {
   ZoneMap() = default;
 
   // Folds every row of `page` into the page's ranges (min/max widen),
-  // reading the rows through PageRows, so one loop serves both layouts.
+  // one tracked column at a time through PageColumns: a PAX minipage is
+  // read in place, NSM records are located once per page into
+  // `records` (the caller's gather buffer), and the INT32/INT64 choice
+  // is made once per column, outside the row loop.
   Status FoldPage(const TableInfo& info, std::uint64_t page_index,
-                  std::span<const std::byte> page);
+                  std::span<const std::byte> page,
+                  std::vector<const std::byte*>* records);
 
   std::uint64_t pages_ = 0;
   std::vector<int> column_slots_;  // schema col -> slot or -1

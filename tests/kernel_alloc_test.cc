@@ -2,8 +2,11 @@
 // PageProcessor has processed one page, later pages of the same shape
 // allocate nothing. That covers the sized-once BatchScratch, the
 // in-place PAX directory, the per-lane buffers, the batched join probe,
-// the group table and the top-N row buffer. The binary replaces global
-// operator new with a counting one; nothing here is timed.
+// the group table and the top-N row buffer. The same holds for an
+// update pass (engine::UpdateCursor): its batch filter, page builder and
+// record are reused from page to page, and the buffer pool's lpn index
+// is sized once. The binary replaces global operator new with a
+// counting one; nothing here is timed.
 //
 // Each query shape runs on PAX and NSM over in-memory pages whose first
 // page already holds everything later pages need: passing rows for the
@@ -18,6 +21,8 @@
 #include <string>
 #include <vector>
 
+#include "engine/database.h"
+#include "engine/update.h"
 #include "exec/page_processor.h"
 #include "exec/query_spec.h"
 #include "storage/catalog.h"
@@ -233,6 +238,72 @@ TEST_P(KernelAllocTest, TopNShapeAllocatesNothingAfterFirstPage) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Layouts, KernelAllocTest,
+                         ::testing::Values(PageLayout::kNsm, PageLayout::kPax),
+                         [](const auto& info) {
+                           return std::string(
+                               storage::PageLayoutName(info.param));
+                         });
+
+// Update passes over SF 0.01 LINEITEM through a pool that holds the
+// whole table, so no dirty page is evicted and every page read after
+// the first readahead batches is a pool hit or a miss into a free
+// frame.
+class UpdateAllocTest : public ::testing::TestWithParam<PageLayout> {
+ protected:
+  UpdateAllocTest() : db_(engine::DatabaseOptions::PaperSmartSsd()) {
+    SMARTSSD_CHECK(
+        tpch::LoadLineitem(db_, "lineitem", 0.01, GetParam()).ok());
+    db_.ResetForColdRun();
+  }
+
+  // Allocations made by pages 1.. of an update pass with `predicate`,
+  // after page 0 warmed the cursor up.
+  std::uint64_t AllocationsAfterFirstPage(
+      const expr::Expression& predicate,
+      engine::TableUpdater::UpdateStats* stats) {
+    const storage::TableInfo& info =
+        *db_.catalog().GetTable("lineitem").value();
+    SMARTSSD_CHECK_LE(info.page_count, db_.buffer_pool().capacity_pages());
+    auto cursor = engine::UpdateCursor::Open(
+        &db_, "lineitem", &predicate,
+        [](const expr::RowView&, storage::TupleWriter& writer) {
+          writer.SetInt32(tpch::kLQuantity, 0);
+        });
+    SMARTSSD_CHECK(cursor.ok());
+    SMARTSSD_CHECK(cursor->kernel_mode() == KernelMode::kVectorized);
+    SimTime t = cursor->StepPage(0).value();
+    const std::uint64_t before = g_allocations.load();
+    while (!cursor->done()) t = cursor->StepPage(t).value();
+    const std::uint64_t allocations = g_allocations.load() - before;
+    *stats = cursor->stats();
+    return allocations;
+  }
+
+  engine::Database db_;
+};
+
+TEST_P(UpdateAllocTest, NoMatchPassAllocatesNothingAfterFirstPage) {
+  const auto pred = expr::Lt(expr::Col(tpch::kLQuantity), expr::Lit(0));
+  engine::TableUpdater::UpdateStats stats;
+  EXPECT_EQ(AllocationsAfterFirstPage(*pred, &stats), 0u);
+  EXPECT_EQ(stats.rows_matched, 0u);
+  EXPECT_EQ(stats.pages_dirtied, 0u);
+}
+
+TEST_P(UpdateAllocTest, KeyWindowPassAllocatesNothingPerDirtiedPage) {
+  // l_orderkey = row / 4 + 1, so the window is rows 8,000..19,999: a
+  // run of pages well past page 0.
+  std::vector<expr::ExprPtr> window;
+  window.push_back(expr::Ge(expr::Col(tpch::kLOrderKey), expr::Lit(2'001)));
+  window.push_back(expr::Le(expr::Col(tpch::kLOrderKey), expr::Lit(5'000)));
+  const auto pred = expr::And(std::move(window));
+  engine::TableUpdater::UpdateStats stats;
+  EXPECT_EQ(AllocationsAfterFirstPage(*pred, &stats), 0u);
+  EXPECT_EQ(stats.rows_matched, 12'000u);
+  EXPECT_GT(stats.pages_dirtied, 10u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Layouts, UpdateAllocTest,
                          ::testing::Values(PageLayout::kNsm, PageLayout::kPax),
                          [](const auto& info) {
                            return std::string(

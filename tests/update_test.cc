@@ -3,10 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "engine/database.h"
 #include "engine/executor.h"
 #include "engine/planner.h"
 #include "engine/update.h"
+#include "storage/page_codec.h"
 #include "tpch/queries.h"
 #include "tpch/synthetic.h"
 
@@ -140,6 +143,114 @@ TEST_P(UpdateTest, PlannerRefusesDirtyThenRecovers) {
   // 8-column table legitimately favors the host; what matters is that
   // coherence no longer forces it).
   EXPECT_EQ(clean_decision->reason.find("coherence"), std::string::npos);
+}
+
+// The rows of T's pages as NSM records, read through the pool.
+std::vector<std::vector<std::byte>> ReadRecords(Database& db) {
+  const storage::TableInfo& info = *db.catalog().GetTable("T").value();
+  std::vector<std::vector<std::byte>> records;
+  for (std::uint64_t p = 0; p < info.page_count; ++p) {
+    auto page = db.buffer_pool().GetPage(info.first_lpn + p, 0,
+                                         info.first_lpn + info.page_count);
+    SMARTSSD_CHECK(page.ok());
+    auto rows =
+        storage::PageRows::Open(&info.schema, info.layout, page->first);
+    SMARTSSD_CHECK(rows.ok());
+    expr::PageRowView row(&*rows);
+    for (std::uint16_t i = 0; i < rows->tuple_count(); ++i) {
+      row.Reset(i);
+      records.emplace_back(info.schema.tuple_size());
+      row.CopyRecord(records.back().data());
+    }
+  }
+  return records;
+}
+
+// Runs an update pass with `predicate` and checks it against a
+// reference that evaluates the predicate row by row (Expression::
+// Evaluate) over the pages before the update: the same rows matched,
+// in page order, the same rows_matched and pages_dirtied, and the
+// pages read back afterwards hold the reference's rows.
+void CheckUpdateAgainstReference(Database& db,
+                                 const expr::Expression& predicate,
+                                 exec::KernelMode expected_kernel) {
+  const storage::TableInfo& info = *db.catalog().GetTable("T").value();
+  // Col_4 += 1, read through the row the mutation sees; Col_1 (the
+  // key, row + 1) names the row.
+  const auto bump = [](const expr::RowView& row,
+                       storage::TupleWriter& writer) {
+    writer.SetInt32(3, static_cast<std::int32_t>(row.GetColumn(3).AsInt() + 1));
+  };
+  std::vector<std::int64_t> mutated_keys;
+  const TableUpdater::MutateFn mutate =
+      [&mutated_keys, &bump](const expr::RowView& row,
+                             storage::TupleWriter& writer) {
+        mutated_keys.push_back(row.GetColumn(0).AsInt());
+        bump(row, writer);
+      };
+
+  std::vector<std::int64_t> want_keys;
+  std::uint64_t want_pages = 0;
+  std::vector<std::vector<std::byte>> want_records;
+  for (std::uint64_t p = 0; p < info.page_count; ++p) {
+    auto page = db.buffer_pool().GetPage(info.first_lpn + p, 0,
+                                         info.first_lpn + info.page_count);
+    ASSERT_TRUE(page.ok());
+    auto rows =
+        storage::PageRows::Open(&info.schema, info.layout, page->first);
+    ASSERT_TRUE(rows.ok());
+    expr::PageRowView row(&*rows);
+    bool page_matched = false;
+    for (std::uint16_t i = 0; i < rows->tuple_count(); ++i) {
+      row.Reset(i);
+      want_records.emplace_back(info.schema.tuple_size());
+      row.CopyRecord(want_records.back().data());
+      expr::EvalStats stats;
+      if (!predicate.Evaluate(row, &stats).AsBool()) continue;
+      page_matched = true;
+      want_keys.push_back(row.GetColumn(0).AsInt());
+      storage::TupleWriter writer(&info.schema, want_records.back());
+      bump(row, writer);
+    }
+    if (page_matched) ++want_pages;
+  }
+  ASSERT_GT(want_keys.size(), 0u);
+  ASSERT_LT(want_pages, info.page_count);  // some pages stay clean
+
+  auto cursor = UpdateCursor::Open(&db, "T", &predicate, mutate);
+  ASSERT_TRUE(cursor.ok());
+  EXPECT_EQ(cursor->kernel_mode(), expected_kernel);
+  SimTime t = 0;
+  while (!cursor->done()) {
+    auto at = cursor->StepPage(t);
+    ASSERT_TRUE(at.ok());
+    t = *at;
+  }
+  EXPECT_EQ(mutated_keys, want_keys);
+  EXPECT_EQ(cursor->stats().rows_matched, want_keys.size());
+  EXPECT_EQ(cursor->stats().pages_dirtied, want_pages);
+  EXPECT_EQ(ReadRecords(db), want_records);
+}
+
+TEST_P(UpdateTest, BatchFilteredUpdateMatchesRowByRowReference) {
+  // Col_1 <= 6000 AND Col_2 < 20: a scattered fifth of the first 6,000
+  // rows.
+  std::vector<ex::ExprPtr> conjuncts;
+  conjuncts.push_back(ex::Le(ex::Col(0), ex::Lit(6'000)));
+  conjuncts.push_back(ex::Lt(ex::Col(1), ex::Lit(20)));
+  const auto pred = ex::And(std::move(conjuncts));
+  CheckUpdateAgainstReference(db_, *pred, exec::KernelMode::kVectorized);
+}
+
+TEST_P(UpdateTest, UncompilablePredicateUpdatesRowByRow) {
+  // CASE WHEN Col_1 <= 6000 THEN Col_2 ELSE Col_2 / 4 END > 90: INT64
+  // and DOUBLE branches, which the batch compiler rejects. Col_2 is at
+  // most 100, so only rows of the first 6,000 match.
+  const auto pred = ex::Gt(
+      ex::CaseWhen(ex::Le(ex::Col(0), ex::Lit(6'000)), ex::Col(1),
+                   ex::Arith(ex::ArithOp::kDiv, ex::Col(1), ex::Lit(4))),
+      ex::Lit(90));
+  CheckUpdateAgainstReference(db_, *pred, exec::KernelMode::kScalar);
 }
 
 INSTANTIATE_TEST_SUITE_P(Layouts, UpdateTest,

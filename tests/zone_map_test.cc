@@ -3,9 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "engine/database.h"
 #include "engine/executor.h"
 #include "exec/predicate_range.h"
+#include "storage/page_codec.h"
+#include "storage/tuple.h"
 #include "storage/zone_map.h"
 #include "tpch/queries.h"
 #include "tpch/synthetic.h"
@@ -200,6 +205,103 @@ TEST_F(ZoneMapTest, ImpossiblePredicateSkipsEverything) {
   EXPECT_EQ(result->stats.pages_read, 0u);
   EXPECT_GT(result->stats.pages_skipped, 0u);
 }
+
+// --- ZoneMap::Build against a brute-force fold, per layout ---
+
+class ZoneMapFoldTest
+    : public ::testing::TestWithParam<storage::PageLayout> {};
+
+TEST_P(ZoneMapFoldTest, BuildMatchesBruteForceMinMax) {
+  using storage::Column;
+  constexpr std::uint32_t kPageSize = 512;
+  // INT64 and INT32 columns around an untracked CHAR column.
+  auto schema = storage::Schema::Create(
+      {Column::Int64("k"), Column::Int32("a"), Column::FixedChar("f", 3),
+       Column::Int64("b"), Column::Int32("c")});
+  ASSERT_TRUE(schema.ok());
+  const storage::PageLayout layout = GetParam();
+  const std::uint32_t capacity =
+      storage::PageCapacity(*schema, layout, kPageSize);
+  ASSERT_GT(capacity, 1u);
+
+  // Values of both signs, with each type's extremes on a few rows.
+  constexpr int kRows = 100;
+  std::vector<std::vector<std::byte>> pages;
+  storage::PageBuilder builder(&*schema, layout, kPageSize);
+  std::vector<std::byte> record(schema->tuple_size());
+  auto seal = [&] {
+    pages.emplace_back(builder.image().begin(), builder.image().end());
+    builder.Reset();
+    // A zeroed, never-written page after the second page.
+    if (pages.size() == 2) pages.emplace_back(kPageSize, std::byte{0});
+  };
+  for (int row = 0; row < kRows; ++row) {
+    storage::TupleWriter w(&*schema, record);
+    const std::int64_t mix = (row * 2'654'435'761LL) % 1'000'003 - 500'000;
+    w.SetInt64(0, row % 17 == 5 ? std::numeric_limits<std::int64_t>::min()
+                                : mix * 1'000'000'007LL);
+    w.SetInt32(1, row % 23 == 7 ? std::numeric_limits<std::int32_t>::max()
+                                : static_cast<std::int32_t>(-mix));
+    w.SetChar(2, "xyz");
+    w.SetInt64(3, row % 29 == 3 ? std::numeric_limits<std::int64_t>::max()
+                                : -mix * 3);
+    w.SetInt32(4, row % 31 == 11 ? std::numeric_limits<std::int32_t>::min()
+                                 : static_cast<std::int32_t>(mix / 7));
+    if (!builder.Append(record)) {
+      seal();
+      ASSERT_TRUE(builder.Append(record));
+    }
+  }
+  ASSERT_LT(builder.tuple_count(), capacity);  // a partly filled last page
+  seal();
+  ASSERT_GT(pages.size(), 4u);
+
+  storage::TableInfo info{.name = "Z",
+                          .schema = *schema,
+                          .layout = layout,
+                          .first_lpn = 0,
+                          .page_count = pages.size(),
+                          .tuple_count = kRows,
+                          .tuples_per_page = capacity};
+  auto map = storage::ZoneMap::Build(
+      info, [&](std::uint64_t p) -> Result<std::span<const std::byte>> {
+        return std::span<const std::byte>(pages[p]);
+      });
+  ASSERT_TRUE(map.ok());
+  ASSERT_EQ(map->pages(), pages.size());
+  EXPECT_EQ(map->TrackedSlot(2), -1);
+
+  int empty_pages = 0;
+  for (std::uint64_t p = 0; p < pages.size(); ++p) {
+    auto rows = storage::PageRows::Open(&info.schema, layout, pages[p]);
+    ASSERT_TRUE(rows.ok());
+    if (rows->tuple_count() == 0) ++empty_pages;
+    for (const int c : {0, 1, 3, 4}) {
+      storage::ZoneMap::Range want{std::numeric_limits<std::int64_t>::max(),
+                                   std::numeric_limits<std::int64_t>::min()};
+      for (std::uint16_t i = 0; i < rows->tuple_count(); ++i) {
+        const std::int64_t v = storage::DecodeInt(
+            info.schema.column(c), rows->column(rows->row(i), c));
+        want.min = std::min(want.min, v);
+        want.max = std::max(want.max, v);
+      }
+      const int slot = map->TrackedSlot(c);
+      ASSERT_GE(slot, 0);
+      const storage::ZoneMap::Range& got = map->SlotRange(p, slot);
+      EXPECT_EQ(got.min, want.min) << "page " << p << " column " << c;
+      EXPECT_EQ(got.max, want.max) << "page " << p << " column " << c;
+    }
+  }
+  EXPECT_EQ(empty_pages, 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(Layouts, ZoneMapFoldTest,
+                         ::testing::Values(storage::PageLayout::kNsm,
+                                           storage::PageLayout::kPax),
+                         [](const auto& info) {
+                           return std::string(
+                               storage::PageLayoutName(info.param));
+                         });
 
 }  // namespace
 }  // namespace smartssd
