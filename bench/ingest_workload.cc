@@ -13,7 +13,8 @@
 // quiet-device ground truth — checked, exit(1) on any mismatch — so the
 // ingest can only change *when* things happen, never *what*. After the
 // run, the whole table must hold exactly the relation the batches
-// define.
+// define, and its zone map must equal one rebuilt from the device's
+// pages (check::CheckZoneMapsMatchStorage): the writers keep it exact.
 //
 // `--json=<path>` emits one row per configuration with scan p99 as the
 // headline number plus FTL counters (gc_runs, relocations, write
@@ -26,6 +27,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "check/invariants.h"
 #include "engine/database.h"
 #include "engine/executor.h"
 #include "engine/workload.h"
@@ -205,6 +207,7 @@ RunResult RunConfig(bool with_ingest, std::int64_t truth) {
   };
   result.col3_sum = full_sum(2);
   result.col4_sum = full_sum(3);
+  bench::Check(check::CheckZoneMapsMatchStorage(db), "zone map check");
   return result;
 }
 
@@ -299,8 +302,9 @@ int main(int argc, char** argv) {
   std::printf(
       "Shape check: every scan returned the quiet-device truth in every "
       "configuration (verified), the final relation is the one the "
-      "batches define (verified), and the ingest load moves scan p99 off "
-      "the quiet baseline.\n");
+      "batches define and the zone map matches the device's pages "
+      "(verified), and the ingest load moves scan p99 off the quiet "
+      "baseline.\n");
   reporter.Write();
   return 0;
 }

@@ -263,6 +263,13 @@ class DifferentialRunner {
             !s.ok()) {
           return std::make_pair(std::string("write-phase"), s.ToString());
         }
+        if (Status s = phase.enabled
+                           ? CheckZoneMapsMatchStorage(*db_gc_greedy_)
+                           : Status::OK();
+            !s.ok()) {
+          return std::make_pair(std::string("write-phase-zonemap"),
+                                s.ToString());
+        }
         oracle_->Apply(phase);
         ++next_write_index_;
       }

@@ -90,6 +90,55 @@ Status CheckBreakerSanity(const engine::DeviceCircuitBreaker& breaker) {
   return Status::OK();
 }
 
+Status CheckZoneMapEquals(const storage::TableInfo& info,
+                          const storage::ZoneMap& live,
+                          const storage::ZoneMap& want) {
+  if (live.pages() != want.pages()) {
+    return InternalError("zone map of " + info.name + " covers " +
+                         std::to_string(live.pages()) + " pages, not " +
+                         std::to_string(want.pages()));
+  }
+  for (std::uint64_t p = 0; p < want.pages(); ++p) {
+    for (int c = 0; c < info.schema.num_columns(); ++c) {
+      const int slot = want.TrackedSlot(c);
+      if (slot < 0) continue;
+      const storage::ZoneMap::Range& got = live.SlotRange(p, slot);
+      const storage::ZoneMap::Range& rows = want.SlotRange(p, slot);
+      if (got == rows) continue;
+      return InternalError(
+          "zone map of " + info.name + " page " + std::to_string(p) +
+          " column " + std::to_string(c) + " holds [" +
+          std::to_string(got.min) + ", " + std::to_string(got.max) +
+          "], its rows span [" + std::to_string(rows.min) + ", " +
+          std::to_string(rows.max) + "]");
+    }
+  }
+  return Status::OK();
+}
+
+Status CheckZoneMapsMatchStorage(const engine::Database& db) {
+  const ssd::SsdDevice* ssd = db.ssd();
+  if (ssd == nullptr) return Status::OK();
+  for (const std::string& table : db.zone_mapped_tables()) {
+    SMARTSSD_ASSIGN_OR_RETURN(const storage::TableInfo* info,
+                              db.catalog().GetTable(table));
+    if (db.buffer_pool().HasDirtyInRange(info->first_lpn,
+                                         info->reserved_pages)) {
+      continue;  // the pool, not the device, holds the newest images
+    }
+    SMARTSSD_ASSIGN_OR_RETURN(
+        const storage::ZoneMap built,
+        storage::ZoneMap::Build(
+            *info,
+            [&](std::uint64_t p) -> Result<std::span<const std::byte>> {
+              return ssd->ViewPage(info->first_lpn + p);
+            }));
+    SMARTSSD_RETURN_IF_ERROR(
+        CheckZoneMapEquals(*info, *db.zone_map(table), built));
+  }
+  return Status::OK();
+}
+
 Status CheckDatabaseInvariants(const engine::Database& db) {
   SMARTSSD_RETURN_IF_ERROR(CheckNoDeviceDramLeak(db));
   return CheckBreakerSanity(db.circuit_breaker());

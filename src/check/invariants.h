@@ -5,7 +5,8 @@
 // of the byte-identical-results comparison. These catch the class of
 // bug that produces the right answer with corrupted bookkeeping: leaked
 // trace spans, events stamped at impossible virtual times, device DRAM
-// that is never returned, a breaker in a contradictory state.
+// that is never returned, a breaker in a contradictory state, zone-map
+// ranges that no longer describe the stored pages.
 
 #include "common/result.h"
 #include "engine/circuit_breaker.h"
@@ -27,6 +28,17 @@ Status CheckNoDeviceDramLeak(const engine::Database& db);
 
 // The breaker's externally visible state is self-consistent.
 Status CheckBreakerSanity(const engine::DeviceCircuitBreaker& breaker);
+
+// `live` has `want`'s pages and ranges; the error names the first page
+// and column that differ.
+Status CheckZoneMapEquals(const storage::TableInfo& info,
+                          const storage::ZoneMap& live,
+                          const storage::ZoneMap& want);
+
+// Every table with a zone map and no dirty pool page has a map equal to
+// ZoneMap::Build over the device's pages (SsdDevice::ViewPage, which
+// charges no virtual time). No-op on an HDD.
+Status CheckZoneMapsMatchStorage(const engine::Database& db);
 
 // All database-level invariants (DRAM + breaker) in one call.
 Status CheckDatabaseInvariants(const engine::Database& db);

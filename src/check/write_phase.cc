@@ -194,7 +194,7 @@ Status ApplyWritePhase(engine::Database& db, const TableGenConfig& config,
                     })
             .status());
   }
-  return db.FlushAll(/*ready=*/0).status();
+  return db.buffer_pool().FlushAll(/*ready=*/0).status();
 }
 
 }  // namespace smartssd::check

@@ -73,8 +73,9 @@ class TableOracle {
 };
 
 // Applies one phase to a live database through the engine write path
-// (TableUpdater + TableAppender), then Database::FlushAll so the device
-// is the source of truth and zone maps are live again.
+// (TableUpdater + TableAppender), then flushes the buffer pool so the
+// device is the source of truth again. The writers keep the zone map
+// exact page by page (see check::CheckZoneMapsMatchStorage).
 Status ApplyWritePhase(engine::Database& db, const TableGenConfig& config,
                        const WritePhaseSpec& phase);
 

@@ -126,58 +126,25 @@ std::shared_ptr<const storage::ZoneMap> Database::zone_map_snapshot(
   return it == zone_maps_.end() ? nullptr : it->second;
 }
 
-void Database::MarkZoneMapStale(const std::string& table) {
-  if (zone_maps_.erase(table) > 0) {
-    stale_zone_maps_.insert(table);
-  }
+std::vector<std::string> Database::zone_mapped_tables() const {
+  std::vector<std::string> tables;
+  for (const auto& [table, map] : zone_maps_) tables.push_back(table);
+  return tables;
 }
 
-Status Database::WidenZoneMap(const std::string& table,
-                              std::uint64_t page_index,
-                              std::span<const std::byte> page) {
+Status Database::RefoldZoneMap(const std::string& table,
+                               std::uint64_t page_index,
+                               std::span<const std::byte> page,
+                               std::vector<const std::byte*>* records) {
   auto it = zone_maps_.find(table);
   if (it == zone_maps_.end()) return Status::OK();
   SMARTSSD_ASSIGN_OR_RETURN(const storage::TableInfo* info,
                             catalog_->GetTable(table));
-  // A session holds the current map as its snapshot: widen a copy.
+  // A session holds the current map as its snapshot: refold a copy.
   if (it->second.use_count() > 1) {
     it->second = std::make_shared<storage::ZoneMap>(*it->second);
   }
-  return it->second->WidenFromPage(*info, page_index, page);
-}
-
-Result<SimTime> Database::RestoreZoneMaps(SimTime ready) {
-  SimTime t = ready;
-  // std::set iteration gives a deterministic rebuild order. Tables that
-  // still have dirty pool pages stay stale: rebuilding them now would
-  // bake pre-flush device bytes into the statistics.
-  for (auto it = stale_zone_maps_.begin(); it != stale_zone_maps_.end();) {
-    const std::string& table = *it;
-    SMARTSSD_ASSIGN_OR_RETURN(const storage::TableInfo* info,
-                              catalog_->GetTable(table));
-    if (pool_->HasDirtyInRange(info->first_lpn, info->reserved_pages)) {
-      ++it;
-      continue;
-    }
-    std::vector<std::byte> buffer(device_->page_size());
-    auto read_page = [&](std::uint64_t page_index)
-        -> Result<std::span<const std::byte>> {
-      SMARTSSD_ASSIGN_OR_RETURN(
-          t, device_->ReadPages(info->first_lpn + page_index, 1, buffer, t));
-      return std::span<const std::byte>(buffer);
-    };
-    SMARTSSD_ASSIGN_OR_RETURN(storage::ZoneMap map,
-                              storage::ZoneMap::Build(*info, read_page));
-    zone_maps_.insert_or_assign(
-        table, std::make_shared<storage::ZoneMap>(std::move(map)));
-    it = stale_zone_maps_.erase(it);
-  }
-  return t;
-}
-
-Result<SimTime> Database::FlushAll(SimTime ready) {
-  SMARTSSD_ASSIGN_OR_RETURN(SimTime t, pool_->FlushAll(ready));
-  return RestoreZoneMaps(t);
+  return it->second->RefoldPage(*info, page_index, page, records);
 }
 
 void Database::ResetForColdRun() {

@@ -3,8 +3,8 @@
 
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
+#include <vector>
 
 #include "common/macros.h"
 #include "common/result.h"
@@ -114,33 +114,24 @@ class Database {
   // table will then skip pages whose zone excludes the predicate range,
   // on both the host and the pushdown path.
   Status BuildZoneMap(const std::string& table);
-  // The table's zone map, or nullptr if none was built (or it is
-  // currently stale after a write).
+  // The table's zone map, or nullptr if none was built.
   const storage::ZoneMap* zone_map(const std::string& table) const;
   // The same map as a shared, immutable snapshot (nullptr likewise): a
   // device session ships it instead of copying the statistics. While a
-  // snapshot is held, WidenZoneMap widens a copy, so the holder keeps
-  // seeing the ranges it was given; MarkZoneMapStale drops only the
-  // database's reference.
+  // snapshot is held, RefoldZoneMap refolds a copy, so the holder keeps
+  // seeing the ranges it was given.
   std::shared_ptr<const storage::ZoneMap> zone_map_snapshot(
       const std::string& table) const;
-  // Marks a table's zone map stale after an in-place update: zone_map()
-  // returns nullptr (pushdown loses pruning, never correctness) until
-  // RestoreZoneMaps rebuilds it. Tables with no map are a no-op.
-  void MarkZoneMapStale(const std::string& table);
-  // Widens a table's live zone map from a freshly written page image
-  // (the append path's maintenance hook). No-op when the table has no
-  // live map; widening only grows ranges, so pruning stays sound.
-  Status WidenZoneMap(const std::string& table, std::uint64_t page_index,
-                      std::span<const std::byte> page);
-  // Rebuilds every stale zone map by reading the tables through the
-  // buffer pool (dirty pages must have been flushed first); returns the
-  // virtual time the rebuild scans finish.
-  Result<SimTime> RestoreZoneMaps(SimTime ready);
-  // Flushes all dirty buffer-pool pages to the device and then restores
-  // any stale zone maps, so pushdown eligibility recovers. The write
-  // path's durability point.
-  Result<SimTime> FlushAll(SimTime ready);
+  // The tables that have a zone map, in name order.
+  std::vector<std::string> zone_mapped_tables() const;
+  // Refolds page `page_index` of the table's map, if it has one, from
+  // the image just written to the pool (ZoneMap::RefoldPage). Writers
+  // call it in the step that writes the image, so the map describes
+  // every image a host scan can read. `records` is the writer's NSM
+  // gather buffer.
+  Status RefoldZoneMap(const std::string& table, std::uint64_t page_index,
+                       std::span<const std::byte> page,
+                       std::vector<const std::byte*>* records);
 
   // Cold-run reset: empties the (clean) buffer pool and zeroes all
   // device/host timing, as the paper does before each measured query.
@@ -194,10 +185,8 @@ class Database {
   std::unique_ptr<HostMachine> host_;
   DeviceCircuitBreaker breaker_;
   // Shared so device sessions can hold a snapshot; copied on write
-  // while one does (WidenZoneMap).
+  // while one does (RefoldZoneMap).
   std::map<std::string, std::shared_ptr<storage::ZoneMap>> zone_maps_;
-  // Tables whose zone map was invalidated by a write and awaits rebuild.
-  std::set<std::string> stale_zone_maps_;
   obs::Tracer* tracer_ = nullptr;
   obs::TrackId executor_track_ = 0;
   std::string trace_device_process_;

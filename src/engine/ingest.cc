@@ -76,25 +76,15 @@ StepOutcome IngestTask::Step() {
       const auto next = db_->buffer_pool().NextDirtyInRange(
           info.value()->first_lpn, info.value()->reserved_pages);
       if (!next.has_value()) {
-        state_ = State::kRestore;
-        return StepOutcome{.at = t_};
+        stats_.end = t_;
+        state_ = State::kDone;
+        return StepOutcome{.at = t_, .finished = true};
       }
       auto at = db_->buffer_pool().FlushPage(*next, t_);
       if (!at.ok()) return FailWith(at.status());
       t_ = at.value();
       ++stats_.pages_flushed;
       return StepOutcome{.at = t_};
-    }
-    case State::kRestore: {
-      // No-op unless an update marked the table's zone map stale.
-      // RestoreZoneMaps itself skips tables with dirty pages still in
-      // the pool, so it never rebuilds from stale device bytes.
-      auto at = db_->RestoreZoneMaps(t_);
-      if (!at.ok()) return FailWith(at.status());
-      t_ = at.value();
-      stats_.end = t_;
-      state_ = State::kDone;
-      return StepOutcome{.at = t_, .finished = true};
     }
     case State::kDone:
       return StepOutcome{.at = t_, .finished = true};

@@ -15,8 +15,8 @@
 namespace smartssd::engine {
 
 // One ingest batch: an optional in-place update pass followed by an
-// optional append run, then a flush of the dirtied pages and zone-map
-// recovery. All phases are host-only (Section 4.3 rules writes out of
+// optional append run, then a flush of the dirtied pages, which ends
+// the batch. All phases are host-only (Section 4.3 rules writes out of
 // the device), so while a batch is in flight its dirty pages gate
 // pushdown on the table; the flush phase is what hands eligibility
 // back.
@@ -59,7 +59,7 @@ class IngestTask {
   Result<IngestStats> TakeResult();
 
  private:
-  enum class State { kStart, kUpdate, kAppend, kFlush, kRestore, kDone };
+  enum class State { kStart, kUpdate, kAppend, kFlush, kDone };
 
   StepOutcome FailWith(const Status& error);
 

@@ -214,13 +214,11 @@ StepOutcome HostQueryTask::StepScan() {
   QueryStats& stats = result_.stats;
   const storage::TableInfo& outer = *bound_->outer;
   const std::uint64_t limit = outer.first_lpn + outer.page_count;
-  // A co-scheduled writer can mark the table's zone map stale at any
-  // step boundary, which destroys the map object. Re-fetch it each step
-  // and stop pruning once it is gone: pages already pruned were pruned
-  // while the statistics still covered every page image the scan could
-  // observe, and un-pruned pages merely cost a read. The batch-skip
-  // analysis holds a pointer into the map, so it must track the same
-  // lifecycle: re-arm whenever the map object changed.
+  // A co-scheduled writer refolds the zone map as it writes each page,
+  // and while a device session holds the map as its snapshot, a refold
+  // replaces the database's map with a copy: re-fetch it each step. The
+  // batch-skip analysis holds a pointer to the map, so re-arm it
+  // whenever the map object changed.
   zone_map_ = db_->zone_map(bound_->spec->table);
   if (zone_map_ != armed_zone_map_) {
     processor_->SetZoneMap(zone_map_);

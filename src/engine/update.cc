@@ -89,12 +89,12 @@ Result<std::uint16_t> UpdateCursor::MatchRows(
   }
   SMARTSSD_ASSIGN_OR_RETURN(
       storage::PageColumns columns,
-      storage::PageColumns::Open(&info.schema, info.layout, page));
+      storage::PageColumns::Open(&info.schema, info.layout, page,
+                                 &records_));
   const std::uint16_t n = columns.tuple_count();
   matches_.resize(n);
   std::iota(matches_.begin(), matches_.end(), 0u);
   if (n == 0 || !filter_.has_value()) return n;
-  columns.LocateRows(&records_);
   for (const int c : filter_columns_) {
     static_cast<storage::ColumnAddress&>(
         batch_columns_[static_cast<std::size_t>(c)]) = columns.column(c);
@@ -156,11 +156,8 @@ Result<SimTime> UpdateCursor::StepPage(SimTime ready) {
   if (page_changed) {
     SMARTSSD_ASSIGN_OR_RETURN(t, pool.WritePage(lpn, builder_.image(), t));
     ++stats_.pages_dirtied;
-  }
-
-  if (done() && stats_.rows_matched > 0) {
-    // Stored statistics may no longer bound the data; FlushAll rebuilds.
-    db_->MarkZoneMapStale(table_);
+    SMARTSSD_RETURN_IF_ERROR(
+        db_->RefoldZoneMap(table_, p, builder_.image(), &records_));
   }
   stats_.end = t;
   return t;
@@ -285,7 +282,8 @@ Result<SimTime> AppendCursor::StepPage(SimTime ready) {
   info->tuple_count += new_rows;
   if (new_page) ++info->page_count;
 
-  SMARTSSD_RETURN_IF_ERROR(db_->WidenZoneMap(table_, page_index, image));
+  SMARTSSD_RETURN_IF_ERROR(
+      db_->RefoldZoneMap(table_, page_index, image, &records_));
   stats_.end = t;
   return t;
 }

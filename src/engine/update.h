@@ -27,9 +27,9 @@ namespace smartssd::engine {
 //   * updated pages sit dirty in the buffer pool, which makes the
 //     planner and executor refuse pushdown on the table until a flush
 //     writes them back;
-//   * the table's zone map (if any) goes stale, since its statistics
-//     may no longer bound the stored values; Database::FlushAll
-//     rebuilds it so pushdown eligibility recovers.
+//   * the table's zone map (if any) must describe every page image a
+//     scan can read, so each writer refolds the page it writes
+//     (Database::RefoldZoneMap).
 class TableUpdater {
  public:
   explicit TableUpdater(Database* db);
@@ -74,9 +74,9 @@ class TableUpdater {
 // A page with no match is neither re-encoded nor written. A page with
 // one is read through storage::PageRows (the mutation sees the page
 // row) and re-encoded into the cursor's one storage::PageBuilder, so a
-// pass allocates no page buffer and no record per rewritten page. When
-// the last page has been processed and any row matched, the table's
-// zone map is marked stale.
+// pass allocates no page buffer and no record per rewritten page. The
+// zone map refolds the page from the image the pool takes, so a scan
+// between two pages of the pass prunes with exact ranges.
 class UpdateCursor {
  public:
   static Result<UpdateCursor> Open(Database* db, std::string table,
@@ -128,7 +128,7 @@ class UpdateCursor {
   std::vector<int> filter_columns_;
   std::vector<expr::BatchColumn> batch_columns_;
   expr::BatchScratch scratch_;
-  std::vector<const std::byte*> records_;  // NSM record gather
+  std::vector<const std::byte*> records_;  // NSM gather: filter, refold
   expr::SelVec matches_;
 
   // The rewrite of a page with a match.
@@ -144,9 +144,8 @@ class UpdateCursor {
 // append fails with FAILED_PRECONDITION once the reservation is
 // exhausted.
 //
-// Zone-map maintenance is widen-on-append: every page image written is
-// folded into the live zone map (ranges only grow, so pruning stays
-// sound without a rebuild).
+// Every page image written refolds its page of the live zone map, as
+// an update's does; a fresh page grows the map.
 class TableAppender {
  public:
   explicit TableAppender(Database* db);
@@ -201,6 +200,7 @@ class AppendCursor {
   TableAppender::AppendStats stats_;
   storage::PageBuilder builder_;
   std::vector<std::byte> record_;
+  std::vector<const std::byte*> records_;  // NSM gather for the refold
 };
 
 }  // namespace smartssd::engine

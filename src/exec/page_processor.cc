@@ -475,8 +475,8 @@ Status PageProcessor::ProcessPageVectorized(std::span<const std::byte> page,
   const storage::Schema& schema = bound_->outer->schema;
 
   // Zone-map classification first: it needs only the page index, and an
-  // all-fail verdict on the filter-first path skips even the NSM record
-  // gather below. The per-row cost it reports is exactly what
+  // all-fail verdict on the filter-first path skips every per-row stage
+  // below. The per-row cost it reports is exactly what
   // the interpreter would charge the skipped rows (batch_skip.h), so
   // the fast paths leave OpCounts byte-identical.
   PageClass page_class = PageClass::kMixed;
@@ -490,22 +490,22 @@ Status PageProcessor::ProcessPageVectorized(std::span<const std::byte> page,
   // pointers live outside it, in tuple_ptrs_.
   SMARTSSD_ASSIGN_OR_RETURN(
       storage::PageColumns columns,
-      storage::PageColumns::Open(&schema, bound_->outer->layout, page));
+      storage::PageColumns::Open(&schema, bound_->outer->layout, page,
+                                 &tuple_ptrs_));
   const std::uint16_t n = columns.tuple_count();
   counts->tuples += n;
   // Empty (e.g. zero-initialized) pages have no slot directory or
   // minipages to point into — bail before touching them.
   if (n == 0) return Status::OK();
   // All-fail before the probe stage: every row short-circuits inside
-  // the predicate, so no per-row work (not even the NSM record gather)
-  // remains — charge the rows' evaluation cost and move on.
+  // the predicate, so no per-row work remains — charge the rows'
+  // evaluation cost and move on.
   if (page_class == PageClass::kAllFail &&
       spec.order == PipelineOrder::kFilterFirst) {
     AddScaledEvalStats(&counts->eval, skip_per_row, n);
     return Status::OK();
   }
   EnsureLanes(n);
-  columns.LocateRows(&tuple_ptrs_);
   for (const int c : outer_cols_used_) {
     static_cast<storage::ColumnAddress&>(
         batch_columns_[static_cast<std::size_t>(c)]) = columns.column(c);

@@ -39,8 +39,9 @@ class HybridJoin;
 //    semantic reference. It reads every page through one row view
 //    (expr::PageRowView over storage::PageRows).
 //  * kVectorized — the page's columns come from storage::PageColumns
-//    (PAX minipages in place, NSM records gathered once per page into
-//    the processor's own buffer), the predicate/aggregate expressions
+//    (PAX minipages in place, NSM records gathered into the
+//    processor's own buffer by the walk that validates the page's
+//    slots), the predicate/aggregate expressions
 //    are compiled once into flat batch programs (expr/batch.h), and
 //    every stage runs column-at-a-time over a selection vector of
 //    surviving row ids.

@@ -56,8 +56,9 @@ void NsmPageBuilder::Reset() {
   StoreU16(buffer_.data() + 4, free_start_);
 }
 
-Result<NsmPageReader> NsmPageReader::Open(const Schema* schema,
-                                          std::span<const std::byte> page) {
+Result<NsmPageReader> NsmPageReader::Open(
+    const Schema* schema, std::span<const std::byte> page,
+    std::vector<const std::byte*>* records) {
   SMARTSSD_CHECK(schema != nullptr);
   if (page.size() < 8) {
     return CorruptionError("NSM page smaller than its header");
@@ -78,23 +79,18 @@ Result<NsmPageReader> NsmPageReader::Open(const Schema* schema,
       page.size()) {
     return CorruptionError("NSM page tuple count exceeds page capacity");
   }
-  for (std::uint16_t i = 0; i < count; ++i) {
-    const std::uint16_t offset =
-        LoadU16(page.data() + page.size() - 2 * (i + 1));
-    if (offset < 8 ||
-        offset + schema->tuple_size() > page.size() - slots_bytes) {
+  if (records != nullptr && records->size() < count) records->resize(count);
+  const std::byte* base = page.data();
+  const std::size_t tuples_end = page.size() - slots_bytes;
+  const std::byte* slot = base + page.size() - 2;
+  for (std::uint16_t i = 0; i < count; ++i, slot -= 2) {
+    const std::uint16_t offset = LoadU16(slot);
+    if (offset < 8 || offset + schema->tuple_size() > tuples_end) {
       return CorruptionError("NSM slot points outside the page");
     }
+    if (records != nullptr) (*records)[i] = base + offset;
   }
   return NsmPageReader(schema, page, count);
-}
-
-void NsmPageReader::TuplePointers(const std::byte** out) const {
-  const std::byte* base = page_.data();
-  const std::byte* slot = base + page_.size() - 2;
-  for (std::uint16_t i = 0; i < count_; ++i, slot -= 2) {
-    out[i] = base + LoadU16(slot);
-  }
 }
 
 }  // namespace smartssd::storage

@@ -56,9 +56,14 @@ class NsmPageBuilder {
 
 class NsmPageReader {
  public:
-  // Validates the header; a zeroed (never written) page reads as empty.
-  static Result<NsmPageReader> Open(const Schema* schema,
-                                    std::span<const std::byte> page);
+  // Validates the header and that every slot points at a whole record
+  // between the header and the slot directory; a zeroed (never written)
+  // page reads as empty. Given `records`, the same slot walk stores
+  // tuple i's record pointer in (*records)[i], growing it to
+  // tuple_count() entries (it never shrinks).
+  static Result<NsmPageReader> Open(
+      const Schema* schema, std::span<const std::byte> page,
+      std::vector<const std::byte*>* records = nullptr);
 
   std::uint16_t tuple_count() const { return count_; }
 
@@ -70,11 +75,6 @@ class NsmPageReader {
                 sizeof(offset));
     return page_.data() + offset;
   }
-
-  // Fills `out` (tuple_count() entries) with every tuple's record
-  // pointer in one slot-directory walk — the gather step of the batch
-  // kernel. Offsets were bounds-checked in Open().
-  void TuplePointers(const std::byte** out) const;
 
  private:
   NsmPageReader(const Schema* schema, std::span<const std::byte> page,

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <variant>
 #include <vector>
@@ -85,61 +86,55 @@ struct ColumnAddress {
 
 // The columns of one page image, for code that reads a column at a
 // time: the batch kernel, the update filter and the zone-map fold. Open
-// validates the page as PageRows::Open does; LocateRows then makes
-// column() usable. A PAX page's columns are its minipages, used in
-// place; an NSM page's rows are located once, in one walk of the slot
-// directory, into a buffer the caller owns, so a caller that keeps its
-// buffer allocates nothing once the buffer has held its largest page.
+// validates the page as PageRows::Open does and locates its rows in
+// the same pass. A PAX page's columns are its minipages, used in place;
+// an NSM page's record pointers are stored by the one slot-directory
+// walk that validates them (NsmPageReader::Open), into a buffer the
+// caller owns, so a caller that keeps its buffer allocates nothing once
+// the buffer has held its largest page.
 //
 // Defined here, since the batch kernel calls them once per page and
 // per column.
 class PageColumns {
  public:
+  // An NSM page writes every row's record pointer to `*records`, which
+  // grows to tuple_count() entries, never shrinks, and must outlive the
+  // addresses column() returns; a PAX page leaves it alone.
   static Result<PageColumns> Open(const Schema* schema, PageLayout layout,
-                                  std::span<const std::byte> page) {
+                                  std::span<const std::byte> page,
+                                  std::vector<const std::byte*>* records) {
     if (layout == PageLayout::kNsm) {
       SMARTSSD_ASSIGN_OR_RETURN(const NsmPageReader reader,
-                                NsmPageReader::Open(schema, page));
-      return PageColumns(schema, reader, reader.tuple_count());
+                                NsmPageReader::Open(schema, page, records));
+      return PageColumns(schema, reader.tuple_count(), records->data(),
+                         std::nullopt);
     }
     SMARTSSD_ASSIGN_OR_RETURN(const PaxPageReader reader,
                               PaxPageReader::Open(schema, page));
-    return PageColumns(schema, reader, reader.tuple_count());
+    return PageColumns(schema, reader.tuple_count(), nullptr, reader);
   }
 
   std::uint16_t tuple_count() const { return count_; }
 
-  // Locates the page's rows for column(). An NSM page writes every
-  // row's record pointer to `*records`, which grows to tuple_count()
-  // entries and never shrinks; a PAX page needs no gather and leaves it
-  // alone. `*records` must outlive the addresses column() returns.
-  void LocateRows(std::vector<const std::byte*>* records) {
-    const auto* nsm = std::get_if<NsmPageReader>(&reader_);
-    if (nsm == nullptr) return;
-    if (records->size() < count_) records->resize(count_);
-    nsm->TuplePointers(records->data());
-    records_ = records->data();
-  }
-
-  // Where column `col`'s values lie; only on a page with rows, after
-  // LocateRows.
+  // Where column `col`'s values lie; only on a page with rows.
   ColumnAddress column(int col) const {
-    if (records_ != nullptr) {
-      return {.row_ptrs = records_, .offset = schema_->offset(col)};
+    if (pax_.has_value()) {
+      return {.base = pax_->column_data(col),
+              .stride = schema_->column(col).width};
     }
-    return {.base = std::get<PaxPageReader>(reader_).column_data(col),
-            .stride = schema_->column(col).width};
+    return {.row_ptrs = records_, .offset = schema_->offset(col)};
   }
 
  private:
-  using Reader = std::variant<NsmPageReader, PaxPageReader>;
-  PageColumns(const Schema* schema, Reader reader, std::uint16_t count)
-      : schema_(schema), reader_(reader), count_(count) {}
+  PageColumns(const Schema* schema, std::uint16_t count,
+              const std::byte* const* records,
+              std::optional<PaxPageReader> pax)
+      : schema_(schema), count_(count), records_(records), pax_(pax) {}
 
   const Schema* schema_;
-  Reader reader_;
   std::uint16_t count_;
-  const std::byte* const* records_ = nullptr;  // NSM, set by LocateRows
+  const std::byte* const* records_;    // NSM: the caller's gather buffer
+  std::optional<PaxPageReader> pax_;   // PAX: the minipage directory
 };
 
 // Packs records (NSM form, schema->tuple_size() bytes) into a page

@@ -10,6 +10,10 @@ namespace smartssd::storage {
 
 namespace {
 
+// What an empty page reads: no value lies in [min, max].
+constexpr ZoneMap::Range kEmptyRange{std::numeric_limits<std::int64_t>::max(),
+                                     std::numeric_limits<std::int64_t>::min()};
+
 // Widens `range` by the first `n` values of one column, read as T (the
 // column's INT32 or INT64 width), with the address shape (strided or
 // indirect) resolved once rather than per row.
@@ -55,33 +59,42 @@ Result<ZoneMap> ZoneMap::Build(
           map.tracked_columns_++;
     }
   }
-  map.ranges_.assign(
-      static_cast<std::size_t>(info.page_count) *
-          static_cast<std::size_t>(map.tracked_columns_),
-      Range{std::numeric_limits<std::int64_t>::max(),
-            std::numeric_limits<std::int64_t>::min()});
+  map.ranges_.assign(static_cast<std::size_t>(info.page_count) *
+                         static_cast<std::size_t>(map.tracked_columns_),
+                     kEmptyRange);
 
   std::vector<const std::byte*> records;
   for (std::uint64_t p = 0; p < info.page_count; ++p) {
     SMARTSSD_ASSIGN_OR_RETURN(std::span<const std::byte> page,
                               read_page(p));
-    SMARTSSD_RETURN_IF_ERROR(map.FoldPage(info, p, page, &records));
+    SMARTSSD_RETURN_IF_ERROR(map.RefoldPage(info, p, page, &records));
   }
   return map;
 }
 
-Status ZoneMap::FoldPage(const TableInfo& info, std::uint64_t page_index,
-                         std::span<const std::byte> page,
-                         std::vector<const std::byte*>* records) {
+// One tracked column at a time through PageColumns: a PAX minipage is
+// read in place, NSM records are located by the page's one slot walk,
+// and the INT32/INT64 choice is made once per column, outside the row
+// loop.
+Status ZoneMap::RefoldPage(const TableInfo& info, std::uint64_t page_index,
+                           std::span<const std::byte> page,
+                           std::vector<const std::byte*>* records) {
   const Schema& schema = info.schema;
-  SMARTSSD_ASSIGN_OR_RETURN(PageColumns columns,
-                            PageColumns::Open(&schema, info.layout, page));
-  const std::uint16_t n = columns.tuple_count();
-  if (n == 0) return Status::OK();
-  columns.LocateRows(records);
+  SMARTSSD_ASSIGN_OR_RETURN(
+      const PageColumns columns,
+      PageColumns::Open(&schema, info.layout, page, records));
+  if (page_index >= pages_) {
+    pages_ = page_index + 1;
+    ranges_.resize(static_cast<std::size_t>(pages_) *
+                       static_cast<std::size_t>(tracked_columns_),
+                   kEmptyRange);
+  }
   Range* page_ranges =
       ranges_.data() +
       page_index * static_cast<std::uint64_t>(tracked_columns_);
+  std::fill(page_ranges, page_ranges + tracked_columns_, kEmptyRange);
+  const std::uint16_t n = columns.tuple_count();
+  if (n == 0) return Status::OK();
   for (int c = 0; c < schema.num_columns(); ++c) {
     const int slot = column_slots_[static_cast<std::size_t>(c)];
     if (slot < 0) continue;
@@ -92,21 +105,6 @@ Status ZoneMap::FoldPage(const TableInfo& info, std::uint64_t page_index,
     }
   }
   return Status::OK();
-}
-
-Status ZoneMap::WidenFromPage(const TableInfo& info,
-                              std::uint64_t page_index,
-                              std::span<const std::byte> page) {
-  if (page_index >= pages_) {
-    pages_ = page_index + 1;
-    ranges_.resize(
-        static_cast<std::size_t>(pages_) *
-            static_cast<std::size_t>(tracked_columns_),
-        Range{std::numeric_limits<std::int64_t>::max(),
-              std::numeric_limits<std::int64_t>::min()});
-  }
-  std::vector<const std::byte*> records;
-  return FoldPage(info, page_index, page, &records);
 }
 
 bool ZoneMap::TracksColumn(int col) const {

@@ -22,14 +22,17 @@ namespace smartssd::storage {
 // (in-SSD indexing), and the host executor prunes its read requests —
 // the same statistics serve both sides.
 //
-// Building and widening fold a page one tracked column at a time over
-// storage::PageColumns, so the page layout stays inside storage's
-// codec and each column is one tight loop over its values.
+// Whoever writes a page image refolds that page from it (RefoldPage),
+// so the map stays exact under writes. Building and refolding read a
+// page one tracked column at a time over storage::PageColumns, so the
+// page layout stays inside storage's codec and each column is one
+// tight loop over its values.
 class ZoneMap {
  public:
   struct Range {
     std::int64_t min = 0;
     std::int64_t max = 0;
+    bool operator==(const Range&) const = default;
   };
 
   // Builds statistics by scanning the table's pages via `read_page`
@@ -58,14 +61,14 @@ class ZoneMap {
                    static_cast<std::uint64_t>(slot)];
   }
 
-  // Widens page statistics from a fresh page image after a write.
-  // Grows the map (with empty-page sentinels) when `page_index` is past
-  // the last tracked page, so appends into reserved extent headroom are
-  // covered. Widening is sound but lossy for in-place updates: ranges
-  // only grow, so pruning stays correct while a full Build would be
-  // tighter.
-  Status WidenFromPage(const TableInfo& info, std::uint64_t page_index,
-                       std::span<const std::byte> page);
+  // Sets page `page_index`'s ranges to the [min, max] of the rows of
+  // its new image `page`, so a range may narrow; an empty page reads
+  // min > max. A page past the end grows the map, so appends into
+  // reserved extent headroom are covered. `records` is the caller's
+  // NSM gather buffer (PageColumns::Open).
+  Status RefoldPage(const TableInfo& info, std::uint64_t page_index,
+                    std::span<const std::byte> page,
+                    std::vector<const std::byte*>* records);
 
   bool TracksColumn(int col) const;
   std::uint64_t pages() const { return pages_; }
@@ -75,15 +78,6 @@ class ZoneMap {
 
  private:
   ZoneMap() = default;
-
-  // Folds every row of `page` into the page's ranges (min/max widen),
-  // one tracked column at a time through PageColumns: a PAX minipage is
-  // read in place, NSM records are located once per page into
-  // `records` (the caller's gather buffer), and the INT32/INT64 choice
-  // is made once per column, outside the row loop.
-  Status FoldPage(const TableInfo& info, std::uint64_t page_index,
-                  std::span<const std::byte> page,
-                  std::vector<const std::byte*>* records);
 
   std::uint64_t pages_ = 0;
   std::vector<int> column_slots_;  // schema col -> slot or -1

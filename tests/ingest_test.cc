@@ -1,7 +1,8 @@
 // The write path end-to-end: appends into reserved extents, resumable
-// update/append cursors, zone-map recovery at flush (the regression the
-// old drop-forever behavior hid), ingest batches as resumable tasks, and
-// ingest clients co-scheduled with queries under the workload scheduler.
+// update/append cursors, a zone map that every page writer keeps exact
+// (so a scan between two pages of an update prunes correctly), ingest
+// batches as resumable tasks, and ingest clients co-scheduled with
+// queries under the workload scheduler.
 
 #include <gtest/gtest.h>
 
@@ -68,6 +69,18 @@ class IngestTest : public ::testing::TestWithParam<storage::PageLayout> {
     return result->agg_values[0];
   }
 
+  // COUNT(*) over rows satisfying `predicate`, on the host.
+  std::int64_t HostCount(ex::ExprPtr predicate) {
+    exec::QuerySpec spec;
+    spec.table = "T";
+    spec.predicate = std::move(predicate);
+    spec.aggregates.push_back({exec::AggSpec::Fn::kCount, nullptr, "n"});
+    QueryExecutor executor(&db_);
+    auto result = executor.Execute(spec, ExecutionTarget::kHost);
+    SMARTSSD_CHECK(result.ok());
+    return result->agg_values[0];
+  }
+
   Database db_;
 };
 
@@ -97,7 +110,7 @@ TEST_P(IngestTest, AppendVisibleOnHostThenPushdownAfterFlush) {
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
 
-  ASSERT_TRUE(db_.FlushAll(0).ok());
+  ASSERT_TRUE(db_.buffer_pool().FlushAll(0).ok());
   EXPECT_EQ(RangeSum(db_, ExecutionTarget::kSmartSsd, 0, 1 << 30),
             expected);
 }
@@ -149,10 +162,13 @@ TEST_P(IngestTest, UpdateCursorMatchesMonolithicUpdate) {
             RangeSum(other, ExecutionTarget::kHost, 0, 1 << 30));
 }
 
-// The regression this PR exists to pin: an update used to *drop* the
-// zone map permanently; now it only goes stale and FlushAll rebuilds it.
+// Each rewritten page is refolded as it is written: the same map stays
+// live through the update and the flush, and it bounds the new values,
+// so a scan pruned on the mutated column still finds every mutated row,
+// on both paths.
 TEST_P(IngestTest, FlushAllRestoresZoneMapAfterUpdate) {
-  ASSERT_NE(db_.zone_map("T"), nullptr);
+  const storage::ZoneMap* map = db_.zone_map("T");
+  ASSERT_NE(map, nullptr);
   TableUpdater updater(&db_);
   const auto pred = ex::Le(ex::Col(0), ex::Lit(100));
   ASSERT_TRUE(updater
@@ -162,24 +178,53 @@ TEST_P(IngestTest, FlushAllRestoresZoneMapAfterUpdate) {
                             writer.SetInt32(2, 999);
                           })
                   .ok());
-  EXPECT_EQ(db_.zone_map("T"), nullptr);  // stale while dirty
+  EXPECT_EQ(db_.zone_map("T"), map);  // live while dirty
+  EXPECT_EQ(map->SlotRange(0, map->TrackedSlot(2)).max, 999);
 
-  ASSERT_TRUE(db_.FlushAll(0).ok());
-  const storage::ZoneMap* rebuilt = db_.zone_map("T");
-  ASSERT_NE(rebuilt, nullptr);
+  // Rows with Col_3 = 999: the 101 updated ones plus the loaded rows
+  // past the update's keys that already held it.
+  std::int64_t want_count = 101;
+  for (std::uint64_t r = 101; r < kBaseRows; ++r) {
+    if ((r * 7) % 1000 == 999) ++want_count;
+  }
+  EXPECT_EQ(HostCount(ex::Ge(ex::Col(2), ex::Lit(999))), want_count);
 
-  // The rebuilt map must bound the *new* values: a pruned scan for the
-  // mutated rows still finds all of them, on both paths.
+  ASSERT_TRUE(db_.buffer_pool().FlushAll(0).ok());
+  EXPECT_EQ(db_.zone_map("T"), map);
+  EXPECT_EQ(HostCount(ex::Ge(ex::Col(2), ex::Lit(999))), want_count);
   const std::int64_t want = 999 * 101;
   EXPECT_EQ(RangeSum(db_, ExecutionTarget::kHost, 0, 100), want);
   EXPECT_EQ(RangeSum(db_, ExecutionTarget::kSmartSsd, 0, 100), want);
+}
+
+// A host scan scheduled between two pages of an update pass prunes
+// with the pass's pages as written so far: the first page's rows, moved
+// out of the loaded Col_3 domain [0, 1000), are found by a scan for the
+// new value and no longer counted by the all-pass scan of the old
+// domain.
+TEST_P(IngestTest, HostScanMidUpdateSeesRewrittenPages) {
+  const auto pred = ex::Le(ex::Col(0), ex::Lit(100));
+  auto cursor = UpdateCursor::Open(
+      &db_, "T", pred.get(),
+      [](const expr::RowView&, storage::TupleWriter& writer) {
+        writer.SetInt32(2, 5000);
+      });
+  ASSERT_TRUE(cursor.ok());
+  ASSERT_TRUE(cursor->StepPage(0).ok());
+  const auto matched =
+      static_cast<std::int64_t>(cursor->stats().rows_matched);
+  EXPECT_EQ(matched, 101);  // keys 0..100 all lie on page 0
+
+  EXPECT_EQ(HostCount(ex::Ge(ex::Col(2), ex::Lit(5000))), matched);
+  EXPECT_EQ(HostCount(ex::Lt(ex::Col(2), ex::Lit(1000))),
+            static_cast<std::int64_t>(kBaseRows) - matched);
 }
 
 TEST_P(IngestTest, AppendWidensZoneMapInPlace) {
   ASSERT_NE(db_.zone_map("T"), nullptr);
   TableAppender appender(&db_);
   ASSERT_TRUE(appender.Append("T", 200, FillRow).ok());
-  // Widen-on-append keeps the map live (no stale window)...
+  // Each appended page is refolded into the live map...
   EXPECT_NE(db_.zone_map("T"), nullptr);
 
   // ...and sound: a pruned range query over the appended key range
@@ -191,7 +236,7 @@ TEST_P(IngestTest, AppendWidensZoneMapInPlace) {
   EXPECT_EQ(RangeSum(db_, ExecutionTarget::kHost,
                      static_cast<std::int64_t>(kBaseRows), 1 << 30),
             want);
-  ASSERT_TRUE(db_.FlushAll(0).ok());
+  ASSERT_TRUE(db_.buffer_pool().FlushAll(0).ok());
   EXPECT_EQ(RangeSum(db_, ExecutionTarget::kSmartSsd,
                      static_cast<std::int64_t>(kBaseRows), 1 << 30),
             want);
@@ -222,10 +267,10 @@ TEST_P(IngestTest, IngestTaskRunsBatchToCompletion) {
   EXPECT_EQ(result->rows_appended, 60u);
   EXPECT_GT(result->pages_flushed, 0u);
   EXPECT_GT(result->end, 0);
-  EXPECT_GT(steps, 3);  // update + append + flush + restore all stepped
+  EXPECT_GT(steps, 3);  // update + append + flush all stepped
 
-  // The batch flushed and restored: pushdown eligible again, zone map
-  // live, data as mutated.
+  // The batch flushed: pushdown eligible again, zone map live, data as
+  // mutated.
   auto info = db_.catalog().GetTable("T");
   ASSERT_TRUE(info.ok());
   EXPECT_FALSE(db_.buffer_pool().HasDirtyInRange((*info)->first_lpn,
@@ -235,9 +280,11 @@ TEST_P(IngestTest, IngestTaskRunsBatchToCompletion) {
 }
 
 // A device session takes a shared snapshot of the zone map when it
-// starts. A writer that widens the map (which then widens a copy) or
-// marks it stale before the session's OPEN must not change what the
-// session prunes: it matches its solo run exactly.
+// starts. A writer that refolds a page before the session's OPEN (which
+// then refolds a copy) must not change what the session prunes, whether
+// the refold would make the live map read a page the query skips or
+// skip a page the query reads: the session matches its solo run
+// exactly.
 TEST_P(IngestTest, DeviceSessionKeepsItsZoneMapSnapshot) {
   exec::QuerySpec spec;  // keys [2000, 2500]: pages in the middle
   spec.table = "T";
@@ -249,7 +296,7 @@ TEST_P(IngestTest, DeviceSessionKeepsItsZoneMapSnapshot) {
   }());
   spec.aggregates.push_back({exec::AggSpec::Fn::kSum, ex::Col(2), "s"});
 
-  enum class Writer { kNone, kWiden, kStale };
+  enum class Writer { kNone, kWiden, kNarrow };
   auto run = [&](Writer writer) {
     Database db(DatabaseOptions::PaperSmartSsd());
     LoadInto(db, GetParam());
@@ -257,22 +304,31 @@ TEST_P(IngestTest, DeviceSessionKeepsItsZoneMapSnapshot) {
     task.Step();  // bind and place
     task.Step();  // session start: the snapshot is taken here
     const storage::ZoneMap* live = db.zone_map("T");
-    if (writer == Writer::kWiden) {
-      // Widen page 0 over the query's range, so pruning with the live
-      // map would read it.
+    if (writer != Writer::kNone) {
+      // kWiden refolds page 0 from a one-row image inside the query's
+      // range, so pruning with the live map would read it; kNarrow
+      // refolds the page holding key 2200 from a one-row image outside
+      // it, so pruning with the live map would skip that page.
+      const std::uint64_t key = writer == Writer::kWiden ? 2200 : 10;
+      const std::uint64_t page =
+          writer == Writer::kWiden
+              ? 0
+              : 2200 / db.catalog().GetTable("T").value()->tuples_per_page;
       const storage::Schema schema = tpch::SyntheticSchema(4);
       std::vector<std::byte> tuple(schema.tuple_size());
       storage::TupleWriter w(&schema, tuple);
-      FillRow(2200, w);
+      FillRow(key, w);
       storage::PageBuilder builder(&schema, GetParam(),
                                    db.device().page_size());
       SMARTSSD_CHECK(builder.Append(tuple));
-      EXPECT_TRUE(db.WidenZoneMap("T", 0, builder.image()).ok());
-      EXPECT_NE(db.zone_map("T"), live);  // widened a copy
-      EXPECT_TRUE(db.zone_map("T")->PageMayMatch(0, 0, 2000, 2500));
-    } else if (writer == Writer::kStale) {
-      db.MarkZoneMapStale("T");
-      EXPECT_EQ(db.zone_map("T"), nullptr);
+      std::vector<const std::byte*> records;
+      EXPECT_TRUE(
+          db.RefoldZoneMap("T", page, builder.image(), &records).ok());
+      EXPECT_NE(db.zone_map("T"), live);  // refolded a copy
+      EXPECT_EQ(db.zone_map("T")->PageMayMatch(page, 0, 2000, 2500),
+                writer == Writer::kWiden);
+      EXPECT_NE(live->PageMayMatch(page, 0, 2000, 2500),
+                writer == Writer::kWiden);
     }
     while (!task.finished()) task.Step();
     auto result = task.TakeResult();
@@ -283,7 +339,7 @@ TEST_P(IngestTest, DeviceSessionKeepsItsZoneMapSnapshot) {
   const QueryResult solo = run(Writer::kNone);
   EXPECT_GT(solo.stats.pages_skipped, 0u);  // pruning is in play
   EXPECT_EQ(solo.stats.target, ExecutionTarget::kSmartSsd);
-  for (const Writer writer : {Writer::kWiden, Writer::kStale}) {
+  for (const Writer writer : {Writer::kWiden, Writer::kNarrow}) {
     const QueryResult got = run(writer);
     EXPECT_EQ(got.stats.target, ExecutionTarget::kSmartSsd);
     EXPECT_EQ(got.agg_values, solo.agg_values);
@@ -415,7 +471,7 @@ TEST(IngestWorkloadTest, CoScheduledIngestIsDeterministicAndExact) {
     TableAppender appender(&quiet);
     ASSERT_TRUE(appender.Append("T", 50, FillRow).ok());
   }
-  ASSERT_TRUE(quiet.FlushAll(0).ok());
+  ASSERT_TRUE(quiet.buffer_pool().FlushAll(0).ok());
   exec::QuerySpec sum;
   sum.table = "T";
   sum.aggregates.push_back({exec::AggSpec::Fn::kSum, ex::Col(2), "s"});

@@ -4,9 +4,10 @@
 // in-place PAX directory, the per-lane buffers, the batched join probe,
 // the group table and the top-N row buffer. The same holds for an
 // update pass (engine::UpdateCursor): its batch filter, page builder and
-// record are reused from page to page, and the buffer pool's lpn index
-// is sized once. The binary replaces global operator new with a
-// counting one; nothing here is timed.
+// record are reused from page to page, the zone-map refold of each
+// rewritten page reuses the cursor's NSM gather buffer, and the buffer
+// pool's lpn index is sized once. The binary replaces global operator
+// new with a counting one; nothing here is timed.
 //
 // Each query shape runs on PAX and NSM over in-memory pages whose first
 // page already holds everything later pages need: passing rows for the
@@ -290,17 +291,40 @@ TEST_P(UpdateAllocTest, NoMatchPassAllocatesNothingAfterFirstPage) {
   EXPECT_EQ(stats.pages_dirtied, 0u);
 }
 
-TEST_P(UpdateAllocTest, KeyWindowPassAllocatesNothingPerDirtiedPage) {
-  // l_orderkey = row / 4 + 1, so the window is rows 8,000..19,999: a
-  // run of pages well past page 0.
+// l_orderkey = row / 4 + 1, so the window is rows 8,000..19,999: a run
+// of pages well past page 0.
+expr::ExprPtr KeyWindow() {
   std::vector<expr::ExprPtr> window;
   window.push_back(expr::Ge(expr::Col(tpch::kLOrderKey), expr::Lit(2'001)));
   window.push_back(expr::Le(expr::Col(tpch::kLOrderKey), expr::Lit(5'000)));
-  const auto pred = expr::And(std::move(window));
+  return expr::And(std::move(window));
+}
+
+TEST_P(UpdateAllocTest, KeyWindowPassAllocatesNothingPerDirtiedPage) {
   engine::TableUpdater::UpdateStats stats;
-  EXPECT_EQ(AllocationsAfterFirstPage(*pred, &stats), 0u);
+  EXPECT_EQ(AllocationsAfterFirstPage(*KeyWindow(), &stats), 0u);
   EXPECT_EQ(stats.rows_matched, 12'000u);
   EXPECT_GT(stats.pages_dirtied, 10u);
+}
+
+// With a zone map, every dirtied page is refolded from its new image
+// through the cursor's own NSM gather buffer: still no allocation.
+TEST_P(UpdateAllocTest, KeyWindowPassRefoldsZoneMapWithoutAllocating) {
+  ASSERT_TRUE(db_.BuildZoneMap("lineitem").ok());
+  const storage::ZoneMap& map = *db_.zone_map("lineitem");
+  const std::uint64_t in_window =
+      12'000 / db_.catalog().GetTable("lineitem").value()->tuples_per_page;
+  const std::uint64_t last_page = map.pages() - 1;
+  EXPECT_FALSE(map.PageMayMatch(in_window, tpch::kLQuantity, 0, 0));
+  engine::TableUpdater::UpdateStats stats;
+  EXPECT_EQ(AllocationsAfterFirstPage(*KeyWindow(), &stats), 0u);
+  EXPECT_EQ(stats.rows_matched, 12'000u);
+  EXPECT_GT(stats.pages_dirtied, 10u);
+  EXPECT_EQ(db_.zone_map("lineitem"), &map);
+  // The page holding row 12,000 was rewritten with l_quantity 0; the
+  // last page, past the window, was not.
+  EXPECT_TRUE(map.PageMayMatch(in_window, tpch::kLQuantity, 0, 0));
+  EXPECT_FALSE(map.PageMayMatch(last_page, tpch::kLQuantity, 0, 0));
 }
 
 INSTANTIATE_TEST_SUITE_P(Layouts, UpdateAllocTest,

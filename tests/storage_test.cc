@@ -132,6 +132,32 @@ TEST_P(PageCodecTest, RoundTripAllTuples) {
   EXPECT_EQ(empty->tuple_count(), 0);
 }
 
+// PageColumns hands out the same bytes as PageRows, in either layout;
+// on an NSM page the record pointers come from the walk that validates
+// the slots, into the caller's buffer.
+TEST_P(PageCodecTest, ColumnsMatchRows) {
+  const Schema schema = TestSchema();
+  PageBuilder builder(&schema, GetParam(), 1024);
+  for (int id = 0; builder.Append(MakeTuple(schema, id)); ++id) {
+  }
+  auto rows = PageRows::Open(&schema, GetParam(), builder.image());
+  ASSERT_TRUE(rows.ok());
+  std::vector<const std::byte*> records;
+  auto columns =
+      PageColumns::Open(&schema, GetParam(), builder.image(), &records);
+  ASSERT_TRUE(columns.ok());
+  ASSERT_EQ(columns->tuple_count(), rows->tuple_count());
+  EXPECT_EQ(records.size(),
+            GetParam() == PageLayout::kNsm ? rows->tuple_count() : 0u);
+  for (int c = 0; c < schema.num_columns(); ++c) {
+    const ColumnAddress column = columns->column(c);
+    for (std::uint16_t i = 0; i < rows->tuple_count(); ++i) {
+      EXPECT_EQ(column.at(i), rows->column(rows->row(i), c))
+          << "row " << i << " column " << c;
+    }
+  }
+}
+
 TEST_P(PageCodecTest, ZeroPageReadsAsEmpty) {
   const Schema schema = TestSchema();
   const std::vector<std::byte> zeros(1024, std::byte{0});
@@ -189,6 +215,29 @@ TEST(NsmPageTest, CorruptSlotOffsetDetected) {
   std::memcpy(image.data() + 1022, &bogus_offset, 2);
   auto reader = NsmPageReader::Open(&schema, image);
   ASSERT_FALSE(reader.ok());
+}
+
+// The record gather shares the walk that validates the slots, so both
+// corrupt images above fail PageColumns::Open as well.
+TEST(NsmPageTest, PageColumnsRejectsCorruptImages) {
+  const Schema schema = TestSchema();
+  NsmPageBuilder builder(&schema, 1024);
+  ASSERT_TRUE(builder.Append(MakeTuple(schema, 1)));
+  auto corrupt = [&](std::size_t at, std::uint16_t value) {
+    std::vector<std::byte> image(builder.image().begin(),
+                                 builder.image().end());
+    std::memcpy(image.data() + at, &value, 2);
+    return image;
+  };
+  const std::vector<std::byte> bad_count = corrupt(2, 999);
+  const std::vector<std::byte> bad_slot = corrupt(1022, 1020);
+  std::vector<const std::byte*> records;
+  for (const auto* image : {&bad_count, &bad_slot}) {
+    auto columns =
+        PageColumns::Open(&schema, PageLayout::kNsm, *image, &records);
+    ASSERT_FALSE(columns.ok());
+    EXPECT_EQ(columns.status().code(), StatusCode::kCorruption);
+  }
 }
 
 TEST(NsmPageTest, CapacityAccountsForSlots) {

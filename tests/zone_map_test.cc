@@ -6,8 +6,10 @@
 #include <limits>
 #include <vector>
 
+#include "check/invariants.h"
 #include "engine/database.h"
 #include "engine/executor.h"
+#include "engine/update.h"
 #include "exec/predicate_range.h"
 #include "storage/page_codec.h"
 #include "storage/tuple.h"
@@ -293,6 +295,92 @@ TEST_P(ZoneMapFoldTest, BuildMatchesBruteForceMinMax) {
     }
   }
   EXPECT_EQ(empty_pages, 1);
+}
+
+// The page writers keep the live map exact. After every page an update
+// or append cursor writes, including an update that narrows a page's
+// range, and after the flush, the live map equals a fresh Build over
+// the table's current page images: the pool's image for a cached page,
+// the device's otherwise.
+TEST_P(ZoneMapFoldTest, WritersKeepLiveMapEqualToRebuild) {
+  const storage::PageLayout layout = GetParam();
+  Database db(DatabaseOptions::PaperSmartSsd());
+  // Col_1 = row (key), Col_2 = row % 97, Col_3 = (row * 7) % 1000,
+  // Col_4 = 5.
+  const storage::RowGenerator fill = [](std::uint64_t row,
+                                        storage::TupleWriter& w) {
+    w.SetInt32(0, static_cast<std::int32_t>(row));
+    w.SetInt32(1, static_cast<std::int32_t>(row % 97));
+    w.SetInt32(2, static_cast<std::int32_t>((row * 7) % 1000));
+    w.SetInt32(3, 5);
+  };
+  ASSERT_TRUE(db.LoadTable("T", tpch::SyntheticSchema(4), layout, 3'000,
+                           fill, /*reserve_extra_pages=*/4)
+                  .ok());
+  ASSERT_TRUE(db.BuildZoneMap("T").ok());
+  db.ResetForColdRun();
+  const storage::ZoneMap& live = *db.zone_map("T");
+
+  auto expect_exact = [&](const std::string& when) {
+    const storage::TableInfo& info = *db.catalog().GetTable("T").value();
+    engine::BufferPool& pool = db.buffer_pool();
+    auto rebuilt = storage::ZoneMap::Build(
+        info, [&](std::uint64_t p) -> Result<std::span<const std::byte>> {
+          const std::uint64_t lpn = info.first_lpn + p;
+          if (!pool.IsCached(lpn)) return db.ssd()->ViewPage(lpn);
+          SMARTSSD_ASSIGN_OR_RETURN(auto cached,
+                                    pool.GetPage(lpn, 0, lpn + 1));
+          return cached.first;
+        });
+    ASSERT_TRUE(rebuilt.ok()) << when;
+    const Status same = check::CheckZoneMapEquals(info, live, *rebuilt);
+    EXPECT_TRUE(same.ok()) << when << ": " << same.ToString();
+  };
+  auto update = [&](const std::string& name, std::int64_t max_key,
+                    int col, std::int32_t value) {
+    const auto pred = ex::Le(ex::Col(0), ex::Lit(max_key));
+    auto cursor = engine::UpdateCursor::Open(
+        &db, "T", pred.get(),
+        [col, value](const expr::RowView&, storage::TupleWriter& w) {
+          w.SetInt32(col, value);
+        });
+    ASSERT_TRUE(cursor.ok());
+    SimTime t = 0;
+    for (int step = 0; !cursor->done(); ++step) {
+      auto at = cursor->StepPage(t);
+      ASSERT_TRUE(at.ok()) << at.status().ToString();
+      t = *at;
+      expect_exact(name + " page " + std::to_string(step));
+    }
+  };
+
+  const int col3 = live.TrackedSlot(2);
+  update("widening update", 700, 2, 5'000);
+  EXPECT_EQ(live.SlotRange(0, col3).max, 5'000);
+  // Page 0 holds only keys <= 700: setting them all to 7 narrows its
+  // Col_3 range to one value.
+  update("narrowing update", 700, 2, 7);
+  EXPECT_EQ(live.SlotRange(0, col3).min, 7);
+  EXPECT_EQ(live.SlotRange(0, col3).max, 7);
+
+  const std::uint64_t pages_before = live.pages();
+  const std::uint32_t capacity =
+      db.catalog().GetTable("T").value()->tuples_per_page;
+  auto append = engine::AppendCursor::Open(&db, "T", capacity * 3 / 2, fill);
+  ASSERT_TRUE(append.ok());
+  SimTime t = 0;
+  for (int step = 0; !append->done(); ++step) {
+    auto at = append->StepPage(t);
+    ASSERT_TRUE(at.ok()) << at.status().ToString();
+    t = *at;
+    expect_exact("append page " + std::to_string(step));
+  }
+  EXPECT_GT(live.pages(), pages_before);
+
+  ASSERT_TRUE(db.buffer_pool().FlushAll(t).ok());
+  expect_exact("flush");
+  const Status stored = check::CheckZoneMapsMatchStorage(db);
+  EXPECT_TRUE(stored.ok()) << stored.ToString();
 }
 
 INSTANTIATE_TEST_SUITE_P(Layouts, ZoneMapFoldTest,
