@@ -1,12 +1,11 @@
 #ifndef SMARTSSD_BENCH_BENCH_UTIL_H_
 #define SMARTSSD_BENCH_BENCH_UTIL_H_
 
-// Shared helpers for the paper-reproduction benches. Each bench binary
-// regenerates one table or figure of the paper: it loads the workload at
-// a reduced scale factor, runs the measured configurations cold, and
-// prints measured (virtual-time) numbers next to the paper's. Virtual
-// time scales linearly with data volume, so ratios are scale-invariant
-// and an SF-100 projection is printed alongside.
+// Shared helpers for the benches: failing fast on an error status, the
+// printed table frame, wall-clock measurement, and the --json=<path>
+// reporter whose rows the committed BENCH_*.json baselines hold.
+// paper_figures regenerates every table and figure of the paper; the
+// other benches each measure one workload or subsystem.
 
 #include <chrono>
 #include <cmath>
@@ -130,7 +129,9 @@ WallMeasurement MeasureWall(std::uint64_t rows, int repeats, Fn&& fn) {
   return m;
 }
 
-// Machine-readable bench output, enabled by a `--json=<path>` argument.
+// Machine-readable bench output, enabled by a `--json=<path>` argument,
+// the only argument a bench takes: any other prints the usage and exits
+// 2, so a mistyped flag cannot leave a committed baseline unregenerated.
 // Write() emits a JSON array with one object per measured configuration:
 //   {"bench": ..., "config": ..., "virtual_seconds": ...,
 //    "paper_ratio": ..., "measured_ratio": ...}
@@ -148,9 +149,11 @@ class JsonReporter {
     for (int i = 1; i < argc; ++i) {
       const std::string_view arg(argv[i]);
       constexpr std::string_view kFlag = "--json=";
-      if (arg.substr(0, kFlag.size()) == kFlag) {
-        path_ = std::string(arg.substr(kFlag.size()));
+      if (!arg.starts_with(kFlag)) {
+        std::fprintf(stderr, "usage: %s [--json=<path>]\n", argv[0]);
+        std::exit(2);
       }
+      path_ = std::string(arg.substr(kFlag.size()));
     }
   }
 

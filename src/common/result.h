@@ -1,8 +1,8 @@
 #ifndef SMARTSSD_COMMON_RESULT_H_
 #define SMARTSSD_COMMON_RESULT_H_
 
-#include <optional>
 #include <utility>
+#include <variant>
 
 #include "common/macros.h"
 #include "common/status.h"
@@ -11,7 +11,9 @@ namespace smartssd {
 
 // Result<T> carries either a value or a non-OK Status (absl::StatusOr
 // equivalent). Accessing value() on an error result aborts: that is a
-// programmer error, not a runtime condition.
+// programmer error, not a runtime condition. Only an error holds a
+// Status, so an OK result never builds or destroys one (nor its message
+// string); its status() is one shared OK Status.
 template <typename T>
 class Result {
  public:
@@ -19,9 +21,11 @@ class Result {
   // sites readable ("return tuple;" / "return NotFoundError(...)"): this
   // mirrors absl::StatusOr and is the one place we intentionally allow an
   // implicit one-argument constructor.
-  Result(T value) : value_(std::move(value)) {}        // NOLINT
-  Result(Status status) : status_(std::move(status)) {  // NOLINT
-    SMARTSSD_CHECK(!status_.ok());  // OK status must carry a value.
+  Result(T value)  // NOLINT
+      : state_(std::in_place_index<1>, std::move(value)) {}
+  Result(Status status)  // NOLINT
+      : state_(std::in_place_index<0>, std::move(status)) {
+    SMARTSSD_CHECK(!std::get_if<0>(&state_)->ok());  // OK must carry a value.
   }
 
   Result(const Result&) = default;
@@ -29,22 +33,26 @@ class Result {
   Result(Result&&) = default;
   Result& operator=(Result&&) = default;
 
-  bool ok() const { return value_.has_value(); }
+  bool ok() const { return state_.index() == 1; }
 
-  const Status& status() const& { return status_; }
-  Status status() && { return std::move(status_); }
+  const Status& status() const& {
+    return ok() ? SharedOk() : *std::get_if<0>(&state_);
+  }
+  Status status() && {
+    return ok() ? Status() : std::move(*std::get_if<0>(&state_));
+  }
 
   const T& value() const& {
     SMARTSSD_CHECK(ok());
-    return *value_;
+    return *std::get_if<1>(&state_);
   }
   T& value() & {
     SMARTSSD_CHECK(ok());
-    return *value_;
+    return *std::get_if<1>(&state_);
   }
   T&& value() && {
     SMARTSSD_CHECK(ok());
-    return std::move(*value_);
+    return std::move(*std::get_if<1>(&state_));
   }
 
   const T& operator*() const& { return value(); }
@@ -53,12 +61,16 @@ class Result {
   T* operator->() { return &const_cast<Result*>(this)->value(); }
 
   T value_or(T fallback) const {
-    return ok() ? *value_ : std::move(fallback);
+    return ok() ? *std::get_if<1>(&state_) : std::move(fallback);
   }
 
  private:
-  Status status_;  // kOk iff value_ holds a value.
-  std::optional<T> value_;
+  static const Status& SharedOk() {
+    static const Status ok;
+    return ok;
+  }
+
+  std::variant<Status, T> state_;  // index 0: a non-OK Status
 };
 
 }  // namespace smartssd

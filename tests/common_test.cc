@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <set>
+#include <string>
 
 #include "common/chunked_table.h"
 #include "common/random.h"
@@ -69,6 +70,17 @@ TEST(ResultTest, MoveOnlyValues) {
   ASSERT_TRUE(result.ok());
   std::unique_ptr<int> v = std::move(result).value();
   EXPECT_EQ(*v, 5);
+}
+
+// Only an error holds a Status: an OK result shares one OK status and
+// is no bigger than a Status-or-value union.
+TEST(ResultTest, OkResultHoldsNoStatus) {
+  const Result<std::string> a = std::string("x");
+  const Result<std::string> b = std::string("y");
+  EXPECT_TRUE(a.status().ok());
+  EXPECT_EQ(&a.status(), &b.status());
+  EXPECT_LT(sizeof(Result<std::string>), sizeof(Status) + sizeof(std::string));
+  EXPECT_TRUE(Result<std::string>(std::string("z")).status().ok());
 }
 
 Result<int> HalveEven(int x) {
