@@ -333,17 +333,19 @@ class Bench {
     const exec::QuerySpec spec = row.query(Suffix(side.layout));
     db.ResetForColdRun();
     engine::QueryExecutor executor(&db);
-    const engine::QueryResult result = bench::Unwrap(
+    engine::QueryResult result = bench::Unwrap(
         executor.Execute(spec, side.device == Device::kSmartSsd
                                    ? engine::ExecutionTarget::kSmartSsd
                                    : engine::ExecutionTarget::kHost),
         who.c_str());
     const storage::TableInfo* table =
         bench::Unwrap(db.catalog().GetTable(spec.table), "table");
-    return SideRun{check::FromQuery(std::move(who), result), result.stats,
-               energy::ComputeEnergy(result.stats, db.host().config(),
-                                     db.device().power_profile()),
-               table->tuples_per_page};
+    const energy::EnergyBreakdown energy = energy::ComputeEnergy(
+        result.stats, db.host().config(), db.device().power_profile());
+    const engine::QueryStats stats = result.stats;
+    // The rows move into the output: the result is not read again.
+    return SideRun{check::FromQuery(std::move(who), std::move(result)),
+                   stats, energy, table->tuples_per_page};
   }
 
   void Measure(const Row& row) {

@@ -27,11 +27,13 @@
 // columns stay uniform random. All kernels read the identical pages.
 //
 // Sweeps selectivity at fixed width, and tuple width at fixed
-// selectivity, over both page layouts. Two TPC-H-shaped rows on PAX
-// follow: Q1 (GROUP BY two 1-byte keys, four SUMs and a COUNT) and
-// Q14 (probe-first FK join into PART, whose keys are dense 1..N), so
-// the group-table and hash-probe stages are measured too. Their
-// l_shipdate is a row-proportional ramp like col1. Each JSON row
+// selectivity, over both page layouts. Three TPC-H-shaped rows on PAX
+// follow: Q6 (five conjuncts; the date range keeps whole runs of rows,
+// the discount conjunct then leaves sparse lanes for the last one), Q1
+// (GROUP BY two 1-byte keys, four SUMs and a COUNT) and Q14
+// (probe-first FK join into PART, whose keys are dense 1..N), so the
+// narrowing filter, group-table and hash-probe stages are measured too.
+// Their l_shipdate is a row-proportional ramp like col1. Each JSON row
 // carries wall_seconds and rows_per_sec; a metadata header row records
 // the toolchain, build type, kernel ISA and hardware thread count that
 // produced the numbers.
@@ -161,7 +163,7 @@ MemTable BuildPart() {
       });
 }
 
-// LINEITEM rows with the columns Q1 and Q14 read: l_shipdate ramps
+// LINEITEM rows with the columns Q6, Q1 and Q14 read: l_shipdate ramps
 // across the table (a date-ordered fact table), the flags follow
 // TPC-H's correlation with the dates (four Q1 groups), and l_partkey
 // is a uniform FK into PART.
@@ -371,6 +373,11 @@ int main(int argc, char** argv) {
     storage::Catalog catalog(100000);
     bench::Check(catalog.AddTable(lineitem.info), "AddTable");
     bench::Check(catalog.AddTable(part.info), "AddTable");
+
+    const exec::QuerySpec q6 = tpch::Q6Spec("lineitem");
+    auto q6_bound = exec::Bind(q6, catalog);
+    bench::Check(q6_bound.status(), "Bind");
+    measure("q6-filter pax", *q6_bound, lineitem, nullptr);
 
     const exec::QuerySpec q1 = tpch::Q1Spec("lineitem");
     auto q1_bound = exec::Bind(q1, catalog);

@@ -598,7 +598,7 @@ class DifferentialRunner {
     if (result->stats.fell_back) ++fallbacks_;
     SMARTSSD_RETURN_IF_ERROR(CheckTraceInvariants(tracer));
     SMARTSSD_RETURN_IF_ERROR(CheckDatabaseInvariants(db));
-    return FromQuery(config, result.value());
+    return FromQuery(config, std::move(result).value());
   }
 
   Result<ExecutionOutput> RunFleet(Fleet& fleet, obs::Tracer& tracer,
@@ -638,7 +638,7 @@ class DifferentialRunner {
     }
     SMARTSSD_RETURN_IF_ERROR(CheckTraceInvariants(tracer));
     SMARTSSD_RETURN_IF_ERROR(CheckFleetInvariants(fleet));
-    return FromFleet(config, result.value());
+    return FromFleet(config, std::move(result).value());
   }
 
   std::uint64_t seed_;

@@ -6,21 +6,20 @@
 
 namespace smartssd::check {
 
-ExecutionOutput FromQuery(std::string config,
-                          const engine::QueryResult& result) {
+ExecutionOutput FromQuery(std::string config, engine::QueryResult result) {
   return ExecutionOutput{.config = std::move(config),
-                         .schema = result.output_schema,
-                         .rows = result.rows,
-                         .aggs = result.agg_values,
+                         .schema = std::move(result.output_schema),
+                         .rows = std::move(result.rows),
+                         .aggs = std::move(result.agg_values),
                          .counts = result.stats.counts};
 }
 
 ExecutionOutput FromFleet(std::string config,
-                          const engine::FleetQueryResult& result) {
+                          engine::FleetQueryResult result) {
   return ExecutionOutput{.config = std::move(config),
-                         .schema = result.output_schema,
-                         .rows = result.rows,
-                         .aggs = result.agg_values,
+                         .schema = std::move(result.output_schema),
+                         .rows = std::move(result.rows),
+                         .aggs = std::move(result.agg_values),
                          .counts = {}};
 }
 

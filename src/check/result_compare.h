@@ -39,10 +39,11 @@ struct ExecutionOutput {
   }
 };
 
-ExecutionOutput FromQuery(std::string config,
-                          const engine::QueryResult& result);
+// Each takes the result by value: a caller done with it moves it in,
+// and its rows, aggregates and schema move instead of being copied.
+ExecutionOutput FromQuery(std::string config, engine::QueryResult result);
 ExecutionOutput FromFleet(std::string config,
-                          const engine::FleetQueryResult& result);
+                          engine::FleetQueryResult result);
 
 // Renders one packed row of `schema` as "(v0, v1, ...)".
 std::string RenderRow(const storage::Schema& schema, const std::byte* row);

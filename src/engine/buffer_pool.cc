@@ -81,6 +81,12 @@ bool BufferPool::IsCached(std::uint64_t lpn) const {
   return FindFrame(lpn) != nullptr;
 }
 
+std::span<const std::byte> BufferPool::CachedPage(std::uint64_t lpn) const {
+  const Frame* frame = FindFrame(lpn);
+  return frame != nullptr ? std::span<const std::byte>(frame->data)
+                          : std::span<const std::byte>();
+}
+
 bool BufferPool::IsDirty(std::uint64_t lpn) const {
   const Frame* frame = FindFrame(lpn);
   return frame != nullptr && frame->dirty;
@@ -110,7 +116,9 @@ std::uint64_t BufferPool::CachedInRange(std::uint64_t first_lpn,
   return cached;
 }
 
-Result<std::size_t> BufferPool::Evict(SimTime ready, SimTime* io_done) {
+Result<std::size_t> BufferPool::Evict(SimTime ready, SimTime* io_done,
+                                      std::uint64_t pending_lpn,
+                                      std::span<std::byte> pending) {
   for (std::size_t sweep = 0; sweep < 2 * frames_.size() + 1; ++sweep) {
     Frame& frame = frames_[clock_hand_];
     const std::size_t index = clock_hand_;
@@ -125,6 +133,13 @@ Result<std::size_t> BufferPool::Evict(SimTime ready, SimTime* io_done) {
           *io_done, device_->WritePages(frame.lpn, 1, frame.data,
                                         std::max(ready, *io_done)));
       frame.dirty = false;
+      const std::size_t page_size = frame.data.size();
+      if (frame.lpn >= pending_lpn &&
+          frame.lpn - pending_lpn < pending.size() / page_size) {
+        std::copy(frame.data.begin(), frame.data.end(),
+                  pending.begin() + static_cast<std::ptrdiff_t>(
+                                        (frame.lpn - pending_lpn) * page_size));
+      }
     }
     IndexErase(frame.lpn);
     frame.valid = false;
@@ -149,8 +164,13 @@ Result<SimTime> BufferPool::InstallRange(std::uint64_t lpn,
   for (std::uint32_t i = 0; i < count; ++i) {
     if (IsCached(lpn + i)) continue;  // already resident
     SimTime flush_done = io_done;
-    SMARTSSD_ASSIGN_OR_RETURN(const std::size_t frame_index,
-                              Evict(ready, &flush_done));
+    // Pages after this one are read but not yet placed.
+    SMARTSSD_ASSIGN_OR_RETURN(
+        const std::size_t frame_index,
+        Evict(ready, &flush_done, lpn + i + 1,
+              std::span<std::byte>(io_buffer_).subspan(
+                  static_cast<std::size_t>(i + 1) * page_size,
+                  static_cast<std::size_t>(count - i - 1) * page_size)));
     io_done = std::max(io_done, flush_done);
     Frame& frame = frames_[frame_index];
     frame.lpn = lpn + i;

@@ -56,6 +56,9 @@ class BufferPool {
                                                 std::uint64_t count) const;
 
   bool IsCached(std::uint64_t lpn) const;
+  // The cached bytes of `lpn`, or an empty span when it is not
+  // resident. Touches neither the clock nor the hit counters.
+  std::span<const std::byte> CachedPage(std::uint64_t lpn) const;
   bool IsDirty(std::uint64_t lpn) const;
   bool HasDirtyInRange(std::uint64_t first_lpn, std::uint64_t count) const;
   std::uint64_t CachedInRange(std::uint64_t first_lpn,
@@ -93,7 +96,13 @@ class BufferPool {
   };
 
   // Picks a victim frame with the clock algorithm, flushing it if dirty.
-  Result<std::size_t> Evict(SimTime ready, SimTime* io_done);
+  // `pending` holds the pages from `pending_lpn` on that a range install
+  // has read but not yet placed: a dirty victim among them copies its
+  // bytes there, so the install places what it just wrote back rather
+  // than what the read returned before.
+  Result<std::size_t> Evict(SimTime ready, SimTime* io_done,
+                            std::uint64_t pending_lpn,
+                            std::span<std::byte> pending);
   Result<SimTime> InstallRange(std::uint64_t lpn, std::uint32_t count,
                                SimTime ready);
 

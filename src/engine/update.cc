@@ -54,10 +54,9 @@ UpdateCursor::UpdateCursor(Database* db, std::string table,
       builder_(&info.schema, info.layout, db->device().page_size()),
       record_(info.schema.tuple_size()) {
   if (predicate == nullptr) return;
-  auto compiled = expr::CompiledExpr::Compile(*predicate, info.schema);
-  if (!compiled.ok() || compiled->result_type() != expr::SlotType::kBool) {
-    return;  // the interpreter decides the matches
-  }
+  auto compiled =
+      expr::CompiledExpr::CompilePredicate(*predicate, info.schema);
+  if (!compiled.ok()) return;  // the interpreter decides the matches
   filter_.emplace(std::move(compiled).value());
   predicate->CollectColumns(&filter_columns_);
   std::sort(filter_columns_.begin(), filter_columns_.end());
@@ -72,29 +71,26 @@ UpdateCursor::UpdateCursor(Database* db, std::string table,
   }
 }
 
-Result<std::uint16_t> UpdateCursor::MatchRows(
+Result<storage::PageColumns> UpdateCursor::MatchRows(
     const storage::TableInfo& info, std::span<const std::byte> page) {
   expr::EvalStats eval;  // predicate work folded into the cycle charge
-  matches_.clear();
-  if (predicate_ != nullptr && !filter_.has_value()) {
-    SMARTSSD_ASSIGN_OR_RETURN(
-        const storage::PageRows rows,
-        storage::PageRows::Open(&info.schema, info.layout, page));
-    expr::PageRowView row(&rows);
-    for (std::uint16_t i = 0; i < rows.tuple_count(); ++i) {
-      row.Reset(i);
-      if (predicate_->Evaluate(row, &eval).AsBool()) matches_.push_back(i);
-    }
-    return rows.tuple_count();
-  }
   SMARTSSD_ASSIGN_OR_RETURN(
       storage::PageColumns columns,
       storage::PageColumns::Open(&info.schema, info.layout, page,
                                  &records_));
   const std::uint16_t n = columns.tuple_count();
+  matches_.clear();
+  if (predicate_ != nullptr && !filter_.has_value()) {
+    expr::PageColumnsRowView row(&info.schema, &columns);
+    for (std::uint16_t i = 0; i < n; ++i) {
+      row.Reset(i);
+      if (predicate_->Evaluate(row, &eval).AsBool()) matches_.push_back(i);
+    }
+    return columns;
+  }
   matches_.resize(n);
   std::iota(matches_.begin(), matches_.end(), 0u);
-  if (n == 0 || !filter_.has_value()) return n;
+  if (n == 0 || !filter_.has_value()) return columns;
   for (const int c : filter_columns_) {
     static_cast<storage::ColumnAddress&>(
         batch_columns_[static_cast<std::size_t>(c)]) = columns.column(c);
@@ -102,7 +98,7 @@ Result<std::uint16_t> UpdateCursor::MatchRows(
   const expr::BatchInput in{batch_columns_.data(),
                             static_cast<int>(batch_columns_.size())};
   filter_->Filter(in, &matches_, &scratch_, &eval);
-  return n;
+  return columns;
 }
 
 Result<SimTime> UpdateCursor::StepPage(SimTime ready) {
@@ -119,19 +115,17 @@ Result<SimTime> UpdateCursor::StepPage(SimTime ready) {
       auto page_and_time,
       pool.GetPage(lpn, t, info->first_lpn + info->page_count));
   t = page_and_time.second;
-  std::span<const std::byte> page = page_and_time.first;
 
-  SMARTSSD_ASSIGN_OR_RETURN(const std::uint16_t page_tuples,
-                            MatchRows(*info, page));
+  SMARTSSD_ASSIGN_OR_RETURN(const storage::PageColumns columns,
+                            MatchRows(*info, page_and_time.first));
+  const std::uint16_t page_tuples = columns.tuple_count();
   const bool page_changed = !matches_.empty();
 
-  // Re-encode the page, applying the mutation to every match.
+  // Re-encode the page from the rows MatchRows located, applying the
+  // mutation to every match.
   if (page_changed) {
-    SMARTSSD_ASSIGN_OR_RETURN(
-        const storage::PageRows rows,
-        storage::PageRows::Open(&schema, info->layout, page));
     builder_.Reset();
-    expr::PageRowView row(&rows);
+    expr::PageColumnsRowView row(&schema, &columns);
     auto match = matches_.begin();
     for (std::uint16_t i = 0; i < page_tuples; ++i) {
       row.Reset(i);

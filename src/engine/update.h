@@ -72,11 +72,13 @@ class TableUpdater {
 // time.
 //
 // A page with no match is neither re-encoded nor written. A page with
-// one is read through storage::PageRows (the mutation sees the page
-// row) and re-encoded into the cursor's one storage::PageBuilder, so a
-// pass allocates no page buffer and no record per rewritten page. The
-// zone map refolds the page from the image the pool takes, so a scan
-// between two pages of the pass prunes with exact ranges.
+// one is rebuilt from the rows the filter's one storage::PageColumns
+// open located (the mutation sees the page row, and an NSM page's slots
+// are walked once) and re-encoded into the cursor's one
+// storage::PageBuilder, so a pass allocates no page buffer and no
+// record per rewritten page. The zone map refolds the page from the
+// image the pool takes, so a scan between two pages of the pass prunes
+// with exact ranges.
 class UpdateCursor {
  public:
   static Result<UpdateCursor> Open(Database* db, std::string table,
@@ -108,10 +110,11 @@ class UpdateCursor {
                const expr::Expression* predicate,
                TableUpdater::MutateFn mutate);
 
-  // Sets matches_ to the rows of `page` the predicate selects, in
-  // ascending order, and returns the page's row count.
-  Result<std::uint16_t> MatchRows(const storage::TableInfo& info,
-                                  std::span<const std::byte> page);
+  // Opens `page` once as storage::PageColumns, sets matches_ to the rows
+  // the predicate selects, in ascending order, and returns the columns
+  // (which the rewrite reads: an NSM page's records sit in records_).
+  Result<storage::PageColumns> MatchRows(const storage::TableInfo& info,
+                                         std::span<const std::byte> page);
 
   Database* db_ = nullptr;
   std::string table_;
@@ -128,7 +131,8 @@ class UpdateCursor {
   std::vector<int> filter_columns_;
   std::vector<expr::BatchColumn> batch_columns_;
   expr::BatchScratch scratch_;
-  std::vector<const std::byte*> records_;  // NSM gather: filter, refold
+  std::vector<const std::byte*> records_;  // NSM gather: match, rewrite,
+                                           // refold
   expr::SelVec matches_;
 
   // The rewrite of a page with a match.

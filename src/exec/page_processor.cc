@@ -118,12 +118,11 @@ void ScatterColumn(const expr::BatchColumn& col, const std::uint32_t* sel,
   }
 }
 
-// Folds vals[j] into the state chosen by state(j), with the aggregate
-// function resolved once per batch instead of once per lane.
+// Folds vals[0..n) into the state chosen by state(j), with the
+// aggregate function resolved once per batch instead of once per lane.
 template <typename StateFn>
-void FoldAggregate(AggSpec::Fn fn, std::span<const std::int64_t> vals,
+void FoldAggregate(AggSpec::Fn fn, const std::int64_t* vals, std::size_t n,
                    StateFn state) {
-  const std::size_t n = vals.size();
   switch (fn) {
     case AggSpec::Fn::kSum:
       for (std::size_t j = 0; j < n; ++j) state(j) += vals[j];
@@ -202,7 +201,7 @@ PageProcessor::PageProcessor(const BoundQuery* bound,
     mode_ = KernelMode::kVectorized;
   } else {
     pred_compiled_.reset();
-    agg_compiled_.clear();
+    agg_inputs_.reset();
     return;
   }
 
@@ -230,26 +229,23 @@ bool PageProcessor::CompileKernels() {
   const QuerySpec& spec = *bound_->spec;
   const storage::Schema& schema = bound_->combined_schema;
   if (spec.predicate != nullptr) {
-    auto compiled = expr::CompiledExpr::Compile(*spec.predicate, schema);
-    if (!compiled.ok() ||
-        compiled->result_type() != expr::SlotType::kBool) {
-      return false;
-    }
+    auto compiled =
+        expr::CompiledExpr::CompilePredicate(*spec.predicate, schema);
+    if (!compiled.ok()) return false;
     pred_compiled_.emplace(std::move(compiled).value());
   }
+  std::vector<const expr::Expression*> inputs;
   for (const AggSpec& agg : spec.aggregates) {
-    if (agg.input == nullptr) {
-      agg_compiled_.emplace_back();  // COUNT(*): nothing to evaluate
-      continue;
-    }
-    auto compiled = expr::CompiledExpr::Compile(*agg.input, schema);
-    // The scalar path funnels aggregate inputs through Value::AsInt;
-    // only statically-INT64 inputs are expressible in batch form.
-    if (!compiled.ok() ||
-        compiled->result_type() != expr::SlotType::kI64) {
-      return false;
-    }
-    agg_compiled_.emplace_back(std::move(compiled).value());
+    // COUNT(*) has nothing to evaluate.
+    agg_root_.push_back(agg.input == nullptr
+                            ? -1
+                            : static_cast<int>(inputs.size()));
+    if (agg.input != nullptr) inputs.push_back(agg.input.get());
+  }
+  if (!inputs.empty()) {
+    auto compiled = expr::CompiledExpr::CompileValues(inputs, schema);
+    if (!compiled.ok()) return false;
+    agg_inputs_.emplace(std::move(compiled).value());
   }
   return true;
 }
@@ -570,6 +566,7 @@ void PageProcessor::EnsureLanes(std::size_t rows) {
     // bytes of short keys stay zero (GroupTable::key_stride()).
     group_keys_.resize(rows * group_table_.key_stride());
     group_idx_.resize(rows);
+    group_states_.resize(rows);
   }
 }
 
@@ -615,10 +612,12 @@ Status PageProcessor::SinkBatch(const expr::BatchInput& in,
   const std::size_t n = sel_.size();
 
   if (!spec.aggregates.empty()) {
+    if (n == 0) return Status::OK();
     const bool grouped = !spec.group_by.empty();
     if (grouped) {
-      // Pass 1: resolve every lane's group index (and charge the key-
-      // column reads the scalar path charges in AppendColumnBytes).
+      // Resolve every lane's group (and charge the key-column reads the
+      // scalar path charges in AppendColumnBytes), then point each lane
+      // at its group's states.
       counts->group_updates += n;
       std::uint64_t outer_key_cols = 0;
       for (const int col : spec.group_by) {
@@ -626,35 +625,41 @@ Status PageProcessor::SinkBatch(const expr::BatchInput& in,
       }
       counts->eval.column_reads += outer_key_cols * n;
       GroupBatch();
+      for (std::size_t j = 0; j < n; ++j) {
+        group_states_[j] = group_table_.states(group_idx_[j]);
+      }
     }
-    // Pass 2: one aggregate at a time — each EvalI64 reuses the shared
-    // scratch, so its span must be consumed before the next call.
-    const std::uint32_t* groups = group_idx_.data();
+    // One run computes every aggregate's input; then fold each.
+    if (agg_inputs_.has_value()) {
+      agg_inputs_->Eval(in, sel_, &scratch_, &counts->eval);
+    }
+    std::int64_t* const* states = group_states_.data();
     for (std::size_t i = 0; i < spec.aggregates.size(); ++i) {
       const AggSpec& agg = spec.aggregates[i];
       counts->agg_updates += n;
-      if (agg.input == nullptr) {  // COUNT(*)
+      const int root = agg_root_[i];
+      if (root < 0) {  // COUNT(*)
         if (grouped) {
-          for (std::size_t j = 0; j < n; ++j) {
-            ++group_table_.states(groups[j])[i];
-          }
+          for (std::size_t j = 0; j < n; ++j) ++states[j][i];
         } else {
           agg_state_[i] += static_cast<std::int64_t>(n);
         }
         continue;
       }
-      const std::span<const std::int64_t> vals =
-          agg_compiled_[i]->EvalI64(in, sel_, &scratch_, &counts->eval);
+      const std::int64_t* vals = agg_inputs_->Values(root, scratch_);
       if (grouped) {
-        FoldAggregate(agg.fn, vals, [&](std::size_t j) -> std::int64_t& {
-          return group_table_.states(groups[j])[i];
-        });
+        FoldAggregate(agg.fn, vals, n,
+                      [states, i](std::size_t j) -> std::int64_t& {
+                        return states[j][i];
+                      });
       } else {
-        std::int64_t& state = agg_state_[i];
-        FoldAggregate(agg.fn, vals,
+        // A local accumulator, so the fold can keep it in a register.
+        std::int64_t state = agg_state_[i];
+        FoldAggregate(agg.fn, vals, n,
                       [&state](std::size_t) -> std::int64_t& {
                         return state;
                       });
+        agg_state_[i] = state;
       }
     }
     return Status::OK();

@@ -41,10 +41,9 @@ class HybridJoin;
 //  * kVectorized — the page's columns come from storage::PageColumns
 //    (PAX minipages in place, NSM records gathered into the
 //    processor's own buffer by the walk that validates the page's
-//    slots), the predicate/aggregate expressions
-//    are compiled once into flat batch programs (expr/batch.h), and
-//    every stage runs column-at-a-time over a selection vector of
-//    surviving row ids.
+//    slots), the predicate and the aggregate inputs are compiled once
+//    into two flat batch programs (expr/batch.h), and every stage runs
+//    column-at-a-time over a selection vector of surviving row ids.
 // Neither kernel has per-layout code: the layout matters only inside
 // storage/ and to the cost model.
 // Both produce byte-identical output and byte-identical OpCounts; a
@@ -133,7 +132,8 @@ class PageProcessor {
   Status FinishHybrid(OpCounts* counts, std::vector<std::byte>* out);
 
   // --- vectorized kernel ---
-  // Compiles predicate + aggregate inputs; false => fall back to scalar.
+  // Compiles the predicate and the aggregate inputs; false => fall back
+  // to scalar.
   bool CompileKernels();
   Status ProcessPageVectorized(std::span<const std::byte> page,
                                std::uint64_t page_index, OpCounts* counts,
@@ -146,7 +146,8 @@ class PageProcessor {
   void ProbeBatch(OpCounts* counts);
   // Resolves every lane of sel_ to its group index in group_idx_.
   void GroupBatch();
-  // Aggregation / projection over the surviving lanes of sel_.
+  // Aggregation / projection over the surviving lanes of sel_: one run
+  // of agg_inputs_, then a fold per aggregate.
   Status SinkBatch(const expr::BatchInput& in, OpCounts* counts,
                    std::vector<std::byte>* out);
 
@@ -175,8 +176,10 @@ class PageProcessor {
 
   // Vectorized-kernel state, reused across pages.
   std::optional<expr::CompiledExpr> pred_compiled_;
-  // Parallel to spec->aggregates; nullopt for COUNT(*) (null input).
-  std::vector<std::optional<expr::CompiledExpr>> agg_compiled_;
+  // Every aggregate input in one program (nullopt when all are
+  // COUNT(*)), and each aggregate's root in it (-1 for COUNT(*)).
+  std::optional<expr::CompiledExpr> agg_inputs_;
+  std::vector<int> agg_root_;
   expr::BatchScratch scratch_;
   std::vector<expr::BatchColumn> batch_columns_;  // combined-row columns
   // Outer columns some stage reads (predicate, aggregates, group keys,
@@ -191,6 +194,7 @@ class PageProcessor {
   std::vector<const std::byte*> payload_ptrs_;  // probe hits, by row id
   std::vector<std::byte> group_keys_;           // key_stride() per lane
   std::vector<std::uint32_t> group_idx_;        // per-lane group index
+  std::vector<std::int64_t*> group_states_;     // per-lane state row
 };
 
 // The build side's one walk over an inner page, shared by

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
+#include <limits>
 #include <utility>
 
 #include "common/macros.h"
@@ -85,14 +87,99 @@ bool LikeScalar(std::string_view s, std::string_view prefix) {
   return s.substr(0, prefix.size()) == prefix;
 }
 
+// Keeps the lanes of sel[0..n) where pass(row) holds, left-packed in
+// place; returns how many remain.
+template <typename Pass>
+std::size_t KeepLanes(std::uint32_t* sel, std::size_t n, Pass pass) {
+  std::size_t w = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t row = sel[i];
+    sel[w] = row;
+    w += pass(row) ? 1 : 0;
+  }
+  return w;
+}
+
+// The portable narrowing compare (NSM records, join payloads, the
+// scalar ISA): keeps the lanes whose value of `col` satisfies
+// `v op lit`. The operator, width and address shape are resolved once,
+// outside the loop.
+std::size_t NarrowCmpScalar(const BatchColumn& col, CompareOp op,
+                            std::int64_t lit, std::uint32_t* sel,
+                            std::size_t n) {
+  auto by_op = [&](auto value) {
+    auto keep = [&](auto cmp) {
+      return KeepLanes(sel, n,
+                       [&](std::uint32_t r) { return cmp(value(r), lit); });
+    };
+    switch (op) {
+      case CompareOp::kEq:
+        return keep(std::equal_to<>());
+      case CompareOp::kNe:
+        return keep(std::not_equal_to<>());
+      case CompareOp::kLt:
+        return keep(std::less<>());
+      case CompareOp::kLe:
+        return keep(std::less_equal<>());
+      case CompareOp::kGt:
+        return keep(std::greater<>());
+      case CompareOp::kGe:
+        return keep(std::greater_equal<>());
+    }
+    return n;
+  };
+  auto by_width = [&](auto addr) {
+    if (col.width == 4) {
+      return by_op([addr](std::uint32_t r) -> std::int64_t {
+        std::int32_t v;
+        std::memcpy(&v, addr(r), sizeof(v));
+        return v;
+      });
+    }
+    return by_op([addr](std::uint32_t r) {
+      std::int64_t v;
+      std::memcpy(&v, addr(r), sizeof(v));
+      return v;
+    });
+  };
+  if (col.base != nullptr) {
+    const std::byte* base = col.base;
+    const std::size_t stride = col.stride;
+    return by_width([base, stride](std::uint32_t r) {
+      return base + static_cast<std::size_t>(r) * stride;
+    });
+  }
+  const std::byte* const* rows = col.row_ptrs;
+  const std::uint32_t offset = col.offset;
+  return by_width(
+      [rows, offset](std::uint32_t r) { return rows[r] + offset; });
+}
+
 }  // namespace
 
-Result<CompiledExpr> CompiledExpr::Compile(const Expression& root,
-                                           const storage::Schema& schema) {
+Result<CompiledExpr> CompiledExpr::CompilePredicate(
+    const Expression& root, const storage::Schema& schema) {
   BatchProgram prog(&schema);
-  SMARTSSD_ASSIGN_OR_RETURN(const int slot, root.CompileBatch(&prog));
-  const SlotType type = prog.slot(slot).type;
-  return CompiledExpr(std::move(prog), slot, type);
+  SMARTSSD_RETURN_IF_ERROR(root.CompileNarrow(&prog, /*keep=*/true));
+  return CompiledExpr(std::move(prog), {});
+}
+
+Result<CompiledExpr> CompiledExpr::CompileValues(
+    std::span<const Expression* const> roots,
+    const storage::Schema& schema) {
+  BatchProgram prog(&schema);
+  std::vector<int> slots;
+  slots.reserve(roots.size());
+  for (const Expression* root : roots) {
+    SMARTSSD_ASSIGN_OR_RETURN(const int slot, root->CompileBatch(&prog));
+    // The scalar path funnels values through Value::AsInt; only
+    // statically-INT64 roots are expressible in batch form.
+    if (prog.slot(slot).type != SlotType::kI64) {
+      return UnimplementedError("batch value of a non-INT64 type");
+    }
+    slots.push_back(slot);
+  }
+  return CompiledExpr(std::move(prog), std::move(slots));
 }
 
 void BatchScratch::Reserve(int num_slots, std::size_t lanes) {
@@ -450,6 +537,34 @@ void CompiledExpr::Run(const BatchInput& in, BatchScratch* scratch,
         cur.resize(w);
         break;
       }
+      case BatchOp::Code::kSelCmpCol: {
+        stats->column_reads += n;
+        stats->comparisons += n;
+        if (n == 0) break;
+        const BatchColumn& col = in.columns[op.col];
+        const std::int64_t lit = prog_.slot(op.b).lit_i64;
+        if (col.width == 4 &&
+            (lit < std::numeric_limits<std::int32_t>::min() ||
+             lit > std::numeric_limits<std::int32_t>::max())) {
+          // Every int32 value orders against an out-of-range literal
+          // the way 0 does: all lanes pass or none does.
+          if (!CmpScalar(op.cmp, std::int64_t{0}, lit)) cur.clear();
+          break;
+        }
+        std::uint32_t* lanes = cur.data();
+        if (isa == KernelIsa::kAvx2 && col.base != nullptr &&
+            col.stride == col.width) {
+          // `sel` is ascending and unique, so span == count means a
+          // dense run of rows.
+          const bool dense =
+              static_cast<std::size_t>(lanes[n - 1] - lanes[0]) + 1 == n;
+          cur.resize(NarrowCmpAvx2(op.cmp, col.base, col.width, lit, dense,
+                                   lanes, n));
+        } else {
+          cur.resize(NarrowCmpScalar(col, op.cmp, lit, lanes, n));
+        }
+        break;
+      }
       case BatchOp::Code::kSelPop: {
         SMARTSSD_CHECK(depth > 0);
         std::swap(cur, scratch->sel_stack_[depth - 1]);
@@ -555,51 +670,40 @@ void CompiledExpr::Run(const BatchInput& in, BatchScratch* scratch,
 
 void CompiledExpr::Filter(const BatchInput& in, SelVec* sel,
                           BatchScratch* scratch, EvalStats* stats) const {
-  SMARTSSD_CHECK(result_type_ == SlotType::kBool);
+  SMARTSSD_CHECK(roots_.empty());
   if (sel->empty()) {
     // Nothing to evaluate: the interpreter would not have charged a
     // thing either, so skip the op walk entirely.
     return;
   }
-  // Size the buffer the caller gets back before it changes hands.
+  // Size the scratch for the whole batch, and the buffer the caller
+  // gets back, before the program narrows it.
   scratch->Reserve(prog_.num_slots(), sel->size());
   std::swap(scratch->cur_, *sel);
   Run(in, scratch, stats);
   std::swap(scratch->cur_, *sel);
-  const BatchScratch::Slot& root =
-      scratch->slots_[static_cast<std::size_t>(root_)];
-  if (prog_.slot(root_).uniform) {
-    if (root.u_b8 == 0) sel->clear();
-    return;
-  }
-  const std::uint8_t* bv = root.b8.data();
-  if (CurrentKernelIsa() == KernelIsa::kAvx2) {
-    sel->resize(CompactSelAvx2(sel->data(), bv, /*keep=*/true, sel->size()));
-    return;
-  }
-  std::size_t w = 0;
-  for (std::size_t i = 0; i < sel->size(); ++i) {
-    if (bv[i] != 0) (*sel)[w++] = (*sel)[i];
-  }
-  sel->resize(w);
 }
 
-std::span<const std::int64_t> CompiledExpr::EvalI64(
-    const BatchInput& in, const SelVec& sel, BatchScratch* scratch,
-    EvalStats* stats) const {
-  SMARTSSD_CHECK(result_type_ == SlotType::kI64);
-  if (sel.empty()) return {};
+void CompiledExpr::Eval(const BatchInput& in, const SelVec& sel,
+                        BatchScratch* scratch, EvalStats* stats) const {
+  if (sel.empty()) return;
   scratch->Reserve(prog_.num_slots(), sel.size());
   scratch->cur_.assign(sel.begin(), sel.end());
   Run(in, scratch, stats);
-  const BatchScratch::Slot& root =
-      scratch->slots_[static_cast<std::size_t>(root_)];
-  if (prog_.slot(root_).uniform) {
-    std::int64_t* lanes = scratch->Lanes(scratch->broadcast_);
-    std::fill(lanes, lanes + sel.size(), root.u_i64);
-    return {lanes, sel.size()};
+  // A uniform root holds one value; spread it over its own lanes.
+  for (const int root : roots_) {
+    if (!prog_.slot(root).uniform) continue;
+    BatchScratch::Slot& slot =
+        scratch->slots_[static_cast<std::size_t>(root)];
+    std::int64_t* lanes = scratch->Lanes(slot.i64);
+    std::fill(lanes, lanes + sel.size(), slot.u_i64);
   }
-  return {root.i64.data(), sel.size()};
+}
+
+const std::int64_t* CompiledExpr::Values(int i,
+                                         const BatchScratch& scratch) const {
+  const int root = roots_[static_cast<std::size_t>(i)];
+  return scratch.slots_[static_cast<std::size_t>(root)].i64.data();
 }
 
 }  // namespace smartssd::expr

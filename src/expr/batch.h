@@ -16,11 +16,17 @@
 // row-for-row the set of rows the interpreter would have evaluated it
 // on. This is what keeps the cost models — and therefore every
 // virtual-time number — byte-identical across the two kernels.
+// Narrowing ops keep the contract too. A predicate compiled for Filter
+// narrows the live selection itself: an AND narrows by each child in
+// turn, a NOT flips which lanes are kept, and "column <op> int-literal"
+// is one op that reads the column at the live lanes, compares and keeps
+// the survivors. It charges one column_read and one comparison per lane
+// it reads, as the interpreter's column load and compare do.
 //
 // Not every tree compiles (e.g. mixed int/double CASE branches, string
-// arithmetic). Compile() then fails with kUnimplemented and the caller
-// falls back to the interpreted kernel, which remains the semantic
-// reference.
+// arithmetic). Compilation then fails with kUnimplemented and the
+// caller falls back to the interpreted kernel, which remains the
+// semantic reference.
 
 #include <cstddef>
 #include <cstdint>
@@ -77,6 +83,8 @@ struct BatchOp {
     kCaseMark,     // counts one case_eval per lane
     kSelSave,      // push a copy of the current selection
     kSelNarrow,    // keep lanes where bool slot a == flag
+    kSelCmpCol,    // keep lanes where col cmp literal slot b (one
+                   // column_read and one comparison per lane)
     kSelPop,       // restore the saved selection
     kBoolFromSel,  // dst (over saved sel) = lane survived, XOR flag; pops
     kMerge,        // dst = a(cond) ? b-stream : c-stream, zipped in order
@@ -102,8 +110,8 @@ struct SlotInfo {
 };
 
 // Builder/container for a compiled kernel. Expression nodes append their
-// ops via Expression::CompileBatch and return the slot holding their
-// result.
+// ops via Expression::CompileBatch / CompileNarrow and return the slot
+// holding their result.
 class BatchProgram {
  public:
   explicit BatchProgram(const storage::Schema* schema) : schema_(schema) {}
@@ -152,14 +160,16 @@ class BatchProgram {
 };
 
 // Reusable evaluation state (slot storage, selection stack). Owned by
-// the caller and shared across pages — and across the several compiled
-// expressions of one query — so the steady state allocates nothing.
+// the caller and shared across pages — and across the compiled
+// predicate and values of one query — so the steady state allocates
+// nothing.
 //
 // The scratch is sized once: it grows to the most slots any program it
 // served has used and to the most lanes any batch it served has had,
 // and never shrinks. Every slot buffer it hands out holds that many
 // lanes, and every selection buffer has that much capacity, so a batch
-// no larger than an earlier one touches no allocator. Slot contents
+// no larger than an earlier one touches no allocator. It is sized for
+// the whole batch before any op narrows it. Slot contents
 // left over from an earlier program or page are never observed: an op
 // writes its destination lanes before any later op reads them.
 class BatchScratch {
@@ -194,20 +204,24 @@ class BatchScratch {
   std::size_t sel_depth_ = 0;
   std::size_t lanes_ = 0;
   SelVec cur_;
-  std::vector<std::int64_t> broadcast_;
 };
 
-// A compiled expression: the flat op sequence plus its result slot.
+// A compiled kernel: a predicate for Filter, or a set of INT64 values
+// for Eval, as one flat op sequence.
 class CompiledExpr {
  public:
-  // Compiles `root` against `schema` (the combined-row schema the tree's
-  // column ids index into). Fails — kUnimplemented / kInvalidArgument —
-  // on shapes the batch engine does not cover; callers fall back to the
-  // interpreter.
-  static Result<CompiledExpr> Compile(const Expression& root,
-                                      const storage::Schema& schema);
+  // Compiles predicate `root` against `schema` (the combined-row schema
+  // the tree's column ids index into) in narrowing form. Fails —
+  // kUnimplemented / kInvalidArgument — on shapes the batch engine does
+  // not cover; callers fall back to the interpreter.
+  static Result<CompiledExpr> CompilePredicate(const Expression& root,
+                                               const storage::Schema& schema);
+  // Compiles every one of `roots` (each statically INT64) into one
+  // program with one result per root.
+  static Result<CompiledExpr> CompileValues(
+      std::span<const Expression* const> roots,
+      const storage::Schema& schema);
 
-  SlotType result_type() const { return result_type_; }
   int num_slots() const { return prog_.num_slots(); }
 
   // Predicate evaluation: removes the lanes of `sel` where the (BOOL)
@@ -215,25 +229,24 @@ class CompiledExpr {
   void Filter(const BatchInput& in, SelVec* sel, BatchScratch* scratch,
               EvalStats* stats) const;
 
-  // Evaluates an INT64-typed expression for every lane of `sel`. The
-  // returned span (one value per lane, in lane order) lives in `scratch`
-  // and is valid until the next evaluation using the same scratch.
-  std::span<const std::int64_t> EvalI64(const BatchInput& in,
-                                        const SelVec& sel,
-                                        BatchScratch* scratch,
-                                        EvalStats* stats) const;
+  // Evaluates every root for every lane of `sel`, charging exactly the
+  // interpreter's EvalStats for evaluating each root on each lane.
+  void Eval(const BatchInput& in, const SelVec& sel, BatchScratch* scratch,
+            EvalStats* stats) const;
+  // Root `i`'s values from the last Eval on `scratch`, one per lane in
+  // lane order; valid until the next evaluation using the same scratch.
+  const std::int64_t* Values(int i, const BatchScratch& scratch) const;
 
  private:
-  CompiledExpr(BatchProgram prog, int root, SlotType type)
-      : prog_(std::move(prog)), root_(root), result_type_(type) {}
+  CompiledExpr(BatchProgram prog, std::vector<int> roots)
+      : prog_(std::move(prog)), roots_(std::move(roots)) {}
 
   // Executes the op sequence over scratch->cur_.
   void Run(const BatchInput& in, BatchScratch* scratch,
            EvalStats* stats) const;
 
   BatchProgram prog_;
-  int root_ = -1;
-  SlotType result_type_ = SlotType::kBool;
+  std::vector<int> roots_;  // value slots (empty for a predicate)
 };
 
 }  // namespace smartssd::expr

@@ -24,6 +24,25 @@ bool IsNumeric(SlotType t) {
   return t == SlotType::kI64 || t == SlotType::kF64;
 }
 
+// The operator that holds exactly where `op` does not.
+CompareOp NegateCompare(CompareOp op) {
+  switch (op) {
+    case CompareOp::kEq:
+      return CompareOp::kNe;
+    case CompareOp::kNe:
+      return CompareOp::kEq;
+    case CompareOp::kLt:
+      return CompareOp::kGe;
+    case CompareOp::kLe:
+      return CompareOp::kGt;
+    case CompareOp::kGt:
+      return CompareOp::kLe;
+    case CompareOp::kGe:
+      return CompareOp::kLt;
+  }
+  return op;
+}
+
 // Compares two values of the same family; strings compare
 // lexicographically (fixed CHARs are space-padded, so padding is
 // order-neutral for equal-width operands).
@@ -213,6 +232,25 @@ class CompareExpr final : public Expression {
     return std::nullopt;
   }
 
+  Status CompileNarrow(BatchProgram* prog, bool keep) const override {
+    // "column <op> int-literal" over an integer column is one op that
+    // reads the column at the live lanes and keeps the survivors.
+    const std::optional<ColumnCompare> cc = AsColumnCompare();
+    if (!cc.has_value() || cc->column < 0 ||
+        cc->column >= prog->schema().num_columns() ||
+        prog->schema().column(cc->column).type ==
+            storage::ColumnType::kFixedChar) {
+      return Expression::CompileNarrow(prog, keep);
+    }
+    BatchOp op;
+    op.code = BatchOp::Code::kSelCmpCol;
+    op.col = cc->column;
+    op.cmp = keep ? cc->op : NegateCompare(cc->op);
+    op.b = prog->AddLiteralI64(cc->literal);
+    prog->Emit(op);
+    return Status::OK();
+  }
+
   Result<int> CompileBatch(BatchProgram* prog) const override {
     SMARTSSD_ASSIGN_OR_RETURN(int a, lhs_->CompileBatch(prog));
     SMARTSSD_ASSIGN_OR_RETURN(int b, rhs_->CompileBatch(prog));
@@ -388,6 +426,21 @@ class LogicExpr final : public Expression {
     return is_and_ ? &children_ : nullptr;
   }
 
+  Status CompileNarrow(BatchProgram* prog, bool keep) const override {
+    if (children_.empty()) {
+      return InvalidArgumentError("AND/OR needs at least one operand");
+    }
+    // An AND kept where true (an OR kept where false) keeps the lanes
+    // where every child is true (false): narrowing by each child in turn
+    // runs child k over exactly the lanes the interpreter evaluates it
+    // on. The other two cases need the bool slot.
+    if (is_and_ != keep) return Expression::CompileNarrow(prog, keep);
+    for (const ExprPtr& child : children_) {
+      SMARTSSD_RETURN_IF_ERROR(child->CompileNarrow(prog, keep));
+    }
+    return Status::OK();
+  }
+
   Result<int> CompileBatch(BatchProgram* prog) const override {
     if (children_.empty()) {
       return InvalidArgumentError("AND/OR needs at least one operand");
@@ -458,6 +511,10 @@ class NotExpr final : public Expression {
 
   void EstimateOps(EvalStats* stats) const override {
     child_->EstimateOps(stats);
+  }
+
+  Status CompileNarrow(BatchProgram* prog, bool keep) const override {
+    return child_->CompileNarrow(prog, !keep);
   }
 
   Result<int> CompileBatch(BatchProgram* prog) const override {
@@ -631,6 +688,19 @@ class CaseWhenExpr final : public Expression {
 
 Result<int> Expression::CompileBatch(BatchProgram*) const {
   return UnimplementedError("expression not supported by batch kernel");
+}
+
+Status Expression::CompileNarrow(BatchProgram* prog, bool keep) const {
+  SMARTSSD_ASSIGN_OR_RETURN(const int slot, CompileBatch(prog));
+  if (prog->slot(slot).type != SlotType::kBool) {
+    return UnimplementedError("batch predicate over a non-boolean value");
+  }
+  BatchOp narrow;
+  narrow.code = BatchOp::Code::kSelNarrow;
+  narrow.flag = keep ? 1 : 0;
+  narrow.a = slot;
+  prog->Emit(narrow);
+  return Status::OK();
 }
 
 ExprPtr Col(int column) { return std::make_unique<ColumnExpr>(column); }

@@ -74,6 +74,11 @@ class Expression {
   // the whole compilation fail, and the caller falls back to the
   // interpreted path.
   virtual Result<int> CompileBatch(BatchProgram* prog) const;
+  // Appends ops that narrow the live selection to the lanes where this
+  // (BOOL) node is `keep`, charging what the interpreter charges those
+  // lanes. The default computes a bool slot and narrows by it; AND, OR,
+  // NOT and "column <op> int-literal" narrow without one.
+  virtual Status CompileNarrow(BatchProgram* prog, bool keep) const;
 
   // --- Structural introspection (for pruning/planning) ---
 

@@ -107,6 +107,29 @@ class PageRowView final : public RowView {
   storage::PageRows::Row row_;
 };
 
+// A row of a page opened as storage::PageColumns: an NSM row is its
+// record, located by the walk that opened the page; a PAX row locates
+// each column in its minipage. Call Reset() before reading a column.
+class PageColumnsRowView final : public RowView {
+ public:
+  PageColumnsRowView(const storage::Schema* schema,
+                     const storage::PageColumns* columns)
+      : RowView(schema), columns_(columns) {}
+
+  void Reset(std::uint16_t row) {
+    row_ = row;
+    set_record(columns_->record(row));
+  }
+
+ private:
+  const std::byte* LocateColumn(int col) const override {
+    return columns_->column(col).at(row_);
+  }
+
+  const storage::PageColumns* columns_;
+  std::uint16_t row_ = 0;
+};
+
 // A join's combined row: the outer row's columns, then the matched
 // payload's. The combined schema packs the payload columns after the
 // outer record, so a payload column's bytes sit in the payload at its

@@ -92,6 +92,149 @@ constexpr PermTable MakePermTable() {
 
 constexpr PermTable kPerm = MakePermTable();
 
+// A narrowing compare is one AVX2 compare (==, v > lit, or lit > v)
+// plus an optional inversion of its lane mask.
+enum class Shape { kEq, kGt, kLt };
+
+struct NarrowMode {
+  Shape shape;
+  bool invert;
+};
+
+NarrowMode NarrowModeFor(CompareOp op) {
+  switch (op) {
+    case CompareOp::kEq:
+      return {Shape::kEq, false};
+    case CompareOp::kNe:
+      return {Shape::kEq, true};
+    case CompareOp::kGt:
+      return {Shape::kGt, false};
+    case CompareOp::kLe:
+      return {Shape::kGt, true};
+    case CompareOp::kLt:
+      return {Shape::kLt, false};
+    case CompareOp::kGe:
+      return {Shape::kLt, true};
+  }
+  return {Shape::kEq, false};
+}
+
+template <Shape S>
+__attribute__((target("avx2,bmi2"))) inline __m256i Cmp32(__m256i v,
+                                                          __m256i lit) {
+  if constexpr (S == Shape::kEq) return _mm256_cmpeq_epi32(v, lit);
+  if constexpr (S == Shape::kGt) return _mm256_cmpgt_epi32(v, lit);
+  return _mm256_cmpgt_epi32(lit, v);
+}
+
+template <Shape S>
+__attribute__((target("avx2,bmi2"))) inline __m256i Cmp64(__m256i v,
+                                                          __m256i lit) {
+  if constexpr (S == Shape::kEq) return _mm256_cmpeq_epi64(v, lit);
+  if constexpr (S == Shape::kGt) return _mm256_cmpgt_epi64(v, lit);
+  return _mm256_cmpgt_epi64(lit, v);
+}
+
+template <Shape S>
+bool ShapeScalar(std::int64_t v, std::int64_t lit) {
+  if constexpr (S == Shape::kEq) return v == lit;
+  if constexpr (S == Shape::kGt) return v > lit;
+  return lit > v;
+}
+
+// Eight lanes per step: their rows (consecutive from sel[0] when
+// kDense, else loaded from sel), their values (a contiguous load or a
+// gather), one 8-bit pass mask, and the passing rows left-packed into
+// sel[w..]. The store window ends at most at lane i + 8, past every row
+// already consumed.
+template <Shape S, std::uint32_t W, bool kDense>
+__attribute__((target("avx2,bmi2"))) std::size_t NarrowLanes(
+    const std::byte* base, std::int64_t lit, unsigned inv,
+    std::uint32_t* sel, std::size_t n) {
+  const std::uint32_t first = sel[0];
+  const __m256i vlit32 = _mm256_set1_epi32(static_cast<std::int32_t>(lit));
+  const __m256i vlit64 = _mm256_set1_epi64x(lit);
+  __m256i next = _mm256_add_epi32(
+      _mm256_set1_epi32(static_cast<std::int32_t>(first)),
+      _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  const __m256i step = _mm256_set1_epi32(8);
+  std::size_t w = 0;
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    __m256i rows;
+    if constexpr (kDense) {
+      rows = next;
+      next = _mm256_add_epi32(next, step);
+    } else {
+      rows = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(sel + i));
+    }
+    unsigned mask;
+    if constexpr (W == 4) {
+      const __m256i v =
+          kDense ? _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
+                       base + (static_cast<std::size_t>(first) + i) * 4))
+                 : _mm256_i32gather_epi32(
+                       reinterpret_cast<const int*>(base), rows, 4);
+      mask = static_cast<unsigned>(
+          _mm256_movemask_ps(_mm256_castsi256_ps(Cmp32<S>(v, vlit32))));
+    } else {
+      __m256i lo;
+      __m256i hi;
+      if constexpr (kDense) {
+        const std::byte* src =
+            base + (static_cast<std::size_t>(first) + i) * 8;
+        lo = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src));
+        hi = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + 32));
+      } else {
+        const auto* src = reinterpret_cast<const long long*>(base);
+        lo = _mm256_i32gather_epi64(src, _mm256_castsi256_si128(rows), 8);
+        hi = _mm256_i32gather_epi64(src, _mm256_extracti128_si256(rows, 1),
+                                    8);
+      }
+      const unsigned mask_lo = static_cast<unsigned>(
+          _mm256_movemask_pd(_mm256_castsi256_pd(Cmp64<S>(lo, vlit64))));
+      const unsigned mask_hi = static_cast<unsigned>(
+          _mm256_movemask_pd(_mm256_castsi256_pd(Cmp64<S>(hi, vlit64))));
+      mask = mask_lo | mask_hi << 4;
+    }
+    mask ^= inv;
+    const __m256i perm =
+        _mm256_load_si256(reinterpret_cast<const __m256i*>(kPerm.idx[mask]));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(sel + w),
+                        _mm256_permutevar8x32_epi32(rows, perm));
+    w += static_cast<std::size_t>(__builtin_popcount(mask));
+  }
+  const bool invert = inv != 0;
+  for (; i < n; ++i) {
+    const std::uint32_t row =
+        kDense ? first + static_cast<std::uint32_t>(i) : sel[i];
+    const std::byte* p = base + static_cast<std::size_t>(row) * W;
+    std::int64_t v;
+    if constexpr (W == 4) {
+      std::int32_t v32;
+      std::memcpy(&v32, p, sizeof(v32));
+      v = v32;
+    } else {
+      std::memcpy(&v, p, sizeof(v));
+    }
+    sel[w] = row;
+    w += ShapeScalar<S>(v, lit) != invert ? 1 : 0;
+  }
+  return w;
+}
+
+template <Shape S>
+std::size_t NarrowShape(const std::byte* base, std::uint32_t width,
+                        std::int64_t lit, unsigned inv, bool dense,
+                        std::uint32_t* sel, std::size_t n) {
+  if (width == 4) {
+    return dense ? NarrowLanes<S, 4, true>(base, lit, inv, sel, n)
+                 : NarrowLanes<S, 4, false>(base, lit, inv, sel, n);
+  }
+  return dense ? NarrowLanes<S, 8, true>(base, lit, inv, sel, n)
+               : NarrowLanes<S, 8, false>(base, lit, inv, sel, n);
+}
+
 #endif  // SMARTSSD_HAVE_AVX2_LANES
 
 }  // namespace
@@ -241,6 +384,23 @@ __attribute__((target("avx2,bmi2"))) std::size_t CompactSelAvx2(
   return w;
 }
 
+std::size_t NarrowCmpAvx2(CompareOp op, const std::byte* base,
+                          std::uint32_t width, std::int64_t lit, bool dense,
+                          std::uint32_t* sel, std::size_t n) {
+  if (n == 0) return 0;
+  const NarrowMode mode = NarrowModeFor(op);
+  const unsigned inv = mode.invert ? 0xFFu : 0u;
+  switch (mode.shape) {
+    case Shape::kEq:
+      return NarrowShape<Shape::kEq>(base, width, lit, inv, dense, sel, n);
+    case Shape::kGt:
+      return NarrowShape<Shape::kGt>(base, width, lit, inv, dense, sel, n);
+    case Shape::kLt:
+      return NarrowShape<Shape::kLt>(base, width, lit, inv, dense, sel, n);
+  }
+  return n;
+}
+
 __attribute__((target("avx2,bmi2"))) void LoadI64ContigAvx2(
     const std::byte* src, std::uint32_t width, std::int64_t* out,
     std::size_t n) {
@@ -342,6 +502,27 @@ std::size_t CompactSelAvx2(std::uint32_t* sel, const std::uint8_t* b8,
   std::size_t w = 0;
   for (std::size_t i = 0; i < n; ++i) {
     if ((b8[i] != 0) == keep) sel[w++] = sel[i];
+  }
+  return w;
+}
+
+std::size_t NarrowCmpAvx2(CompareOp op, const std::byte* base,
+                          std::uint32_t width, std::int64_t lit, bool,
+                          std::uint32_t* sel, std::size_t n) {
+  std::size_t w = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t row = sel[i];
+    const std::byte* p = base + static_cast<std::size_t>(row) * width;
+    std::int64_t v;
+    if (width == 4) {
+      std::int32_t v32;
+      std::memcpy(&v32, p, sizeof(v32));
+      v = v32;
+    } else {
+      std::memcpy(&v, p, sizeof(v));
+    }
+    sel[w] = row;
+    w += CmpI64Scalar(op, v, lit) ? 1 : 0;
   }
   return w;
 }

@@ -3,7 +3,8 @@
 
 // AVX2+BMI2 int64 lanes for the batch kernel's hot loops: compare to a
 // broadcast literal, compare two vectors, add/sub, contiguous column
-// load, and in-place selection-vector compaction.
+// load, in-place selection-vector compaction, and the narrowing compare
+// that reads a packed column at the live lanes and keeps the survivors.
 //
 // Bit-exact contract: every routine produces byte-identical output to
 // the corresponding scalar loop in batch.cc — signed 64-bit compares,
@@ -38,6 +39,17 @@ void CmpI64VecVecAvx2(CompareOp op, const std::int64_t* a,
 // returns the new length. Lane order is preserved.
 std::size_t CompactSelAvx2(std::uint32_t* sel, const std::uint8_t* b8,
                            bool keep, std::size_t n);
+
+// Narrowing compare over a packed column: row r's value lies at
+// base + r * width (width 4 or 8; int32 sign-extends). Keeps the lanes
+// of sel[0..n) whose value v satisfies `v op lit`, left-packed in place
+// in lane order, and returns how many remain. With `dense`, sel holds
+// the consecutive rows sel[0], sel[0] + 1, ..., and the values are
+// loaded contiguously; otherwise they are gathered. For width 4, `lit`
+// must lie in the int32 range.
+std::size_t NarrowCmpAvx2(CompareOp op, const std::byte* base,
+                          std::uint32_t width, std::int64_t lit, bool dense,
+                          std::uint32_t* sel, std::size_t n);
 
 // Loads n contiguous column values of `width` (4 or 8) bytes starting
 // at `src`, sign-extending int32 to int64 for width 4.

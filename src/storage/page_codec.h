@@ -116,6 +116,11 @@ class PageColumns {
 
   std::uint16_t tuple_count() const { return count_; }
 
+  // Row `i`'s NSM record, or nullptr on a PAX page.
+  const std::byte* record(std::uint16_t i) const {
+    return records_ != nullptr ? records_[i] : nullptr;
+  }
+
   // Where column `col`'s values lie; only on a page with rows.
   ColumnAddress column(int col) const {
     if (pax_.has_value()) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -75,6 +76,7 @@ TEST_P(BufferPoolPropertyTest, PoolMatchesReferenceModel) {
         break;
       }
       default: {  // read
+        const std::uint64_t misses = pool.misses();
         auto page = pool.GetPage(lpn, t, kPages);
         ASSERT_TRUE(page.ok());
         t = page->second;
@@ -82,6 +84,17 @@ TEST_P(BufferPoolPropertyTest, PoolMatchesReferenceModel) {
             << "step " << step << " lpn " << lpn;
         // Time never runs backwards.
         EXPECT_GE(page->second, 0u);
+        if (pool.misses() == misses) break;
+        // A miss installed a read-ahead range: every page of it now
+        // cached must hold its current contents, also one the install
+        // wrote back while evicting for an earlier page of the range.
+        for (std::uint64_t p = lpn;
+             p < std::min(lpn + BufferPool::kReadAheadPages, kPages); ++p) {
+          const std::span<const std::byte> cached = pool.CachedPage(p);
+          if (cached.empty()) continue;
+          EXPECT_EQ(cached[0], std::byte{model[p]})
+              << "step " << step << " range " << lpn << " lpn " << p;
+        }
         break;
       }
     }

@@ -122,6 +122,32 @@ TEST_F(BufferPoolTest, DirtyPageSurvivesEvictionViaWriteback) {
   EXPECT_EQ(out[0], std::byte{0xEE});
 }
 
+TEST_F(BufferPoolTest, ReadaheadPlacesPageWrittenBackDuringInstall) {
+  // Page 20 is dirty in a full pool when a read-ahead of pages 0..31
+  // starts. Installing the range evicts page 20 (writing it back)
+  // before it reaches page 20's turn, so the bytes read at the start
+  // are stale for it: the pool must place what it wrote back.
+  std::vector<std::byte> page(device_.page_size(), std::byte{0xAB});
+  auto written = pool_.WritePage(20, page, 0);
+  ASSERT_TRUE(written.ok());
+  SimTime t = written.value();
+  for (const auto& [lpn, limit] :
+       {std::pair<std::uint64_t, std::uint64_t>{100, 163}, {200, 231},
+        {0, 32}}) {
+    auto p = pool_.GetPage(lpn, t, limit);
+    ASSERT_TRUE(p.ok());
+    t = p->second;
+  }
+  ASSERT_TRUE(pool_.IsCached(20));
+  EXPECT_FALSE(pool_.IsDirty(20));  // written back by the install
+  auto cached = pool_.GetPage(20, t, 512);
+  ASSERT_TRUE(cached.ok());
+  EXPECT_EQ(cached->first[0], std::byte{0xAB});
+  std::vector<std::byte> out(device_.page_size());
+  ASSERT_TRUE(device_.ReadPages(20, 1, out, t).ok());
+  EXPECT_EQ(out[0], std::byte{0xAB});
+}
+
 TEST_F(BufferPoolTest, ClearEmptiesCleanPool) {
   ASSERT_TRUE(pool_.GetPage(0, 0, 512).ok());
   EXPECT_GT(pool_.CachedInRange(0, 512), 0u);
